@@ -19,7 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("baseline", "run the traffic-aware proportional baseline"),
         ("train", "train all per-cell TD3 agents from scratch"),
         ("similarity", "VAE similarity analysis and source selection"),
-        ("transfer", "integrated transfer plus paired-seed scratch reference"),
+        ("transfer", "transfer.strategy to the target plus a paired-seed "
+                     "scratch reference"),
         ("evaluate", "frozen-policy evaluation (checkpoints or baseline)"),
     ]:
         p = sub.add_parser(name, help=help_text)

@@ -292,7 +292,8 @@ def compute_slice_metrics(
             continue
         load = min(1.0, demands[n] / max(capacity, CAPACITY_EPS))
         throughput = min(demands[n], capacity) / max(u, 1)
-        out.append(SliceMetrics(float(throughput), dm.delay(load), float(load), u))
+        out.append(SliceMetrics(float(throughput), float(dm.delay(load)),
+                                float(load), u))
     return tuple(out)
 
 

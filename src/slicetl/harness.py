@@ -10,33 +10,27 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__, env as envm, similarity as simm
-from .agent import (
-    Td3Agent,
-    Transition,
-    load_agent,
-    ReplayBuffer,
-    save_agent,
-    select_action,
-    train_step,
-)
+from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
 from .env import PartitionAction, ScenarioConfig, equal_partition
-from .errors import ConfigurationError, DependencyError, SliceTlError
+from .errors import ConfigurationError, DependencyError
 from .runner import (
+    Act,
     Policy,
     StepRecord,
-    assemble_all_states,
-    cell_normalizers,
+    follow,
+    learn,
     record_step,
+    run_slots,
 )
 from .scenario import ExperimentConfig, config_to_dict
-from .transfer import TransferPlan, fine_tune, integrated_transfer
+from .transfer import TransferPlan, apply_transfer, fine_tune
 
 TRACE_VERSION = 1
 
@@ -133,53 +127,50 @@ def load_trace(path) -> list[StepRecord]:
 
 
 def greedy_policy(agent: Td3Agent) -> Policy:
-    def policy(state: np.ndarray, t: int) -> PartitionAction:
-        return select_action(agent, state, explore=False)
-
-    return policy
+    return lambda state: select_action(agent, state, explore=False)
 
 
 def constant_policy(action: PartitionAction) -> Policy:
-    return lambda state, t: action
+    return lambda state: action
 
 
-def _baseline_policies(
-    scenario: ScenarioConfig, demand_lookup: dict
-) -> dict[int, Policy]:
-    # Baseline needs next-step demands; the caller refreshes demand_lookup
-    # before each step via env.peek_demands.
-    return {
-        c.cell_id: (lambda s, t, cid=c.cell_id:
-                    envm.baseline_action(demand_lookup[cid]))
-        for c in scenario.cells
-    }
+def baseline_act(scenario: ScenarioConfig) -> Act:
+    """Act hook of the traffic-aware baseline with perfect demand knowledge.
+
+    Each cell splits its bandwidth in proportion to the demands the coming
+    slot will bring, read once per slot from the network's RNG state.
+    """
+
+    def act(t, net_state, states):
+        demands = envm.peek_demands(net_state, scenario)
+        return {cid: envm.baseline_action(demands[cid]) for cid in states}
+
+    return act
 
 
 def rollout(
-    scenario: ScenarioConfig,
-    policies: dict[int, Policy],
-    steps: int,
-    seed: int,
-    perfect_demand: bool = False,
-    demand_lookup: dict | None = None,
+    scenario: ScenarioConfig, act: Act, steps: int, seed: int
 ) -> list[StepRecord]:
     """Run fixed policies for ``steps`` slots and log every cell's metrics."""
 
-    normalizers = cell_normalizers(scenario)
-    state = envm.init_network(scenario, seed)
-    states = assemble_all_states(scenario, state, normalizers)
     records: list[StepRecord] = []
-    for t in range(1, steps + 1):
-        if perfect_demand:
-            demand_lookup.update(envm.peek_demands(state, scenario))
-        actions = {
-            c.cell_id: policies[c.cell_id](states[c.cell_id], t)
-            for c in scenario.cells
-        }
-        ordered = [actions[c.cell_id] for c in scenario.cells]
-        state, rewards = envm.step(state, ordered, scenario)
-        records.extend(record_step(scenario, t, states, actions, state, rewards))
-        states = assemble_all_states(scenario, state, normalizers)
+    run_slots(scenario, seed, steps, act,
+              lambda slot: records.extend(record_step(scenario, slot)))
+    return records
+
+
+def default_action_trace(
+    scenario: ScenarioConfig, steps: int, seed: int, out: Path
+) -> list[StepRecord]:
+    """Rollout in which every cell holds the equal split, so that the
+    similarity pipeline has comparable samples from all agents."""
+
+    equal = equal_partition(scenario.n_slices)
+    records = rollout(
+        scenario, lambda t, net_state, states: dict.fromkeys(states, equal),
+        steps, seed,
+    )
+    save_trace(out / "default_trace.npz", records)
     return records
 
 
@@ -204,19 +195,11 @@ class EvalSummary:
 
 
 def evaluate_policies(
-    scenario: ScenarioConfig,
-    policies: dict[int, Policy],
-    steps: int,
-    seed: int,
-    perfect_demand: bool = False,
-    demand_lookup: dict | None = None,
+    scenario: ScenarioConfig, act: Act, steps: int, seed: int
 ) -> EvalSummary:
     """Frozen-policy run emitting satisfaction and max-delay distributions."""
 
-    records = rollout(
-        scenario, policies, steps, seed,
-        perfect_demand=perfect_demand, demand_lookup=demand_lookup,
-    )
+    records = rollout(scenario, act, steps, seed)
     satisfaction = np.array([r.reward for r in records])
     max_delay = np.array([max(m.delay for m in r.metrics) for r in records])
     return EvalSummary(satisfaction, max_delay, records)
@@ -236,13 +219,8 @@ def run_baseline(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     """Traffic-aware baseline with perfect demand knowledge; no learning."""
 
     out = _prepare_out(out)
-    scenario = cfg.scenario
-    demand_lookup: dict = {}
-    policies = _baseline_policies(scenario, demand_lookup)
-    summary = evaluate_policies(
-        scenario, policies, cfg.phases.evaluation, seed,
-        perfect_demand=True, demand_lookup=demand_lookup,
-    )
+    summary = evaluate_policies(cfg.scenario, baseline_act(cfg.scenario),
+                                cfg.phases.evaluation, seed)
     write_metrics_csv(out / "metrics.csv", summary.records)
     write_eval_outputs(out, summary)
     write_run_meta(out, cfg, seed, method="baseline",
@@ -273,66 +251,33 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
 
     out = _prepare_out(out)
     scenario = cfg.scenario
-    normalizers = cell_normalizers(scenario)
     agents = make_agents(cfg, seed)
     n = scenario.n_slices
+    explore, training = cfg.phases.exploration, cfg.phases.training
+    default_action_trace(scenario, cfg.similarity.steps, seed, out)
 
-    # Default-action segment: every cell holds the equal split so that the
-    # similarity pipeline has comparable samples from all agents.
-    default_records = rollout(
-        scenario,
-        {c.cell_id: constant_policy(equal_partition(n)) for c in scenario.cells},
-        cfg.similarity.steps, seed,
-    )
-    save_trace(out / "default_trace.npz", default_records)
+    def act(t, net_state, states):
+        if t <= explore:
+            # Flat Dirichlet covers the simplex better than noisy untrained
+            # actor output.
+            return {cid: PartitionAction(agents[cid].explore_rng.dirichlet(
+                np.ones(n))) for cid in states}
+        # Linear exploration-noise decay across the training phase.
+        frac = (t - explore) / max(training, 1)
+        noise = (cfg.td3.explore_noise * (1.0 - frac)
+                 + cfg.td3.explore_noise_final * frac)
+        return {cid: select_action(agents[cid], s, explore=True, noise_scale=noise)
+                for cid, s in states.items()}
 
     records: list[StepRecord] = []
-    state = envm.init_network(scenario, seed)
-    states = assemble_all_states(scenario, state, normalizers)
     diverged: dict[int, str] = {}
-    total = cfg.phases.exploration + cfg.phases.training
-    for t in range(1, total + 1):
-        exploring = t <= cfg.phases.exploration
-        actions = {}
-        for c in scenario.cells:
-            agent = agents[c.cell_id]
-            if exploring:
-                # Flat Dirichlet covers the simplex better than noisy
-                # untrained actor output.
-                actions[c.cell_id] = PartitionAction(
-                    agent.explore_rng.dirichlet(np.ones(n))
-                )
-            else:
-                # Linear exploration-noise decay across the training phase.
-                frac = (t - cfg.phases.exploration) / max(cfg.phases.training, 1)
-                noise = (cfg.td3.explore_noise * (1.0 - frac)
-                         + cfg.td3.explore_noise_final * frac)
-                actions[c.cell_id] = select_action(
-                    agent, states[c.cell_id], explore=True, noise_scale=noise
-                )
-        ordered = [actions[c.cell_id] for c in scenario.cells]
-        state, rewards = envm.step(state, ordered, scenario)
-        new_states = assemble_all_states(scenario, state, normalizers)
+
+    def observe(slot):
         for i, c in enumerate(scenario.cells):
-            agent = agents[c.cell_id]
-            agent.buffer.add(Transition(
-                states[c.cell_id], actions[c.cell_id].shares,
-                float(rewards[i]), new_states[c.cell_id], origin=c.cell_id,
-            ))
-            agent.step_count += 1
-            if (
-                not exploring
-                and c.cell_id not in diverged
-                and len(agent.buffer) >= cfg.td3.batch_size
-            ):
-                try:
-                    for _ in range(cfg.td3.updates_per_step):
-                        train_step(agent, agent.buffer.sample(cfg.td3.batch_size))
-                except SliceTlError as exc:
-                    # One diverging agent must not abort the others.
-                    diverged[c.cell_id] = str(exc)
-        records.extend(record_step(scenario, t, states, actions, state, rewards))
-        states = new_states
+            learn(agents[c.cell_id], slot, i, diverged, train=slot.t > explore)
+        records.extend(record_step(scenario, slot))
+
+    run_slots(scenario, seed, explore + training, act, observe)
 
     checkpoints = out / "checkpoints"
     buffers = out / "buffers"
@@ -344,7 +289,7 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
 
     summary = evaluate_policies(
         scenario,
-        {cid: greedy_policy(agent) for cid, agent in agents.items()},
+        follow({cid: greedy_policy(agent) for cid, agent in agents.items()}),
         cfg.phases.evaluation, seed + 1,
     )
     write_metrics_csv(out / "metrics.csv", records + summary.records)
@@ -359,8 +304,6 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
 def _similarity_inputs(cfg: ExperimentConfig) -> tuple[int, list[int]]:
     ids = list(cfg.scenario.cell_ids)
     target = cfg.similarity.target if cfg.similarity.target is not None else ids[-1]
-    if target not in ids:
-        raise ConfigurationError(f"similarity target {target} is not a cell")
     candidates = (
         list(cfg.similarity.candidates)
         if cfg.similarity.candidates is not None
@@ -382,13 +325,7 @@ def run_similarity(
         if sim.trace is not None:
             trace_records = load_trace(sim.trace)
         else:
-            trace_records = rollout(
-                cfg.scenario,
-                {c.cell_id: constant_policy(equal_partition(cfg.scenario.n_slices))
-                 for c in cfg.scenario.cells},
-                sim.steps, seed,
-            )
-            save_trace(out / "default_trace.npz", trace_records)
+            trace_records = default_action_trace(cfg.scenario, sim.steps, seed, out)
 
     a_prime = equal_partition(cfg.scenario.n_slices)
     samples_by_agent = {
@@ -440,7 +377,7 @@ def load_pretrained(
 
 
 def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
-    """Integrated transfer to the target cell plus a paired-seed scratch run.
+    """``transfer.strategy`` to the target cell plus a paired-seed scratch run.
 
     Emits the per-step TL gain curve (TL reward minus scratch reward under
     identical environment seeds) and the post-fine-tuning evaluation.
@@ -481,10 +418,11 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
 
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
-    integrated_transfer(pretrained[source_id], tl_agent, plan, seed)
+    apply_transfer(pretrained[source_id], tl_agent, plan, seed)
+    diverged: dict[str, dict[int, str]] = {"tl": {}, "scratch": {}}
     tl_agent, tl_trace, tl_records = fine_tune(
         tl_agent, scenario, peers, plan.fine_tune_steps, seed,
-        collect_records=True,
+        collect_records=True, diverged=diverged["tl"],
     )
 
     # Paired-seed scratch reference: identical environment randomness,
@@ -492,7 +430,8 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
     scratch_agent, scratch_trace = fine_tune(
-        scratch_agent, scenario, peers, plan.fine_tune_steps, seed
+        scratch_agent, scenario, peers, plan.fine_tune_steps, seed,
+        diverged=diverged["scratch"],
     )
 
     with open(out / "gain.csv", "w", newline="") as fh:
@@ -504,8 +443,8 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
 
     policies = dict(peers)
     policies[target_id] = greedy_policy(tl_agent)
-    summary = evaluate_policies(scenario, policies, cfg.phases.evaluation,
-                                seed + 1)
+    summary = evaluate_policies(scenario, follow(policies),
+                                cfg.phases.evaluation, seed + 1)
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(exist_ok=True)
     save_agent(tl_agent, checkpoints / f"cell_{target_id}.npz")
@@ -513,10 +452,8 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     write_eval_outputs(out, summary)
     write_run_meta(
         out, cfg, seed, method="tl",
-        plan={"source": plan.source, "target": plan.target,
-              "strategy": plan.strategy,
-              "instance_fraction": plan.instance_fraction,
-              "fine_tune_steps": plan.fine_tune_steps},
+        plan=asdict(plan),
+        diverged={run: d[target_id] for run, d in diverged.items() if d},
         selected_distance=selected_distance,
         mean_satisfaction=summary.mean_satisfaction,
         mean_max_delay=summary.mean_max_delay,
@@ -534,16 +471,11 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> EvalSumma
     out = _prepare_out(out)
     scenario = cfg.scenario
     if cfg.evaluate.checkpoints is None:
-        demand_lookup: dict = {}
-        policies = _baseline_policies(scenario, demand_lookup)
-        summary = evaluate_policies(
-            scenario, policies, cfg.phases.evaluation, seed,
-            perfect_demand=True, demand_lookup=demand_lookup,
-        )
+        act = baseline_act(scenario)
     else:
         agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids)
-        policies = {cid: greedy_policy(a) for cid, a in agents.items()}
-        summary = evaluate_policies(scenario, policies, cfg.phases.evaluation, seed)
+        act = follow({cid: greedy_policy(a) for cid, a in agents.items()})
+    summary = evaluate_policies(scenario, act, cfg.phases.evaluation, seed)
     write_metrics_csv(out / "metrics.csv", summary.records)
     write_eval_outputs(out, summary)
     write_run_meta(out, cfg, seed, method="evaluate",

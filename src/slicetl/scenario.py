@@ -25,6 +25,8 @@ from .env import (
     TrafficMaskParams,
 )
 from .errors import ConfigurationError
+from .similarity import MODES
+from .transfer import STRATEGIES
 
 # Per-slice (throughput Mbit/s, delay ms) targets of the two cell groups.
 GROUP_A = ((4.0, 3.0), (3.0, 2.0), (2.0, 1.0), (1.0, 1.0))
@@ -58,6 +60,11 @@ class SimilarityParams:
     candidates: tuple[int, ...] | None = None
     trace: str | None = None  # path to an existing default-action trace
 
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigurationError(
+                f"unknown similarity mode {self.mode!r}; expected one of {MODES}")
+
 
 @dataclass(frozen=True)
 class TransferParams:
@@ -67,6 +74,12 @@ class TransferParams:
     instance_fraction: float = 1.0
     frozen_layers: int = 1
     artifacts: str | None = None  # directory of a previous train run
+
+    def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ConfigurationError(
+                f"unknown transfer strategy {self.strategy!r}; "
+                f"expected one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,15 @@ class ExperimentConfig:
     transfer: TransferParams = field(default_factory=TransferParams)
     evaluate: EvaluateParams = field(default_factory=EvaluateParams)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        sim = self.similarity
+        named = [sim.target, *(sim.candidates or ()), self.transfer.target]
+        ids = self.scenario.cell_ids
+        unknown = [i for i in named if i is not None and i not in ids]
+        if unknown:
+            raise ConfigurationError(
+                f"similarity/transfer cell ids {unknown} are not cells of the scenario")
 
 
 def _slice_phases(n_slices: int) -> list[float]:

@@ -29,6 +29,7 @@ from .errors import (
 DEFAULT_MIN_SAMPLES = 50
 SIMPLIFIED_SIGMA_LIMIT = 1e-3
 ACTION_MATCH_TOL = 1e-9
+MODES = ("exact", "simplified")  # KL distance: closed form, common-sigma fast path
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,7 @@ def inter_agent_distance(
 
     if not source_latents or not target_latents:
         raise EmptySetError("latent sets must be non-empty")
-    if mode not in ("exact", "simplified"):
+    if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}")
     mu_s, sig_s = _latent_arrays(source_latents)
     mu_t, sig_t = _latent_arrays(target_latents)
@@ -392,5 +393,5 @@ def write_latents_csv(path, latents: Sequence[LatentStats]) -> None:
         )
         for s in latents:
             writer.writerow(
-                [s.agent] + [repr(v) for v in s.mu] + [repr(v) for v in s.sigma]
+                [s.agent] + [repr(float(v)) for v in (*s.mu, *s.sigma)]
             )

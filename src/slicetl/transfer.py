@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env as envm
-from .agent import ReplayBuffer, Td3Agent, Transition, select_action, train_step
+from .agent import ReplayBuffer, Td3Agent, Transition, select_action
 from .errors import ConfigurationError, DomainError, IncompatibleArchitectureError
-from .runner import Policy, assemble_all_states, cell_normalizers, record_step
+from .runner import Policy, follow, learn, record_step, run_slots
 
 STRATEGIES = ("model", "feature", "instance", "integrated")
 FINE_TUNE_NOISE = 0.1  # logit-space exploration std during fine-tuning
@@ -151,55 +151,35 @@ def fine_tune(
     seed: int,
     noise_scale: float = FINE_TUNE_NOISE,
     collect_records: bool = False,
+    diverged: dict[int, str] | None = None,
 ):
     """Train the target agent in the live network without an exploration phase.
 
     Non-target cells act through the given peer policies. Returns
     ``(target, reward_trace)`` and, when requested, the per-step records
-    of all cells.
+    of all cells. If the target's training diverges, it stops training and
+    its error is recorded in ``diverged``.
     """
 
     for c in scenario.cells:
         if c.cell_id != target.cell_id and c.cell_id not in peers:
             raise ConfigurationError(f"missing peer policy for cell {c.cell_id}")
 
-    normalizers = cell_normalizers(scenario)
-    net_state = envm.init_network(scenario, seed)
-    states = assemble_all_states(scenario, net_state, normalizers)
+    idx = scenario.cell_ids.index(target.cell_id)
     trace = np.zeros(steps)
     records = []
-    cfg = target.config
-    for t in range(1, steps + 1):
-        actions = {}
-        for c in scenario.cells:
-            if c.cell_id == target.cell_id:
-                actions[c.cell_id] = select_action(
-                    target, states[c.cell_id], explore=True,
-                    noise_scale=noise_scale,
-                )
-            else:
-                actions[c.cell_id] = peers[c.cell_id](states[c.cell_id], t)
-        ordered = [actions[c.cell_id] for c in scenario.cells]
-        net_state, rewards = envm.step(net_state, ordered, scenario)
-        new_states = assemble_all_states(scenario, net_state, normalizers)
-        idx = scenario.cell_ids.index(target.cell_id)
-        target.buffer.add(
-            Transition(
-                states[target.cell_id], actions[target.cell_id].shares,
-                float(rewards[idx]), new_states[target.cell_id],
-                origin=target.cell_id,
-            )
-        )
-        if len(target.buffer) >= cfg.batch_size:
-            for _ in range(cfg.updates_per_step):
-                train_step(target, target.buffer.sample(cfg.batch_size))
-        target.step_count += 1
-        trace[t - 1] = rewards[idx]
+    diverged = {} if diverged is None else diverged
+
+    act = follow({**peers, target.cell_id: lambda s: select_action(
+        target, s, explore=True, noise_scale=noise_scale)})
+
+    def observe(slot):
+        learn(target, slot, idx, diverged)
+        trace[slot.t - 1] = slot.rewards[idx]
         if collect_records:
-            records.extend(
-                record_step(scenario, t, states, actions, net_state, rewards)
-            )
-        states = new_states
+            records.extend(record_step(scenario, slot))
+
+    run_slots(scenario, seed, steps, act, observe)
     if collect_records:
         return target, trace, records
     return target, trace

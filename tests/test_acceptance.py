@@ -24,6 +24,7 @@ from slicetl.env import (
     reward,
 )
 from slicetl.harness import constant_policy, greedy_policy, rollout
+from slicetl.runner import follow
 from slicetl.transfer import TransferPlan, fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
 
@@ -165,7 +166,7 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     for seed in (0, 1, 2):
         records = rollout(
             sc,
-            {c.cell_id: constant_policy(a_prime) for c in sc.cells},
+            follow({c.cell_id: constant_policy(a_prime) for c in sc.cells}),
             sim.steps, seed,
         )
         samples = {
@@ -205,7 +206,7 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     for seed in (0, 1, 2):
         records = rollout(
             sc,
-            {c.cell_id: constant_policy(a_prime) for c in sc.cells},
+            follow({c.cell_id: constant_policy(a_prime) for c in sc.cells}),
             sim.steps, seed,
         )
         samples = {

@@ -1,16 +1,18 @@
 """Harness, config, and CLI tests: file formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from slicetl import harness
+from slicetl import harness, runner
+from slicetl.agent import train_step
 from slicetl.cli import main
 from slicetl.env import equal_partition
-from slicetl.errors import ConfigurationError, DependencyError
+from slicetl.errors import ConfigurationError, DependencyError, NumericError
 from slicetl.harness import (
     constant_policy,
     empirical_cdf,
@@ -23,6 +25,8 @@ from slicetl.harness import (
     write_cdf_csv,
     write_metrics_csv,
 )
+from slicetl.runner import follow
+from slicetl.transfer import STRATEGIES
 from slicetl.scenario import (
     config_from_dict,
     config_to_dict,
@@ -84,6 +88,22 @@ def test_config_rejects_missing_scenario():
         config_from_dict({"seed": 3})
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("transfer", "strategy", "telepathy"),
+    ("similarity", "mode", "approximate"),
+    ("similarity", "target", 9),
+    ("similarity", "candidates", [1, 9]),
+    ("transfer", "target", 9),
+], ids=["strategy", "mode", "target", "candidates", "transfer-target"])
+def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, section, key, value):
+    d = config_to_dict(smoke_cfg)
+    d[section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(ConfigurationError):
+        load_config(path)
+
+
 def test_config_rejects_unknown_td3_key(smoke_cfg):
     d = config_to_dict(smoke_cfg)
     d["td3"]["warp_speed"] = 9
@@ -116,8 +136,8 @@ def test_metrics_csv_schema_and_float_round_trip(tmp_path):
     scenario = smoke_scenario()
     records = rollout(
         scenario,
-        {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-         for c in scenario.cells},
+        follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+                for c in scenario.cells}),
         steps=3, seed=0,
     )
     path = tmp_path / "metrics.csv"
@@ -131,14 +151,19 @@ def test_metrics_csv_schema_and_float_round_trip(tmp_path):
     first = records[0]
     assert float(rows[0]["reward"]) == first.reward
     assert float(rows[0]["throughput"]) == first.metrics[0].throughput
+    assert float(rows[0]["delay"]) == first.metrics[0].delay
+    assert float(rows[0]["load"]) == first.metrics[0].load
+    assert float(rows[0]["share"]) == first.action[0]
+    assert all(np.isfinite(float(row[column])) for row in rows
+               for column in ("throughput", "delay", "load", "share", "reward"))
 
 
 def test_trace_round_trip(tmp_path):
     scenario = smoke_scenario()
     records = rollout(
         scenario,
-        {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-         for c in scenario.cells},
+        follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+                for c in scenario.cells}),
         steps=4, seed=1,
     )
     path = tmp_path / "trace.npz"
@@ -163,23 +188,23 @@ def test_load_trace_missing_file(tmp_path):
 
 def test_rollout_is_deterministic():
     scenario = smoke_scenario()
-    policies = {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-                for c in scenario.cells}
-    a = rollout(scenario, policies, steps=10, seed=5)
-    b = rollout(scenario, policies, steps=10, seed=5)
+    act = follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+                  for c in scenario.cells})
+    a = rollout(scenario, act, steps=10, seed=5)
+    b = rollout(scenario, act, steps=10, seed=5)
     assert all(
         x.reward == y.reward and np.array_equal(x.state, y.state)
         for x, y in zip(a, b)
     )
-    c = rollout(scenario, policies, steps=10, seed=6)
+    c = rollout(scenario, act, steps=10, seed=6)
     assert any(x.reward != y.reward for x, y in zip(a, c))
 
 
 def test_evaluate_policies_summary_shapes():
     scenario = smoke_scenario()
-    policies = {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-                for c in scenario.cells}
-    summary = evaluate_policies(scenario, policies, steps=8, seed=0)
+    act = follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+                  for c in scenario.cells})
+    summary = evaluate_policies(scenario, act, steps=8, seed=0)
     assert summary.satisfaction.shape == (8 * scenario.n_cells,)
     assert summary.max_delay.shape == (8 * scenario.n_cells,)
     assert 0.0 <= summary.mean_satisfaction <= 1.0
@@ -203,9 +228,32 @@ def test_run_baseline_artifacts(tmp_path, tiny_cfg):
     assert 0.0 <= meta["mean_satisfaction"] <= 1.0
 
 
-def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
-    import dataclasses
+def test_baseline_shares_follow_the_slot_demands(tmp_path, tiny_cfg):
+    """Each (t, cell) share is that same slot's ues x ue_rates, normalised."""
 
+    run_baseline(tiny_cfg, seed=3, out=tmp_path)
+    rates = {c.cell_id: np.array(c.ue_rates) for c in tiny_cfg.scenario.cells}
+    with open(tmp_path / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    n = tiny_cfg.scenario.n_slices
+    assert len(rows) == tiny_cfg.phases.evaluation * tiny_cfg.scenario.n_cells * n
+    for i in range(0, len(rows), n):
+        record = rows[i:i + n]
+        assert len({(r["t"], r["cell"]) for r in record}) == 1
+        ues = np.array([int(r["ues"]) for r in record])
+        demands = ues * rates[int(record[0]["cell"])]
+        shares = np.array([float(r["share"]) for r in record])
+        assert np.array_equal(shares, demands / demands.sum())
+
+
+def test_evaluate_without_checkpoints_is_the_baseline(tmp_path, tiny_cfg):
+    run_baseline(tiny_cfg, seed=4, out=tmp_path / "base")
+    run_evaluate(tiny_cfg, seed=4, out=tmp_path / "eval")
+    assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
+            == (tmp_path / "base" / "metrics.csv").read_bytes())
+
+
+def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
     train_out = tmp_path / "train"
     result = harness.run_madrl(tiny_cfg, seed=0, out=train_out)
     for cid in tiny_cfg.scenario.cell_ids:
@@ -240,6 +288,59 @@ def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
     assert 0.0 <= summary.mean_satisfaction <= 1.0
 
 
+@pytest.fixture(scope="module")
+def tiny_artifacts(tmp_path_factory, tiny_cfg):
+    out = tmp_path_factory.mktemp("artifacts")
+    harness.run_madrl(tiny_cfg, seed=0, out=out)
+    return out
+
+
+def _transfer_cfg(tiny_cfg, artifacts, **transfer):
+    return dataclasses.replace(tiny_cfg, transfer=dataclasses.replace(
+        tiny_cfg.transfer, source=1, artifacts=str(artifacts), **transfer))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_transfer_runs_every_strategy(tmp_path, tiny_cfg, tiny_artifacts,
+                                          strategy):
+    cfg = _transfer_cfg(tiny_cfg, tiny_artifacts, strategy=strategy)
+    result = harness.run_transfer(cfg, seed=0, out=tmp_path)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["plan"]["strategy"] == strategy
+    assert meta["plan"]["frozen_layers"] == tiny_cfg.transfer.frozen_layers
+    assert meta["diverged"] == {}
+    agent = result.extras["tl_agent"]
+    assert agent.frozen_actor_layers == (
+        tiny_cfg.transfer.frozen_layers if strategy == "feature" else 0)
+    foreign = sum(tr.origin == 1 for tr in agent.buffer)
+    assert (foreign > 0) == (strategy in ("instance", "integrated"))
+    with open(tmp_path / "gain.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == tiny_cfg.phases.tl_training
+
+
+def test_run_transfer_survives_a_diverging_fine_tune(tmp_path, tiny_cfg,
+                                                     tiny_artifacts, monkeypatch):
+    calls = []
+
+    def diverge_once(agent, batch):
+        calls.append(agent)
+        if len(calls) == 1:
+            raise NumericError("non-finite critic loss; step aborted")
+        return train_step(agent, batch)
+
+    monkeypatch.setattr(runner, "train_step", diverge_once)
+    harness.run_transfer(_transfer_cfg(tiny_cfg, tiny_artifacts), seed=0,
+                         out=tmp_path)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["diverged"] == {"tl": "non-finite critic loss; step aborted"}
+    with open(tmp_path / "gain.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == tiny_cfg.phases.tl_training
+    with open(tmp_path / "metrics.csv") as fh:
+        assert {int(r["t"]) for r in csv.DictReader(fh)} >= set(
+            range(1, tiny_cfg.phases.tl_training + 1))
+    assert len(calls) > 1  # the scratch run kept training
+
+
 def test_run_transfer_requires_artifacts(tmp_path, tiny_cfg):
     with pytest.raises(DependencyError):
         harness.run_transfer(tiny_cfg, seed=0, out=tmp_path / "tl")
@@ -251,7 +352,10 @@ def test_run_similarity_selects_a_source(tmp_path, tiny_cfg):
     assert distances.target == 3
     assert source in (1, 2)
     assert (tmp_path / "sim" / "distances.csv").exists()
-    assert (tmp_path / "sim" / "latents.csv").exists()
+    with open(tmp_path / "sim" / "latents.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(np.isfinite(float(v))
+                        for r in rows for k, v in r.items() if k != "agent")
 
 
 # ---------------------------------------------------------------------------
