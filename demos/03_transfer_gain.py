@@ -27,7 +27,7 @@ source_id, target_id, seed = meta["source"], 3, meta["seed"]
 steps = 400
 
 scenario = cfg.scenario
-pretrained = harness.load_pretrained(OUT, scenario.cell_ids)
+pretrained = harness.load_pretrained(OUT, scenario.cell_ids, seed)
 peers = {i: harness.greedy_policy(pretrained[i])
          for i in scenario.cell_ids if i != target_id}
 

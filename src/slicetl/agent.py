@@ -9,8 +9,9 @@ simplex-valid by construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,13 +89,27 @@ class Transition:
     origin: int  # agent id that experienced this transition
 
 
+class Batch(NamedTuple):
+    """Training batch as column arrays, one row per transition."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+
+
 class ReplayBuffer:
     """Bounded transition store with seeded uniform sampling.
 
-    Eviction is oldest-first, except that foreign (transferred) transitions
-    are evicted before the owner's once the owner has contributed at least
-    ``evict_threshold`` of its own.
+    Transitions are rows of column arrays (state, action, reward, next
+    state, origin), oldest first. The columns grow geometrically up to
+    ``capacity`` rows. Eviction is oldest-first, except that foreign
+    (transferred) transitions are evicted before the owner's once the
+    owner has contributed at least ``evict_threshold`` of its own; the rows
+    after the victim shift down one.
     """
+
+    MIN_ROWS = 64  # rows of the first allocation
 
     def __init__(
         self,
@@ -108,69 +123,117 @@ class ReplayBuffer:
         self.capacity = capacity
         self.owner = owner
         self.evict_threshold = evict_threshold
+        self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._items: list[Transition] = []
+        self._n = 0
         self._own_count = 0
+        # Sized on the first add, when the state and action lengths are known;
+        # until then export writes these empty columns.
+        self._states = self._actions = self._next_states = np.zeros((0, 0))
+        self._rewards = np.zeros(0)
+        self._origins = np.zeros(0, dtype=np.int64)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self._states, self._actions, self._rewards, self._next_states,
+                self._origins)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._n
 
     def __iter__(self):
-        return iter(self._items)
+        for s, a, r, s2, o in zip(*(col[:self._n] for col in self._columns())):
+            yield Transition(s.copy(), a.copy(), float(r), s2.copy(), int(o))
 
     def origin_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for tr in self._items:
-            counts[tr.origin] = counts.get(tr.origin, 0) + 1
-        return counts
+        return dict(Counter(self._origins[:self._n].tolist()))
 
     def add(self, transition: Transition) -> None:
-        if len(self._items) >= self.capacity:
+        if self._n >= self.capacity:
             self._evict()
-        self._items.append(transition)
+        if self._n == len(self._rewards):
+            self._grow(transition)
+        n = self._n
+        self._states[n] = transition.state
+        self._actions[n] = transition.action
+        self._rewards[n] = transition.reward
+        self._next_states[n] = transition.next_state
+        self._origins[n] = transition.origin
+        self._n += 1
         if transition.origin == self.owner:
             self._own_count += 1
 
-    def _evict(self) -> None:
-        if self._own_count >= self.evict_threshold:
-            for i, tr in enumerate(self._items):
-                if tr.origin != self.owner:
-                    del self._items[i]
-                    return
-        victim = self._items.pop(0)
-        if victim.origin == self.owner:
-            self._own_count -= 1
+    def _grow(self, transition: Transition) -> None:
+        """Reallocate every column with room for more rows, each row shaped
+        like the transition's field."""
 
-    def sample(self, batch_size: int) -> list[Transition]:
-        if not self._items:
+        n = self._n
+        rows = min(self.capacity, max(2 * n, self.MIN_ROWS))
+
+        def grown(col: np.ndarray, field) -> np.ndarray:
+            new = np.empty((rows, *np.shape(field)), dtype=col.dtype)
+            if n:
+                new[:n] = col[:n]
+            return new
+
+        self._states = grown(self._states, transition.state)
+        self._actions = grown(self._actions, transition.action)
+        self._rewards = grown(self._rewards, transition.reward)
+        self._next_states = grown(self._next_states, transition.next_state)
+        self._origins = grown(self._origins, transition.origin)
+
+    def _evict(self) -> None:
+        n = self._n
+        victim = 0
+        if self._own_count >= self.evict_threshold:
+            foreign = np.flatnonzero(self._origins[:n] != self.owner)
+            if len(foreign):
+                victim = int(foreign[0])
+        if self._origins[victim] == self.owner:
+            self._own_count -= 1
+        for col in self._columns():
+            col[victim:n - 1] = col[victim + 1:n]
+        self._n -= 1
+
+    def sample(self, batch_size: int) -> Batch:
+        if not self._n:
             raise EmptySetError("cannot sample from an empty replay buffer")
-        idx = self._rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = self._rng.integers(0, self._n, size=batch_size)
+        return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
+                     self._next_states[idx])
 
     def export(self, path) -> None:
         """Persist as npz with a fixed field order and version tag."""
 
+        n = self._n
         np.savez(
             path,
             version=np.array(BUFFER_VERSION),
             owner=np.array(self.owner),
-            states=np.stack([t.state for t in self._items])
-            if self._items else np.zeros((0, 0)),
-            actions=np.stack([t.action for t in self._items])
-            if self._items else np.zeros((0, 0)),
-            rewards=np.array([t.reward for t in self._items]),
-            next_states=np.stack([t.next_state for t in self._items])
-            if self._items else np.zeros((0, 0)),
-            origins=np.array([t.origin for t in self._items], dtype=np.int64),
+            states=self._states[:n],
+            actions=self._actions[:n],
+            rewards=self._rewards[:n],
+            next_states=self._next_states[:n],
+            origins=self._origins[:n],
         )
 
     @classmethod
     def load(
         cls, path, capacity: int, seed: int, evict_threshold: int = 32
     ) -> "ReplayBuffer":
+        """Rebuild an exported buffer, one ``add`` per stored transition.
+
+        Raises ``DomainError`` if the file holds more than ``capacity``
+        transitions, which would otherwise be evicted silently.
+        """
+
         with np.load(path, allow_pickle=False) as data:
             if int(data["version"]) != BUFFER_VERSION:
                 raise DomainError(f"unsupported buffer version {data['version']}")
+            stored = len(data["rewards"])
+            if stored > capacity:
+                raise DomainError(
+                    f"{path} holds {stored} transitions, more than the "
+                    f"capacity {capacity}")
             buf = cls(capacity, seed, int(data["owner"]), evict_threshold)
             for s, a, r, s2, o in zip(
                 data["states"], data["actions"], data["rewards"],
@@ -269,37 +332,23 @@ def soft_update(target: nn.Mlp, online: nn.Mlp, tau: float) -> nn.Mlp:
         raise DomainError(f"tau must lie in [0, 1], got {tau}")
     if target.sizes != online.sizes:
         raise DimensionError("target/online shapes differ")
-    for tw, ow in zip(target.weights, online.weights):
-        tw *= 1.0 - tau
-        tw += tau * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb *= 1.0 - tau
-        tb += tau * ob
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
     return target
 
 
-def _batch_arrays(batch: Sequence[Transition]):
-    s = np.stack([t.state for t in batch])
-    a = np.stack([t.action for t in batch])
-    r = np.array([t.reward for t in batch])
-    s2 = np.stack([t.next_state for t in batch])
-    return s, a, r, s2
-
-
-def train_step(
-    agent: Td3Agent, batch: Sequence[Transition]
-) -> tuple[float, float, float | None]:
+def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | None]:
     """One TD3 update from a batch; returns (q1 loss, q2 loss, actor loss).
 
     The actor (and the target nets) update only every ``policy_delay``-th
     call; on other calls the third element is None.
     """
 
-    if len(batch) < 1:
+    s, a, r, s2 = batch
+    b = len(r)
+    if b < 1:
         raise EmptySetError("training batch must contain at least one transition")
     cfg = agent.config
-    s, a, r, s2 = _batch_arrays(batch)
-    b = len(batch)
 
     # Target action with clipped logit noise, then the pessimistic target.
     logits2 = nn.mlp_logits(agent.target_actor, s2)

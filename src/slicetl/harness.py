@@ -357,8 +357,12 @@ def run_similarity(
 
 
 def load_pretrained(
-    artifacts: str | Path, cell_ids: Sequence[int], td3_batch: int = 32
+    artifacts: str | Path, cell_ids: Sequence[int], seed: int
 ) -> dict[int, Td3Agent]:
+    """Checkpointed agents and their buffers, with the random streams of
+    ``make_agents``: each agent draws as a fresh agent seeded with
+    ``_agent_seed(seed, cell_id)``, its buffer samples like that agent's."""
+
     artifacts = Path(artifacts)
     agents = {}
     for cid in cell_ids:
@@ -366,10 +370,10 @@ def load_pretrained(
         buf = artifacts / "buffers" / f"cell_{cid}.npz"
         if not ckpt.exists():
             raise DependencyError(f"missing checkpoint {ckpt}")
-        agent = load_agent(ckpt)
+        agent = load_agent(ckpt, _agent_seed(seed, cid))
         if buf.exists():
             agent.buffer = ReplayBuffer.load(
-                buf, agent.config.buffer_capacity, seed=0,
+                buf, agent.config.buffer_capacity, seed=agent.buffer.seed,
                 evict_threshold=agent.config.batch_size,
             )
         agents[cid] = agent
@@ -394,7 +398,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
         else _similarity_inputs(cfg)[0]
     )
     peer_ids = [i for i in scenario.cell_ids if i != target_id]
-    pretrained = load_pretrained(cfg.transfer.artifacts, scenario.cell_ids)
+    pretrained = load_pretrained(cfg.transfer.artifacts, scenario.cell_ids, seed)
 
     source_id = cfg.transfer.source
     selected_distance = None
@@ -473,7 +477,7 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> EvalSumma
     if cfg.evaluate.checkpoints is None:
         act = baseline_act(scenario)
     else:
-        agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids)
+        agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids, seed)
         act = follow({cid: greedy_policy(a) for cid, a in agents.items()})
     summary = evaluate_policies(scenario, act, cfg.phases.evaluation, seed)
     write_metrics_csv(out / "metrics.csv", summary.records)

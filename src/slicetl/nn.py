@@ -3,14 +3,21 @@
 Provides exactly what the TD3 agents and the similarity VAE need: MLP
 forward/backward with analytic gradients, bias-corrected Adam, Gaussian
 reparameterized sampling, and bit-exact checkpointing. Everything is
-computed in 64-bit floats; networks here are tiny, so determinism and
-gradient exactness win over speed.
+computed in 64-bit floats.
+
+Each network keeps its parameters in one contiguous vector ``flat``, laid
+out w0, b0, w1, b1, ...; ``weights[i]`` and ``biases[i]`` are reshaped
+views of it. Adam's moments and the gradients of ``mlp_backward`` share
+that layout, so an Adam step or a Polyak average is a few vector
+operations instead of a loop over layers. Every update is elementwise and
+keeps the per-layer order of operations, so the flat layout computes the
+same bits as per-layer arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +32,47 @@ CHECKPOINT_VERSION = 1
 HEADS = ("identity", "softmax", "tanh")
 
 
+def _layer_views(
+    flat: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of ``flat`` shaped like ``weights`` and ``biases``, laid out
+    w0, b0, w1, b1, ..."""
+
+    ws, bs = [], []
+    start = 0
+    for w, b in zip(weights, biases):
+        ws.append(flat[start:start + w.size].reshape(w.shape))
+        start += w.size
+        bs.append(flat[start:start + b.size].reshape(b.shape))
+        start += b.size
+    return ws, bs
+
+
+def _pack(
+    weights: list[np.ndarray], biases: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Copy per-layer arrays into one new float64 vector; returns it and
+    its weight and bias views."""
+
+    flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+    ws, bs = _layer_views(flat, weights, biases)
+    for view, arr in zip([*ws, *bs], [*weights, *biases]):
+        view[...] = arr
+    return flat, ws, bs
+
+
 @dataclass
 class Mlp:
-    """Fully connected net: ReLU hidden layers, configurable output head."""
+    """Fully connected net: ReLU hidden layers, configurable output head.
+
+    The constructor copies the given arrays into ``flat``; ``weights`` and
+    ``biases`` are then views of it, so update them in place.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head: str = "identity"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.head not in HEADS:
@@ -45,6 +86,7 @@ class Mlp:
         for w, b in zip(self.weights, self.biases):
             if b.shape != (w.shape[1],):
                 raise DimensionError("bias shape must match layer output dim")
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
 
     @property
     def n_layers(self) -> int:
@@ -63,11 +105,13 @@ class Mlp:
         return [self.in_dim] + [w.shape[1] for w in self.weights]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.head,
-        )
+        return Mlp(self.weights, self.biases, self.head)
+
+    def layer_offset(self, layer: int) -> int:
+        """Position in ``flat`` where layer ``layer`` starts."""
+
+        return sum(w.size + b.size
+                   for w, b in zip(self.weights[:layer], self.biases[:layer]))
 
 
 def init_mlp(sizes: list[int], head: str, rng: np.random.Generator) -> Mlp:
@@ -141,12 +185,22 @@ def mlp_logits(params: Mlp, x: np.ndarray) -> np.ndarray:
     return h[0] if was_1d else h
 
 
+class Gradients(list):
+    """Per-layer ``(dW_i, db_i)`` pairs that are views of one vector
+    ``flat`` in the parameters' layout."""
+
+    def __init__(self, flat: np.ndarray, params: Mlp) -> None:
+        super().__init__(zip(*_layer_views(flat, params.weights, params.biases)))
+        self.flat = flat
+
+
 def mlp_backward(
     params: Mlp, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[Gradients, np.ndarray]:
     """Exact gradients of the forward map.
 
-    Returns ``(grads, input_gradient)`` where ``grads[i] = (dW_i, db_i)``.
+    Returns ``(grads, input_gradient)`` where ``grads[i] = (dW_i, db_i)``,
+    written into one flat vector ``grads.flat``.
     """
 
     if cache.params is not params:
@@ -166,21 +220,27 @@ def mlp_backward(
     elif params.head == "tanh":
         d = d * (1.0 - y * y)
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * params.n_layers
+    grads = Gradients(np.empty(params.flat.size), params)
     for i in range(params.n_layers - 1, -1, -1):
         h_in = cache.inputs[i]
         if i < params.n_layers - 1:
             # ReLU applied after this layer on the way forward: the stored
             # input of layer i+1 is exactly relu(z_i).
             d = d * (cache.inputs[i + 1] > 0)
-        grads[i] = (h_in.T @ d, d.sum(axis=0))
+        dw, db = grads[i]
+        np.matmul(h_in.T, d, out=dw)
+        d.sum(axis=0, out=db)
         d = d @ params.weights[i].T
     return grads, (d[0] if was_1d else d)
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators mirroring an Mlp's shapes."""
+    """Bias-corrected Adam accumulators mirroring an Mlp's shapes.
+
+    The moments live in the flat vectors ``m`` and ``v``, in the layout of
+    ``Mlp.flat``; ``m_w``, ``v_w``, ``m_b`` and ``v_b`` are views of them.
+    """
 
     m_w: list[np.ndarray]
     v_w: list[np.ndarray]
@@ -190,21 +250,22 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    m: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.m, self.m_w, self.m_b = _pack(self.m_w, self.m_b)
+        self.v, self.v_w, self.v_b = _pack(self.v_w, self.v_b)
 
     @classmethod
     def for_params(cls, params: Mlp, **kwargs) -> "AdamState":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            [np.zeros_like(b) for b in params.biases],
-            **kwargs,
-        )
+        zeros_w = [np.zeros_like(w) for w in params.weights]
+        zeros_b = [np.zeros_like(b) for b in params.biases]
+        return cls(zeros_w, zeros_w, zeros_b, zeros_b, **kwargs)
 
     def reset(self) -> None:
-        for arrs in (self.m_w, self.v_w, self.m_b, self.v_b):
-            for a in arrs:
-                a.fill(0.0)
+        self.m.fill(0.0)
+        self.v.fill(0.0)
         self.t = 0
 
 
@@ -215,30 +276,38 @@ def adam_step(
     lr: float,
     skip_layers: frozenset[int] = frozenset(),
 ) -> Mlp:
-    """In-place Adam update; layers in ``skip_layers`` are left untouched."""
+    """In-place Adam update; layers in ``skip_layers`` are left untouched.
+
+    ``skip_layers`` must be a prefix ``{0, ..., k-1}`` (the frozen lower
+    layers), so the update runs on the suffix of ``params.flat`` after
+    them. ``grads`` is either the ``Gradients`` of ``mlp_backward`` or a
+    list of ``(dW_i, db_i)`` pairs.
+    """
 
     if len(grads) != params.n_layers:
         raise DimensionError("one gradient pair per layer required")
     for i, (dw, db) in enumerate(grads):
         if dw.shape != params.weights[i].shape or db.shape != params.biases[i].shape:
             raise DimensionError(f"gradient shape mismatch at layer {i}")
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise NumericError(f"non-finite gradient at layer {i}")
+    if skip_layers != frozenset(range(len(skip_layers))):
+        raise DomainError(f"skip_layers must be a prefix of the layers, got "
+                          f"{sorted(skip_layers)}")
+    g = (grads.flat if isinstance(grads, Gradients)
+         else np.concatenate([x.ravel() for pair in grads for x in pair]))
+    if not np.isfinite(g).all():
+        bad = next(i for i, (dw, db) in enumerate(grads)
+                   if not (np.isfinite(dw).all() and np.isfinite(db).all()))
+        raise NumericError(f"non-finite gradient at layer {bad}")
     adam.t += 1
     c1 = 1.0 - adam.beta1**adam.t
     c2 = 1.0 - adam.beta2**adam.t
-    for i, (dw, db) in enumerate(grads):
-        if i in skip_layers:
-            continue
-        for acc_m, acc_v, g, target in (
-            (adam.m_w[i], adam.v_w[i], dw, params.weights[i]),
-            (adam.m_b[i], adam.v_b[i], db, params.biases[i]),
-        ):
-            acc_m *= adam.beta1
-            acc_m += (1.0 - adam.beta1) * g
-            acc_v *= adam.beta2
-            acc_v += (1.0 - adam.beta2) * g * g
-            target -= lr * (acc_m / c1) / (np.sqrt(acc_v / c2) + adam.eps)
+    start = params.layer_offset(len(skip_layers))
+    m, v, g, p = adam.m[start:], adam.v[start:], g[start:], params.flat[start:]
+    m *= adam.beta1
+    m += (1.0 - adam.beta1) * g
+    v *= adam.beta2
+    v += (1.0 - adam.beta2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + adam.eps)
     return params
 
 
@@ -271,8 +340,8 @@ def _mlp_from_arrays(name: str, data) -> Mlp:
     weights, biases = [], []
     i = 0
     while f"{name}.w{i}" in data:
-        weights.append(np.array(data[f"{name}.w{i}"], dtype=np.float64))
-        biases.append(np.array(data[f"{name}.b{i}"], dtype=np.float64))
+        weights.append(data[f"{name}.w{i}"])
+        biases.append(data[f"{name}.b{i}"])
         i += 1
     return Mlp(weights, biases, str(data[f"{name}.head"]))
 
@@ -296,10 +365,10 @@ def _adam_from_arrays(name: str, data) -> AdamState:
     m_w, v_w, m_b, v_b = [], [], [], []
     i = 0
     while f"{name}.mw{i}" in data:
-        m_w.append(np.array(data[f"{name}.mw{i}"]))
-        v_w.append(np.array(data[f"{name}.vw{i}"]))
-        m_b.append(np.array(data[f"{name}.mb{i}"]))
-        v_b.append(np.array(data[f"{name}.vb{i}"]))
+        m_w.append(data[f"{name}.mw{i}"])
+        v_w.append(data[f"{name}.vw{i}"])
+        m_b.append(data[f"{name}.mb{i}"])
+        v_b.append(data[f"{name}.vb{i}"])
         i += 1
     return AdamState(
         m_w, v_w, m_b, v_b,

@@ -80,11 +80,10 @@ def feature_transfer(
             f"frozen_layers must lie in (0, {source.actor.n_layers}), "
             f"got {frozen_layers}"
         )
-    for i in range(frozen_layers):
-        target.actor.weights[i] = source.actor.weights[i].copy()
-        target.actor.biases[i] = source.actor.biases[i].copy()
-        target.target_actor.weights[i] = source.actor.weights[i].copy()
-        target.target_actor.biases[i] = source.actor.biases[i].copy()
+    for net in (target.actor, target.target_actor):
+        for i in range(frozen_layers):
+            net.weights[i][...] = source.actor.weights[i]
+            net.biases[i][...] = source.actor.biases[i]
     target.frozen_actor_layers = frozen_layers
     return target
 

@@ -229,7 +229,8 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
     cfg = pipeline["cfg"]
     sc = cfg.scenario
     target_id = 3
-    pretrained = harness.load_pretrained(pipeline["root"] / "train", sc.cell_ids)
+    pretrained = harness.load_pretrained(pipeline["root"] / "train", sc.cell_ids,
+                                         seed)
     peers = {i: greedy_policy(pretrained[i]) for i in sc.cell_ids
              if i != target_id}
     plan = TransferPlan(source=source_id, target=target_id,

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slicetl import nn
 from slicetl.agent import (
+    Batch,
     Message,
     Normalizers,
     ReplayBuffer,
@@ -27,6 +31,37 @@ def _transition(rng, n=2, origin=0):
         rng.standard_normal(4 * n), rng.dirichlet(np.ones(n)),
         float(rng.uniform()), rng.standard_normal(4 * n), origin,
     )
+
+
+def _batch(transitions):
+    """Stack hand-built transitions into a training batch."""
+
+    return Batch(np.stack([t.state for t in transitions]),
+                 np.stack([t.action for t in transitions]),
+                 np.array([t.reward for t in transitions]),
+                 np.stack([t.next_state for t in transitions]))
+
+
+def _same(a, b):
+    """Field-wise equality of two transitions."""
+
+    return (np.array_equal(a.state, b.state) and np.array_equal(a.action, b.action)
+            and a.reward == b.reward and np.array_equal(a.next_state, b.next_state)
+            and a.origin == b.origin)
+
+
+def _assert_contents(buf, expected):
+    items = list(buf)
+    assert len(items) == len(expected)
+    assert all(_same(a, b) for a, b in zip(items, expected))
+
+
+def _assert_batch_rows(batch, expected):
+    assert np.array_equal(batch.states, np.stack([t.state for t in expected]))
+    assert np.array_equal(batch.actions, np.stack([t.action for t in expected]))
+    assert np.array_equal(batch.rewards, [t.reward for t in expected])
+    assert np.array_equal(batch.next_states,
+                          np.stack([t.next_state for t in expected]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +109,7 @@ def test_buffer_evicts_oldest_when_all_own():
     for tr in items:
         buf.add(tr)
     assert len(buf) == 3
-    assert list(buf)[0] is items[1]  # oldest evicted
+    _assert_contents(buf, items[1:])  # oldest evicted
 
 
 def test_buffer_evicts_foreign_first_once_owner_established():
@@ -87,7 +122,7 @@ def test_buffer_evicts_foreign_first_once_owner_established():
     buf.add(own[2])  # at capacity with 2 own -> foreign evicted first
     counts = buf.origin_counts()
     assert counts == {9: 1, 0: 3}
-    assert list(buf)[0] is foreign[1]
+    _assert_contents(buf, [foreign[1], *own])
 
 
 def test_buffer_evicts_oldest_before_owner_established():
@@ -97,7 +132,7 @@ def test_buffer_evicts_oldest_before_owner_established():
     buf.add(a)
     buf.add(b)
     buf.add(c)
-    assert list(buf) == [b, c]
+    _assert_contents(buf, [b, c])
 
 
 def test_buffer_sampling_is_seeded():
@@ -110,7 +145,9 @@ def test_buffer_sampling_is_seeded():
         buf2.add(tr)
     s1 = buf1.sample(5)
     s2 = buf2.sample(5)
-    assert all(a is b for a, b in zip(s1, s2))
+    expected = [items[i] for i in np.random.default_rng(42).integers(0, 10, size=5)]
+    _assert_batch_rows(s1, expected)
+    _assert_batch_rows(s2, expected)
 
 
 def test_buffer_sample_empty_raises():
@@ -133,6 +170,88 @@ def test_buffer_export_load_round_trip(tmp_path):
         assert np.array_equal(a.state, b.state)
         assert np.array_equal(a.action, b.action)
         assert a.reward == b.reward
+
+
+def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
+    rng = np.random.default_rng(12)
+    buf = ReplayBuffer(capacity=10, seed=0, owner=3)
+    for _ in range(5):
+        buf.add(_transition(rng, origin=3))
+    path = tmp_path / "buf.npz"
+    buf.export(path)
+    assert len(ReplayBuffer.load(path, capacity=5, seed=0)) == 5
+    with pytest.raises(DomainError):
+        ReplayBuffer.load(path, capacity=4, seed=0)
+
+
+def test_buffer_iteration_yields_copies():
+    rng = np.random.default_rng(13)
+    buf = ReplayBuffer(capacity=2, seed=0, owner=0)
+    first, second, third = (_transition(rng) for _ in range(3))
+    buf.add(first)
+    buf.add(second)
+    items = list(buf)
+    buf.add(third)  # evicts ``first`` and shifts ``second`` into its row
+    assert _same(items[0], first) and _same(items[1], second)
+
+
+class _ListBuffer:
+    """Reference model: the list-of-transitions replay buffer."""
+
+    def __init__(self, capacity, seed, owner, evict_threshold):
+        self.capacity, self.owner, self.evict_threshold = (
+            capacity, owner, evict_threshold)
+        self.rng = np.random.default_rng(seed)
+        self.items = []
+        self.own = 0
+
+    def add(self, tr):
+        if len(self.items) >= self.capacity:
+            self.evict()
+        self.items.append(tr)
+        self.own += tr.origin == self.owner
+
+    def evict(self):
+        if self.own >= self.evict_threshold:
+            for i, tr in enumerate(self.items):
+                if tr.origin != self.owner:
+                    del self.items[i]
+                    return
+        self.own -= self.items.pop(0).origin == self.owner
+
+    def sample(self, b):
+        return [self.items[i] for i in self.rng.integers(0, len(self.items), size=b)]
+
+    def origin_counts(self):
+        counts = {}
+        for tr in self.items:
+            counts[tr.origin] = counts.get(tr.origin, 0) + 1
+        return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    threshold=st.integers(0, 6),
+    ops=st.lists(st.one_of(st.sampled_from([0, 0, 0, 5, 9]),  # add from an origin
+                           st.integers(1, 4).map(lambda b: -b)),  # sample b rows
+                 max_size=60),
+    seed=st.integers(0, 2**16),
+)
+def test_buffer_matches_list_reference(capacity, threshold, ops, seed):
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(capacity, seed, owner=0, evict_threshold=threshold)
+    ref = _ListBuffer(capacity, seed, owner=0, evict_threshold=threshold)
+    for op in ops:
+        if op >= 0:
+            tr = _transition(rng, n=3, origin=op)
+            buf.add(tr)
+            ref.add(tr)
+        elif ref.items:
+            _assert_batch_rows(buf.sample(-op), ref.sample(-op))
+        assert len(buf) == len(ref.items)
+        assert buf.origin_counts() == ref.origin_counts()
+    _assert_contents(buf, ref.items)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +281,26 @@ def test_select_action_rejects_wrong_state_dim():
         select_action(agent, np.zeros(5))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    tau=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_soft_update_matches_per_layer_reference(sizes, tau, seed):
+    rng = np.random.default_rng(seed)
+    online = nn.init_mlp(sizes, "identity", rng)
+    target = nn.init_mlp(sizes, "identity", rng)
+    ref_w = [w.copy() for w in target.weights]
+    ref_b = [b.copy() for b in target.biases]
+    for tw, ow in zip(ref_w + ref_b, online.weights + online.biases):
+        tw *= 1.0 - tau
+        tw += tau * ow
+    soft_update(target, online, tau)
+    for got, want in zip(target.weights + target.biases, ref_w + ref_b):
+        assert np.array_equal(got, want)
+
+
 def test_soft_update_endpoints_and_blend():
     rng = np.random.default_rng(6)
     agent = Td3Agent(0, 2, Td3Config(), seed=2)
@@ -188,7 +327,7 @@ def test_soft_update_endpoints_and_blend():
 def test_train_step_policy_delay():
     rng = np.random.default_rng(7)
     agent = Td3Agent(0, 2, Td3Config(policy_delay=2), seed=3)
-    batch = [_transition(rng) for _ in range(8)]
+    batch = _batch([_transition(rng) for _ in range(8)])
     actor_before = [w.copy() for w in agent.actor.weights]
     _, _, actor_loss1 = train_step(agent, batch)
     assert actor_loss1 is None
@@ -207,7 +346,7 @@ def test_train_step_updates_both_critics():
     agent = Td3Agent(0, 2, Td3Config(), seed=4)
     q1_before = [w.copy() for w in agent.q1.weights]
     q2_before = [w.copy() for w in agent.q2.weights]
-    l1, l2, _ = train_step(agent, [_transition(rng) for _ in range(8)])
+    l1, l2, _ = train_step(agent, _batch([_transition(rng) for _ in range(8)]))
     assert np.isfinite(l1) and np.isfinite(l2)
     assert any(not np.array_equal(w, b) for w, b in zip(agent.q1.weights, q1_before))
     assert any(not np.array_equal(w, b) for w, b in zip(agent.q2.weights, q2_before))
@@ -216,7 +355,8 @@ def test_train_step_updates_both_critics():
 def test_train_step_empty_batch_raises():
     agent = Td3Agent(0, 2, Td3Config(), seed=5)
     with pytest.raises(EmptySetError):
-        train_step(agent, [])
+        train_step(agent, Batch(np.zeros((0, 8)), np.zeros((0, 2)), np.zeros(0),
+                                np.zeros((0, 8))))
 
 
 def test_critic_learns_two_state_chain_values():
@@ -237,7 +377,6 @@ def test_critic_learns_two_state_chain_values():
         agent.buffer.add(Transition(s1, rng.dirichlet(np.ones(n)), r1, s0, 0))
     for _ in range(3000):
         train_step(agent, agent.buffer.sample(32))
-    from slicetl import nn
     for s, v in ((s0, v0), (s1, v1)):
         for _ in range(5):
             a = rng.dirichlet(np.ones(n))
@@ -254,7 +393,7 @@ def test_agent_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     agent = Td3Agent(7, 2, Td3Config(actor_lr=3e-4), seed=7)
     for _ in range(4):
-        train_step(agent, [_transition(rng) for _ in range(8)])
+        train_step(agent, _batch([_transition(rng) for _ in range(8)]))
     agent.step_count = 123
     path = tmp_path / "agent.npz"
     save_agent(agent, path)

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from slicetl import harness, runner
-from slicetl.agent import train_step
+from slicetl.agent import Td3Agent, train_step
 from slicetl.cli import main
 from slicetl.env import equal_partition
 from slicetl.errors import ConfigurationError, DependencyError, NumericError
@@ -339,6 +339,21 @@ def test_run_transfer_survives_a_diverging_fine_tune(tmp_path, tiny_cfg,
         assert {int(r["t"]) for r in csv.DictReader(fh)} >= set(
             range(1, tiny_cfg.phases.tl_training + 1))
     assert len(calls) > 1  # the scratch run kept training
+
+
+def test_loaded_agents_draw_their_own_streams(tiny_cfg, tiny_artifacts):
+    ids = tiny_cfg.scenario.cell_ids
+    agents = harness.load_pretrained(tiny_artifacts, ids, seed=7)
+    draws = {}
+    for cid, agent in agents.items():
+        fresh = Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3,
+                         harness._agent_seed(7, cid))
+        draws[cid] = agent.explore_rng.standard_normal(6)
+        assert np.array_equal(draws[cid], fresh.explore_rng.standard_normal(6))
+        assert agent.buffer.seed == fresh.buffer.seed
+        assert len(agent.buffer) > 0
+    assert not np.array_equal(draws[ids[0]], draws[ids[1]])
+    assert agents[ids[0]].buffer.seed != agents[ids[1]].buffer.seed
 
 
 def test_run_transfer_requires_artifacts(tmp_path, tiny_cfg):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicetl import nn
 from slicetl.errors import (
@@ -173,11 +175,104 @@ def test_adam_skip_layers_freezes_parameters():
     assert not np.array_equal(params.weights[1], before[1])
 
 
+def test_adam_skip_layers_must_be_a_prefix():
+    rng = np.random.default_rng(12)
+    params = nn.init_mlp([3, 4, 2], "identity", rng)
+    adam = nn.AdamState.for_params(params)
+    grads = [(np.ones_like(w), np.ones_like(b))
+             for w, b in zip(params.weights, params.biases)]
+    with pytest.raises(DomainError):
+        nn.adam_step(adam, params, grads, lr=0.1, skip_layers=frozenset({1}))
+
+
+def _reference_adam_step(m_w, v_w, m_b, v_b, t, weights, biases, grads, lr,
+                         frozen, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-layer Adam on separate arrays, skipping the first ``frozen`` layers."""
+
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for i, (dw, db) in enumerate(grads):
+        if i < frozen:
+            continue
+        for acc_m, acc_v, g, target in ((m_w[i], v_w[i], dw, weights[i]),
+                                        (m_b[i], v_b[i], db, biases[i])):
+            acc_m *= beta1
+            acc_m += (1.0 - beta1) * g
+            acc_v *= beta2
+            acc_v += (1.0 - beta2) * g * g
+            target -= lr * (acc_m / c1) / (np.sqrt(acc_v / c2) + eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    steps=st.integers(1, 6),
+    frozen=st.integers(0, 4),
+    backward=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_adam_matches_per_layer_reference(sizes, steps, frozen, backward,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    params = nn.init_mlp(sizes, "tanh", rng)
+    frozen = min(frozen, params.n_layers)
+    adam = nn.AdamState.for_params(params)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    for t in range(1, steps + 1):
+        if backward:  # flat gradients straight from mlp_backward
+            _, cache = nn.mlp_forward(params, rng.standard_normal((4, sizes[0])))
+            grads, _ = nn.mlp_backward(params, cache,
+                                       rng.standard_normal((4, sizes[-1])))
+        else:
+            grads = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape))
+                     for w, b in zip(weights, biases)]
+        ref_grads = [(dw.copy(), db.copy()) for dw, db in grads]
+        nn.adam_step(adam, params, grads, lr=0.01,
+                     skip_layers=frozenset(range(frozen)))
+        _reference_adam_step(m_w, v_w, m_b, v_b, t, weights, biases, ref_grads,
+                             0.01, frozen)
+    assert adam.t == steps
+    for got, want in zip(
+        [*params.weights, *params.biases, *adam.m_w, *adam.v_w, *adam.m_b,
+         *adam.v_b],
+        [*weights, *biases, *m_w, *v_w, *m_b, *v_b],
+    ):
+        assert np.array_equal(got, want)
+
+
+def test_backward_gradients_are_views_of_one_vector():
+    rng = np.random.default_rng(13)
+    params = nn.init_mlp([4, 6, 3], "softmax", rng)
+    _, cache = nn.mlp_forward(params, rng.standard_normal((5, 4)))
+    grads, _ = nn.mlp_backward(params, cache, rng.standard_normal((5, 3)))
+    assert grads.flat.shape == params.flat.shape
+    assert np.array_equal(
+        grads.flat, np.concatenate([x.ravel() for pair in grads for x in pair]))
+
+
 def test_adam_rejects_non_finite_gradient():
     params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
     adam = nn.AdamState.for_params(params)
     with pytest.raises(NumericError):
         nn.adam_step(adam, params, [(np.array([[np.nan]]), np.zeros(1))], lr=0.1)
+
+
+def test_adam_non_finite_error_names_the_layer():
+    rng = np.random.default_rng(14)
+    params = nn.init_mlp([3, 4, 2], "identity", rng)
+    adam = nn.AdamState.for_params(params)
+    before = params.flat.copy()
+    grads = [(np.zeros_like(w), np.zeros_like(b))
+             for w, b in zip(params.weights, params.biases)]
+    grads[1][1][0] = np.inf
+    with pytest.raises(NumericError, match="layer 1"):
+        nn.adam_step(adam, params, grads, lr=0.1)
+    assert adam.t == 0 and np.array_equal(params.flat, before)
 
 
 def test_adam_reset_zeroes_accumulators():
@@ -187,6 +282,47 @@ def test_adam_reset_zeroes_accumulators():
     adam.reset()
     assert adam.t == 0
     assert np.all(adam.m_w[0] == 0.0) and np.all(adam.v_w[0] == 0.0)
+    assert np.all(adam.m == 0.0) and np.all(adam.v == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Flat parameter layout
+# ---------------------------------------------------------------------------
+
+
+def _assert_views(net):
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.flat) and np.shares_memory(b, net.flat)
+    assert np.array_equal(
+        net.flat, np.concatenate([x.ravel() for w, b in zip(net.weights, net.biases)
+                                  for x in (w, b)]))
+
+
+def test_weights_are_views_of_the_flat_vector(tmp_path):
+    rng = np.random.default_rng(15)
+    net = nn.init_mlp([4, 6, 3], "softmax", rng)
+    _assert_views(net)
+    copy = net.copy()
+    _assert_views(copy)
+    assert not np.shares_memory(copy.flat, net.flat)
+    copy.weights[0] += 1.0
+    assert not np.array_equal(copy.weights[0], net.weights[0])
+
+    adam = nn.AdamState.for_params(net)
+    for arrays, flat in ((adam.m_w + adam.m_b, adam.m), (adam.v_w + adam.v_b, adam.v)):
+        assert all(np.shares_memory(a, flat) for a in arrays)
+    path = tmp_path / "ckpt.npz"
+    nn.save_checkpoint(path, {"net": net}, {"net": adam})
+    nets, adams, _ = nn.load_checkpoint(path)
+    _assert_views(nets["net"])
+    assert np.shares_memory(adams["net"].m_w[0], adams["net"].m)
+
+
+def test_mlp_constructor_copies_its_arrays():
+    w, b = np.ones((2, 3)), np.zeros(3)
+    net = nn.Mlp([w], [b])
+    net.weights[0] += 1.0
+    assert np.all(w == 1.0)
 
 
 # ---------------------------------------------------------------------------

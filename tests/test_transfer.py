@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slicetl.agent import (
+    Batch,
     ReplayBuffer,
     Td3Agent,
     Td3Config,
@@ -43,11 +44,20 @@ def _transition(rng, n=2, origin=0):
     )
 
 
+def _batch(transitions):
+    """Stack hand-built transitions into a training batch."""
+
+    return Batch(np.stack([t.state for t in transitions]),
+                 np.stack([t.action for t in transitions]),
+                 np.array([t.reward for t in transitions]),
+                 np.stack([t.next_state for t in transitions]))
+
+
 def _trained(seed, n=2, steps=6):
     rng = np.random.default_rng(seed)
     agent = _agent(seed, n)
     for _ in range(steps):
-        train_step(agent, [_transition(rng, n) for _ in range(8)])
+        train_step(agent, _batch([_transition(rng, n) for _ in range(8)]))
     return agent
 
 
@@ -124,9 +134,29 @@ def test_feature_transfer_copies_and_freezes_lower_layers():
     frozen = target.actor.weights[0].copy()
     rng = np.random.default_rng(5)
     for _ in range(4):
-        train_step(target, [_transition(rng) for _ in range(8)])
+        train_step(target, _batch([_transition(rng) for _ in range(8)]))
     assert np.array_equal(target.actor.weights[0], frozen)
     assert not np.array_equal(target.actor.weights[-1], head_before)
+
+
+def test_transfers_keep_weights_views_of_the_flat_vector():
+    source = _trained(6)
+    nets = model_transfer(source, _agent(97)).networks()
+    featured = feature_transfer(source, _agent(98), frozen_layers=2)
+    for net in [*nets.values(), *featured.networks().values()]:
+        for w, b in zip(net.weights, net.biases):
+            assert np.shares_memory(w, net.flat) and np.shares_memory(b, net.flat)
+    assert not np.shares_memory(nets["actor"].flat, source.actor.flat)
+
+    frozen = featured.actor.flat[:featured.actor.layer_offset(2)].copy()
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        train_step(featured, _batch([_transition(rng) for _ in range(8)]))
+    assert np.array_equal(featured.actor.flat[:featured.actor.layer_offset(2)],
+                          frozen)
+    for i in range(2):
+        assert np.array_equal(featured.actor.weights[i], source.actor.weights[i])
+        assert np.array_equal(featured.actor.biases[i], source.actor.biases[i])
 
 
 def test_feature_transfer_rejects_bad_layer_count():
@@ -177,12 +207,19 @@ def test_instance_transfer_subsample_is_seeded():
     items = [_transition(rng, origin=1) for _ in range(20)]
     for tr in items:
         src.add(tr)
-    picks = []
+    expected = [items[i] for i in np.sort(
+        np.random.default_rng(42).choice(20, size=10, replace=False))]
     for _ in range(2):
         tgt = ReplayBuffer(capacity=50, seed=0, owner=2)
         instance_transfer(src, tgt, fraction=0.5, seed=42)
-        picks.append([id(t.state) for t in tgt])
-    assert picks[0] == picks[1]
+        picked = list(tgt)
+        assert len(picked) == len(expected)
+        for got, want in zip(picked, expected):
+            assert np.array_equal(got.state, want.state)
+            assert np.array_equal(got.action, want.action)
+            assert got.reward == want.reward
+            assert np.array_equal(got.next_state, want.next_state)
+            assert got.origin == want.origin
 
 
 # ---------------------------------------------------------------------------
