@@ -8,7 +8,7 @@ neighbor drags down a cell's spectral efficiency one step later.
 import numpy as np
 
 from slicetl import env
-from slicetl.env import baseline_action, equal_partition
+from slicetl.env import baseline_shares
 from slicetl.scenario import smoke_scenario
 
 scenario = smoke_scenario()
@@ -20,10 +20,10 @@ for cell in scenario.cells:
 
 # --- a few steps under the equal split -----------------------------------
 state = env.init_network(scenario, seed=0)
-equal = equal_partition(n)
+equal = np.full((scenario.n_cells, n), 1.0 / n)  # one share row per cell
 print("\nequal split, first 5 steps (per-cell reward = worst slice):")
 for t in range(5):
-    state, rewards = env.step(state, [equal] * scenario.n_cells, scenario)
+    state, rewards = env.step(state, equal, scenario)
     loads = [round(state.total_load(i), 2) for i in range(scenario.n_cells)]
     print(f"  t={state.step}: rewards {np.round(rewards, 3)}, total loads {loads}")
 
@@ -32,9 +32,8 @@ print("\ndemand-proportional baseline over 200 steps:")
 state = env.init_network(scenario, seed=0)
 totals = np.zeros(scenario.n_cells)
 for _ in range(200):
-    demands = env.peek_demands(state, scenario)
-    actions = [baseline_action(demands[c.cell_id]) for c in scenario.cells]
-    state, rewards = env.step(state, actions, scenario)
+    demands = env.peek_demands(state, scenario)  # (cells, slices)
+    state, rewards = env.step(state, baseline_shares(demands), scenario)
     totals += rewards
 print(f"  mean reward per cell: {np.round(totals / 200, 3)}")
 

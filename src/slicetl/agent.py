@@ -41,6 +41,13 @@ class Message:
             raise DomainError(f"message loads must lie in [0, 1], got {loads}")
 
 
+def neighbor_means(load: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Mean per-slice load of each row's neighbours: ``neighbors`` (k, d),
+    d >= 1, indexes rows of ``load`` (K, N); returns (k, N)."""
+
+    return load[neighbors].mean(axis=1)
+
+
 def extract_neighbor_features(messages: Sequence[Message], n_slices: int) -> np.ndarray:
     """Mean per-slice neighbor load; zero vector for an isolated cell."""
 
@@ -49,7 +56,7 @@ def extract_neighbor_features(messages: Sequence[Message], n_slices: int) -> np.
     loads = np.stack([m.per_slice_load for m in messages])
     if loads.shape[1] != n_slices:
         raise DimensionError("inconsistent slice count across messages")
-    return loads.mean(axis=0)
+    return neighbor_means(loads, np.arange(len(loads))[None])[0]
 
 
 @dataclass(frozen=True)
@@ -64,20 +71,38 @@ class Normalizers:
             raise DomainError("normalizers must be positive")
 
 
+def assemble_states(
+    throughput: np.ndarray,
+    load: np.ndarray,
+    ues: np.ndarray,
+    neighbor_load: np.ndarray,
+    throughput_scale,
+    max_ues,
+) -> np.ndarray:
+    """Agent states [throughput, load, ues | mean neighbor load], one row of
+    4N per cell, from (K, N) metrics and per-cell scales."""
+
+    return np.concatenate(
+        [throughput / throughput_scale, load, ues / max_ues, neighbor_load], axis=1)
+
+
 def assemble_state(
     metrics: Sequence[SliceMetrics],
     neighbor_features: np.ndarray,
     normalizers: Normalizers,
 ) -> np.ndarray:
-    """Local state [throughput, load, ues | mean neighbor load], length 4N."""
+    """Local state of one cell, length 4N (see ``assemble_states``)."""
 
     n = len(metrics)
     if len(neighbor_features) != n:
         raise DimensionError("neighbor feature length must equal slice count")
-    tp = np.array([m.throughput for m in metrics]) / normalizers.throughput
-    load = np.array([m.load for m in metrics])
-    ues = np.array([m.ue_count for m in metrics]) / normalizers.max_ues
-    return np.concatenate([tp, load, ues, np.asarray(neighbor_features, dtype=np.float64)])
+    return assemble_states(
+        np.array([[m.throughput for m in metrics]]),
+        np.array([[m.load for m in metrics]]),
+        np.array([[m.ue_count for m in metrics]]),
+        np.asarray(neighbor_features, dtype=np.float64)[None],
+        normalizers.throughput, normalizers.max_ues,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -197,7 +222,17 @@ class ReplayBuffer:
     def sample(self, batch_size: int) -> Batch:
         if not self._n:
             raise EmptySetError("cannot sample from an empty replay buffer")
-        idx = self._rng.integers(0, self._n, size=batch_size)
+        return self._take(self._rng.integers(0, self._n, size=batch_size))
+
+    def rows(self, idx: np.ndarray) -> Batch:
+        """Copies of the stored transitions at ``idx`` (0 is the oldest)."""
+
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self._n):
+            raise DomainError(f"row indices must lie in [0, {self._n})")
+        return self._take(idx)
+
+    def _take(self, idx: np.ndarray) -> Batch:
         return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
                      self._next_states[idx])
 
@@ -261,45 +296,65 @@ class Td3Config:
     critic_hidden: tuple[int, int] = (64, 24)
 
 
-class Td3Agent:
-    """TD3 learner for one cell's resource partitioning."""
+NETWORKS = ("actor", "q1", "q2", "target_actor", "target_q1", "target_q2")
+OPTIMIZED = ("actor", "q1", "q2")  # the networks with an Adam state
 
-    def __init__(self, cell_id: int, n_slices: int, config: Td3Config, seed: int):
+
+class Td3Agent:
+    """TD3 learner for one cell's resource partitioning.
+
+    ``seed`` spawns three streams: network initialisation, exploration and
+    the replay buffer's sampling seed. An agent built around given
+    ``networks`` (all six, by name) and ``adams`` (one per optimized
+    network) draws no initialisation but keeps the other two streams.
+    """
+
+    def __init__(
+        self,
+        cell_id: int,
+        n_slices: int,
+        config: Td3Config,
+        seed: int,
+        networks: dict[str, nn.Mlp] | None = None,
+        adams: dict[str, nn.AdamState] | None = None,
+    ):
         self.cell_id = cell_id
         self.n_slices = n_slices
         self.config = config
         state_dim = 4 * n_slices
-        ss = np.random.SeedSequence(seed)
-        init_rng, self.explore_rng, buffer_seed = (
-            np.random.default_rng(ss.spawn(1)[0]),
-            np.random.default_rng(ss.spawn(1)[0]),
-            ss.spawn(1)[0].generate_state(1)[0],
-        )
+        init_seq, explore_seq, buffer_seq = np.random.SeedSequence(seed).spawn(3)
+        self.explore_rng = np.random.default_rng(explore_seq)
         actor_sizes = [state_dim, *config.actor_hidden, n_slices]
         critic_sizes = [state_dim + n_slices, *config.critic_hidden, 1]
-        self.actor = nn.init_mlp(actor_sizes, "softmax", init_rng)
-        self.q1 = nn.init_mlp(critic_sizes, "identity", init_rng)
-        self.q2 = nn.init_mlp(critic_sizes, "identity", init_rng)
-        self.target_actor = self.actor.copy()
-        self.target_q1 = self.q1.copy()
-        self.target_q2 = self.q2.copy()
-        self.actor_adam = nn.AdamState.for_params(self.actor)
-        self.q1_adam = nn.AdamState.for_params(self.q1)
-        self.q2_adam = nn.AdamState.for_params(self.q2)
+        sizes = {"actor": actor_sizes, "q1": critic_sizes, "q2": critic_sizes}
+        if networks is None:
+            init_rng = np.random.default_rng(init_seq)
+            actor = nn.init_mlp(actor_sizes, "softmax", init_rng)
+            q1 = nn.init_mlp(critic_sizes, "identity", init_rng)
+            q2 = nn.init_mlp(critic_sizes, "identity", init_rng)
+            networks = {"actor": actor, "q1": q1, "q2": q2, "target_actor": actor.copy(),
+                        "target_q1": q1.copy(), "target_q2": q2.copy()}
+        for name in NETWORKS:
+            expected = sizes[name.removeprefix("target_")]
+            if list(networks[name].sizes) != expected:
+                raise DimensionError(
+                    f"{name} has layer sizes {networks[name].sizes}, the config "
+                    f"asks for {expected}")
+        (self.actor, self.q1, self.q2, self.target_actor, self.target_q1,
+         self.target_q2) = (networks[name] for name in NETWORKS)
+        if adams is None:
+            adams = {name: nn.AdamState.for_params(networks[name]) for name in OPTIMIZED}
+        self.actor_adam, self.q1_adam, self.q2_adam = (adams[name] for name in OPTIMIZED)
         self.buffer = ReplayBuffer(
-            config.buffer_capacity, int(buffer_seed), owner=cell_id,
-            evict_threshold=config.batch_size,
+            config.buffer_capacity, int(buffer_seq.generate_state(1)[0]),
+            owner=cell_id, evict_threshold=config.batch_size,
         )
         self.step_count = 0
         self.train_calls = 0
         self.frozen_actor_layers = 0
 
     def networks(self) -> dict[str, nn.Mlp]:
-        return {
-            "actor": self.actor, "q1": self.q1, "q2": self.q2,
-            "target_actor": self.target_actor,
-            "target_q1": self.target_q1, "target_q2": self.target_q2,
-        }
+        return {name: getattr(self, name) for name in NETWORKS}
 
 
 def select_action(
@@ -432,16 +487,8 @@ def load_agent(path, seed: int = 0) -> Td3Agent:
     cfg_dict["actor_hidden"] = tuple(cfg_dict["actor_hidden"])
     cfg_dict["critic_hidden"] = tuple(cfg_dict["critic_hidden"])
     config = Td3Config(**cfg_dict)
-    agent = Td3Agent(meta["cell_id"], meta["n_slices"], config, seed)
-    agent.actor = nets["actor"]
-    agent.q1 = nets["q1"]
-    agent.q2 = nets["q2"]
-    agent.target_actor = nets["target_actor"]
-    agent.target_q1 = nets["target_q1"]
-    agent.target_q2 = nets["target_q2"]
-    agent.actor_adam = adams["actor"]
-    agent.q1_adam = adams["q1"]
-    agent.q2_adam = adams["q2"]
+    agent = Td3Agent(meta["cell_id"], meta["n_slices"], config, seed,
+                     networks=nets, adams=adams)
     agent.step_count = meta["step_count"]
     agent.frozen_actor_layers = meta["frozen_actor_layers"]
     return agent

@@ -9,10 +9,10 @@ delay of the coordination scheme.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import ActionError, ConfigurationError, DimensionError, DomainError
 
 SIMPLEX_TOL = 1e-9
 CAPACITY_EPS = 1e-9
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,10 @@ class DelayModel:
         if not (0 < self.d_min <= self.d_max) or not (0 < self.epsilon < 1):
             raise ConfigurationError(f"invalid delay model {self}")
 
-    def delay(self, load: float) -> float:
-        return min(self.d_max, self.d_min / max(self.epsilon, 1.0 - load))
+    def delay(self, load):
+        """Delay of a load or an array of loads."""
+
+        return np.minimum(self.d_max, self.d_min / np.maximum(self.epsilon, 1.0 - load))
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,10 @@ class CellConfig:
     def max_throughput_target(self) -> float:
         return max(r.throughput_target for r in self.requirements)
 
+    @property
+    def snr_linear(self) -> float:
+        return 10.0 ** (self.base_snr_db / 10.0)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -140,6 +147,12 @@ class ScenarioConfig:
     @property
     def cell_ids(self) -> tuple[int, ...]:
         return tuple(c.cell_id for c in self.cells)
+
+    @cached_property
+    def arrays(self) -> ScenarioArrays:
+        """The cells' parameters as arrays, built on first use."""
+
+        return ScenarioArrays.of(self)
 
     def cell(self, cell_id: int) -> CellConfig:
         for c in self.cells:
@@ -172,6 +185,124 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 )
 
 
+# ---------------------------------------------------------------------------
+# Scenario parameters as arrays, built once per scenario.
+# ---------------------------------------------------------------------------
+
+
+class MaskArrays(NamedTuple):
+    """Traffic-mask parameters as same-shaped arrays (cells x slices)."""
+
+    period: np.ndarray
+    phase: np.ndarray
+    offset: np.ndarray
+    amplitude: np.ndarray
+    noisy: np.ndarray  # bool: entries with noise_std > 0
+    noise_std: np.ndarray  # noise_std of the noisy entries, row-major
+
+    @classmethod
+    def of(cls, masks: Sequence[Sequence[TrafficMaskParams]]) -> "MaskArrays":
+        def column(name: str) -> np.ndarray:
+            return np.array([[getattr(p, name) for p in row] for row in masks],
+                            dtype=np.float64)
+
+        noise = column("noise_std")
+        noisy = noise > 0
+        return cls(column("period"), column("phase"), column("offset"),
+                   column("amplitude"), noisy, noise[noisy])
+
+
+class NeighborGroup(NamedTuple):
+    """The cells with one neighbour count d, in scenario order."""
+
+    rows: np.ndarray  # (k,) the cells' rows
+    neighbors: np.ndarray  # (k, d) their neighbours' rows, in declaration order
+    gains: np.ndarray  # (k, d) the matching interference gains
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioArrays:
+    """Every per-cell parameter the slot needs, one row per cell in
+    scenario order (K cells, N slices)."""
+
+    bandwidth: np.ndarray  # (K, 1) MHz
+    snr_linear: np.ndarray  # (K,)
+    max_ues: np.ndarray  # (K, 1) as float
+    ue_rates: np.ndarray  # (K, N) Mbit/s per UE
+    masks: MaskArrays  # (K, N)
+    throughput_target: np.ndarray  # (K, N)
+    delay_target: np.ndarray  # (K, N)
+    throughput_scale: np.ndarray  # (K, 1) max throughput target, the state normaliser
+    neighbor_groups: tuple[NeighborGroup, ...]
+    delay: DelayModel
+
+    @classmethod
+    def of(cls, scenario: ScenarioConfig) -> "ScenarioArrays":
+        cells = scenario.cells
+        row_of = {c.cell_id: i for i, c in enumerate(cells)}
+        # Grouped by neighbour count rather than padded: each cell's
+        # interference is then a dot product of its own length, which
+        # rounds like the per-cell np.dot (zero padding can change the
+        # reduction's blocking).
+        by_degree: dict[int, list[int]] = {}
+        for i, c in enumerate(cells):
+            by_degree.setdefault(len(c.neighbor_ids), []).append(i)
+        groups = tuple(
+            NeighborGroup(
+                np.array(rows, dtype=np.intp),
+                np.array([[row_of[j] for j in cells[i].neighbor_ids] for i in rows],
+                         dtype=np.intp).reshape(len(rows), d),
+                np.array([cells[i].interference_gains for i in rows],
+                         dtype=np.float64).reshape(len(rows), d),
+            )
+            for d, rows in sorted(by_degree.items())
+        )
+
+        def array(values) -> np.ndarray:
+            return np.array(values, dtype=np.float64)
+
+        return cls(
+            bandwidth=array([[c.bandwidth] for c in cells]),
+            snr_linear=array([c.snr_linear for c in cells]),
+            max_ues=array([[c.max_ues_per_slice] for c in cells]),
+            ue_rates=array([c.ue_rates for c in cells]),
+            masks=MaskArrays.of([c.masks for c in cells]),
+            throughput_target=array(
+                [[r.throughput_target for r in c.requirements] for c in cells]),
+            delay_target=array(
+                [[r.delay_target for r in c.requirements] for c in cells]),
+            throughput_scale=array([[c.max_throughput_target] for c in cells]),
+            neighbor_groups=groups,
+            delay=scenario.delay,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Actions and network state.
+# ---------------------------------------------------------------------------
+
+
+def check_shares(shares, shape: tuple[int, ...]) -> np.ndarray:
+    """Shares as float64 of the given shape, each last-axis row a simplex
+    vector; raises ``ActionError`` otherwise."""
+
+    try:
+        shares = np.asarray(shares, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ActionError(f"shares must be numeric: {exc}") from exc
+    if shares.shape != shape:
+        raise ActionError(f"expected shares of shape {shape}, got {shares.shape}")
+    # NaN fails both comparisons, so one range test also rejects it.
+    if not (shares.min(initial=0.0) >= 0.0 and shares.max(initial=1.0) <= 1.0):
+        if not np.all(np.isfinite(shares)):
+            raise ActionError("shares must be finite")
+        raise ActionError(f"shares must lie in [0, 1], got {shares}")
+    sums = shares.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+        raise ActionError(f"shares must sum to 1, got {sums!r}")
+    return shares
+
+
 @dataclass(frozen=True)
 class PartitionAction:
     """Simplex vector of per-slice resource shares."""
@@ -180,15 +311,9 @@ class PartitionAction:
 
     def __post_init__(self) -> None:
         shares = np.asarray(self.shares, dtype=np.float64)
-        object.__setattr__(self, "shares", shares)
         if shares.ndim != 1:
             raise ActionError(f"shares must be a vector, got ndim={shares.ndim}")
-        if not np.all(np.isfinite(shares)):
-            raise ActionError("shares must be finite")
-        if np.any(shares < 0.0) or np.any(shares > 1.0):
-            raise ActionError(f"shares must lie in [0, 1], got {shares}")
-        if abs(float(shares.sum()) - 1.0) > SIMPLEX_TOL:
-            raise ActionError(f"shares must sum to 1, got {shares.sum()!r}")
+        object.__setattr__(self, "shares", check_shares(shares, shares.shape))
 
     @property
     def n_slices(self) -> int:
@@ -201,22 +326,146 @@ def equal_partition(n_slices: int) -> PartitionAction:
 
 @dataclass(frozen=True)
 class SliceMetrics:
+    """One slice's metrics, as the per-cell helpers take and return them."""
+
     throughput: float  # Mbit/s per user
     delay: float  # ms
     load: float  # in [0, 1]
     ue_count: int
 
 
-@dataclass(frozen=True)
+METRICS = ("throughput", "delay", "load", "ues")
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkState:
-    """Snapshot of all per-cell per-slice metrics at one time step."""
+    """All per-cell per-slice metrics at one time step, as (K, N) arrays in
+    scenario order, and the RNG state the next step draws from."""
 
     step: int
-    per_cell: tuple[tuple[SliceMetrics, ...], ...]  # K x N
+    throughput: np.ndarray  # Mbit/s per user
+    delay: np.ndarray  # ms
+    load: np.ndarray  # in [0, 1]
+    ues: np.ndarray  # int64 user counts
     rng_state: dict
 
+    def total_loads(self) -> np.ndarray:
+        """Per-cell sum of the slice loads, added left to right."""
+
+        total = self.load[:, 0]
+        for n in range(1, self.load.shape[1]):
+            total = total + self.load[:, n]
+        return total
+
     def total_load(self, cell_index: int) -> float:
-        return float(sum(m.load for m in self.per_cell[cell_index]))
+        return float(self.total_loads()[cell_index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NetworkState):
+            return NotImplemented
+        return (self.step == other.step and self.rng_state == other.rng_state
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in METRICS))
+
+
+# ---------------------------------------------------------------------------
+# Kernels over all cells. The per-cell helpers below call them with one row.
+# Each keeps the operation order of the per-cell scalar formula (written out
+# as the reference in tests/test_env.py), so its results are bit-identical.
+# ---------------------------------------------------------------------------
+
+
+def mask_values(
+    t: int, masks: MaskArrays, rng: np.random.Generator | None
+) -> np.ndarray:
+    """Sinusoidal traffic scalers in [0, 1] at step t, plus Gaussian noise on
+    the noisy entries (one draw each, row-major) when ``rng`` is given."""
+
+    if t < 0:
+        raise DomainError(f"time step must be >= 0, got {t}")
+    arg = (TWO_PI * t) / masks.period + masks.phase
+    sin = np.fromiter(map(math.sin, arg.ravel().tolist()), np.float64, arg.size)
+    value = masks.offset + masks.amplitude * sin.reshape(arg.shape)
+    if rng is not None and masks.noise_std.size:
+        value[masks.noisy] += masks.noise_std * rng.standard_normal(masks.noise_std.size)
+    return np.minimum(1.0, np.maximum(0.0, value))
+
+
+def interference(gains: np.ndarray, neighbor_loads: np.ndarray) -> np.ndarray:
+    """Per-row sum_j g_j * min(1, l_j) of (k, d) arrays; each row is reduced
+    by the same dot-product kernel as ``np.dot`` of two vectors."""
+
+    return (gains[:, None, :] @ np.minimum(1.0, neighbor_loads)[:, :, None])[:, 0, 0]
+
+
+def efficiency(snr_linear: np.ndarray, inter: np.ndarray) -> np.ndarray:
+    """Shannon-style spectral efficiency log2(1 + SNR / (1 + I)) per cell, in
+    bit/s/Hz. ``math.log2`` per cell: ``np.log2`` rounds some inputs differently."""
+
+    arg = 1.0 + snr_linear / (1.0 + inter)
+    return np.fromiter(map(math.log2, arg.tolist()), np.float64, arg.size)
+
+
+def slice_metrics(
+    shares: np.ndarray,
+    bandwidth: np.ndarray,
+    eff: np.ndarray,
+    demands: np.ndarray,
+    ues: np.ndarray,
+    delay_model: DelayModel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(throughput, delay, load), each (K, N), under shares (K, N) and
+    per-cell bandwidth (K, 1) and efficiency (K,).
+
+    Capacity of a slice is (a_n * B) * e; load is capped at 1; per-user
+    throughput is the served traffic divided by the user count. A slice
+    with no capacity but positive demand is fully congested by definition.
+    """
+
+    if np.any(eff <= 0):
+        raise DomainError(f"efficiency must be positive, got {eff}")
+    capacity = shares * bandwidth * eff[:, None]
+    congested = (capacity <= CAPACITY_EPS) & (demands > 0)
+    load = np.minimum(1.0, demands / np.maximum(capacity, CAPACITY_EPS))
+    throughput = np.minimum(demands, capacity) / np.maximum(ues, 1)
+    delay = delay_model.delay(load)
+    throughput[congested] = 0.0
+    delay[congested] = delay_model.d_max
+    load[congested] = 1.0
+    return throughput, delay, load
+
+
+def slice_rewards(
+    throughput: np.ndarray,
+    delay: np.ndarray,
+    throughput_target: np.ndarray,
+    delay_target: np.ndarray,
+) -> np.ndarray:
+    """Per-row minimum slice satisfaction, in [0, 1].
+
+    Each slice contributes min(throughput ratio, inverse delay ratio, 1);
+    a row's reward is its worst slice. Zero delay counts as fully
+    satisfied rather than a division fault.
+    """
+
+    delay_term = delay_target / np.where(delay > 0, delay, delay_target)  # 0 delay: 1
+    worst = np.minimum(throughput / throughput_target, delay_term).min(
+        axis=1, initial=1.0)
+    return np.maximum(0.0, worst)
+
+
+def baseline_shares(demands: np.ndarray) -> np.ndarray:
+    """Traffic-aware baseline: each row's shares proportional to its
+    demands, the equal split where a row demands nothing."""
+
+    total = demands.sum(axis=1, keepdims=True)
+    return np.divide(demands, total, out=np.full(demands.shape, 1.0 / demands.shape[1]),
+                     where=total > 0)
+
+
+# ---------------------------------------------------------------------------
+# Per-cell helpers: one-row calls of the kernels.
+# ---------------------------------------------------------------------------
 
 
 def traffic_mask(
@@ -227,23 +476,12 @@ def traffic_mask(
 ) -> float:
     """Deterministic (optionally noisy) traffic scaler in [0, 1]."""
 
-    if t < 0:
-        raise DomainError(f"time step must be >= 0, got {t}")
-    p = masks[slice_index]
-    value = p.offset + p.amplitude * math.sin(
-        2.0 * math.pi * t / p.period + p.phase
-    )
-    if p.noise_std > 0 and rng is not None:
-        value += p.noise_std * rng.standard_normal()
-    return min(1.0, max(0.0, value))
+    return float(mask_values(t, MaskArrays.of([[masks[slice_index]]]), rng)[0, 0])
 
 
 def compute_efficiency(cell: CellConfig, neighbor_total_loads: Sequence[float]) -> float:
-    """Shannon-style spectral efficiency with load-proportional interference.
-
-    e = log2(1 + SNR / (1 + sum_j g_j * min(1, l_j))) in bit/s/Hz, strictly
-    decreasing in every neighbor's total load.
-    """
+    """Spectral efficiency of one cell; strictly decreasing in every
+    neighbor's total load."""
 
     loads = np.asarray(neighbor_total_loads, dtype=np.float64)
     if loads.shape != (len(cell.neighbor_ids),):
@@ -251,11 +489,9 @@ def compute_efficiency(cell: CellConfig, neighbor_total_loads: Sequence[float]) 
             f"cell {cell.cell_id}: expected {len(cell.neighbor_ids)} neighbor "
             f"loads, got shape {loads.shape}"
         )
-    snr_lin = 10.0 ** (cell.base_snr_db / 10.0)
-    interference = float(
-        np.dot(np.asarray(cell.interference_gains), np.minimum(1.0, loads))
-    )
-    return math.log2(1.0 + snr_lin / (1.0 + interference))
+    gains = np.array([cell.interference_gains], dtype=np.float64).reshape(1, -1)
+    return float(efficiency(np.array([cell.snr_linear]),
+                            interference(gains, loads[None]))[0])
 
 
 def compute_slice_metrics(
@@ -266,149 +502,121 @@ def compute_slice_metrics(
     efficiency: float,
     delay_model: DelayModel | None = None,
 ) -> tuple[SliceMetrics, ...]:
-    """Per-slice throughput/delay/load under a given partitioning.
+    """Per-slice throughput/delay/load of one cell (see ``slice_metrics``)."""
 
-    Capacity of slice n is a_n * B * e; load is capped at 1; per-user
-    throughput is the served traffic divided by the user count. A slice
-    with zero share but positive demand is fully congested by definition.
-    """
-
-    dm = delay_model or DelayModel()
     demands = np.asarray(demands, dtype=np.float64)
     if np.any(demands < 0):
         raise DomainError(f"demands must be >= 0, got {demands}")
-    if efficiency <= 0:
-        raise DomainError(f"efficiency must be positive, got {efficiency}")
     if action.n_slices != cell.n_slices or len(demands) != cell.n_slices:
         raise DimensionError(
             f"cell {cell.cell_id}: action/demand length must equal slice count"
         )
-    out = []
-    for n in range(cell.n_slices):
-        u = int(ue_counts[n])
-        capacity = action.shares[n] * cell.bandwidth * efficiency
-        if capacity <= CAPACITY_EPS and demands[n] > 0:
-            out.append(SliceMetrics(0.0, dm.d_max, 1.0, u))
-            continue
-        load = min(1.0, demands[n] / max(capacity, CAPACITY_EPS))
-        throughput = min(demands[n], capacity) / max(u, 1)
-        out.append(SliceMetrics(float(throughput), float(dm.delay(load)),
-                                float(load), u))
-    return tuple(out)
+    ues = np.asarray(ue_counts).astype(np.int64)
+    tp, delay, load = slice_metrics(
+        action.shares[None], np.array([[cell.bandwidth]], dtype=np.float64),
+        np.array([efficiency], dtype=np.float64), demands[None], ues[None],
+        delay_model or DelayModel(),
+    )
+    return tuple(SliceMetrics(*m) for m in zip(
+        tp[0].tolist(), delay[0].tolist(), load[0].tolist(), ues.tolist()))
 
 
 def reward(
     metrics: Sequence[SliceMetrics], reqs: Sequence[SliceRequirement]
 ) -> float:
-    """Minimum per-slice satisfaction, capped at 1.
-
-    Each slice contributes min(throughput ratio, inverse delay ratio, 1);
-    the cell reward is the worst slice. Zero delay counts as fully
-    satisfied rather than a division fault.
-    """
+    """Minimum per-slice satisfaction of one cell (see ``slice_rewards``)."""
 
     if len(metrics) != len(reqs):
         raise DimensionError("metrics and requirements must have equal length")
-    worst = 1.0
-    for m, req in zip(metrics, reqs):
-        tp_term = m.throughput / req.throughput_target
-        delay_term = req.delay_target / m.delay if m.delay > 0 else 1.0
-        worst = min(worst, tp_term, delay_term)
-    return max(0.0, min(1.0, worst))
+    tp, delay, tp_target, delay_target = np.array(
+        [(m.throughput, m.delay, q.throughput_target, q.delay_target)
+         for m, q in zip(metrics, reqs)], dtype=np.float64).reshape(-1, 4).T[:, None]
+    return float(slice_rewards(tp, delay, tp_target, delay_target)[0])
 
 
 def baseline_action(demands: Sequence[float]) -> PartitionAction:
-    """Traffic-aware baseline: shares proportional to per-slice demand."""
+    """Traffic-aware baseline of one cell (see ``baseline_shares``)."""
 
     demands = np.asarray(demands, dtype=np.float64)
     if np.any(demands < 0):
         raise DomainError(f"demands must be >= 0, got {demands}")
-    total = demands.sum()
-    if total <= 0:
-        return equal_partition(len(demands))
-    return PartitionAction(demands / total)
+    return PartitionAction(baseline_shares(demands[None])[0])
 
 
-def _cell_traffic(
-    cell: CellConfig, t: int, rng: np.random.Generator | None
+# ---------------------------------------------------------------------------
+# Stepping the network.
+# ---------------------------------------------------------------------------
+
+
+# Any fixed seed: a generator built from it is repositioned at once, and
+# seeding skips the entropy read of an unseeded generator.
+_SCRATCH_SEED = np.random.SeedSequence(0)
+
+
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64(_SCRATCH_SEED))
+    rng.bit_generator.state = state
+    return rng
+
+
+def _traffic(
+    arrays: ScenarioArrays, t: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """UE counts and demands for one cell at step t (draws mask noise in order)."""
+    """UE counts and demands (K, N) at step t; draws the mask noise."""
 
-    ues = np.empty(cell.n_slices, dtype=np.int64)
-    for n in range(cell.n_slices):
-        tau = traffic_mask(t, n, cell.masks, rng)
-        ues[n] = int(round(cell.max_ues_per_slice * tau))
-    demands = ues * np.asarray(cell.ue_rates, dtype=np.float64)
-    return ues, demands
+    ues = np.rint(arrays.max_ues * mask_values(t, arrays.masks, rng)).astype(np.int64)
+    return ues, ues * arrays.ue_rates
+
+
+def _metrics(
+    arrays: ScenarioArrays,
+    shares: np.ndarray,
+    prev_total_loads: np.ndarray,
+    demands: np.ndarray,
+    ues: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice metrics under interference from the neighbours' previous loads."""
+
+    inter = np.zeros(len(prev_total_loads))
+    for group in arrays.neighbor_groups:
+        inter[group.rows] = interference(group.gains, prev_total_loads[group.neighbors])
+    eff = efficiency(arrays.snr_linear, inter)
+    return slice_metrics(shares, arrays.bandwidth, eff, demands, ues, arrays.delay)
 
 
 def init_network(scenario: ScenarioConfig, seed: int) -> NetworkState:
     """Initial state at t=0 under the default equal partition, no interference history."""
 
+    arrays = scenario.arrays
     rng = np.random.default_rng(seed)
-    per_cell = []
-    for cell in scenario.cells:
-        ues, demands = _cell_traffic(cell, 0, rng)
-        eff = compute_efficiency(cell, np.zeros(len(cell.neighbor_ids)))
-        per_cell.append(
-            compute_slice_metrics(
-                cell, equal_partition(cell.n_slices), demands, ues, eff,
-                scenario.delay,
-            )
-        )
-    return NetworkState(0, tuple(per_cell), rng.bit_generator.state)
+    ues, demands = _traffic(arrays, 0, rng)
+    k, n = demands.shape
+    metrics = _metrics(arrays, np.full((k, n), 1.0 / n), np.zeros(k), demands, ues)
+    return NetworkState(0, *metrics, ues, rng.bit_generator.state)
 
 
-def peek_demands(state: NetworkState, scenario: ScenarioConfig) -> dict[int, np.ndarray]:
-    """Demands each cell will see at the next step (perfect-knowledge oracle).
+def peek_demands(state: NetworkState, scenario: ScenarioConfig) -> np.ndarray:
+    """Demands (K, N) the cells will see at the next step (perfect-knowledge
+    oracle): the draws the next ``step`` call will make, without advancing
+    the state."""
 
-    Replays the exact RNG draws the next ``step`` call will make, without
-    advancing the state.
-    """
-
-    rng = np.random.default_rng()
-    rng.bit_generator.state = copy.deepcopy(state.rng_state)
-    out = {}
-    for cell in scenario.cells:
-        _, demands = _cell_traffic(cell, state.step + 1, rng)
-        out[cell.cell_id] = demands
-    return out
+    return _traffic(scenario.arrays, state.step + 1, _generator(state.rng_state))[1]
 
 
 def step(
-    state: NetworkState,
-    actions: Sequence[PartitionAction],
-    scenario: ScenarioConfig,
+    state: NetworkState, shares: np.ndarray, scenario: ScenarioConfig
 ) -> tuple[NetworkState, np.ndarray]:
-    """Advance the whole network by one slot; returns (new state, per-cell rewards).
+    """Advance the whole network by one slot under one share row per cell
+    (K, N); returns (new state, per-cell rewards).
 
     Interference is computed from the previous step's neighbor total loads.
     """
 
-    if len(actions) != scenario.n_cells:
-        raise ActionError(
-            f"expected {scenario.n_cells} actions, got {len(actions)}"
-        )
-    for a in actions:
-        if a.n_slices != scenario.n_slices:
-            raise ActionError("action slice count does not match scenario")
-    rng = np.random.default_rng()
-    rng.bit_generator.state = copy.deepcopy(state.rng_state)
+    arrays = scenario.arrays
+    shares = check_shares(shares, arrays.ue_rates.shape)
+    rng = _generator(state.rng_state)
     t = state.step + 1
-    index_of = {c.cell_id: i for i, c in enumerate(scenario.cells)}
-    prev_total = {c.cell_id: state.total_load(index_of[c.cell_id]) for c in scenario.cells}
-
-    per_cell = []
-    rewards = np.empty(scenario.n_cells)
-    for i, cell in enumerate(scenario.cells):
-        ues, demands = _cell_traffic(cell, t, rng)
-        eff = compute_efficiency(
-            cell, [prev_total[j] for j in cell.neighbor_ids]
-        )
-        metrics = compute_slice_metrics(
-            cell, actions[i], demands, ues, eff, scenario.delay
-        )
-        per_cell.append(metrics)
-        rewards[i] = reward(metrics, cell.requirements)
-    new_state = NetworkState(t, tuple(per_cell), rng.bit_generator.state)
-    return new_state, rewards
+    ues, demands = _traffic(arrays, t, rng)
+    tp, delay, load = _metrics(arrays, shares, state.total_loads(), demands, ues)
+    rewards = slice_rewards(tp, delay, arrays.throughput_target, arrays.delay_target)
+    return NetworkState(t, tp, delay, load, ues, rng.bit_generator.state), rewards

@@ -50,6 +50,9 @@ class RunMetrics:
 
 
 def write_metrics_csv(path, records: Sequence[StepRecord]) -> None:
+    """One row per (step, cell, slice); floats in their shortest round-trip
+    ``repr``."""
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -57,12 +60,13 @@ def write_metrics_csv(path, records: Sequence[StepRecord]) -> None:
              "share", "reward"]
         )
         for rec in records:
-            for n, m in enumerate(rec.metrics):
-                writer.writerow([
-                    rec.t, rec.cell_id, n, repr(m.throughput), repr(m.delay),
-                    repr(m.load), m.ue_count, repr(float(rec.action[n])),
-                    repr(rec.reward),
-                ])
+            share = rec.action.tolist()
+            reward = repr(rec.reward)
+            writer.writerows(
+                [rec.t, rec.cell_id, n, repr(rec.throughput[n]), repr(rec.delay[n]),
+                 repr(rec.load[n]), rec.ues[n], repr(share[n]), reward]
+                for n in range(len(share))
+            )
 
 
 def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,11 +145,8 @@ def baseline_act(scenario: ScenarioConfig) -> Act:
     slot will bring, read once per slot from the network's RNG state.
     """
 
-    def act(t, net_state, states):
-        demands = envm.peek_demands(net_state, scenario)
-        return {cid: envm.baseline_action(demands[cid]) for cid in states}
-
-    return act
+    return lambda t, net_state, states: envm.baseline_shares(
+        envm.peek_demands(net_state, scenario))
 
 
 def rollout(
@@ -165,11 +166,10 @@ def default_action_trace(
     """Rollout in which every cell holds the equal split, so that the
     similarity pipeline has comparable samples from all agents."""
 
-    equal = equal_partition(scenario.n_slices)
-    records = rollout(
-        scenario, lambda t, net_state, states: dict.fromkeys(states, equal),
-        steps, seed,
-    )
+    n = scenario.n_slices
+    equal = np.full((scenario.n_cells, n), 1.0 / n)
+    equal.flags.writeable = False  # every slot's records share its rows
+    records = rollout(scenario, lambda t, net_state, states: equal, steps, seed)
     save_trace(out / "default_trace.npz", records)
     return records
 
@@ -201,7 +201,7 @@ def evaluate_policies(
 
     records = rollout(scenario, act, steps, seed)
     satisfaction = np.array([r.reward for r in records])
-    max_delay = np.array([max(m.delay for m in r.metrics) for r in records])
+    max_delay = np.array([max(r.delay) for r in records])
     return EvalSummary(satisfaction, max_delay, records)
 
 
@@ -252,7 +252,8 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
     out = _prepare_out(out)
     scenario = cfg.scenario
     agents = make_agents(cfg, seed)
-    n = scenario.n_slices
+    ordered = [agents[cid] for cid in scenario.cell_ids]
+    ones = np.ones(scenario.n_slices)
     explore, training = cfg.phases.exploration, cfg.phases.training
     default_action_trace(scenario, cfg.similarity.steps, seed, out)
 
@@ -260,21 +261,21 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
         if t <= explore:
             # Flat Dirichlet covers the simplex better than noisy untrained
             # actor output.
-            return {cid: PartitionAction(agents[cid].explore_rng.dirichlet(
-                np.ones(n))) for cid in states}
+            return np.stack([agent.explore_rng.dirichlet(ones) for agent in ordered])
         # Linear exploration-noise decay across the training phase.
         frac = (t - explore) / max(training, 1)
         noise = (cfg.td3.explore_noise * (1.0 - frac)
                  + cfg.td3.explore_noise_final * frac)
-        return {cid: select_action(agents[cid], s, explore=True, noise_scale=noise)
-                for cid, s in states.items()}
+        return np.stack([
+            select_action(agent, s, explore=True, noise_scale=noise).shares
+            for agent, s in zip(ordered, states)])
 
     records: list[StepRecord] = []
     diverged: dict[int, str] = {}
 
     def observe(slot):
-        for i, c in enumerate(scenario.cells):
-            learn(agents[c.cell_id], slot, i, diverged, train=slot.t > explore)
+        for i, agent in enumerate(ordered):
+            learn(agent, slot, i, diverged, train=slot.t > explore)
         records.extend(record_step(scenario, slot))
 
     run_slots(scenario, seed, explore + training, act, observe)
@@ -289,7 +290,7 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
 
     summary = evaluate_policies(
         scenario,
-        follow({cid: greedy_policy(agent) for cid, agent in agents.items()}),
+        follow(scenario, {cid: greedy_policy(agent) for cid, agent in agents.items()}),
         cfg.phases.evaluation, seed + 1,
     )
     write_metrics_csv(out / "metrics.csv", records + summary.records)
@@ -447,7 +448,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
 
     policies = dict(peers)
     policies[target_id] = greedy_policy(tl_agent)
-    summary = evaluate_policies(scenario, follow(policies),
+    summary = evaluate_policies(scenario, follow(scenario, policies),
                                 cfg.phases.evaluation, seed + 1)
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(exist_ok=True)
@@ -478,7 +479,7 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> EvalSumma
         act = baseline_act(scenario)
     else:
         agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids, seed)
-        act = follow({cid: greedy_policy(a) for cid, a in agents.items()})
+        act = follow(scenario, {cid: greedy_policy(a) for cid, a in agents.items()})
     summary = evaluate_policies(scenario, act, cfg.phases.evaluation, seed)
     write_metrics_csv(out / "metrics.csv", summary.records)
     write_eval_outputs(out, summary)

@@ -1,29 +1,23 @@
-"""The one slot loop of every run, with message exchange, state assembly,
-step records and the learners' store-and-train step.
+"""The one slot loop of every run, with state assembly, step records and
+the learners' store-and-train step.
 
 A run (rollout, MADRL training, fine-tuning) is an ``act`` and an
-``observe`` hook over ``run_slots``.
+``observe`` hook over ``run_slots``. Everything per slot is an array over
+the K cells in scenario order: states (K, 4N), shares (K, N), rewards (K,).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import env as envm
-from .agent import (
-    Message,
-    Normalizers,
-    Td3Agent,
-    Transition,
-    assemble_state,
-    extract_neighbor_features,
-    train_step,
-)
-from .env import NetworkState, PartitionAction, ScenarioConfig, SliceMetrics
-from .errors import SliceTlError
+from .agent import Td3Agent, Transition, assemble_states, neighbor_means, train_step
+from .env import NetworkState, PartitionAction, ScenarioConfig
+from .errors import ConfigurationError, SliceTlError
 
 Policy = Callable[[np.ndarray], PartitionAction]  # state_vec -> action
 
@@ -33,65 +27,51 @@ class Slot:
     """What one slot of the network produced, as handed to ``observe``."""
 
     t: int
-    states: dict[int, np.ndarray]  # the assembled states the cells acted on
-    actions: dict[int, PartitionAction]
+    states: np.ndarray  # (K, 4N) the assembled states the cells acted on
+    actions: np.ndarray  # (K, N) the shares they took
     net_state: NetworkState  # the network after the step
-    rewards: np.ndarray  # per cell, in scenario order
-    next_states: dict[int, np.ndarray]  # assembled from ``net_state``
+    rewards: np.ndarray  # (K,)
+    next_states: np.ndarray  # (K, 4N) assembled from ``net_state``
 
 
-# (t, network before the step, per-cell states) -> per-cell actions
-Act = Callable[[int, NetworkState, dict[int, np.ndarray]], dict[int, PartitionAction]]
+# (t, network before the step, states (K, 4N)) -> shares (K, N)
+Act = Callable[[int, NetworkState, np.ndarray], np.ndarray]
 Observe = Callable[[Slot], None]
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One (cell, step) observation as logged by every experiment run."""
+class StepRecord(NamedTuple):
+    """One (cell, step) observation as logged by every experiment run.
+
+    ``state`` and ``action`` are rows of the slot's arrays. The slice
+    metrics are lists of Python numbers, one per slice; a record read back
+    from a trace file has none.
+    """
 
     t: int
     cell_id: int
     state: np.ndarray  # assembled 4N state the agent acted on
     action: np.ndarray
     reward: float
-    metrics: tuple[SliceMetrics, ...]
+    throughput: list[float] | None = None  # Mbit/s per user
+    delay: list[float] | None = None  # ms
+    load: list[float] | None = None
+    ues: list[int] | None = None
 
 
-def cell_normalizers(scenario: ScenarioConfig) -> dict[int, Normalizers]:
-    return {
-        c.cell_id: Normalizers(c.max_throughput_target, c.max_ues_per_slice)
-        for c in scenario.cells
-    }
+def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:
+    """Agent states (K, 4N) from one network snapshot.
 
-
-def assemble_all_states(
-    scenario: ScenarioConfig,
-    net_state: NetworkState,
-    normalizers: dict[int, Normalizers] | None = None,
-) -> dict[int, np.ndarray]:
-    """Per-cell agent states from one network snapshot.
-
-    All messages for the step are produced before any state is assembled,
-    matching the step-barrier message exchange.
+    Each cell's neighbour feature is the mean of its neighbours' slice loads
+    in the same snapshot, as in the step-barrier message exchange.
     """
 
-    normalizers = normalizers or cell_normalizers(scenario)
-    messages = {
-        c.cell_id: Message(
-            c.cell_id,
-            np.array([m.load for m in net_state.per_cell[i]]),
-        )
-        for i, c in enumerate(scenario.cells)
-    }
-    states = {}
-    for i, c in enumerate(scenario.cells):
-        features = extract_neighbor_features(
-            [messages[j] for j in c.neighbor_ids], scenario.n_slices
-        )
-        states[c.cell_id] = assemble_state(
-            net_state.per_cell[i], features, normalizers[c.cell_id]
-        )
-    return states
+    arrays = scenario.arrays
+    neighbor_load = np.zeros_like(net_state.load)
+    for group in arrays.neighbor_groups:
+        if group.neighbors.shape[1]:
+            neighbor_load[group.rows] = neighbor_means(net_state.load, group.neighbors)
+    return assemble_states(net_state.throughput, net_state.load, net_state.ues,
+                           neighbor_load, arrays.throughput_scale, arrays.max_ues)
 
 
 def run_slots(
@@ -103,36 +83,35 @@ def run_slots(
     the next states are assembled.
     """
 
-    normalizers = cell_normalizers(scenario)
     net_state = envm.init_network(scenario, seed)
-    states = assemble_all_states(scenario, net_state, normalizers)
+    states = assemble_all_states(scenario, net_state)
     for t in range(1, steps + 1):
-        actions = act(t, net_state, states)
-        net_state, rewards = envm.step(
-            net_state, [actions[c.cell_id] for c in scenario.cells], scenario
-        )
-        next_states = assemble_all_states(scenario, net_state, normalizers)
+        actions = np.asarray(act(t, net_state, states), dtype=np.float64)
+        net_state, rewards = envm.step(net_state, actions, scenario)
+        next_states = assemble_all_states(scenario, net_state)
         observe(Slot(t, states, actions, net_state, rewards, next_states))
         states = next_states
 
 
-def follow(policies: dict[int, Policy]) -> Act:
-    """Act hook in which every cell follows its own policy."""
+def follow(scenario: ScenarioConfig, policies: dict[int, Policy]) -> Act:
+    """Act hook in which every cell follows its own policy; ``policies``
+    must hold exactly the scenario's cells (``ConfigurationError``)."""
 
-    return lambda t, net_state, states: {
-        cid: policies[cid](s) for cid, s in states.items()
-    }
+    if set(policies) != set(scenario.cell_ids):
+        raise ConfigurationError(
+            f"policies for cells {sorted(policies)}, expected {list(scenario.cell_ids)}")
+    ordered = [policies[cid] for cid in scenario.cell_ids]
+    return lambda t, net_state, states: np.stack(
+        [policy(s).shares for policy, s in zip(ordered, states)])
 
 
 def record_step(scenario: ScenarioConfig, slot: Slot) -> list[StepRecord]:
-    return [
-        StepRecord(
-            slot.t, c.cell_id, slot.states[c.cell_id],
-            slot.actions[c.cell_id].shares, float(slot.rewards[i]),
-            slot.net_state.per_cell[i],
-        )
-        for i, c in enumerate(scenario.cells)
-    ]
+    net = slot.net_state
+    return list(map(
+        StepRecord, repeat(slot.t), scenario.cell_ids, slot.states, slot.actions,
+        slot.rewards.tolist(), net.throughput.tolist(), net.delay.tolist(),
+        net.load.tolist(), net.ues.tolist(),
+    ))
 
 
 def learn(
@@ -148,8 +127,8 @@ def learn(
 
     cid = agent.cell_id
     agent.buffer.add(Transition(
-        slot.states[cid], slot.actions[cid].shares, float(slot.rewards[index]),
-        slot.next_states[cid], origin=cid,
+        slot.states[index], slot.actions[index], float(slot.rewards[index]),
+        slot.next_states[index], origin=cid,
     ))
     agent.step_count += 1
     cfg = agent.config

@@ -262,7 +262,19 @@ def inter_agent_distance(
     mode: str = "exact",
     sigma: float | None = None,
 ) -> float:
-    """Mean pairwise KL(source sample || target sample).
+    """Mean pairwise KL(source sample || target sample); see ``kl_distance``."""
+
+    return kl_distance(source_latents, target_latents, mode, sigma)[0]
+
+
+def kl_distance(
+    source_latents: Sequence[LatentStats],
+    target_latents: Sequence[LatentStats],
+    mode: str = "exact",
+    sigma: float | None = None,
+) -> tuple[float, str]:
+    """Mean pairwise KL(source sample || target sample) and the form that
+    computed it, ``"exact"`` or ``"simplified"``.
 
     ``mode='simplified'`` uses the common-sigma fast path with ``sigma``
     (pooled median posterior sigma when not given), but falls back to the
@@ -290,7 +302,8 @@ def inter_agent_distance(
                 + np.sum(mu_t**2, axis=1)[None, :]
                 - 2.0 * mu_s @ mu_t.T
             )
-            return float(np.mean(np.maximum(diff2, 0.0))) / (2.0 * sigma**2)
+            distance = float(np.mean(np.maximum(diff2, 0.0))) / (2.0 * sigma**2)
+            return distance, "simplified"
         # Lemma precondition violated: fall through to the exact form.
 
     if np.any(sig_t <= 0):
@@ -310,7 +323,7 @@ def inter_agent_distance(
     )
     trace = vp @ inv_vq.T
     kl = 0.5 * (log_term - l + quad + trace)
-    return float(np.mean(kl))
+    return float(np.mean(kl)), "exact"
 
 
 @dataclass
@@ -320,12 +333,16 @@ class DistanceMatrix:
     target: int
     entries: dict[int, float]
     counts: dict[int, int]
-    mode: str = "exact"
+    mode: str = "exact"  # the form requested
+    paths: dict[int, str] = field(default_factory=dict)  # the form each source took
 
     def __post_init__(self) -> None:
         for i, d in self.entries.items():
             if d < 0:
                 raise DomainError(f"negative distance for source {i}")
+        for i, path in self.paths.items():
+            if i not in self.entries or path not in MODES:
+                raise DomainError(f"invalid KL path {path!r} for source {i}")
 
 
 def compute_distance_matrix(
@@ -348,12 +365,13 @@ def compute_distance_matrix(
             raise EmptySetError(
                 f"agent {i} has fewer than {min_samples} default-action samples"
             )
-    entries = {
-        i: inter_agent_distance(latents_by_agent[i], latents_by_agent[target], mode)
+    results = {
+        i: kl_distance(latents_by_agent[i], latents_by_agent[target], mode)
         for i in candidates
     }
     counts = {i: len(latents_by_agent[i]) for i in [target, *candidates]}
-    return DistanceMatrix(target, entries, counts, mode)
+    return DistanceMatrix(target, {i: r[0] for i, r in results.items()}, counts, mode,
+                          {i: r[1] for i, r in results.items()})
 
 
 def select_source(distances: DistanceMatrix, target: int | None = None) -> int:
@@ -371,12 +389,13 @@ def select_source(distances: DistanceMatrix, target: int | None = None) -> int:
 def write_distances_csv(path, distances: DistanceMatrix) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["source", "target", "distance", "n_source", "n_target", "mode"])
+        writer.writerow(["source", "target", "distance", "n_source", "n_target",
+                         "mode", "kl_path"])
         for i in sorted(distances.entries):
             writer.writerow([
                 i, distances.target, repr(distances.entries[i]),
                 distances.counts[i], distances.counts[distances.target],
-                distances.mode,
+                distances.mode, distances.paths.get(i, ""),
             ])
 
 

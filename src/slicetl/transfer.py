@@ -94,22 +94,19 @@ def instance_transfer(
     fraction: float,
     seed: int,
 ) -> ReplayBuffer:
-    """Append a uniform ceil(fraction * |source|) subsample, origin-tagged."""
+    """Append a uniform ceil(fraction * |source|) subsample, origin-tagged,
+    oldest first."""
 
     if not (0.0 <= fraction <= 1.0):
         raise DomainError(f"fraction must lie in [0, 1], got {fraction}")
-    items = list(source_buffer)
-    n = math.ceil(fraction * len(items))
+    stored = len(source_buffer)
+    n = math.ceil(fraction * stored)
     if n == 0:
         return target_buffer
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(items), size=n, replace=False))
-    for i in idx:
-        tr = items[i]
-        target_buffer.add(
-            Transition(tr.state, tr.action, tr.reward, tr.next_state,
-                       origin=source_buffer.owner)
-        )
+    idx = np.sort(rng.choice(stored, size=n, replace=False))
+    for s, a, r, s2 in zip(*source_buffer.rows(idx)):
+        target_buffer.add(Transition(s, a, float(r), s2, origin=source_buffer.owner))
     return target_buffer
 
 
@@ -160,16 +157,12 @@ def fine_tune(
     its error is recorded in ``diverged``.
     """
 
-    for c in scenario.cells:
-        if c.cell_id != target.cell_id and c.cell_id not in peers:
-            raise ConfigurationError(f"missing peer policy for cell {c.cell_id}")
-
     idx = scenario.cell_ids.index(target.cell_id)
     trace = np.zeros(steps)
     records = []
     diverged = {} if diverged is None else diverged
 
-    act = follow({**peers, target.cell_id: lambda s: select_action(
+    act = follow(scenario, {**peers, target.cell_id: lambda s: select_action(
         target, s, explore=True, noise_scale=noise_scale)})
 
     def observe(slot):

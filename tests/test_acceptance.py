@@ -166,7 +166,7 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     for seed in (0, 1, 2):
         records = rollout(
             sc,
-            follow({c.cell_id: constant_policy(a_prime) for c in sc.cells}),
+            follow(sc, {c.cell_id: constant_policy(a_prime) for c in sc.cells}),
             sim.steps, seed,
         )
         samples = {
@@ -206,7 +206,7 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     for seed in (0, 1, 2):
         records = rollout(
             sc,
-            follow({c.cell_id: constant_policy(a_prime) for c in sc.cells}),
+            follow(sc, {c.cell_id: constant_policy(a_prime) for c in sc.cells}),
             sim.steps, seed,
         )
         samples = {

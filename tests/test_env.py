@@ -1,11 +1,15 @@
 """Environment unit tests: masks, efficiency, slice metrics, reward, stepping."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicetl import env
+from slicetl.runner import assemble_all_states
 from slicetl.env import (
     CellConfig,
     DelayModel,
@@ -256,9 +260,15 @@ def test_cell_config_rejects_self_neighbor_and_gain_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def _rows(*actions):
+    """Share matrix of ``env.step``: one action per cell, in scenario order."""
+
+    return np.stack([a.shares for a in actions])
+
+
 def test_step_is_deterministic_and_functional():
     scenario = smoke_scenario()
-    actions = [equal_partition(scenario.n_slices)] * scenario.n_cells
+    actions = _rows(*[equal_partition(scenario.n_slices)] * scenario.n_cells)
     s0 = env.init_network(scenario, seed=7)
     s1a, r1a = env.step(s0, actions, scenario)
     s1b, r1b = env.step(s0, actions, scenario)  # same input state, same result
@@ -272,10 +282,10 @@ def test_step_rewards_in_unit_interval():
     state = env.init_network(scenario, seed=3)
     rng = np.random.default_rng(0)
     for _ in range(30):
-        actions = [
+        actions = _rows(*[
             PartitionAction(rng.dirichlet(np.ones(scenario.n_slices)))
             for _ in range(scenario.n_cells)
-        ]
+        ])
         state, rewards = env.step(state, actions, scenario)
         assert np.all(rewards >= 0.0) and np.all(rewards <= 1.0)
 
@@ -284,23 +294,22 @@ def test_step_rejects_wrong_action_count():
     scenario = smoke_scenario()
     state = env.init_network(scenario, seed=0)
     with pytest.raises(ActionError):
-        env.step(state, [equal_partition(scenario.n_slices)], scenario)
+        env.step(state, _rows(equal_partition(scenario.n_slices)), scenario)
 
 
 def test_peek_demands_matches_realized_ue_counts():
     scenario = smoke_scenario()
     state = env.init_network(scenario, seed=11)
-    actions = [equal_partition(scenario.n_slices)] * scenario.n_cells
+    actions = _rows(*[equal_partition(scenario.n_slices)] * scenario.n_cells)
     for _ in range(5):
         peeked = env.peek_demands(state, scenario)
         again = env.peek_demands(state, scenario)  # peeking must not advance
-        for cid in peeked:
-            assert np.array_equal(peeked[cid], again[cid])
+        assert np.array_equal(peeked, again)
         state, _ = env.step(state, actions, scenario)
         for i, cell in enumerate(scenario.cells):
-            ues = np.array([m.ue_count for m in state.per_cell[i]])
+            ues = state.ues[i]
             rates = np.asarray(cell.ue_rates)
-            assert np.allclose(peeked[cell.cell_id], ues * rates)
+            assert np.allclose(peeked[i], ues * rates)
 
 
 def test_interference_couples_through_previous_load():
@@ -314,9 +323,217 @@ def test_interference_couples_through_previous_load():
     # Variant A: all equal; variant B: neighbors of cell 1 starve themselves
     # (high load) while cell 1 acts identically in both.
     eq = equal_partition(n)
-    a1, _ = env.step(s0, [eq, eq, eq], scenario)
-    b1, _ = env.step(s0, [eq, starved, starved], scenario)
-    a2, _ = env.step(a1, [eq, eq, eq], scenario)
-    b2, _ = env.step(b1, [eq, eq, eq], scenario)
+    a1, _ = env.step(s0, _rows(eq, eq, eq), scenario)
+    b1, _ = env.step(s0, _rows(eq, starved, starved), scenario)
+    a2, _ = env.step(a1, _rows(eq, eq, eq), scenario)
+    b2, _ = env.step(b1, _rows(eq, eq, eq), scenario)
     # Same demands (same rng stream), so loads differ only via efficiency.
     assert b2.total_load(0) >= a2.total_load(0)
+
+
+# ---------------------------------------------------------------------------
+# The array slot path against a per-cell reference
+# ---------------------------------------------------------------------------
+#
+# The reference is the scalar, one-cell-at-a-time form of the simulator:
+# a loop per cell and per slice, Python min/max, math.sin and math.log2,
+# np.dot over a cell's neighbours, and one standard_normal() per noisy mask.
+# The array path must reproduce it bit for bit.
+
+
+def _ref_traffic(scenario, t, rng):
+    out = []
+    for cell in scenario.cells:
+        ues = []
+        for p in cell.masks:
+            value = p.offset + p.amplitude * math.sin(
+                2.0 * math.pi * t / p.period + p.phase)
+            if p.noise_std > 0:
+                value += p.noise_std * rng.standard_normal()
+            ues.append(int(round(cell.max_ues_per_slice * min(1.0, max(0.0, value)))))
+        ues = np.array(ues, dtype=np.int64)
+        out.append((ues, ues * np.asarray(cell.ue_rates, dtype=np.float64)))
+    return out
+
+
+def _ref_slot(scenario, t, rng, shares, prev_loads):
+    """Per-cell [(throughput, delay, load, ues) per slice] and rewards."""
+
+    dm = scenario.delay
+    index = {c.cell_id: i for i, c in enumerate(scenario.cells)}
+    totals = [float(sum(loads)) for loads in prev_loads]
+    metrics, rewards = [], []
+    for i, (cell, (ues, demands)) in enumerate(
+            zip(scenario.cells, _ref_traffic(scenario, t, rng))):
+        loads = np.array([totals[index[j]] for j in cell.neighbor_ids])
+        inter = float(np.dot(np.asarray(cell.interference_gains, dtype=np.float64),
+                             np.minimum(1.0, loads)))
+        eff = math.log2(1.0 + 10.0 ** (cell.base_snr_db / 10.0) / (1.0 + inter))
+        cell_metrics = []
+        for n in range(cell.n_slices):
+            u = int(ues[n])
+            capacity = shares[i][n] * cell.bandwidth * eff
+            if capacity <= env.CAPACITY_EPS and demands[n] > 0:
+                cell_metrics.append((0.0, dm.d_max, 1.0, u))
+                continue
+            load = min(1.0, demands[n] / max(capacity, env.CAPACITY_EPS))
+            tp = min(demands[n], capacity) / max(u, 1)
+            delay = min(dm.d_max, dm.d_min / max(dm.epsilon, 1.0 - load))
+            cell_metrics.append((float(tp), float(delay), float(load), u))
+        worst = 1.0
+        for (tp, delay, _, _), req in zip(cell_metrics, cell.requirements):
+            delay_term = req.delay_target / delay if delay > 0 else 1.0
+            worst = min(worst, tp / req.throughput_target, delay_term)
+        metrics.append(cell_metrics)
+        rewards.append(max(0.0, min(1.0, worst)))
+    return metrics, rewards
+
+
+def _ref_states(scenario, metrics):
+    index = {c.cell_id: i for i, c in enumerate(scenario.cells)}
+    states = []
+    for cell, cell_metrics in zip(scenario.cells, metrics):
+        tp, load, _, ues = (np.array(column) for column in zip(*[
+            (m[0], m[2], m[1], m[3]) for m in cell_metrics]))
+        neighbors = [np.array([m[2] for m in metrics[index[j]]])
+                     for j in cell.neighbor_ids]
+        features = (np.stack(neighbors).mean(axis=0) if neighbors
+                    else np.zeros(cell.n_slices))
+        states.append(np.concatenate([
+            tp / cell.max_throughput_target, load, ues / cell.max_ues_per_slice,
+            features]))
+    return np.stack(states)
+
+
+def _same_bits(array, reference):
+    reference = np.asarray(reference, dtype=array.dtype)
+    return array.shape == reference.shape and array.tobytes() == reference.tobytes()
+
+
+def _check_state(state, metrics):
+    columns = [np.array([[m[f] for m in cell] for cell in metrics]) for f in range(4)]
+    for name, column in zip(env.METRICS, columns):
+        assert _same_bits(getattr(state, name), column), name
+
+
+_positive = st.floats(0.1, 50.0, allow_nan=False)
+_zero_or = lambda strategy: st.one_of(st.just(0.0), strategy)  # noqa: E731
+
+
+@st.composite
+def _scenarios(draw):
+    k = draw(st.integers(1, 5))  # at most 4 neighbours per cell
+    n = draw(st.integers(1, 5))
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if draw(st.booleans())]
+    cells = []
+    for i in range(k):
+        neighbors = draw(st.permutations(
+            [j for a, b in edges for j in (a, b) if i in (a, b) and j != i]))
+        cells.append(env.CellConfig(
+            cell_id=10 + i,
+            bandwidth=draw(_positive),
+            requirements=tuple(env.SliceRequirement(draw(_positive), draw(_positive))
+                               for _ in range(n)),
+            neighbor_ids=tuple(10 + j for j in neighbors),
+            max_ues_per_slice=draw(st.integers(1, 12)),
+            base_snr_db=draw(st.floats(-5.0, 25.0)),
+            interference_gains=tuple(draw(_zero_or(st.floats(0.01, 3.0)))
+                                     for _ in neighbors),
+            ue_rates=tuple(draw(_zero_or(st.floats(0.01, 6.0))) for _ in range(n)),
+            masks=tuple(env.TrafficMaskParams(
+                period=draw(st.integers(1, 200)),
+                amplitude=draw(st.floats(0.0, 1.0)),
+                offset=draw(st.floats(-0.2, 1.2)),
+                phase=draw(st.floats(0.0, 2 * math.pi)),
+                noise_std=draw(_zero_or(st.floats(0.001, 0.5))),
+            ) for _ in range(n)),
+        ))
+    d_min = draw(st.floats(0.1, 2.0))
+    delay = env.DelayModel(d_min=d_min, d_max=d_min + draw(st.floats(0.0, 30.0)),
+                           epsilon=draw(st.floats(0.01, 0.5)))
+    return env.ScenarioConfig(cells=tuple(cells), delay=delay)
+
+
+@st.composite
+def _shares(draw, k, n):
+    """Share rows with exact zeros, one-hot rows and the equal split."""
+
+    rows = []
+    for _ in range(k):
+        weights = np.array([draw(_zero_or(st.floats(0.01, 1.0))) for _ in range(n)])
+        if weights.sum() == 0:
+            weights[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(weights / weights.sum())
+    return np.stack(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=_scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
+    k, n = scenario.n_cells, scenario.n_slices
+    rng = np.random.default_rng(seed)
+    equal = np.full((k, n), 1.0 / n)
+    metrics, _ = _ref_slot(scenario, 0, rng, equal, [[0.0] * n] * k)
+    state = env.init_network(scenario, seed)
+    _check_state(state, metrics)
+    assert state.rng_state == rng.bit_generator.state
+    assert _same_bits(assemble_all_states(scenario, state),
+                      _ref_states(scenario, metrics))
+    for t in range(1, data.draw(st.integers(1, 4)) + 1):
+        peek_rng = copy.deepcopy(rng)
+        peeked = np.stack([d for _, d in _ref_traffic(scenario, t, peek_rng)])
+        assert _same_bits(env.peek_demands(state, scenario), peeked)
+        assert _same_bits(env.baseline_shares(peeked), np.stack(
+            [peeked[i] / peeked[i].sum() if peeked[i].sum() > 0 else np.full(n, 1.0 / n)
+             for i in range(k)]))
+        shares = data.draw(_shares(k, n))
+        prev = [[m[2] for m in cell] for cell in metrics]
+        metrics, rewards = _ref_slot(scenario, t, rng, shares, prev)
+        state, got = env.step(state, shares, scenario)
+        _check_state(state, metrics)
+        assert _same_bits(got, rewards)
+        assert state.step == t and state.rng_state == rng.bit_generator.state
+        assert _same_bits(assemble_all_states(scenario, state),
+                          _ref_states(scenario, metrics))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_interference_rows_match_np_dot(d, seed):
+    """Each row is reduced like the per-cell ``np.dot`` of the gains with the
+    capped loads (loads below 1, where a product rounds)."""
+
+    rng = np.random.default_rng(seed)
+    gains, loads = rng.uniform(0.0, 3.0, (40, d)), rng.uniform(0.0, 1.2, (40, d))
+    expected = [float(np.dot(g, np.minimum(1.0, l))) for g, l in zip(gains, loads)]
+    assert _same_bits(env.interference(gains, loads), expected)
+
+
+def test_efficiency_rounds_like_math_log2():
+    """``np.log2`` rounds a few of these inputs differently."""
+
+    rng = np.random.default_rng(12)
+    snr = 10.0 ** (rng.uniform(-0.5, 2.5, 200_000))
+    inter = rng.uniform(0.0, 4.0, 200_000)
+    expected = [math.log2(1.0 + s / (1.0 + i))
+                for s, i in zip(snr.tolist(), inter.tolist())]
+    assert _same_bits(env.efficiency(snr, inter), expected)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda a: a[:, :-1],  # too few slices
+    lambda a: a[:-1],  # too few cells
+    lambda a: a[0],  # one row only
+    lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, np.nan, a),
+    lambda a: np.where(np.arange(a.size).reshape(a.shape) == 2, np.inf, a),
+    lambda a: a + np.array([0.3, -0.3, 0.0, 0.0]),  # negative entries, sums kept
+    lambda a: a * (1.0 + 1e-6),  # rows off the simplex
+    lambda a: [[equal_partition(4)] * 3],  # not numbers
+])
+def test_step_rejects_malformed_share_matrices(corrupt):
+    scenario = smoke_scenario()
+    state = env.init_network(scenario, seed=0)
+    shares = np.full((3, 4), 0.25)
+    shares[1] = [0.05, 0.15, 0.3, 0.5]
+    with pytest.raises(ActionError):
+        env.step(state, corrupt(shares), scenario)

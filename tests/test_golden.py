@@ -1,0 +1,47 @@
+"""Golden bytes: baseline and default-action artifacts must not change.
+
+The digests below were recorded from the per-cell simulator that preceded
+the array slot path (numpy 2.4, little-endian float64). None of these
+artifacts involves a matrix product, so they do not depend on the BLAS
+kernel. A change that alters them changes the simulator's numbers and must
+say so.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from slicetl import harness
+from slicetl.scenario import load_config
+
+SEED = 7
+BUDGETS = {"smoke3": (60, 40), "full12": (25, 30)}  # evaluation slots, trace slots
+
+GOLDEN = {
+    "smoke3": {
+        "metrics.csv": "80e134570aaf26257202a75eaa35b3cc9a86c9ce9a6ca4a104f0bcb5fd9546df",
+        "cdf_throughput.csv": "f7e7fca032fe9203fe86527db9694cb4c788fb664d1a9dca1f1c69178c1c88e8",
+        "cdf_delay.csv": "9ebf774a3e64e35b1f2387c33165d680f6221cc2e41fdb538f4ce06b7b836be2",
+        "default_trace.npz": "814db666c59eb4d31c57f446e8a5ad8fc0059c4ea37228a53d3f0c7310f3894c",
+    },
+    "full12": {
+        "metrics.csv": "1bdd7be6716c0a75d93d931e78fa9fa5953d431e74a8cb6c462af619e20f3470",
+        "cdf_throughput.csv": "26781deaeb47002796a6b29154a97f619ab751adab498b0341f36f02eefa01c9",
+        "cdf_delay.csv": "daa66beeadbc638e45effa4da23498c5202a897f665c13770bf3eafc0a131217",
+        "default_trace.npz": "2d2c047222c8dfb9fd023301af7db904fd93d5dc28dd8345fada429df6c47e16",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_baseline_and_default_trace_bytes(name, tmp_path):
+    evaluation, trace_steps = BUDGETS[name]
+    cfg = load_config(name)
+    cfg = dataclasses.replace(
+        cfg, phases=dataclasses.replace(cfg.phases, evaluation=evaluation))
+    harness.run_baseline(cfg, SEED, tmp_path)
+    harness.default_action_trace(cfg.scenario, trace_steps, SEED, tmp_path)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in GOLDEN[name]}
+    assert digests == GOLDEN[name]

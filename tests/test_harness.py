@@ -136,7 +136,7 @@ def test_metrics_csv_schema_and_float_round_trip(tmp_path):
     scenario = smoke_scenario()
     records = rollout(
         scenario,
-        follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+        follow(scenario, {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
                 for c in scenario.cells}),
         steps=3, seed=0,
     )
@@ -150,9 +150,9 @@ def test_metrics_csv_schema_and_float_round_trip(tmp_path):
     # repr() serialization must survive a float() round trip bit-exactly.
     first = records[0]
     assert float(rows[0]["reward"]) == first.reward
-    assert float(rows[0]["throughput"]) == first.metrics[0].throughput
-    assert float(rows[0]["delay"]) == first.metrics[0].delay
-    assert float(rows[0]["load"]) == first.metrics[0].load
+    assert float(rows[0]["throughput"]) == first.throughput[0]
+    assert float(rows[0]["delay"]) == first.delay[0]
+    assert float(rows[0]["load"]) == first.load[0]
     assert float(rows[0]["share"]) == first.action[0]
     assert all(np.isfinite(float(row[column])) for row in rows
                for column in ("throughput", "delay", "load", "share", "reward"))
@@ -162,7 +162,7 @@ def test_trace_round_trip(tmp_path):
     scenario = smoke_scenario()
     records = rollout(
         scenario,
-        follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+        follow(scenario, {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
                 for c in scenario.cells}),
         steps=4, seed=1,
     )
@@ -188,8 +188,9 @@ def test_load_trace_missing_file(tmp_path):
 
 def test_rollout_is_deterministic():
     scenario = smoke_scenario()
-    act = follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-                  for c in scenario.cells})
+    act = follow(scenario, {
+        c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+        for c in scenario.cells})
     a = rollout(scenario, act, steps=10, seed=5)
     b = rollout(scenario, act, steps=10, seed=5)
     assert all(
@@ -202,8 +203,9 @@ def test_rollout_is_deterministic():
 
 def test_evaluate_policies_summary_shapes():
     scenario = smoke_scenario()
-    act = follow({c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-                  for c in scenario.cells})
+    act = follow(scenario, {
+        c.cell_id: constant_policy(equal_partition(scenario.n_slices))
+        for c in scenario.cells})
     summary = evaluate_policies(scenario, act, steps=8, seed=0)
     assert summary.satisfaction.shape == (8 * scenario.n_cells,)
     assert summary.max_delay.shape == (8 * scenario.n_cells,)
@@ -366,7 +368,12 @@ def test_run_similarity_selects_a_source(tmp_path, tiny_cfg):
                                                out=tmp_path / "sim")
     assert distances.target == 3
     assert source in (1, 2)
-    assert (tmp_path / "sim" / "distances.csv").exists()
+    with open(tmp_path / "sim" / "distances.csv") as fh:
+        distance_rows = list(csv.DictReader(fh))
+    # The posterior sigmas lie far above the fast path's limit, so the
+    # requested simplified form falls back to the exact one.
+    assert [(r["mode"], r["kl_path"]) for r in distance_rows] == [
+        ("simplified", "exact")] * 2
     with open(tmp_path / "sim" / "latents.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(v))

@@ -22,6 +22,7 @@ from slicetl.similarity import (
     encode,
     encode_samples,
     inter_agent_distance,
+    kl_distance,
     kl_gaussian,
     kl_mean_simplified,
     reconstruct,
@@ -138,6 +139,40 @@ def test_simplified_distance_uses_mean_difference_form():
     ])
     assert inter_agent_distance(src, tgt, mode="simplified", sigma=sigma) == \
         pytest.approx(float(expected), rel=1e-9)
+
+
+def test_kl_distance_reports_the_form_taken():
+    rng = np.random.default_rng(5)
+
+    def latents(sigma, n):
+        return [_latent(rng.standard_normal(2), np.full(2, sigma)) for _ in range(n)]
+
+    small_src, small_tgt = latents(5e-5, 4), latents(5e-5, 3)
+    large_src, large_tgt = latents(0.075, 4), latents(0.075, 3)
+    exact = kl_distance(small_src, small_tgt, mode="exact")
+    assert exact[1] == "exact"
+    fast = kl_distance(small_src, small_tgt, mode="simplified")
+    assert fast[1] == "simplified"
+    assert fast[0] == pytest.approx(exact[0], rel=1e-6)
+    # Sigma above the fast path's limit: the exact form runs, and says so.
+    fallback = kl_distance(large_src, large_tgt, mode="simplified")
+    assert fallback == kl_distance(large_src, large_tgt, mode="exact")
+    assert fallback[1] == "exact"
+    assert inter_agent_distance(large_src, large_tgt, mode="simplified") == fallback[0]
+
+
+def test_distance_matrix_records_each_sources_path():
+    rng = np.random.default_rng(11)
+    latents = {i: _cluster_latents(rng, np.full(2, float(i))) for i in (1, 2, 3)}
+    latents[2] = [_latent(s.mu, np.full(2, 0.5)) for s in latents[2]]
+    dm = compute_distance_matrix(latents, target=3, mode="simplified")
+    assert dm.mode == "simplified"
+    assert dm.paths == {1: "simplified", 2: "exact"}
+    assert compute_distance_matrix(latents, target=3, mode="exact").paths == {
+        1: "exact", 2: "exact"}
+    with pytest.raises(DomainError):
+        DistanceMatrix(target=3, entries={1: 1.0}, counts={3: 1, 1: 1},
+                       paths={1: "approximate"})
 
 
 def test_distance_rejects_empty_and_unknown_mode():
@@ -286,7 +321,8 @@ def test_select_source_rejects_wrong_target():
 
 def test_distances_csv_round_trip(tmp_path):
     dm = DistanceMatrix(target=3, entries={1: 0.125, 2: 7.5},
-                        counts={3: 60, 1: 60, 2: 55}, mode="simplified")
+                        counts={3: 60, 1: 60, 2: 55}, mode="simplified",
+                        paths={1: "simplified", 2: "exact"})
     path = tmp_path / "distances.csv"
     write_distances_csv(path, dm)
     with open(path) as fh:
@@ -295,3 +331,5 @@ def test_distances_csv_round_trip(tmp_path):
     assert float(rows[0]["distance"]) == 0.125
     assert rows[0]["source"] == "1" and rows[0]["target"] == "3"
     assert rows[1]["n_source"] == "55"
+    assert [r["mode"] for r in rows] == ["simplified", "simplified"]
+    assert [r["kl_path"] for r in rows] == ["simplified", "exact"]

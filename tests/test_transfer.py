@@ -222,6 +222,42 @@ def test_instance_transfer_subsample_is_seeded():
             assert got.origin == want.origin
 
 
+def test_instance_transfer_reads_rows_without_copying_the_buffer(monkeypatch):
+    rng = np.random.default_rng(9)
+    src = ReplayBuffer(capacity=50, seed=0, owner=1)
+    for _ in range(12):
+        src.add(_transition(rng, origin=1))
+    idx = np.sort(np.random.default_rng(3).choice(12, size=6, replace=False))
+    expected = src.rows(idx)
+
+    def no_iteration(self):
+        raise AssertionError("instance transfer iterated the whole buffer")
+
+    monkeypatch.setattr(ReplayBuffer, "__iter__", no_iteration)
+    adds = []
+    monkeypatch.setattr(ReplayBuffer, "add",
+                        lambda self, tr: adds.append(tr) or None)
+    instance_transfer(src, ReplayBuffer(capacity=50, seed=0, owner=2), 0.5, seed=3)
+    assert len(adds) == 6  # one add per moved row, oldest first
+    for k, tr in enumerate(adds):
+        assert np.array_equal(tr.state, expected.states[k])
+        assert np.array_equal(tr.action, expected.actions[k])
+        assert tr.reward == expected.rewards[k] and type(tr.reward) is float
+        assert np.array_equal(tr.next_state, expected.next_states[k])
+        assert tr.origin == 1
+
+
+def test_buffer_rows_rejects_out_of_range_indices():
+    rng = np.random.default_rng(10)
+    buf = ReplayBuffer(capacity=8, seed=0, owner=1)
+    for _ in range(3):
+        buf.add(_transition(rng, origin=1))
+    assert len(buf.rows(np.array([], dtype=int)).rewards) == 0
+    for bad in ([3], [-1]):
+        with pytest.raises(DomainError):
+            buf.rows(np.array(bad))
+
+
 # ---------------------------------------------------------------------------
 # Integrated transfer and dispatch
 # ---------------------------------------------------------------------------
