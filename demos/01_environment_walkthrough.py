@@ -24,7 +24,7 @@ equal = np.full((scenario.n_cells, n), 1.0 / n)  # one share row per cell
 print("\nequal split, first 5 steps (per-cell reward = worst slice):")
 for t in range(5):
     state, rewards = env.step(state, equal, scenario)
-    loads = [round(state.total_load(i), 2) for i in range(scenario.n_cells)]
+    loads = [round(load, 2) for load in state.total_loads().tolist()]
     print(f"  t={state.step}: rewards {np.round(rewards, 3)}, total loads {loads}")
 
 # --- the traffic-aware proportional baseline ------------------------------
@@ -40,7 +40,9 @@ print(f"  mean reward per cell: {np.round(totals / 200, 3)}")
 # --- spectral efficiency falls with the neighbors' previous-step load -----
 print("\nspectral efficiency of cell 1 vs neighbor load (saturates at 1):")
 cell = scenario.cells[0]
+gains = np.array([cell.interference_gains])  # one row: cell 1's neighbours
 for load in (0.0, 0.25, 0.5, 1.0, 2.5):
-    e = env.compute_efficiency(cell, [load] * len(cell.neighbor_ids))
+    inter = env.interference(gains, np.full(gains.shape, load))
+    e = env.efficiency(np.array([cell.snr_linear]), inter)[0]
     print(f"  both neighbors at total load {load:>4}: "
           f"e = {e:.3f} bit/s/Hz -> cell capacity {cell.bandwidth * e:.1f} Mbit/s")

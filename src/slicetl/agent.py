@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
-from .env import PartitionAction, SliceMetrics
 from .errors import (
     DimensionError,
     DomainError,
@@ -27,48 +26,11 @@ from .errors import (
 BUFFER_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Message:
-    """Per-slice load broadcast by one cell to its neighbors."""
-
-    sender: int
-    per_slice_load: np.ndarray
-
-    def __post_init__(self) -> None:
-        loads = np.asarray(self.per_slice_load, dtype=np.float64)
-        object.__setattr__(self, "per_slice_load", loads)
-        if np.any(loads < 0) or np.any(loads > 1):
-            raise DomainError(f"message loads must lie in [0, 1], got {loads}")
-
-
 def neighbor_means(load: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Mean per-slice load of each row's neighbours: ``neighbors`` (k, d),
     d >= 1, indexes rows of ``load`` (K, N); returns (k, N)."""
 
     return load[neighbors].mean(axis=1)
-
-
-def extract_neighbor_features(messages: Sequence[Message], n_slices: int) -> np.ndarray:
-    """Mean per-slice neighbor load; zero vector for an isolated cell."""
-
-    if not messages:
-        return np.zeros(n_slices)
-    loads = np.stack([m.per_slice_load for m in messages])
-    if loads.shape[1] != n_slices:
-        raise DimensionError("inconsistent slice count across messages")
-    return neighbor_means(loads, np.arange(len(loads))[None])[0]
-
-
-@dataclass(frozen=True)
-class Normalizers:
-    """Feature scales for state assembly."""
-
-    throughput: float  # typically the cell's max slice throughput target
-    max_ues: int
-
-    def __post_init__(self) -> None:
-        if self.throughput <= 0 or self.max_ues <= 0:
-            raise DomainError("normalizers must be positive")
 
 
 def assemble_states(
@@ -84,25 +46,6 @@ def assemble_states(
 
     return np.concatenate(
         [throughput / throughput_scale, load, ues / max_ues, neighbor_load], axis=1)
-
-
-def assemble_state(
-    metrics: Sequence[SliceMetrics],
-    neighbor_features: np.ndarray,
-    normalizers: Normalizers,
-) -> np.ndarray:
-    """Local state of one cell, length 4N (see ``assemble_states``)."""
-
-    n = len(metrics)
-    if len(neighbor_features) != n:
-        raise DimensionError("neighbor feature length must equal slice count")
-    return assemble_states(
-        np.array([[m.throughput for m in metrics]]),
-        np.array([[m.load for m in metrics]]),
-        np.array([[m.ue_count for m in metrics]]),
-        np.asarray(neighbor_features, dtype=np.float64)[None],
-        normalizers.throughput, normalizers.max_ues,
-    )[0]
 
 
 @dataclass(frozen=True)
@@ -361,10 +304,10 @@ def select_action(
     agent: Td3Agent,
     state: np.ndarray,
     explore: bool = False,
-    rng: np.random.Generator | None = None,
     noise_scale: float | None = None,
-) -> PartitionAction:
-    """Deterministic actor output, optionally with logit-space Gaussian noise."""
+) -> np.ndarray:
+    """The actor's share row for one state, optionally with logit-space
+    Gaussian noise from the agent's exploration stream."""
 
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (agent.actor.in_dim,):
@@ -374,10 +317,9 @@ def select_action(
         )
     logits = nn.mlp_logits(agent.actor, state)
     if explore:
-        rng = rng if rng is not None else agent.explore_rng
         scale = agent.config.explore_noise if noise_scale is None else noise_scale
-        logits = logits + scale * rng.standard_normal(logits.shape)
-    return PartitionAction(nn.softmax(logits))
+        logits = logits + scale * agent.explore_rng.standard_normal(logits.shape)
+    return nn.softmax(logits)
 
 
 def soft_update(target: nn.Mlp, online: nn.Mlp, tau: float) -> nn.Mlp:

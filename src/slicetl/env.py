@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ActionError, ConfigurationError, DimensionError, DomainError
+from .errors import ActionError, ConfigurationError, DomainError
 
 SIMPLEX_TOL = 1e-9
 CAPACITY_EPS = 1e-9
@@ -131,7 +131,6 @@ class CellConfig:
 class ScenarioConfig:
     cells: tuple[CellConfig, ...]
     delay: DelayModel = field(default_factory=DelayModel)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         validate_scenario(self)
@@ -153,12 +152,6 @@ class ScenarioConfig:
         """The cells' parameters as arrays, built on first use."""
 
         return ScenarioArrays.of(self)
-
-    def cell(self, cell_id: int) -> CellConfig:
-        for c in self.cells:
-            if c.cell_id == cell_id:
-                return c
-        raise ConfigurationError(f"unknown cell id {cell_id}")
 
 
 def validate_scenario(scenario: ScenarioConfig) -> None:
@@ -303,35 +296,10 @@ def check_shares(shares, shape: tuple[int, ...]) -> np.ndarray:
     return shares
 
 
-@dataclass(frozen=True)
-class PartitionAction:
-    """Simplex vector of per-slice resource shares."""
+def equal_partition(n_slices: int) -> np.ndarray:
+    """The equal split: one share row of 1/N each."""
 
-    shares: np.ndarray
-
-    def __post_init__(self) -> None:
-        shares = np.asarray(self.shares, dtype=np.float64)
-        if shares.ndim != 1:
-            raise ActionError(f"shares must be a vector, got ndim={shares.ndim}")
-        object.__setattr__(self, "shares", check_shares(shares, shares.shape))
-
-    @property
-    def n_slices(self) -> int:
-        return self.shares.shape[0]
-
-
-def equal_partition(n_slices: int) -> PartitionAction:
-    return PartitionAction(np.full(n_slices, 1.0 / n_slices))
-
-
-@dataclass(frozen=True)
-class SliceMetrics:
-    """One slice's metrics, as the per-cell helpers take and return them."""
-
-    throughput: float  # Mbit/s per user
-    delay: float  # ms
-    load: float  # in [0, 1]
-    ue_count: int
+    return np.full(n_slices, 1.0 / n_slices)
 
 
 METRICS = ("throughput", "delay", "load", "ues")
@@ -357,9 +325,6 @@ class NetworkState:
             total = total + self.load[:, n]
         return total
 
-    def total_load(self, cell_index: int) -> float:
-        return float(self.total_loads()[cell_index])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkState):
             return NotImplemented
@@ -369,9 +334,9 @@ class NetworkState:
 
 
 # ---------------------------------------------------------------------------
-# Kernels over all cells. The per-cell helpers below call them with one row.
-# Each keeps the operation order of the per-cell scalar formula (written out
-# as the reference in tests/test_env.py), so its results are bit-identical.
+# Kernels over all cells; one cell is a one-row call. Each keeps the
+# operation order of the per-cell scalar formula (written out as the
+# reference in tests/test_env.py), so its results are bit-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -461,86 +426,6 @@ def baseline_shares(demands: np.ndarray) -> np.ndarray:
     total = demands.sum(axis=1, keepdims=True)
     return np.divide(demands, total, out=np.full(demands.shape, 1.0 / demands.shape[1]),
                      where=total > 0)
-
-
-# ---------------------------------------------------------------------------
-# Per-cell helpers: one-row calls of the kernels.
-# ---------------------------------------------------------------------------
-
-
-def traffic_mask(
-    t: int,
-    slice_index: int,
-    masks: Sequence[TrafficMaskParams],
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Deterministic (optionally noisy) traffic scaler in [0, 1]."""
-
-    return float(mask_values(t, MaskArrays.of([[masks[slice_index]]]), rng)[0, 0])
-
-
-def compute_efficiency(cell: CellConfig, neighbor_total_loads: Sequence[float]) -> float:
-    """Spectral efficiency of one cell; strictly decreasing in every
-    neighbor's total load."""
-
-    loads = np.asarray(neighbor_total_loads, dtype=np.float64)
-    if loads.shape != (len(cell.neighbor_ids),):
-        raise DimensionError(
-            f"cell {cell.cell_id}: expected {len(cell.neighbor_ids)} neighbor "
-            f"loads, got shape {loads.shape}"
-        )
-    gains = np.array([cell.interference_gains], dtype=np.float64).reshape(1, -1)
-    return float(efficiency(np.array([cell.snr_linear]),
-                            interference(gains, loads[None]))[0])
-
-
-def compute_slice_metrics(
-    cell: CellConfig,
-    action: PartitionAction,
-    demands: Sequence[float],
-    ue_counts: Sequence[int],
-    efficiency: float,
-    delay_model: DelayModel | None = None,
-) -> tuple[SliceMetrics, ...]:
-    """Per-slice throughput/delay/load of one cell (see ``slice_metrics``)."""
-
-    demands = np.asarray(demands, dtype=np.float64)
-    if np.any(demands < 0):
-        raise DomainError(f"demands must be >= 0, got {demands}")
-    if action.n_slices != cell.n_slices or len(demands) != cell.n_slices:
-        raise DimensionError(
-            f"cell {cell.cell_id}: action/demand length must equal slice count"
-        )
-    ues = np.asarray(ue_counts).astype(np.int64)
-    tp, delay, load = slice_metrics(
-        action.shares[None], np.array([[cell.bandwidth]], dtype=np.float64),
-        np.array([efficiency], dtype=np.float64), demands[None], ues[None],
-        delay_model or DelayModel(),
-    )
-    return tuple(SliceMetrics(*m) for m in zip(
-        tp[0].tolist(), delay[0].tolist(), load[0].tolist(), ues.tolist()))
-
-
-def reward(
-    metrics: Sequence[SliceMetrics], reqs: Sequence[SliceRequirement]
-) -> float:
-    """Minimum per-slice satisfaction of one cell (see ``slice_rewards``)."""
-
-    if len(metrics) != len(reqs):
-        raise DimensionError("metrics and requirements must have equal length")
-    tp, delay, tp_target, delay_target = np.array(
-        [(m.throughput, m.delay, q.throughput_target, q.delay_target)
-         for m, q in zip(metrics, reqs)], dtype=np.float64).reshape(-1, 4).T[:, None]
-    return float(slice_rewards(tp, delay, tp_target, delay_target)[0])
-
-
-def baseline_action(demands: Sequence[float]) -> PartitionAction:
-    """Traffic-aware baseline of one cell (see ``baseline_shares``)."""
-
-    demands = np.asarray(demands, dtype=np.float64)
-    if np.any(demands < 0):
-        raise DomainError(f"demands must be >= 0, got {demands}")
-    return PartitionAction(baseline_shares(demands[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
-from .env import PartitionAction, ScenarioConfig, equal_partition
+from .env import ScenarioConfig, equal_partition
 from .errors import ConfigurationError, DependencyError
 from .runner import (
     Act,
@@ -134,8 +134,8 @@ def greedy_policy(agent: Td3Agent) -> Policy:
     return lambda state: select_action(agent, state, explore=False)
 
 
-def constant_policy(action: PartitionAction) -> Policy:
-    return lambda state: action
+def constant_policy(shares: np.ndarray) -> Policy:
+    return lambda state: shares
 
 
 def baseline_act(scenario: ScenarioConfig) -> Act:
@@ -267,7 +267,7 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
         noise = (cfg.td3.explore_noise * (1.0 - frac)
                  + cfg.td3.explore_noise_final * frac)
         return np.stack([
-            select_action(agent, s, explore=True, noise_scale=noise).shares
+            select_action(agent, s, explore=True, noise_scale=noise)
             for agent, s in zip(ordered, states)])
 
     records: list[StepRecord] = []
@@ -328,9 +328,9 @@ def run_similarity(
         else:
             trace_records = default_action_trace(cfg.scenario, sim.steps, seed, out)
 
-    a_prime = equal_partition(cfg.scenario.n_slices)
+    equal = equal_partition(cfg.scenario.n_slices)
     samples_by_agent = {
-        i: simm.collect_default_samples(trace_records, a_prime, agent=i)
+        i: simm.collect_default_samples(trace_records, equal, agent=i)
         for i in [target, *candidates]
     }
     pooled = [s for group in samples_by_agent.values() for s in group]

@@ -1,9 +1,8 @@
 """Minimal dense neural-network kernel in float64 numpy.
 
 Provides exactly what the TD3 agents and the similarity VAE need: MLP
-forward/backward with analytic gradients, bias-corrected Adam, Gaussian
-reparameterized sampling, and bit-exact checkpointing. Everything is
-computed in 64-bit floats.
+forward/backward with analytic gradients, bias-corrected Adam, and
+bit-exact checkpointing. Everything is computed in 64-bit floats.
 
 Each network keeps its parameters in one contiguous vector ``flat``, laid
 out w0, b0, w1, b1, ...; ``weights[i]`` and ``biases[i]`` are reshaped
@@ -309,18 +308,6 @@ def adam_step(
     v += (1.0 - adam.beta2) * g * g
     p -= lr * (m / c1) / (np.sqrt(v / c2) + adam.eps)
     return params
-
-
-def gaussian_sample(
-    mu: np.ndarray, sigma: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Reparameterized draw z = mu + sigma * eps, eps ~ N(0, I)."""
-
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0):
-        raise DomainError("sigma must be entrywise >= 0")
-    return mu + sigma * rng.standard_normal(np.broadcast(mu, sigma).shape)
 
 
 # ---------------------------------------------------------------------------

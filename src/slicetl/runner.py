@@ -16,10 +16,10 @@ import numpy as np
 
 from . import env as envm
 from .agent import Td3Agent, Transition, assemble_states, neighbor_means, train_step
-from .env import NetworkState, PartitionAction, ScenarioConfig
+from .env import NetworkState, ScenarioConfig
 from .errors import ConfigurationError, SliceTlError
 
-Policy = Callable[[np.ndarray], PartitionAction]  # state_vec -> action
+Policy = Callable[[np.ndarray], np.ndarray]  # state row (4N,) -> share row (N,)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def follow(scenario: ScenarioConfig, policies: dict[int, Policy]) -> Act:
             f"policies for cells {sorted(policies)}, expected {list(scenario.cell_ids)}")
     ordered = [policies[cid] for cid in scenario.cell_ids]
     return lambda t, net_state, states: np.stack(
-        [policy(s).shares for policy, s in zip(ordered, states)])
+        [policy(s) for policy, s in zip(ordered, states)])
 
 
 def record_step(scenario: ScenarioConfig, slot: Slot) -> list[StepRecord]:

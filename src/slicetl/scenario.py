@@ -10,7 +10,7 @@ groups).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -140,7 +140,7 @@ def _make_cell(
     )
 
 
-def smoke_scenario(seed: int = 0) -> ScenarioConfig:
+def smoke_scenario() -> ScenarioConfig:
     """Three mutually interfering cells: group A, group B, and an A-clone target."""
 
     groups = {1: GROUP_A, 2: GROUP_B, 3: GROUP_A}
@@ -148,10 +148,10 @@ def smoke_scenario(seed: int = 0) -> ScenarioConfig:
         _make_cell(i, groups[i], tuple(j for j in (1, 2, 3) if j != i))
         for i in (1, 2, 3)
     )
-    return ScenarioConfig(cells=cells, seed=seed)
+    return ScenarioConfig(cells=cells)
 
 
-def full_scenario(seed: int = 0) -> ScenarioConfig:
+def full_scenario() -> ScenarioConfig:
     """Twelve cells in four three-sector sites with two requirement groups."""
 
     group_a_ids = {1, 2, 3, 7, 8, 9}
@@ -166,7 +166,7 @@ def full_scenario(seed: int = 0) -> ScenarioConfig:
                     tuple(j for j in ids if j != cid),
                 )
             )
-    return ScenarioConfig(cells=tuple(cells), seed=seed)
+    return ScenarioConfig(cells=tuple(cells))
 
 
 BUILTIN_SCENARIOS = {"smoke3": smoke_scenario, "full12": full_scenario}
@@ -177,8 +177,22 @@ BUILTIN_SCENARIOS = {"smoke3": smoke_scenario, "full12": full_scenario}
 # ---------------------------------------------------------------------------
 
 
+def _check_keys(d: dict, known: type, where: str) -> None:
+    """Raise ``ConfigurationError`` naming any key of ``d`` that is not a
+    field of the dataclass ``known``."""
+
+    unknown = sorted(set(d) - {f.name for f in fields(known)}, key=str)
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) {unknown} in {where}")
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     try:
+        _check_keys(d, ScenarioConfig, "scenario")
+        for i, c in enumerate(d["cells"]):
+            _check_keys(c, CellConfig, f"scenario cells[{i}]")
+            for j, r in enumerate(c["requirements"]):
+                _check_keys(r, SliceRequirement, f"scenario cells[{i}] requirements[{j}]")
         cells = tuple(
             CellConfig(
                 cell_id=int(c["cell_id"]),
@@ -200,14 +214,13 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
             for c in d["cells"]
         )
         delay = DelayModel(**d.get("delay", {}))
-        return ScenarioConfig(cells=cells, delay=delay, seed=int(d.get("seed", 0)))
+        return ScenarioConfig(cells=cells, delay=delay)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed scenario section: {exc}") from exc
 
 
 def scenario_to_dict(s: ScenarioConfig) -> dict:
     return {
-        "seed": s.seed,
         "delay": asdict(s.delay),
         "cells": [
             {
@@ -229,6 +242,7 @@ def scenario_to_dict(s: ScenarioConfig) -> dict:
 def config_from_dict(d: dict) -> ExperimentConfig:
     if "scenario" not in d:
         raise ConfigurationError("config file must contain a 'scenario' section")
+    _check_keys(d, ExperimentConfig, "the config")
     scenario = scenario_from_dict(d["scenario"])
     try:
         td3_dict = dict(d.get("td3", {}))

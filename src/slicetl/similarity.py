@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .env import PartitionAction
 from .errors import (
     DimensionError,
     DomainError,
@@ -38,7 +37,6 @@ class DefaultSample:
 
     x: np.ndarray  # length 4N + 1
     agent: int
-    default_action: PartitionAction
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,10 @@ class VaeModel:
 
 
 def collect_default_samples(
-    records: Sequence, default_action: PartitionAction, agent: int | None = None
+    records: Sequence, default_shares: np.ndarray, agent: int | None = None
 ) -> list[DefaultSample]:
-    """Filter a step trace down to the steps executed under ``default_action``.
+    """Filter a step trace down to the steps executed under the default
+    share row ``default_shares``.
 
     ``records`` must expose ``.cell_id``, ``.state``, ``.action`` and
     ``.reward`` (see :class:`slicetl.runner.StepRecord`). If ``agent`` is
@@ -93,13 +92,9 @@ def collect_default_samples(
         if agent is not None and rec.cell_id != agent:
             continue
         seen_agents.add(rec.cell_id)
-        if np.max(np.abs(rec.action - default_action.shares)) <= ACTION_MATCH_TOL:
+        if np.max(np.abs(rec.action - default_shares)) <= ACTION_MATCH_TOL:
             samples.append(
-                DefaultSample(
-                    np.concatenate([rec.state, [rec.reward]]),
-                    rec.cell_id,
-                    default_action,
-                )
+                DefaultSample(np.concatenate([rec.state, [rec.reward]]), rec.cell_id)
             )
     if not samples:
         who = agent if agent is not None else sorted(seen_agents)

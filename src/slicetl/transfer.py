@@ -49,9 +49,7 @@ def _check_shapes(source: Td3Agent, target: Td3Agent) -> None:
             )
 
 
-def model_transfer(
-    source: Td3Agent, target: Td3Agent, reset_optimizer: bool = True
-) -> Td3Agent:
+def model_transfer(source: Td3Agent, target: Td3Agent) -> Td3Agent:
     """Copy all six networks from source to target; optimizer state resets."""
 
     _check_shapes(source, target)
@@ -61,10 +59,9 @@ def model_transfer(
     target.target_actor = source.target_actor.copy()
     target.target_q1 = source.target_q1.copy()
     target.target_q2 = source.target_q2.copy()
-    if reset_optimizer:
-        target.actor_adam.reset()
-        target.q1_adam.reset()
-        target.q2_adam.reset()
+    target.actor_adam.reset()
+    target.q1_adam.reset()
+    target.q2_adam.reset()
     target.step_count = 0
     return target
 

@@ -16,12 +16,10 @@ from slicetl import harness, nn
 from slicetl import similarity as simm
 from slicetl.agent import Td3Agent, Td3Config, Transition, train_step
 from slicetl.env import (
-    PartitionAction,
-    SliceMetrics,
-    SliceRequirement,
-    baseline_action,
+    baseline_shares,
+    check_shares,
     equal_partition,
-    reward,
+    slice_rewards,
 )
 from slicetl.harness import constant_policy, greedy_policy, rollout
 from slicetl.runner import follow
@@ -99,11 +97,11 @@ def test_criterion_04_reward_and_action_invariants():
 
     tps = rng.uniform(0.0, 10.0, (n_fuzz, 4))
     delays = rng.uniform(0.0, 25.0, (n_fuzz, 4))
-    reqs = [SliceRequirement(t, d)
-            for t, d in zip(rng.uniform(0.5, 5.0, 4), rng.uniform(0.5, 5.0, 4))]
-    for i in range(n_fuzz):
-        ms = [SliceMetrics(tps[i, j], delays[i, j], 0.5, 1) for j in range(4)]
-        r = reward(ms, reqs)
+    tp_target, delay_target = np.array(
+        list(zip(rng.uniform(0.5, 5.0, 4), rng.uniform(0.5, 5.0, 4)))).T[:, None]
+    for i in range(n_fuzz):  # one cell's reward per call
+        r = float(slice_rewards(tps[i:i + 1], delays[i:i + 1], tp_target,
+                                delay_target)[0])
         assert 0.0 <= r <= 1.0
 
     # Actions emitted through the softmax head, the actor, and the baseline.
@@ -112,14 +110,14 @@ def test_criterion_04_reward_and_action_invariants():
     assert np.all(shares >= 0.0) and np.all(shares <= 1.0)
     assert np.all(np.abs(shares.sum(axis=1) - 1.0) <= 1e-9)
     for i in range(0, n_fuzz, 200):
-        PartitionAction(shares[i])  # constructor re-checks the invariant
+        check_shares(shares[i], (4,))  # env.step's check of every share row
     agent = Td3Agent(0, 4, Td3Config(explore_noise=3.0), seed=0)
     for _ in range(300):
         a = harness.select_action(agent, rng.standard_normal(16), explore=True)
-        assert np.all(a.shares >= 0.0) and abs(a.shares.sum() - 1.0) <= 1e-9
+        assert np.all(a >= 0.0) and abs(a.sum() - 1.0) <= 1e-9
     for _ in range(300):
-        b = baseline_action(rng.uniform(0.0, 50.0, 4))
-        assert np.all(b.shares >= 0.0) and abs(b.shares.sum() - 1.0) <= 1e-9
+        b = baseline_shares(rng.uniform(0.0, 50.0, (1, 4)))[0]
+        assert np.all(b >= 0.0) and abs(b.sum() - 1.0) <= 1e-9
     assert time.perf_counter() - start < 5.0
 
 

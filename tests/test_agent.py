@@ -1,29 +1,30 @@
 """Agent tests: coordination features, replay buffer, TD3 updates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicetl import nn
+from slicetl import env, nn
 from slicetl.agent import (
     Batch,
-    Message,
-    Normalizers,
     ReplayBuffer,
     Td3Agent,
     Td3Config,
     Transition,
-    assemble_state,
-    extract_neighbor_features,
+    assemble_states,
     load_agent,
+    neighbor_means,
     save_agent,
     select_action,
     soft_update,
     train_step,
 )
-from slicetl.env import SliceMetrics
 from slicetl.errors import DimensionError, DomainError, EmptySetError
+from slicetl.runner import assemble_all_states
+from slicetl.scenario import smoke_scenario
 
 
 def _transition(rng, n=2, origin=0):
@@ -65,36 +66,32 @@ def _assert_batch_rows(batch, expected):
 
 
 # ---------------------------------------------------------------------------
-# Messages and state assembly
+# Neighbour features and state assembly
 # ---------------------------------------------------------------------------
 
 
 def test_neighbor_features_are_mean_loads():
-    msgs = [Message(1, np.array([0.2, 0.4])), Message(2, np.array([0.6, 0.0]))]
-    assert np.allclose(extract_neighbor_features(msgs, 2), [0.4, 0.2])
+    loads = np.array([[0.2, 0.4], [0.6, 0.0]])  # two neighbours' slice loads
+    assert np.allclose(neighbor_means(loads, np.array([[0, 1]]))[0], [0.4, 0.2])
 
 
 def test_neighbor_features_empty_is_zero():
-    assert np.array_equal(extract_neighbor_features([], 3), np.zeros(3))
+    """An isolated cell's neighbour feature is the zero vector."""
 
-
-def test_message_rejects_out_of_range_loads():
-    with pytest.raises(DomainError):
-        Message(0, np.array([0.5, 1.2]))
+    cell = smoke_scenario().cells[0]
+    isolated = env.ScenarioConfig(cells=(dataclasses.replace(
+        cell, neighbor_ids=(), interference_gains=()),))
+    states = assemble_all_states(isolated, env.init_network(isolated, seed=0))
+    n = isolated.n_slices
+    assert np.array_equal(states[0, 3 * n:], np.zeros(n))
 
 
 def test_assemble_state_layout():
-    metrics = (SliceMetrics(1.0, 2.0, 0.3, 4), SliceMetrics(2.0, 1.0, 0.6, 8))
-    state = assemble_state(metrics, np.array([0.1, 0.2]),
-                           Normalizers(throughput=4.0, max_ues=8))
+    state = assemble_states(
+        np.array([[1.0, 2.0]]), np.array([[0.3, 0.6]]), np.array([[4, 8]]),
+        np.array([[0.1, 0.2]]), throughput_scale=4.0, max_ues=8)[0]
     expected = [1 / 4, 2 / 4, 0.3, 0.6, 4 / 8, 8 / 8, 0.1, 0.2]
     assert np.allclose(state, expected)
-
-
-def test_assemble_state_rejects_feature_mismatch():
-    metrics = (SliceMetrics(1.0, 2.0, 0.3, 4),)
-    with pytest.raises(DimensionError):
-        assemble_state(metrics, np.zeros(2), Normalizers(1.0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def test_select_action_deterministic_without_exploration():
     state = np.random.default_rng(0).standard_normal(16)
     a1 = select_action(agent, state)
     a2 = select_action(agent, state)
-    assert np.array_equal(a1.shares, a2.shares)
+    assert np.array_equal(a1, a2)
 
 
 def test_select_action_always_simplex_valid():
@@ -272,7 +269,7 @@ def test_select_action_always_simplex_valid():
     rng = np.random.default_rng(5)
     for _ in range(200):
         a = select_action(agent, rng.standard_normal(16), explore=True)
-        assert np.all(a.shares >= 0) and abs(a.shares.sum() - 1.0) <= 1e-9
+        assert np.all(a >= 0) and abs(a.sum() - 1.0) <= 1e-9
 
 
 def test_select_action_rejects_wrong_state_dim():
@@ -408,7 +405,7 @@ def test_agent_save_load_round_trip(tmp_path):
     assert loaded.actor_adam.t == agent.actor_adam.t
     state = rng.standard_normal(8)
     assert np.array_equal(
-        select_action(agent, state).shares, select_action(loaded, state).shares
+        select_action(agent, state), select_action(loaded, state)
     )
 
 

@@ -13,24 +13,13 @@ from slicetl.runner import assemble_all_states
 from slicetl.env import (
     CellConfig,
     DelayModel,
-    PartitionAction,
+    MaskArrays,
     ScenarioConfig,
-    SliceMetrics,
     SliceRequirement,
     TrafficMaskParams,
-    baseline_action,
-    compute_efficiency,
-    compute_slice_metrics,
     equal_partition,
-    reward,
-    traffic_mask,
 )
-from slicetl.errors import (
-    ActionError,
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-)
+from slicetl.errors import ActionError, ConfigurationError, DomainError
 from slicetl.scenario import smoke_scenario
 
 
@@ -54,32 +43,38 @@ def _cell(n_slices=2, neighbors=(), gains=None, snr_db=10.0, bandwidth=10.0):
 # ---------------------------------------------------------------------------
 
 
+def _mask(t, params, rng=None):
+    """One slice's traffic scaler: a one-row call of ``mask_values``."""
+
+    return float(env.mask_values(t, MaskArrays.of([[params]]), rng)[0, 0])
+
+
 def test_traffic_mask_matches_sinusoid():
-    masks = [TrafficMaskParams(period=50, amplitude=0.3, offset=0.5, phase=0.7)]
+    mask = TrafficMaskParams(period=50, amplitude=0.3, offset=0.5, phase=0.7)
     for t in (0, 7, 25, 49, 123):
         expected = 0.5 + 0.3 * math.sin(2 * math.pi * t / 50 + 0.7)
-        assert traffic_mask(t, 0, masks) == pytest.approx(expected, abs=1e-15)
+        assert _mask(t, mask) == pytest.approx(expected, abs=1e-15)
 
 
 def test_traffic_mask_clipped_to_unit_interval():
-    masks = [TrafficMaskParams(period=10, amplitude=5.0, offset=0.5)]
-    values = [traffic_mask(t, 0, masks) for t in range(20)]
+    mask = TrafficMaskParams(period=10, amplitude=5.0, offset=0.5)
+    values = [_mask(t, mask) for t in range(20)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert max(values) == 1.0 and min(values) == 0.0
 
 
 def test_traffic_mask_noise_is_seed_deterministic():
-    masks = [TrafficMaskParams(noise_std=0.1)]
-    a = [traffic_mask(t, 0, masks, np.random.default_rng(5)) for t in range(10)]
-    b = [traffic_mask(t, 0, masks, np.random.default_rng(5)) for t in range(10)]
+    mask = TrafficMaskParams(noise_std=0.1)
+    a = [_mask(t, mask, np.random.default_rng(5)) for t in range(10)]
+    b = [_mask(t, mask, np.random.default_rng(5)) for t in range(10)]
     assert a == b
-    c = [traffic_mask(t, 0, masks, np.random.default_rng(6)) for t in range(10)]
+    c = [_mask(t, mask, np.random.default_rng(6)) for t in range(10)]
     assert a != c
 
 
 def test_traffic_mask_rejects_negative_time():
     with pytest.raises(DomainError):
-        traffic_mask(-1, 0, [TrafficMaskParams()])
+        _mask(-1, TrafficMaskParams())
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +82,44 @@ def test_traffic_mask_rejects_negative_time():
 # ---------------------------------------------------------------------------
 
 
+def _efficiency(cell, neighbor_loads):
+    """One cell's spectral efficiency under its neighbours' total loads:
+    one-row calls of ``interference`` and ``efficiency``."""
+
+    gains = np.array([cell.interference_gains]).reshape(1, -1)
+    loads = np.array([neighbor_loads], dtype=np.float64).reshape(1, -1)
+    return float(env.efficiency(np.array([cell.snr_linear]),
+                                env.interference(gains, loads))[0])
+
+
 def test_efficiency_closed_form():
     cell = _cell(neighbors=(1, 2), gains=(0.5, 2.0), snr_db=10.0)
     snr = 10.0  # 10 dB
     expected = math.log2(1 + snr / (1 + 0.5 * 0.4 + 2.0 * 0.9))
-    assert compute_efficiency(cell, [0.4, 0.9]) == pytest.approx(expected, rel=1e-12)
+    assert _efficiency(cell, [0.4, 0.9]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_efficiency_no_neighbors_is_pure_snr():
     cell = _cell(snr_db=10.0)
-    assert compute_efficiency(cell, []) == pytest.approx(math.log2(11.0), rel=1e-12)
+    assert _efficiency(cell, []) == pytest.approx(math.log2(11.0), rel=1e-12)
 
 
 def test_efficiency_decreases_with_neighbor_load():
     cell = _cell(neighbors=(1,))
-    effs = [compute_efficiency(cell, [l]) for l in (0.0, 0.3, 0.7, 1.0)]
+    effs = [_efficiency(cell, [l]) for l in (0.0, 0.3, 0.7, 1.0)]
     assert all(a > b for a, b in zip(effs, effs[1:]))
 
 
 def test_efficiency_saturates_above_full_load():
     cell = _cell(neighbors=(1,))
-    assert compute_efficiency(cell, [1.0]) == compute_efficiency(cell, [3.5])
+    assert _efficiency(cell, [1.0]) == _efficiency(cell, [3.5])
 
 
 def test_efficiency_rejects_wrong_load_count():
-    with pytest.raises(DimensionError):
-        compute_efficiency(_cell(neighbors=(1, 2)), [0.5])
+    """Gains and loads are multiplied, not broadcast: a wrong count fails."""
+
+    with pytest.raises(ValueError):
+        _efficiency(_cell(neighbors=(1, 2)), [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -120,37 +127,43 @@ def test_efficiency_rejects_wrong_load_count():
 # ---------------------------------------------------------------------------
 
 
+def _slice_metrics(cell, shares, demands, ues, efficiency):
+    """One cell's (throughput, delay, load) rows: a one-row call of
+    ``slice_metrics`` under the default delay model."""
+
+    tp, delay, load = env.slice_metrics(
+        np.array([shares], dtype=np.float64), np.array([[cell.bandwidth]]),
+        np.array([efficiency], dtype=np.float64),
+        np.array([demands], dtype=np.float64), np.array([ues]), DelayModel())
+    return tp[0], delay[0], load[0]
+
+
 def test_slice_metrics_hand_computed():
     cell = _cell(n_slices=2, bandwidth=10.0)
-    action = PartitionAction(np.array([0.6, 0.4]))
     # efficiency 2 -> capacities (12, 8); demands (6, 16); ues (3, 8)
-    m = compute_slice_metrics(cell, action, [6.0, 16.0], [3, 8], 2.0)
-    assert m[0].load == pytest.approx(0.5)
-    assert m[0].throughput == pytest.approx(6.0 / 3)
-    assert m[0].delay == pytest.approx(0.5 / 0.5)
-    assert m[1].load == 1.0  # demand exceeds capacity, capped
-    assert m[1].throughput == pytest.approx(8.0 / 8)
-    assert m[1].delay == pytest.approx(0.5 / 0.05)  # epsilon floor on 1 - load
+    tp, delay, load = _slice_metrics(cell, [0.6, 0.4], [6.0, 16.0], [3, 8], 2.0)
+    assert load[0] == pytest.approx(0.5)
+    assert tp[0] == pytest.approx(6.0 / 3)
+    assert delay[0] == pytest.approx(0.5 / 0.5)
+    assert load[1] == 1.0  # demand exceeds capacity, capped
+    assert tp[1] == pytest.approx(8.0 / 8)
+    assert delay[1] == pytest.approx(0.5 / 0.05)  # epsilon floor on 1 - load
 
 
 def test_slice_metrics_zero_share_positive_demand_is_congested():
     cell = _cell(n_slices=2)
-    m = compute_slice_metrics(
-        cell, PartitionAction(np.array([0.0, 1.0])), [4.0, 4.0], [2, 2], 2.0
-    )
-    assert m[0].throughput == 0.0
-    assert m[0].load == 1.0
-    assert m[0].delay == DelayModel().d_max
+    tp, delay, load = _slice_metrics(cell, [0.0, 1.0], [4.0, 4.0], [2, 2], 2.0)
+    assert tp[0] == 0.0
+    assert load[0] == 1.0
+    assert delay[0] == DelayModel().d_max
 
 
 def test_slice_metrics_rejects_bad_inputs():
     cell = _cell(n_slices=2)
     with pytest.raises(DomainError):
-        compute_slice_metrics(cell, equal_partition(2), [-1.0, 0.0], [1, 1], 2.0)
-    with pytest.raises(DomainError):
-        compute_slice_metrics(cell, equal_partition(2), [1.0, 1.0], [1, 1], 0.0)
-    with pytest.raises(DimensionError):
-        compute_slice_metrics(cell, equal_partition(3), [1.0, 1.0], [1, 1], 2.0)
+        _slice_metrics(cell, equal_partition(2), [1.0, 1.0], [1, 1], 0.0)
+    with pytest.raises(ValueError):  # three shares for two demands
+        _slice_metrics(cell, equal_partition(3), [1.0, 1.0], [1, 1], 2.0)
 
 
 def test_delay_model_formula():
@@ -166,39 +179,39 @@ def test_delay_model_formula():
 # ---------------------------------------------------------------------------
 
 
-def _metrics(tp, delay, load=0.5, ues=1):
-    return SliceMetrics(tp, delay, load, ues)
+def _reward(metrics, reqs):
+    """One cell's reward from (throughput, delay) per slice: a one-row call
+    of ``slice_rewards``."""
+
+    tp, delay = np.array(metrics, dtype=np.float64).T[:, None]
+    tp_target, delay_target = np.array(
+        [(q.throughput_target, q.delay_target) for q in reqs]).T[:, None]
+    return float(env.slice_rewards(tp, delay, tp_target, delay_target)[0])
 
 
 def test_reward_fully_satisfied_is_one():
     reqs = [SliceRequirement(2.0, 2.0)]
-    assert reward([_metrics(5.0, 1.0)], reqs) == 1.0
+    assert _reward([(5.0, 1.0)], reqs) == 1.0
 
 
 def test_reward_throughput_binding():
     reqs = [SliceRequirement(4.0, 10.0)]
-    assert reward([_metrics(1.0, 1.0)], reqs) == pytest.approx(0.25)
+    assert _reward([(1.0, 1.0)], reqs) == pytest.approx(0.25)
 
 
 def test_reward_delay_binding():
     reqs = [SliceRequirement(1.0, 2.0)]
-    assert reward([_metrics(5.0, 8.0)], reqs) == pytest.approx(0.25)
+    assert _reward([(5.0, 8.0)], reqs) == pytest.approx(0.25)
 
 
 def test_reward_takes_worst_slice():
     reqs = [SliceRequirement(2.0, 2.0), SliceRequirement(2.0, 2.0)]
-    ms = [_metrics(4.0, 1.0), _metrics(0.5, 1.0)]
-    assert reward(ms, reqs) == pytest.approx(0.25)
+    assert _reward([(4.0, 1.0), (0.5, 1.0)], reqs) == pytest.approx(0.25)
 
 
 def test_reward_zero_delay_counts_as_satisfied():
     reqs = [SliceRequirement(2.0, 2.0)]
-    assert reward([_metrics(4.0, 0.0)], reqs) == 1.0
-
-
-def test_reward_rejects_length_mismatch():
-    with pytest.raises(DimensionError):
-        reward([_metrics(1.0, 1.0)], [])
+    assert _reward([(4.0, 0.0)], reqs) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +220,27 @@ def test_reward_rejects_length_mismatch():
 
 
 def test_partition_action_validation():
-    PartitionAction(np.array([0.5, 0.5]))  # valid
+    """One cell's share row, checked as ``env.step`` checks every slot."""
+
+    env.check_shares(np.array([0.5, 0.5]), (2,))  # valid
     with pytest.raises(ActionError):
-        PartitionAction(np.array([0.7, 0.6]))
+        env.check_shares(np.array([0.7, 0.6]), (2,))
     with pytest.raises(ActionError):
-        PartitionAction(np.array([-0.1, 1.1]))
+        env.check_shares(np.array([-0.1, 1.1]), (2,))
     with pytest.raises(ActionError):
-        PartitionAction(np.array([np.nan, 1.0]))
+        env.check_shares(np.array([np.nan, 1.0]), (2,))
     with pytest.raises(ActionError):
-        PartitionAction(np.eye(2))
+        env.check_shares(np.eye(2), (2,))
 
 
 def test_equal_partition():
-    a = equal_partition(4)
-    assert np.allclose(a.shares, 0.25)
+    shares = equal_partition(4)
+    assert shares.shape == (4,) and np.allclose(shares, 0.25)
 
 
 def test_baseline_action_proportional():
-    a = baseline_action([1.0, 3.0])
-    assert np.allclose(a.shares, [0.25, 0.75])
-    assert np.allclose(baseline_action([0.0, 0.0]).shares, 0.5)
-    with pytest.raises(DomainError):
-        baseline_action([-1.0, 2.0])
+    assert np.allclose(env.baseline_shares(np.array([[1.0, 3.0]]))[0], [0.25, 0.75])
+    assert np.allclose(env.baseline_shares(np.array([[0.0, 0.0]]))[0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +273,9 @@ def test_cell_config_rejects_self_neighbor_and_gain_mismatch():
 
 
 def _rows(*actions):
-    """Share matrix of ``env.step``: one action per cell, in scenario order."""
+    """Share matrix of ``env.step``: one share row per cell, in scenario order."""
 
-    return np.stack([a.shares for a in actions])
+    return np.stack(actions)
 
 
 def test_step_is_deterministic_and_functional():
@@ -282,10 +294,8 @@ def test_step_rewards_in_unit_interval():
     state = env.init_network(scenario, seed=3)
     rng = np.random.default_rng(0)
     for _ in range(30):
-        actions = _rows(*[
-            PartitionAction(rng.dirichlet(np.ones(scenario.n_slices)))
-            for _ in range(scenario.n_cells)
-        ])
+        actions = _rows(*[rng.dirichlet(np.ones(scenario.n_slices))
+                          for _ in range(scenario.n_cells)])
         state, rewards = env.step(state, actions, scenario)
         assert np.all(rewards >= 0.0) and np.all(rewards <= 1.0)
 
@@ -317,7 +327,7 @@ def test_interference_couples_through_previous_load():
 
     scenario = smoke_scenario()
     n = scenario.n_slices
-    starved = PartitionAction(np.array([1.0 - 1e-6] + [1e-6 / (n - 1)] * (n - 1)))
+    starved = np.array([1.0 - 1e-6] + [1e-6 / (n - 1)] * (n - 1))
     s0 = env.init_network(scenario, seed=4)
 
     # Variant A: all equal; variant B: neighbors of cell 1 starve themselves
@@ -328,7 +338,7 @@ def test_interference_couples_through_previous_load():
     a2, _ = env.step(a1, _rows(eq, eq, eq), scenario)
     b2, _ = env.step(b1, _rows(eq, eq, eq), scenario)
     # Same demands (same rng stream), so loads differ only via efficiency.
-    assert b2.total_load(0) >= a2.total_load(0)
+    assert b2.total_loads()[0] >= a2.total_loads()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +538,7 @@ def test_efficiency_rounds_like_math_log2():
     lambda a: np.where(np.arange(a.size).reshape(a.shape) == 2, np.inf, a),
     lambda a: a + np.array([0.3, -0.3, 0.0, 0.0]),  # negative entries, sums kept
     lambda a: a * (1.0 + 1e-6),  # rows off the simplex
-    lambda a: [[equal_partition(4)] * 3],  # not numbers
+    lambda a: [["a"] * 4] * 3,  # not numbers
 ])
 def test_step_rejects_malformed_share_matrices(corrupt):
     scenario = smoke_scenario()

@@ -88,19 +88,30 @@ def test_config_rejects_missing_scenario():
         config_from_dict({"seed": 3})
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("transfer", "strategy", "telepathy"),
-    ("similarity", "mode", "approximate"),
-    ("similarity", "target", 9),
-    ("similarity", "candidates", [1, 9]),
-    ("transfer", "target", 9),
-], ids=["strategy", "mode", "target", "candidates", "transfer-target"])
-def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, section, key, value):
+@pytest.mark.parametrize("keys, value, match", [
+    (("transfer", "strategy"), "telepathy", None),
+    (("similarity", "mode"), "approximate", None),
+    (("similarity", "target"), 9, None),
+    (("similarity", "candidates"), [1, 9], None),
+    (("transfer", "target"), 9, None),
+    # Misspelt keys name themselves instead of falling back to defaults.
+    (("simlarity",), {"mode": "exact"}, "simlarity"),
+    (("scenario", "dleay"), {"d_min": 1.0}, "dleay"),
+    (("scenario", "cells", 0, "neighbour_ids"), [2, 3], "neighbour_ids"),
+    (("scenario", "cells", 1, "requirements", 0, "delay_taget"), 2.0, "delay_taget"),
+    (("scenario", "seed"), 0, "seed"),  # run seeds are the top-level seed
+], ids=["strategy", "mode", "target", "candidates", "transfer-target",
+        "top-level-key", "scenario-key", "cell-key", "requirement-key",
+        "scenario-seed"])
+def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match):
     d = config_to_dict(smoke_cfg)
-    d[section][key] = value
+    section = d
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(d))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=match):
         load_config(path)
 
 

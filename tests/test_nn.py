@@ -326,23 +326,8 @@ def test_mlp_constructor_copies_its_arrays():
 
 
 # ---------------------------------------------------------------------------
-# Sampling and checkpoints
+# Checkpoints
 # ---------------------------------------------------------------------------
-
-
-def test_gaussian_sample_statistics():
-    rng = np.random.default_rng(10)
-    n = 200_000
-    z = nn.gaussian_sample(np.full(n, 2.0), np.full(n, 3.0), rng)
-    # 3-sigma bands for the sample mean and std of n draws.
-    assert abs(z.mean() - 2.0) < 3 * 3.0 / np.sqrt(n)
-    assert abs(z.std() - 3.0) < 3 * 3.0 / np.sqrt(2 * n)
-
-
-def test_gaussian_sample_rejects_negative_sigma():
-    with pytest.raises(DomainError):
-        nn.gaussian_sample(np.zeros(2), np.array([1.0, -1.0]),
-                           np.random.default_rng(0))
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

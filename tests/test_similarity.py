@@ -228,9 +228,7 @@ def _synthetic_samples(rng, n_per=60, n_agents=2, dim=9):
         center[: dim // 2] = 4.0 * agent
         for _ in range(n_per):
             samples.append(DefaultSample(
-                center + 0.1 * rng.standard_normal(dim), agent,
-                equal_partition(2),
-            ))
+                center + 0.1 * rng.standard_normal(dim), agent))
     return samples
 
 

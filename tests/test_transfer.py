@@ -86,13 +86,13 @@ def test_model_transfer_copies_behavior():
     target = _agent(99)
     rng = np.random.default_rng(1)
     state = rng.standard_normal(8)
-    assert not np.allclose(select_action(source, state).shares,
-                           select_action(target, state).shares)
+    assert not np.allclose(select_action(source, state),
+                           select_action(target, state))
     model_transfer(source, target)
     for _ in range(10):
         s = rng.standard_normal(8)
-        assert np.array_equal(select_action(source, s).shares,
-                              select_action(target, s).shares)
+        assert np.array_equal(select_action(source, s),
+                              select_action(target, s))
 
 
 def test_model_transfer_is_a_copy_not_a_view():
@@ -273,8 +273,8 @@ def test_integrated_transfer_combines_model_and_instance():
                         instance_fraction=0.5)
     integrated_transfer(source, target, plan, seed=0)
     state = rng.standard_normal(8)
-    assert np.array_equal(select_action(source, state).shares,
-                          select_action(target, state).shares)
+    assert np.array_equal(select_action(source, state),
+                          select_action(target, state))
     assert target.buffer.origin_counts() == {0: 3}
 
 
@@ -298,8 +298,8 @@ def test_apply_transfer_dispatch():
                             TransferPlan(0, 1, strategy="instance"))
     assert len(t_inst.buffer) == 4
     state = rng.standard_normal(8)
-    assert not np.allclose(select_action(source, state).shares,
-                           select_action(t_inst, state).shares)
+    assert not np.allclose(select_action(source, state),
+                           select_action(t_inst, state))
 
     t_feat = apply_transfer(source, _agent(92),
                             TransferPlan(0, 1, strategy="feature",
