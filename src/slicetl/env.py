@@ -218,6 +218,7 @@ class ScenarioArrays:
     """Every per-cell parameter the slot needs, one row per cell in
     scenario order (K cells, N slices)."""
 
+    cell_ids: np.ndarray  # (K,) int64, ``ScenarioConfig.cell_ids``
     bandwidth: np.ndarray  # (K, 1) MHz
     snr_linear: np.ndarray  # (K,)
     max_ues: np.ndarray  # (K, 1) as float
@@ -255,6 +256,7 @@ class ScenarioArrays:
             return np.array(values, dtype=np.float64)
 
         return cls(
+            cell_ids=np.array(scenario.cell_ids, dtype=np.int64),
             bandwidth=array([[c.bandwidth] for c in cells]),
             snr_linear=array([c.snr_linear for c in cells]),
             max_ues=array([[c.max_ues_per_slice] for c in cells]),
@@ -316,6 +318,10 @@ class NetworkState:
     load: np.ndarray  # in [0, 1]
     ues: np.ndarray  # int64 user counts
     rng_state: dict
+    # The next slot's traffic as drawn by ``peek_demands``, for the ``step``
+    # that follows to reuse: (scenario arrays, ues, demands, RNG state after
+    # the draw). Not part of the state's value; ``step`` never writes it.
+    peeked_traffic: tuple | None = field(default=None, init=False, repr=False)
 
     def total_loads(self) -> np.ndarray:
         """Per-cell sum of the slice loads, added left to right."""
@@ -480,12 +486,29 @@ def init_network(scenario: ScenarioConfig, seed: int) -> NetworkState:
     return NetworkState(0, *metrics, ues, rng.bit_generator.state)
 
 
+def _draw_traffic(
+    state: NetworkState, arrays: ScenarioArrays
+) -> tuple[ScenarioArrays, np.ndarray, np.ndarray, dict]:
+    """UE counts and demands (K, N) of the slot after ``state`` and the RNG
+    state after their draws; the ones a peek kept if it was on ``arrays``."""
+
+    peeked = state.peeked_traffic
+    if peeked is not None and peeked[0] is arrays:
+        return peeked
+    rng = _generator(state.rng_state)
+    ues, demands = _traffic(arrays, state.step + 1, rng)
+    return arrays, ues, demands, rng.bit_generator.state
+
+
 def peek_demands(state: NetworkState, scenario: ScenarioConfig) -> np.ndarray:
     """Demands (K, N) the cells will see at the next step (perfect-knowledge
     oracle): the draws the next ``step`` call will make, without advancing
-    the state."""
+    the state. The draws are kept on ``state``, so that step does not repeat
+    them; the array returned is the caller's own copy."""
 
-    return _traffic(scenario.arrays, state.step + 1, _generator(state.rng_state))[1]
+    traffic = _draw_traffic(state, scenario.arrays)
+    object.__setattr__(state, "peeked_traffic", traffic)
+    return traffic[2].copy()
 
 
 def step(
@@ -499,9 +522,7 @@ def step(
 
     arrays = scenario.arrays
     shares = check_shares(shares, arrays.ue_rates.shape)
-    rng = _generator(state.rng_state)
-    t = state.step + 1
-    ues, demands = _traffic(arrays, t, rng)
+    _, ues, demands, rng_state = _draw_traffic(state, arrays)
     tp, delay, load = _metrics(arrays, shares, state.total_loads(), demands, ues)
     rewards = slice_rewards(tp, delay, arrays.throughput_target, arrays.delay_target)
-    return NetworkState(t, tp, delay, load, ues, rng.bit_generator.state), rewards
+    return NetworkState(state.step + 1, tp, delay, load, ues, rng_state), rewards

@@ -8,22 +8,23 @@ such as the selected transfer source.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
+from .csvio import write_csv
 from .env import ScenarioConfig, equal_partition
 from .errors import ConfigurationError, DependencyError
 from .runner import (
     Act,
     Policy,
-    StepRecord,
+    SlotRecord,
+    Trace,
     follow,
     learn,
     record_step,
@@ -33,14 +34,17 @@ from .scenario import ExperimentConfig, config_to_dict
 from .transfer import TransferPlan, apply_transfer, fine_tune
 
 TRACE_VERSION = 1
+METRICS_HEADER = ("t", "cell", "slice", "throughput", "delay", "load", "ues",
+                  "share", "reward")
+BLOCK_SLOTS = 64  # slots of metrics.csv formatted at a time
 
 
 @dataclass
 class RunMetrics:
     """Everything a run produced that downstream steps may consume."""
 
-    records: list[StepRecord]
-    eval_records: list[StepRecord]
+    records: list[SlotRecord]
+    eval_records: list[SlotRecord]
     extras: dict
 
 
@@ -49,24 +53,34 @@ class RunMetrics:
 # ---------------------------------------------------------------------------
 
 
-def write_metrics_csv(path, records: Sequence[StepRecord]) -> None:
-    """One row per (step, cell, slice); floats in their shortest round-trip
-    ``repr``."""
+def _metrics_blocks(records: Sequence[SlotRecord]) -> Iterator[tuple]:
+    """The columns of ``metrics.csv``, ``BLOCK_SLOTS`` slots at a time, in
+    (slot, cell, slice) row order; the ``t,cell,slice`` text is one column."""
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "cell", "slice", "throughput", "delay", "load", "ues",
-             "share", "reward"]
+    if not records:
+        return
+    n = records[0].actions.shape[1]
+    cell_slice = np.array([f",{c},{j}" for c in records[0].cells.tolist()
+                           for j in range(n)], dtype=object)
+    for start in range(0, len(records), BLOCK_SLOTS):
+        block = records[start:start + BLOCK_SLOTS]
+        t = np.array([str(r.t) for r in block], dtype=object)
+
+        def flat(field: str) -> np.ndarray:
+            return np.concatenate([getattr(r, field) for r in block], axis=None)
+
+        yield (
+            (t[:, None] + cell_slice).ravel().tolist(), flat("throughput"),
+            flat("delay"), flat("load"), flat("ues"), flat("actions"),
+            np.repeat(flat("rewards"), n),
         )
-        for rec in records:
-            share = rec.action.tolist()
-            reward = repr(rec.reward)
-            writer.writerows(
-                [rec.t, rec.cell_id, n, repr(rec.throughput[n]), repr(rec.delay[n]),
-                 repr(rec.load[n]), rec.ues[n], repr(share[n]), reward]
-                for n in range(len(share))
-            )
+
+
+def write_metrics_csv(path, records: Sequence[SlotRecord]) -> None:
+    """One row per (step, cell, slice) of the slot records of one scenario;
+    floats in their shortest round-trip ``repr``."""
+
+    write_csv(path, METRICS_HEADER, _metrics_blocks(records))
 
 
 def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,12 +92,7 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_cdf_csv(path, values: np.ndarray, column: str) -> None:
-    xs, ps = empirical_cdf(values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([column, "cdf"])
-        for x, p in zip(xs, ps):
-            writer.writerow([repr(float(x)), repr(float(p))])
+    write_csv(path, (column, "cdf"), [empirical_cdf(values)])
 
 
 def write_run_meta(out: Path, cfg: ExperimentConfig, seed: int, **extra) -> None:
@@ -97,32 +106,18 @@ def write_run_meta(out: Path, cfg: ExperimentConfig, seed: int, **extra) -> None
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def save_trace(path, records: Sequence[StepRecord]) -> None:
-    np.savez(
-        path,
-        version=np.array(TRACE_VERSION),
-        t=np.array([r.t for r in records]),
-        cell=np.array([r.cell_id for r in records]),
-        states=np.stack([r.state for r in records]),
-        actions=np.stack([r.action for r in records]),
-        rewards=np.array([r.reward for r in records]),
-    )
+def save_trace(path, trace: Trace) -> None:
+    np.savez(path, version=np.array(TRACE_VERSION), **trace._asdict())
 
 
-def load_trace(path) -> list[StepRecord]:
+def load_trace(path) -> Trace:
     path = Path(path)
     if not path.exists():
         raise DependencyError(f"trace file {path} does not exist")
     with np.load(path, allow_pickle=False) as data:
         if int(data["version"]) != TRACE_VERSION:
             raise DependencyError(f"unsupported trace version {data['version']}")
-        return [
-            StepRecord(int(t), int(c), s, a, float(r), ())
-            for t, c, s, a, r in zip(
-                data["t"], data["cell"], data["states"], data["actions"],
-                data["rewards"],
-            )
-        ]
+        return Trace(*(data[field] for field in Trace._fields))
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +146,27 @@ def baseline_act(scenario: ScenarioConfig) -> Act:
 
 def rollout(
     scenario: ScenarioConfig, act: Act, steps: int, seed: int
-) -> list[StepRecord]:
+) -> list[SlotRecord]:
     """Run fixed policies for ``steps`` slots and log every cell's metrics."""
 
-    records: list[StepRecord] = []
+    records: list[SlotRecord] = []
     run_slots(scenario, seed, steps, act,
-              lambda slot: records.extend(record_step(scenario, slot)))
+              lambda slot: records.append(record_step(scenario, slot)))
     return records
 
 
 def default_action_trace(
     scenario: ScenarioConfig, steps: int, seed: int, out: Path
-) -> list[StepRecord]:
+) -> Trace:
     """Rollout in which every cell holds the equal split, so that the
     similarity pipeline has comparable samples from all agents."""
 
     n = scenario.n_slices
     equal = np.full((scenario.n_cells, n), 1.0 / n)
-    equal.flags.writeable = False  # every slot's records share its rows
-    records = rollout(scenario, lambda t, net_state, states: equal, steps, seed)
-    save_trace(out / "default_trace.npz", records)
-    return records
+    equal.flags.writeable = False  # every slot's record shares it
+    trace = Trace.of(rollout(scenario, lambda t, net_state, states: equal, steps, seed))
+    save_trace(out / "default_trace.npz", trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +178,7 @@ def default_action_trace(
 class EvalSummary:
     satisfaction: np.ndarray  # per (step, cell) min-slice satisfaction
     max_delay: np.ndarray  # per (step, cell) max slice delay, ms
-    records: list[StepRecord]
+    records: list[SlotRecord]
 
     @property
     def mean_satisfaction(self) -> float:
@@ -200,9 +195,10 @@ def evaluate_policies(
     """Frozen-policy run emitting satisfaction and max-delay distributions."""
 
     records = rollout(scenario, act, steps, seed)
-    satisfaction = np.array([r.reward for r in records])
-    max_delay = np.array([max(r.delay) for r in records])
-    return EvalSummary(satisfaction, max_delay, records)
+    shape = (steps, scenario.n_cells, scenario.n_slices)
+    satisfaction = np.array([r.rewards for r in records]).reshape(-1)
+    max_delay = np.array([r.delay for r in records]).reshape(shape).max(axis=-1)
+    return EvalSummary(satisfaction, max_delay.reshape(-1), records)
 
 
 def write_eval_outputs(out: Path, summary: EvalSummary) -> None:
@@ -270,13 +266,13 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
             select_action(agent, s, explore=True, noise_scale=noise)
             for agent, s in zip(ordered, states)])
 
-    records: list[StepRecord] = []
+    records: list[SlotRecord] = []
     diverged: dict[int, str] = {}
 
     def observe(slot):
         for i, agent in enumerate(ordered):
             learn(agent, slot, i, diverged, train=slot.t > explore)
-        records.extend(record_step(scenario, slot))
+        records.append(record_step(scenario, slot))
 
     run_slots(scenario, seed, explore + training, act, observe)
 
@@ -315,7 +311,7 @@ def _similarity_inputs(cfg: ExperimentConfig) -> tuple[int, list[int]]:
 
 def run_similarity(
     cfg: ExperimentConfig, seed: int, out: str | Path,
-    trace_records: list[StepRecord] | None = None,
+    trace_records: Trace | None = None,
 ) -> tuple[simm.DistanceMatrix, int]:
     """Pooled VAE + latent KL distances + source selection for one target."""
 
@@ -439,12 +435,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
         diverged=diverged["scratch"],
     )
 
-    with open(out / "gain.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "reward_tl", "reward_scratch", "gain"])
-        for t, (a, b) in enumerate(zip(tl_trace, scratch_trace), start=1):
-            writer.writerow([t, repr(float(a)), repr(float(b)),
-                             repr(float(a - b))])
+    write_csv(out / "gain.csv", ("t", "reward_tl", "reward_scratch", "gain"),
+              [(np.arange(1, tl_trace.size + 1), tl_trace, scratch_trace,
+                tl_trace - scratch_trace)])
 
     policies = dict(peers)
     policies[target_id] = greedy_policy(tl_agent)

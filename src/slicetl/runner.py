@@ -1,4 +1,4 @@
-"""The one slot loop of every run, with state assembly, step records and
+"""The one slot loop of every run, with state assembly, slot records and
 the learners' store-and-train step.
 
 A run (rollout, MADRL training, fine-tuning) is an ``act`` and an
@@ -9,8 +9,7 @@ the K cells in scenario order: states (K, 4N), shares (K, N), rewards (K,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,23 +38,40 @@ Act = Callable[[int, NetworkState, np.ndarray], np.ndarray]
 Observe = Callable[[Slot], None]
 
 
-class StepRecord(NamedTuple):
-    """One (cell, step) observation as logged by every experiment run.
-
-    ``state`` and ``action`` are rows of the slot's arrays. The slice
-    metrics are lists of Python numbers, one per slice; a record read back
-    from a trace file has none.
-    """
+class SlotRecord(NamedTuple):
+    """One slot of a run as logged by every experiment run: the slot's own
+    (K, ...) arrays over the cells in scenario order, not copies."""
 
     t: int
-    cell_id: int
-    state: np.ndarray  # assembled 4N state the agent acted on
-    action: np.ndarray
-    reward: float
-    throughput: list[float] | None = None  # Mbit/s per user
-    delay: list[float] | None = None  # ms
-    load: list[float] | None = None
-    ues: list[int] | None = None
+    cells: np.ndarray  # (K,) cell ids
+    states: np.ndarray  # (K, 4N) the assembled states the cells acted on
+    actions: np.ndarray  # (K, N)
+    rewards: np.ndarray  # (K,)
+    throughput: np.ndarray  # (K, N) Mbit/s per user
+    delay: np.ndarray  # (K, N) ms
+    load: np.ndarray  # (K, N)
+    ues: np.ndarray  # (K, N) int64
+
+
+class Trace(NamedTuple):
+    """What a trace file holds: one row per (slot, cell), slot-major, as
+    flat columns."""
+
+    t: np.ndarray  # (R,) int64
+    cell: np.ndarray  # (R,) int64
+    states: np.ndarray  # (R, 4N)
+    actions: np.ndarray  # (R, N)
+    rewards: np.ndarray  # (R,)
+
+    @classmethod
+    def of(cls, records: Sequence[SlotRecord]) -> "Trace":
+        return cls(
+            np.concatenate([np.full(r.cells.shape, r.t) for r in records]),
+            np.concatenate([r.cells for r in records]),
+            np.concatenate([r.states for r in records]),
+            np.concatenate([r.actions for r in records]),
+            np.concatenate([r.rewards for r in records]),
+        )
 
 
 def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:
@@ -105,13 +121,10 @@ def follow(scenario: ScenarioConfig, policies: dict[int, Policy]) -> Act:
         [policy(s) for policy, s in zip(ordered, states)])
 
 
-def record_step(scenario: ScenarioConfig, slot: Slot) -> list[StepRecord]:
+def record_step(scenario: ScenarioConfig, slot: Slot) -> SlotRecord:
     net = slot.net_state
-    return list(map(
-        StepRecord, repeat(slot.t), scenario.cell_ids, slot.states, slot.actions,
-        slot.rewards.tolist(), net.throughput.tolist(), net.delay.tolist(),
-        net.load.tolist(), net.ues.tolist(),
-    ))
+    return SlotRecord(slot.t, scenario.arrays.cell_ids, slot.states, slot.actions,
+                      slot.rewards, net.throughput, net.delay, net.load, net.ues)
 
 
 def learn(

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
+from .csvio import write_csv
 from .errors import (
     DimensionError,
     DomainError,
@@ -76,32 +77,27 @@ class VaeModel:
 
 
 def collect_default_samples(
-    records: Sequence, default_shares: np.ndarray, agent: int | None = None
+    trace, default_shares: np.ndarray, agent: int | None = None
 ) -> list[DefaultSample]:
     """Filter a step trace down to the steps executed under the default
     share row ``default_shares``.
 
-    ``records`` must expose ``.cell_id``, ``.state``, ``.action`` and
-    ``.reward`` (see :class:`slicetl.runner.StepRecord`). If ``agent`` is
-    given, only that cell's records are considered.
+    ``trace`` holds one row per (step, cell) in the columns ``cell``,
+    ``states``, ``actions`` and ``rewards`` (see
+    :class:`slicetl.runner.Trace`). If ``agent`` is given, only that
+    cell's rows are considered.
     """
 
-    samples = []
-    seen_agents = set()
-    for rec in records:
-        if agent is not None and rec.cell_id != agent:
-            continue
-        seen_agents.add(rec.cell_id)
-        if np.max(np.abs(rec.action - default_shares)) <= ACTION_MATCH_TOL:
-            samples.append(
-                DefaultSample(np.concatenate([rec.state, [rec.reward]]), rec.cell_id)
-            )
-    if not samples:
-        who = agent if agent is not None else sorted(seen_agents)
+    rows = np.max(np.abs(trace.actions - default_shares), axis=1) <= ACTION_MATCH_TOL
+    if agent is not None:
+        rows &= trace.cell == agent
+    if not rows.any():
+        who = agent if agent is not None else sorted(set(trace.cell.tolist()))
         raise EmptySetError(
             f"no steps under the default action for agent(s) {who}"
         )
-    return samples
+    x = np.hstack([trace.states[rows], trace.rewards[rows, None]])
+    return list(map(DefaultSample, x, trace.cell[rows].tolist()))
 
 
 def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,15 +393,10 @@ def write_distances_csv(path, distances: DistanceMatrix) -> None:
 def write_latents_csv(path, latents: Sequence[LatentStats]) -> None:
     if not latents:
         raise EmptySetError("no latents to write")
-    l = latents[0].mu.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["agent"]
-            + [f"mu_{j}" for j in range(l)]
-            + [f"sigma_{j}" for j in range(l)]
-        )
-        for s in latents:
-            writer.writerow(
-                [s.agent] + [repr(float(v)) for v in (*s.mu, *s.sigma)]
-            )
+    mu, sigma = _latent_arrays(latents)
+    l = mu.shape[1]
+    write_csv(
+        path,
+        ["agent", *(f"mu_{j}" for j in range(l)), *(f"sigma_{j}" for j in range(l))],
+        [(np.array([s.agent for s in latents]), *mu.T, *sigma.T)],
+    )

@@ -149,8 +149,8 @@ def fine_tune(
     """Train the target agent in the live network without an exploration phase.
 
     Non-target cells act through the given peer policies. Returns
-    ``(target, reward_trace)`` and, when requested, the per-step records
-    of all cells. If the target's training diverges, it stops training and
+    ``(target, reward_trace)`` and, when requested, the slot records of
+    all cells. If the target's training diverges, it stops training and
     its error is recorded in ``diverged``.
     """
 
@@ -166,7 +166,7 @@ def fine_tune(
         learn(target, slot, idx, diverged)
         trace[slot.t - 1] = slot.rewards[idx]
         if collect_records:
-            records.extend(record_step(scenario, slot))
+            records.append(record_step(scenario, slot))
 
     run_slots(scenario, seed, steps, act, observe)
     if collect_records:

@@ -22,7 +22,7 @@ from slicetl.env import (
     slice_rewards,
 )
 from slicetl.harness import constant_policy, greedy_policy, rollout
-from slicetl.runner import follow
+from slicetl.runner import Trace, follow
 from slicetl.transfer import TransferPlan, fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
 
@@ -162,13 +162,13 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     a_prime = equal_partition(sc.n_slices)
     sim = full_cfg.similarity
     for seed in (0, 1, 2):
-        records = rollout(
+        trace = Trace.of(rollout(
             sc,
             follow(sc, {c.cell_id: constant_policy(a_prime) for c in sc.cells}),
             sim.steps, seed,
-        )
+        ))
         samples = {
-            c.cell_id: simm.collect_default_samples(records, a_prime,
+            c.cell_id: simm.collect_default_samples(trace, a_prime,
                                                     agent=c.cell_id)
             for c in sc.cells
         }
@@ -202,13 +202,13 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     sim = smoke_cfg.similarity
     a_prime = equal_partition(sc.n_slices)
     for seed in (0, 1, 2):
-        records = rollout(
+        trace = Trace.of(rollout(
             sc,
             follow(sc, {c.cell_id: constant_policy(a_prime) for c in sc.cells}),
             sim.steps, seed,
-        )
+        ))
         samples = {
-            c.cell_id: simm.collect_default_samples(records, a_prime,
+            c.cell_id: simm.collect_default_samples(trace, a_prime,
                                                     agent=c.cell_id)
             for c in sc.cells
         }

@@ -322,6 +322,30 @@ def test_peek_demands_matches_realized_ue_counts():
             assert np.allclose(peeked[i], ues * rates)
 
 
+def test_peek_and_step_share_one_traffic_draw(monkeypatch):
+    """A peek followed by a step draws the slot's traffic once, and the
+    step's state equals that of a step without a peek; a step alone
+    leaves nothing on the state it read."""
+
+    scenario = smoke_scenario()
+    actions = _rows(*[equal_partition(scenario.n_slices)] * scenario.n_cells)
+    first = env.init_network(scenario, seed=11)
+    unpeeked, unpeeked_rewards = env.step(first, actions, scenario)
+    assert first.peeked_traffic is None
+    state = env.init_network(scenario, seed=11)
+    draws = []
+    mask_values = env.mask_values
+    monkeypatch.setattr(env, "mask_values",
+                        lambda *args: draws.append(args[0]) or mask_values(*args))
+    peeked = env.peek_demands(state, scenario)
+    assert np.array_equal(peeked, unpeeked.ues * scenario.arrays.ue_rates)
+    peeked[...] = 0.0  # the caller's own copy: the step does not see this
+    stepped, rewards = env.step(state, actions, scenario)
+    assert draws == [1]
+    assert stepped == unpeeked
+    assert np.array_equal(rewards, unpeeked_rewards)
+
+
 def test_interference_couples_through_previous_load():
     """A neighbor's heavy load at step t lowers this cell's capacity at t+1."""
 

@@ -2,15 +2,21 @@
 
 import csv
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicetl import harness, runner
 from slicetl.agent import Td3Agent, train_step
 from slicetl.cli import main
+from slicetl.csvio import write_csv
 from slicetl.env import equal_partition
 from slicetl.errors import ConfigurationError, DependencyError, NumericError
 from slicetl.harness import (
@@ -25,7 +31,7 @@ from slicetl.harness import (
     write_cdf_csv,
     write_metrics_csv,
 )
-from slicetl.runner import follow
+from slicetl.runner import Trace, follow
 from slicetl.transfer import STRATEGIES
 from slicetl.scenario import (
     config_from_dict,
@@ -160,13 +166,79 @@ def test_metrics_csv_schema_and_float_round_trip(tmp_path):
                             "load", "ues", "share", "reward"}
     # repr() serialization must survive a float() round trip bit-exactly.
     first = records[0]
-    assert float(rows[0]["reward"]) == first.reward
-    assert float(rows[0]["throughput"]) == first.throughput[0]
-    assert float(rows[0]["delay"]) == first.delay[0]
-    assert float(rows[0]["load"]) == first.load[0]
-    assert float(rows[0]["share"]) == first.action[0]
+    assert float(rows[0]["reward"]) == first.rewards[0]
+    assert float(rows[0]["throughput"]) == first.throughput[0, 0]
+    assert float(rows[0]["delay"]) == first.delay[0, 0]
+    assert float(rows[0]["load"]) == first.load[0, 0]
+    assert float(rows[0]["share"]) == first.actions[0, 0]
     assert all(np.isfinite(float(row[column])) for row in rows
                for column in ("throughput", "delay", "load", "share", "reward"))
+
+
+def _reference_csv(header, rows) -> bytes:
+    """What csv.writer writes for rows of Python values, floats as repr."""
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue().encode()
+
+
+def _reference_metrics_csv(records) -> bytes:
+    rows = [
+        [r.t, cell, n, float(r.throughput[k, n]), float(r.delay[k, n]),
+         float(r.load[k, n]), int(r.ues[k, n]), float(r.actions[k, n]),
+         float(r.rewards[k])]
+        for r in records for k, cell in enumerate(r.cells.tolist())
+        for n in range(r.actions.shape[1])
+    ]
+    return _reference_csv(harness.METRICS_HEADER, rows)
+
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e-05, 1e+16, 1.5e300, 0.1, 1 / 3, float("inf"), float("-inf")]),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_writer_matches_csv_writer(data):
+    """Blocks of float and integer columns, with heavy repetition, signed
+    zeros, subnormals and exponent reprs, give csv.writer's bytes."""
+
+    n = data.draw(st.integers(0, 40))
+    pool = data.draw(st.lists(FLOATS, min_size=1, max_size=4))
+    repeated = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    mixed = data.draw(st.lists(st.sampled_from(pool) | FLOATS, min_size=n, max_size=n))
+    ints = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    small = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    split = data.draw(st.integers(0, n))
+    columns = [np.array(ints, dtype=np.int64), np.array(repeated, dtype=np.float64),
+               np.array(mixed, dtype=np.float64), np.array(small, dtype=np.int64)]
+    header = ("i", "repeated", "mixed", "small")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "columns.csv"
+        write_csv(path, header, [[c[:split] for c in columns],
+                                 [c[split:] for c in columns]])
+        written = path.read_bytes()
+    assert written == _reference_csv(header, zip(ints, repeated, mixed, small))
+
+
+def test_learned_runs_write_the_reference_metrics_csv(tmp_path, tiny_cfg):
+    """The actors' shares are distinct values in every row, unlike the
+    baseline's; both runs' files match csv.writer over their slot records."""
+
+    train = harness.run_madrl(tiny_cfg, seed=0, out=tmp_path / "train")
+    assert ((tmp_path / "train" / "metrics.csv").read_bytes()
+            == _reference_metrics_csv(train.records + train.eval_records))
+    tl = harness.run_transfer(_transfer_cfg(tiny_cfg, tmp_path / "train"), seed=0,
+                              out=tmp_path / "tl")
+    assert ((tmp_path / "tl" / "metrics.csv").read_bytes()
+            == _reference_metrics_csv(tl.records + tl.eval_records))
 
 
 def test_trace_round_trip(tmp_path):
@@ -178,13 +250,18 @@ def test_trace_round_trip(tmp_path):
         steps=4, seed=1,
     )
     path = tmp_path / "trace.npz"
-    save_trace(path, records)
+    trace = Trace.of(records)
+    save_trace(path, trace)
     loaded = load_trace(path)
-    assert len(loaded) == len(records)
-    for a, b in zip(records, loaded):
-        assert (a.t, a.cell_id, a.reward) == (b.t, b.cell_id, b.reward)
-        assert np.array_equal(a.state, b.state)
-        assert np.array_equal(a.action, b.action)
+    k = scenario.n_cells
+    assert np.array_equal(loaded.t, np.repeat(np.arange(1, 5), k))
+    assert np.array_equal(loaded.cell, np.tile(scenario.cell_ids, 4))
+    for name in Trace._fields:
+        assert np.array_equal(getattr(loaded, name), getattr(trace, name))
+    for i, record in enumerate(records):
+        assert np.array_equal(loaded.states[i * k:(i + 1) * k], record.states)
+        assert np.array_equal(loaded.actions[i * k:(i + 1) * k], record.actions)
+        assert np.array_equal(loaded.rewards[i * k:(i + 1) * k], record.rewards)
 
 
 def test_load_trace_missing_file(tmp_path):
@@ -205,11 +282,11 @@ def test_rollout_is_deterministic():
     a = rollout(scenario, act, steps=10, seed=5)
     b = rollout(scenario, act, steps=10, seed=5)
     assert all(
-        x.reward == y.reward and np.array_equal(x.state, y.state)
+        np.array_equal(x.rewards, y.rewards) and np.array_equal(x.states, y.states)
         for x, y in zip(a, b)
     )
     c = rollout(scenario, act, steps=10, seed=6)
-    assert any(x.reward != y.reward for x, y in zip(a, c))
+    assert any(not np.array_equal(x.rewards, y.rewards) for x, y in zip(a, c))
 
 
 def test_evaluate_policies_summary_shapes():

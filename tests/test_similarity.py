@@ -12,7 +12,7 @@ from slicetl.errors import (
     EmptySetError,
     SingularityError,
 )
-from slicetl.runner import StepRecord
+from slicetl.runner import Trace
 from slicetl.similarity import (
     DefaultSample,
     DistanceMatrix,
@@ -188,18 +188,16 @@ def test_distance_rejects_empty_and_unknown_mode():
 # ---------------------------------------------------------------------------
 
 
-def _record(cell, action, reward=0.5, n=2):
-    return StepRecord(1, cell, np.full(4 * n, 0.1), np.asarray(action),
-                      reward, ())
+def _trace(cells, actions, reward=0.5, n=2):
+    rows = len(cells)
+    return Trace(np.ones(rows, dtype=np.int64), np.array(cells),
+                 np.full((rows, 4 * n), 0.1), np.array(actions, dtype=np.float64),
+                 np.full(rows, reward))
 
 
 def test_collect_default_samples_filters_on_action():
     default = equal_partition(2)
-    records = [
-        _record(1, [0.5, 0.5]),
-        _record(1, [0.9, 0.1]),
-        _record(2, [0.5, 0.5]),
-    ]
+    records = _trace([1, 1, 2], [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])
     samples = collect_default_samples(records, default)
     assert [s.agent for s in samples] == [1, 2]
     assert samples[0].x.shape == (9,)
@@ -209,7 +207,7 @@ def test_collect_default_samples_filters_on_action():
 
 
 def test_collect_default_samples_empty_raises_with_agent():
-    records = [_record(1, [0.9, 0.1])]
+    records = _trace([1], [[0.9, 0.1]])
     with pytest.raises(EmptySetError, match="1"):
         collect_default_samples(records, equal_partition(2), agent=1)
 
