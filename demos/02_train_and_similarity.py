@@ -35,7 +35,7 @@ print(f"  eval mean worst-slice delay: {summary.mean_max_delay:.2f} ms")
 print("\nsimilarity analysis (shared default-action trace + pooled VAE):")
 trace = harness.load_trace(OUT / "default_trace.npz")
 distances, source = harness.run_similarity(
-    cfg, seed=1, out=OUT / "similarity", trace_records=trace
+    cfg, seed=1, out=OUT / "similarity", trace=trace
 )
 for cand, dist in sorted(distances.entries.items()):
     marker = "  <- selected" if cand == source else ""

@@ -39,11 +39,11 @@ tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                     harness._agent_seed(seed, target_id))
 integrated_transfer(pretrained[source_id], tl_agent, plan, seed)
 print(f"  transferred buffer: {tl_agent.buffer.origin_counts()}")
-tl_agent, tl_trace = fine_tune(tl_agent, scenario, peers, steps, seed)
+tl_agent, tl_trace, _ = fine_tune(tl_agent, scenario, peers, steps, seed)
 
 scratch = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                    harness._agent_seed(seed + 1, target_id))
-scratch, scratch_trace = fine_tune(scratch, scenario, peers, steps, seed)
+scratch, scratch_trace, _ = fine_tune(scratch, scenario, peers, steps, seed)
 
 print("\nmean reward of cell 3 during fine-tuning (paired env seeds):")
 for lo, hi in [(0, 100), (100, 200), (200, 400)]:

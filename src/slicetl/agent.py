@@ -48,15 +48,6 @@ def assemble_states(
         [throughput / throughput_scale, load, ues / max_ues, neighbor_load], axis=1)
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    origin: int  # agent id that experienced this transition
-
-
 class Batch(NamedTuple):
     """Training batch as column arrays, one row per transition."""
 
@@ -108,46 +99,39 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._n
 
-    def __iter__(self):
-        for s, a, r, s2, o in zip(*(col[:self._n] for col in self._columns())):
-            yield Transition(s.copy(), a.copy(), float(r), s2.copy(), int(o))
-
     def origin_counts(self) -> dict[int, int]:
         return dict(Counter(self._origins[:self._n].tolist()))
 
-    def add(self, transition: Transition) -> None:
+    def add(self, state, action, reward: float, next_state, origin: int) -> None:
+        """Store one transition; ``origin`` is the id of the agent that
+        experienced it."""
+
+        row = (state, action, reward, next_state, origin)
         if self._n >= self.capacity:
             self._evict()
         if self._n == len(self._rewards):
-            self._grow(transition)
-        n = self._n
-        self._states[n] = transition.state
-        self._actions[n] = transition.action
-        self._rewards[n] = transition.reward
-        self._next_states[n] = transition.next_state
-        self._origins[n] = transition.origin
+            self._grow(row)
+        for col, value in zip(self._columns(), row):
+            col[self._n] = value
         self._n += 1
-        if transition.origin == self.owner:
+        if origin == self.owner:
             self._own_count += 1
 
-    def _grow(self, transition: Transition) -> None:
+    def _grow(self, row: tuple) -> None:
         """Reallocate every column with room for more rows, each row shaped
-        like the transition's field."""
+        like its value in ``row``."""
 
         n = self._n
         rows = min(self.capacity, max(2 * n, self.MIN_ROWS))
 
-        def grown(col: np.ndarray, field) -> np.ndarray:
-            new = np.empty((rows, *np.shape(field)), dtype=col.dtype)
+        def grown(col: np.ndarray, value) -> np.ndarray:
+            new = np.empty((rows, *np.shape(value)), dtype=col.dtype)
             if n:
                 new[:n] = col[:n]
             return new
 
-        self._states = grown(self._states, transition.state)
-        self._actions = grown(self._actions, transition.action)
-        self._rewards = grown(self._rewards, transition.reward)
-        self._next_states = grown(self._next_states, transition.next_state)
-        self._origins = grown(self._origins, transition.origin)
+        (self._states, self._actions, self._rewards, self._next_states,
+         self._origins) = map(grown, self._columns(), row)
 
     def _evict(self) -> None:
         n = self._n
@@ -213,11 +197,9 @@ class ReplayBuffer:
                     f"{path} holds {stored} transitions, more than the "
                     f"capacity {capacity}")
             buf = cls(capacity, seed, int(data["owner"]), evict_threshold)
-            for s, a, r, s2, o in zip(
-                data["states"], data["actions"], data["rewards"],
-                data["next_states"], data["origins"],
-            ):
-                buf.add(Transition(s, a, float(r), s2, int(o)))
+            for row in zip(data["states"], data["actions"], data["rewards"],
+                           data["next_states"], data["origins"]):
+                buf.add(*row)
         return buf
 
 

@@ -298,55 +298,41 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
                       {"agents": agents, "summary": summary, "out": out})
 
 
-def _similarity_inputs(cfg: ExperimentConfig) -> tuple[int, list[int]]:
-    ids = list(cfg.scenario.cell_ids)
-    target = cfg.similarity.target if cfg.similarity.target is not None else ids[-1]
-    candidates = (
-        list(cfg.similarity.candidates)
-        if cfg.similarity.candidates is not None
-        else [i for i in ids if i != target]
-    )
-    return target, candidates
-
-
 def run_similarity(
-    cfg: ExperimentConfig, seed: int, out: str | Path,
-    trace_records: Trace | None = None,
+    cfg: ExperimentConfig, seed: int, out: str | Path, trace: Trace | None = None,
 ) -> tuple[simm.DistanceMatrix, int]:
-    """Pooled VAE + latent KL distances + source selection for one target."""
+    """Pooled VAE + latent KL distances + source selection for one target.
+
+    ``trace`` is the default-action trace to read; without it the trace
+    comes from ``similarity.trace`` or from a fresh rollout.
+    """
 
     out = _prepare_out(out)
     sim = cfg.similarity
-    target, candidates = _similarity_inputs(cfg)
-    if trace_records is None:
+    target = cfg.similarity_target
+    candidates = (list(sim.candidates) if sim.candidates is not None
+                  else [i for i in cfg.scenario.cell_ids if i != target])
+    if trace is None:
         if sim.trace is not None:
-            trace_records = load_trace(sim.trace)
+            trace = load_trace(sim.trace)
         else:
-            trace_records = default_action_trace(cfg.scenario, sim.steps, seed, out)
+            trace = default_action_trace(cfg.scenario, sim.steps, seed, out)
 
     equal = equal_partition(cfg.scenario.n_slices)
-    samples_by_agent = {
-        i: simm.collect_default_samples(trace_records, equal, agent=i)
-        for i in [target, *candidates]
-    }
-    pooled = [s for group in samples_by_agent.values() for s in group]
+    agents = [target, *candidates]
+    samples = [simm.collect_default_samples(trace, equal, i) for i in agents]
     model = simm.vae_train(
-        pooled, kl_weight=sim.kl_weight, epochs=sim.epochs, seed=seed,
-        latent_dim=sim.latent_dim, batch_size=sim.batch_size, lr=sim.lr,
+        np.concatenate(samples), kl_weight=sim.kl_weight, epochs=sim.epochs,
+        seed=seed, latent_dim=sim.latent_dim, batch_size=sim.batch_size, lr=sim.lr,
         min_samples=sim.min_samples,
     )
-    latents = {
-        i: simm.encode_samples(model, group)
-        for i, group in samples_by_agent.items()
-    }
+    latents = {i: simm.encode_samples(model, x) for i, x in zip(agents, samples)}
     distances = simm.compute_distance_matrix(
         latents, target, candidates, mode=sim.mode, min_samples=sim.min_samples
     )
     source = simm.select_source(distances)
     simm.write_distances_csv(out / "distances.csv", distances)
-    simm.write_latents_csv(
-        out / "latents.csv", [s for group in latents.values() for s in group]
-    )
+    simm.write_latents_csv(out / "latents.csv", latents)
     write_run_meta(out, cfg, seed, method="similarity",
                    selected_source=source,
                    selected_distance=distances.entries[source])
@@ -390,10 +376,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
         raise DependencyError(
             "transfer requires 'transfer.artifacts' pointing at a train run"
         )
-    target_id = (
-        cfg.transfer.target if cfg.transfer.target is not None
-        else _similarity_inputs(cfg)[0]
-    )
+    target_id = cfg.transfer_target
     peer_ids = [i for i in scenario.cell_ids if i != target_id]
     pretrained = load_pretrained(cfg.transfer.artifacts, scenario.cell_ids, seed)
 
@@ -402,12 +385,11 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     if source_id is None:
         trace_path = Path(cfg.transfer.artifacts) / "default_trace.npz"
         trace = load_trace(trace_path) if trace_path.exists() else None
-        distances, source_id = run_similarity(
-            cfg, seed, out / "similarity", trace_records=trace
-        )
+        distances, source_id = run_similarity(cfg, seed, out / "similarity", trace=trace)
         selected_distance = distances.entries[source_id]
-    if source_id == target_id or source_id not in scenario.cell_ids:
-        raise ConfigurationError(f"invalid transfer source {source_id}")
+        if source_id == target_id:
+            raise ConfigurationError(
+                f"similarity selected the transfer target {target_id} as its source")
 
     plan = TransferPlan(
         source=source_id, target=target_id, strategy=cfg.transfer.strategy,
@@ -421,16 +403,16 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
                         _agent_seed(seed, target_id))
     apply_transfer(pretrained[source_id], tl_agent, plan, seed)
     diverged: dict[str, dict[int, str]] = {"tl": {}, "scratch": {}}
-    tl_agent, tl_trace, tl_records = fine_tune(
-        tl_agent, scenario, peers, plan.fine_tune_steps, seed,
-        collect_records=True, diverged=diverged["tl"],
+    tl_agent, tl_trace, tl_slots = fine_tune(
+        tl_agent, scenario, peers, plan.fine_tune_steps, seed, diverged=diverged["tl"],
     )
+    tl_records = [record_step(scenario, slot) for slot in tl_slots]
 
     # Paired-seed scratch reference: identical environment randomness,
     # fresh agent with a different init stream.
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
-    scratch_agent, scratch_trace = fine_tune(
+    scratch_agent, scratch_trace, _ = fine_tune(
         scratch_agent, scenario, peers, plan.fine_tune_steps, seed,
         diverged=diverged["scratch"],
     )

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import env as envm
-from .agent import Td3Agent, Transition, assemble_states, neighbor_means, train_step
+from .agent import Td3Agent, assemble_states, neighbor_means, train_step
 from .env import NetworkState, ScenarioConfig
 from .errors import ConfigurationError, SliceTlError
 
@@ -139,10 +139,8 @@ def learn(
     """
 
     cid = agent.cell_id
-    agent.buffer.add(Transition(
-        slot.states[index], slot.actions[index], float(slot.rewards[index]),
-        slot.next_states[index], origin=cid,
-    ))
+    agent.buffer.add(slot.states[index], slot.actions[index], slot.rewards[index],
+                     slot.next_states[index], cid)
     agent.step_count += 1
     cfg = agent.config
     if train and cid not in diverged and len(agent.buffer) >= cfg.batch_size:

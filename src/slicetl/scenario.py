@@ -98,13 +98,36 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        sim = self.similarity
-        named = [sim.target, *(sim.candidates or ()), self.transfer.target]
+        sim, tr = self.similarity, self.transfer
+        candidates = sim.candidates or ()
+        named = [sim.target, *candidates, tr.target, tr.source]
         ids = self.scenario.cell_ids
         unknown = [i for i in named if i is not None and i not in ids]
         if unknown:
             raise ConfigurationError(
                 f"similarity/transfer cell ids {unknown} are not cells of the scenario")
+        if self.similarity_target in candidates:
+            raise ConfigurationError(
+                f"similarity target {self.similarity_target} is also a candidate")
+        if len(set(candidates)) != len(candidates):
+            raise ConfigurationError(f"similarity candidates {list(candidates)} repeat")
+        if tr.source is not None and tr.source == self.transfer_target:
+            raise ConfigurationError(
+                f"transfer source {tr.source} is the transfer target")
+
+    @property
+    def similarity_target(self) -> int:
+        """``similarity.target``, or the scenario's last cell when unset."""
+
+        target = self.similarity.target
+        return target if target is not None else self.scenario.cell_ids[-1]
+
+    @property
+    def transfer_target(self) -> int:
+        """``transfer.target``, or the similarity target when unset."""
+
+        target = self.transfer.target
+        return target if target is not None else self.similarity_target
 
 
 def _slice_phases(n_slices: int) -> list[float]:

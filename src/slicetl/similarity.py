@@ -1,10 +1,13 @@
 """Inter-agent similarity via VAE latent features and Gaussian KL distance.
 
-One general VAE is trained on pooled (state, reward) samples collected
-under a shared default action. Each sample's posterior N(mu, diag(sigma^2))
-is a latent feature; the distance between two agents is the mean pairwise
-KL divergence between their posteriors, with a mean-squared-difference
-fast path valid when all posterior sigmas collapse to a common small value.
+One general VAE is trained on the pooled (state, reward) sample matrices of
+all agents, collected under a shared default action: one (n, 4N+1) matrix
+per agent, one row per sample. Each sample's posterior
+N(mu, diag(sigma^2)) is a latent feature, and an agent's posterior set is
+one pair of (n, L) ``mu`` and ``sigma`` arrays. The distance between two
+agents is the mean pairwise KL divergence between their posteriors, with a
+mean-squared-difference fast path valid when all posterior sigmas collapse
+to a common small value.
 """
 
 from __future__ import annotations
@@ -33,20 +36,12 @@ MODES = ("exact", "simplified")  # KL distance: closed form, common-sigma fast p
 
 
 @dataclass(frozen=True)
-class DefaultSample:
-    """One [state, reward] observation taken under the default action."""
-
-    x: np.ndarray  # length 4N + 1
-    agent: int
-
-
-@dataclass(frozen=True)
 class LatentStats:
-    """Diagonal-Gaussian VAE posterior of one sample (sigma = std dev)."""
+    """Diagonal-Gaussian VAE posteriors (sigma = std dev): one posterior as
+    (L,) arrays, or a set of n posteriors as (n, L) arrays, one row each."""
 
     mu: np.ndarray
     sigma: np.ndarray
-    agent: int = -1
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.mu, dtype=np.float64)
@@ -77,27 +72,21 @@ class VaeModel:
 
 
 def collect_default_samples(
-    trace, default_shares: np.ndarray, agent: int | None = None
-) -> list[DefaultSample]:
-    """Filter a step trace down to the steps executed under the default
-    share row ``default_shares``.
+    trace, default_shares: np.ndarray, agent: int
+) -> np.ndarray:
+    """The (n, 4N+1) sample matrix of ``agent``: one [state, reward] row per
+    step the agent executed under the default share row ``default_shares``.
 
     ``trace`` holds one row per (step, cell) in the columns ``cell``,
     ``states``, ``actions`` and ``rewards`` (see
-    :class:`slicetl.runner.Trace`). If ``agent`` is given, only that
-    cell's rows are considered.
+    :class:`slicetl.runner.Trace`).
     """
 
     rows = np.max(np.abs(trace.actions - default_shares), axis=1) <= ACTION_MATCH_TOL
-    if agent is not None:
-        rows &= trace.cell == agent
+    rows &= trace.cell == agent
     if not rows.any():
-        who = agent if agent is not None else sorted(set(trace.cell.tolist()))
-        raise EmptySetError(
-            f"no steps under the default action for agent(s) {who}"
-        )
-    x = np.hstack([trace.states[rows], trace.rewards[rows, None]])
-    return list(map(DefaultSample, x, trace.cell[rows].tolist()))
+        raise EmptySetError(f"no steps under the default action for agent {agent}")
+    return np.hstack([trace.states[rows], trace.rewards[rows, None]])
 
 
 def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +97,7 @@ def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vae_train(
-    samples: Sequence[DefaultSample] | np.ndarray,
+    x: np.ndarray,
     kl_weight: float = 1e-3,
     epochs: int = 200,
     seed: int = 0,
@@ -118,16 +107,15 @@ def vae_train(
     lr: float = 1e-3,
     min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> VaeModel:
-    """Train one VAE on pooled samples from all agents.
+    """Train one VAE on the pooled (m, D) sample matrix ``x`` of all agents.
 
     Minimizes ||x - x_hat||^2 + kl_weight * KL(N(mu, diag(sigma^2)) || N(0, I))
     by minibatch Adam; per-epoch mean loss lands in ``model.loss_history``.
     """
 
-    if not isinstance(samples, np.ndarray):
-        x = np.stack([s.x for s in samples]) if len(samples) else np.zeros((0, 1))
-    else:
-        x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"samples must be an (m, D) matrix, got shape {x.shape}")
     if x.shape[0] < min_samples:
         raise EmptySetError(
             f"need at least {min_samples} pooled samples, got {x.shape[0]}"
@@ -179,7 +167,7 @@ def vae_train(
     return VaeModel(encoder, decoder, kl_weight, latent_dim, mean, std, history)
 
 
-def encode(model: VaeModel, x: np.ndarray, agent: int = -1) -> LatentStats:
+def encode(model: VaeModel, x: np.ndarray) -> LatentStats:
     """Posterior (mu, sigma) of one sample under the trained encoder."""
 
     x = np.asarray(x, dtype=np.float64)
@@ -191,13 +179,21 @@ def encode(model: VaeModel, x: np.ndarray, agent: int = -1) -> LatentStats:
     out, _ = nn.mlp_forward(model.encoder, (x - model.feature_mean) / model.feature_std)
     mu = out[: model.latent_dim]
     sigma = np.exp(0.5 * out[model.latent_dim:])
-    return LatentStats(mu, sigma, agent)
+    return LatentStats(mu, sigma)
 
 
-def encode_samples(
-    model: VaeModel, samples: Sequence[DefaultSample]
-) -> list[LatentStats]:
-    return [encode(model, s.x, s.agent) for s in samples]
+def encode_samples(model: VaeModel, x: np.ndarray) -> LatentStats:
+    """Posterior set (n, L) of the rows of the (n, D) sample matrix ``x``,
+    one encoder forward per row; row i equals ``encode(model, x[i])``."""
+
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise DimensionError(
+            f"sample matrix {x.shape} does not match encoder input {model.input_dim}")
+    xs = (x - model.feature_mean) / model.feature_std
+    out = np.stack([nn.mlp_forward(model.encoder, row)[0] for row in xs])
+    return LatentStats(out[:, :model.latent_dim],
+                       np.exp(0.5 * out[:, model.latent_dim:]))
 
 
 def reconstruct(model: VaeModel, x: np.ndarray) -> np.ndarray:
@@ -240,44 +236,28 @@ def kl_mean_simplified(
     return float(np.sum(d * d)) / (2.0 * sigma**2)
 
 
-def _latent_arrays(latents: Sequence[LatentStats]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.stack([s.mu for s in latents]),
-        np.stack([s.sigma for s in latents]),
-    )
-
-
-def inter_agent_distance(
-    source_latents: Sequence[LatentStats],
-    target_latents: Sequence[LatentStats],
-    mode: str = "exact",
-    sigma: float | None = None,
-) -> float:
-    """Mean pairwise KL(source sample || target sample); see ``kl_distance``."""
-
-    return kl_distance(source_latents, target_latents, mode, sigma)[0]
-
-
 def kl_distance(
-    source_latents: Sequence[LatentStats],
-    target_latents: Sequence[LatentStats],
+    source: LatentStats,
+    target: LatentStats,
     mode: str = "exact",
     sigma: float | None = None,
 ) -> tuple[float, str]:
-    """Mean pairwise KL(source sample || target sample) and the form that
-    computed it, ``"exact"`` or ``"simplified"``.
+    """Mean pairwise KL(source sample || target sample) over two posterior
+    sets (n, L), and the form that computed it, ``"exact"`` or
+    ``"simplified"``.
 
     ``mode='simplified'`` uses the common-sigma fast path with ``sigma``
     (pooled median posterior sigma when not given), but falls back to the
     exact form whenever any posterior sigma exceeds the validity limit.
     """
 
-    if not source_latents or not target_latents:
+    mu_s, sig_s, mu_t, sig_t = source.mu, source.sigma, target.mu, target.sigma
+    if mu_s.ndim != 2 or mu_t.ndim != 2:
+        raise DimensionError("latent sets must be (n, L) arrays")
+    if not len(mu_s) or not len(mu_t):
         raise EmptySetError("latent sets must be non-empty")
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}")
-    mu_s, sig_s = _latent_arrays(source_latents)
-    mu_t, sig_t = _latent_arrays(target_latents)
     if mu_s.shape[1] != mu_t.shape[1]:
         raise DimensionError("latent dimensions differ between sets")
 
@@ -309,7 +289,7 @@ def kl_distance(
     inv_vq = 1.0 / vq
     quad = (
         (mu_s**2 @ inv_vq.T)
-        - 2.0 * (mu_s * 1.0) @ (mu_t * inv_vq).T
+        - 2.0 * mu_s @ (mu_t * inv_vq).T
         + np.sum(mu_t**2 * inv_vq, axis=1)[None, :]
     )
     trace = vp @ inv_vq.T
@@ -337,12 +317,15 @@ class DistanceMatrix:
 
 
 def compute_distance_matrix(
-    latents_by_agent: dict[int, list[LatentStats]],
+    latents_by_agent: dict[int, LatentStats],
     target: int,
     candidates: Sequence[int] | None = None,
     mode: str = "simplified",
     min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> DistanceMatrix:
+    """Distance from each candidate's posterior set to the target's; the
+    candidates default to every other agent of ``latents_by_agent``."""
+
     if target not in latents_by_agent:
         raise EmptySetError(f"no latent samples for target agent {target}")
     candidates = (
@@ -351,8 +334,12 @@ def compute_distance_matrix(
     )
     if not candidates:
         raise EmptySetError("no candidate source agents")
-    for i in [target, *candidates]:
-        if len(latents_by_agent.get(i, [])) < min_samples:
+    if target in candidates:
+        raise DomainError(f"target agent {target} is among the candidate sources")
+    counts = {i: len(latents_by_agent[i].mu) if i in latents_by_agent else 0
+              for i in [target, *candidates]}
+    for i, n in counts.items():
+        if n < min_samples:
             raise EmptySetError(
                 f"agent {i} has fewer than {min_samples} default-action samples"
             )
@@ -360,7 +347,6 @@ def compute_distance_matrix(
         i: kl_distance(latents_by_agent[i], latents_by_agent[target], mode)
         for i in candidates
     }
-    counts = {i: len(latents_by_agent[i]) for i in [target, *candidates]}
     return DistanceMatrix(target, {i: r[0] for i, r in results.items()}, counts, mode,
                           {i: r[1] for i, r in results.items()})
 
@@ -390,13 +376,18 @@ def write_distances_csv(path, distances: DistanceMatrix) -> None:
             ])
 
 
-def write_latents_csv(path, latents: Sequence[LatentStats]) -> None:
+def write_latents_csv(path, latents: dict[int, LatentStats]) -> None:
+    """One row per sample, agent by agent in the dict's order: the agent id,
+    then the sample's posterior mu and sigma."""
+
     if not latents:
         raise EmptySetError("no latents to write")
-    mu, sigma = _latent_arrays(latents)
+    sets = list(latents.values())
+    mu = np.concatenate([s.mu for s in sets])
+    sigma = np.concatenate([s.sigma for s in sets])
     l = mu.shape[1]
     write_csv(
         path,
         ["agent", *(f"mu_{j}" for j in range(l)), *(f"sigma_{j}" for j in range(l))],
-        [(np.array([s.agent for s in latents]), *mu.T, *sigma.T)],
+        [(np.repeat(list(latents), [len(s.mu) for s in sets]), *mu.T, *sigma.T)],
     )

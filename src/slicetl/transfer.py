@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env as envm
-from .agent import ReplayBuffer, Td3Agent, Transition, select_action
+from .agent import NETWORKS, OPTIMIZED, ReplayBuffer, Td3Agent, select_action
 from .errors import ConfigurationError, DomainError, IncompatibleArchitectureError
-from .runner import Policy, follow, learn, record_step, run_slots
+from .runner import Policy, Slot, follow, learn, run_slots
 
 STRATEGIES = ("model", "feature", "instance", "integrated")
 FINE_TUNE_NOISE = 0.1  # logit-space exploration std during fine-tuning
@@ -53,15 +53,10 @@ def model_transfer(source: Td3Agent, target: Td3Agent) -> Td3Agent:
     """Copy all six networks from source to target; optimizer state resets."""
 
     _check_shapes(source, target)
-    target.actor = source.actor.copy()
-    target.q1 = source.q1.copy()
-    target.q2 = source.q2.copy()
-    target.target_actor = source.target_actor.copy()
-    target.target_q1 = source.target_q1.copy()
-    target.target_q2 = source.target_q2.copy()
-    target.actor_adam.reset()
-    target.q1_adam.reset()
-    target.q2_adam.reset()
+    for name in NETWORKS:
+        setattr(target, name, getattr(source, name).copy())
+    for name in OPTIMIZED:
+        getattr(target, f"{name}_adam").reset()
     target.step_count = 0
     return target
 
@@ -102,8 +97,8 @@ def instance_transfer(
         return target_buffer
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(stored, size=n, replace=False))
-    for s, a, r, s2 in zip(*source_buffer.rows(idx)):
-        target_buffer.add(Transition(s, a, float(r), s2, origin=source_buffer.owner))
+    for row in zip(*source_buffer.rows(idx)):
+        target_buffer.add(*row, source_buffer.owner)
     return target_buffer
 
 
@@ -143,20 +138,20 @@ def fine_tune(
     steps: int,
     seed: int,
     noise_scale: float = FINE_TUNE_NOISE,
-    collect_records: bool = False,
     diverged: dict[int, str] | None = None,
 ):
     """Train the target agent in the live network without an exploration phase.
 
     Non-target cells act through the given peer policies. Returns
-    ``(target, reward_trace)`` and, when requested, the slot records of
-    all cells. If the target's training diverges, it stops training and
-    its error is recorded in ``diverged``.
+    ``(target, reward_trace, slots)``: the target's reward in each slot,
+    and every slot the network ran, from which ``record_step`` builds the
+    records of all cells. If the target's training diverges, it stops
+    training and its error is recorded in ``diverged``.
     """
 
     idx = scenario.cell_ids.index(target.cell_id)
     trace = np.zeros(steps)
-    records = []
+    slots: list[Slot] = []
     diverged = {} if diverged is None else diverged
 
     act = follow(scenario, {**peers, target.cell_id: lambda s: select_action(
@@ -165,10 +160,7 @@ def fine_tune(
     def observe(slot):
         learn(target, slot, idx, diverged)
         trace[slot.t - 1] = slot.rewards[idx]
-        if collect_records:
-            records.append(record_step(scenario, slot))
+        slots.append(slot)
 
     run_slots(scenario, seed, steps, act, observe)
-    if collect_records:
-        return target, trace, records
-    return target, trace
+    return target, trace, slots

@@ -14,7 +14,7 @@ import numpy as np
 
 from slicetl import harness, nn
 from slicetl import similarity as simm
-from slicetl.agent import Td3Agent, Td3Config, Transition, train_step
+from slicetl.agent import Td3Agent, Td3Config, train_step
 from slicetl.env import (
     baseline_shares,
     check_shares,
@@ -138,8 +138,8 @@ def test_criterion_05_td3_two_state_value_oracle():
     agent = Td3Agent(0, n, Td3Config(gamma=gamma), seed=4)
     rng = np.random.default_rng(4)
     for _ in range(500):
-        agent.buffer.add(Transition(s0, rng.dirichlet(np.ones(n)), r0, s1, 0))
-        agent.buffer.add(Transition(s1, rng.dirichlet(np.ones(n)), r1, s0, 0))
+        agent.buffer.add(s0, rng.dirichlet(np.ones(n)), r0, s1, 0)
+        agent.buffer.add(s1, rng.dirichlet(np.ones(n)), r1, s0, 0)
     for _ in range(5000):
         train_step(agent, agent.buffer.sample(32))
 
@@ -172,7 +172,7 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
                                                     agent=c.cell_id)
             for c in sc.cells
         }
-        pooled = [s for group in samples.values() for s in group]
+        pooled = np.concatenate(list(samples.values()))
         model = simm.vae_train(pooled, kl_weight=sim.kl_weight,
                                epochs=sim.epochs, seed=seed,
                                latent_dim=sim.latent_dim,
@@ -183,8 +183,7 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
             for j in latents:
                 if i == j:
                     continue
-                d = simm.inter_agent_distance(latents[i], latents[j],
-                                              mode=sim.mode)
+                d = simm.kl_distance(latents[i], latents[j], mode=sim.mode)[0]
                 if (i in group_a) == (j in group_a):
                     intra["a" if i in group_a else "b"].append(d)
                 else:
@@ -212,7 +211,7 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
                                                     agent=c.cell_id)
             for c in sc.cells
         }
-        pooled = [s for group in samples.values() for s in group]
+        pooled = np.concatenate(list(samples.values()))
         model = simm.vae_train(pooled, kl_weight=sim.kl_weight,
                                epochs=sim.epochs, seed=seed,
                                latent_dim=sim.latent_dim,
@@ -236,10 +235,10 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
     tl = Td3Agent(target_id, sc.n_slices, cfg.td3,
                   harness._agent_seed(seed, target_id))
     integrated_transfer(pretrained[source_id], tl, plan, seed)
-    _, tl_trace = fine_tune(tl, sc, peers, steps, seed)
+    _, tl_trace, _ = fine_tune(tl, sc, peers, steps, seed)
     scratch = Td3Agent(target_id, sc.n_slices, cfg.td3,
                        harness._agent_seed(seed + 1, target_id))
-    _, scratch_trace = fine_tune(scratch, sc, peers, steps, seed)
+    _, scratch_trace, _ = fine_tune(scratch, sc, peers, steps, seed)
     return tl_trace, scratch_trace
 
 
@@ -260,8 +259,7 @@ def test_criterion_09_distance_gain_ordering(pipeline):
     cfg = pipeline["cfg"]
     trace = harness.load_trace(pipeline["root"] / "train" / "default_trace.npz")
     distances, _ = harness.run_similarity(
-        cfg, seed=1, out=pipeline["root"] / "similarity_ordering",
-        trace_records=trace,
+        cfg, seed=1, out=pipeline["root"] / "similarity_ordering", trace=trace,
     )
     nearest = min(distances.entries, key=distances.entries.get)
     farthest = max(distances.entries, key=distances.entries.get)

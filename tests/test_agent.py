@@ -1,6 +1,8 @@
 """Agent tests: coordination features, replay buffer, TD3 updates."""
 
 import dataclasses
+from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from slicetl.agent import (
     ReplayBuffer,
     Td3Agent,
     Td3Config,
-    Transition,
     assemble_states,
     load_agent,
     neighbor_means,
@@ -27,8 +28,18 @@ from slicetl.runner import assemble_all_states
 from slicetl.scenario import smoke_scenario
 
 
+class Row(NamedTuple):
+    """One hand-built transition, in the argument order of ``ReplayBuffer.add``."""
+
+    state: np.ndarray
+    action: np.ndarray
+    reward: float
+    next_state: np.ndarray
+    origin: int
+
+
 def _transition(rng, n=2, origin=0):
-    return Transition(
+    return Row(
         rng.standard_normal(4 * n), rng.dirichlet(np.ones(n)),
         float(rng.uniform()), rng.standard_normal(4 * n), origin,
     )
@@ -43,18 +54,13 @@ def _batch(transitions):
                  np.stack([t.next_state for t in transitions]))
 
 
-def _same(a, b):
-    """Field-wise equality of two transitions."""
-
-    return (np.array_equal(a.state, b.state) and np.array_equal(a.action, b.action)
-            and a.reward == b.reward and np.array_equal(a.next_state, b.next_state)
-            and a.origin == b.origin)
-
-
 def _assert_contents(buf, expected):
-    items = list(buf)
-    assert len(items) == len(expected)
-    assert all(_same(a, b) for a, b in zip(items, expected))
+    """The buffer holds exactly ``expected``, oldest first."""
+
+    assert len(buf) == len(expected)
+    assert buf.origin_counts() == dict(Counter(t.origin for t in expected))
+    if expected:
+        _assert_batch_rows(buf.rows(np.arange(len(buf))), expected)
 
 
 def _assert_batch_rows(batch, expected):
@@ -104,7 +110,7 @@ def test_buffer_evicts_oldest_when_all_own():
     buf = ReplayBuffer(capacity=3, seed=0, owner=0, evict_threshold=2)
     items = [_transition(rng) for _ in range(4)]
     for tr in items:
-        buf.add(tr)
+        buf.add(*tr)
     assert len(buf) == 3
     _assert_contents(buf, items[1:])  # oldest evicted
 
@@ -115,8 +121,8 @@ def test_buffer_evicts_foreign_first_once_owner_established():
     foreign = [_transition(rng, origin=9) for _ in range(2)]
     own = [_transition(rng, origin=0) for _ in range(3)]
     for tr in foreign + own[:2]:
-        buf.add(tr)
-    buf.add(own[2])  # at capacity with 2 own -> foreign evicted first
+        buf.add(*tr)
+    buf.add(*own[2])  # at capacity with 2 own -> foreign evicted first
     counts = buf.origin_counts()
     assert counts == {9: 1, 0: 3}
     _assert_contents(buf, [foreign[1], *own])
@@ -126,9 +132,9 @@ def test_buffer_evicts_oldest_before_owner_established():
     rng = np.random.default_rng(2)
     buf = ReplayBuffer(capacity=2, seed=0, owner=0, evict_threshold=5)
     a, b, c = (_transition(rng, origin=9) for _ in range(3))
-    buf.add(a)
-    buf.add(b)
-    buf.add(c)
+    buf.add(*a)
+    buf.add(*b)
+    buf.add(*c)
     _assert_contents(buf, [b, c])
 
 
@@ -138,8 +144,8 @@ def test_buffer_sampling_is_seeded():
     buf1 = ReplayBuffer(capacity=10, seed=42, owner=0)
     buf2 = ReplayBuffer(capacity=10, seed=42, owner=0)
     for tr in items:
-        buf1.add(tr)
-        buf2.add(tr)
+        buf1.add(*tr)
+        buf2.add(*tr)
     s1 = buf1.sample(5)
     s2 = buf2.sample(5)
     expected = [items[i] for i in np.random.default_rng(42).integers(0, 10, size=5)]
@@ -156,24 +162,24 @@ def test_buffer_export_load_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     buf = ReplayBuffer(capacity=10, seed=0, owner=3)
     for origin in (3, 3, 7):
-        buf.add(_transition(rng, origin=origin))
+        buf.add(*_transition(rng, origin=origin))
     path = tmp_path / "buf.npz"
     buf.export(path)
     loaded = ReplayBuffer.load(path, capacity=10, seed=0)
     assert len(loaded) == 3
     assert loaded.owner == 3
     assert loaded.origin_counts() == {3: 2, 7: 1}
-    for a, b in zip(buf, loaded):
-        assert np.array_equal(a.state, b.state)
-        assert np.array_equal(a.action, b.action)
-        assert a.reward == b.reward
+    a, b = buf.rows(np.arange(3)), loaded.rows(np.arange(3))
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.actions, b.actions)
+    assert np.array_equal(a.rewards, b.rewards)
 
 
 def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
     rng = np.random.default_rng(12)
     buf = ReplayBuffer(capacity=10, seed=0, owner=3)
     for _ in range(5):
-        buf.add(_transition(rng, origin=3))
+        buf.add(*_transition(rng, origin=3))
     path = tmp_path / "buf.npz"
     buf.export(path)
     assert len(ReplayBuffer.load(path, capacity=5, seed=0)) == 5
@@ -181,15 +187,15 @@ def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
         ReplayBuffer.load(path, capacity=4, seed=0)
 
 
-def test_buffer_iteration_yields_copies():
+def test_buffer_rows_are_copies():
     rng = np.random.default_rng(13)
     buf = ReplayBuffer(capacity=2, seed=0, owner=0)
     first, second, third = (_transition(rng) for _ in range(3))
-    buf.add(first)
-    buf.add(second)
-    items = list(buf)
-    buf.add(third)  # evicts ``first`` and shifts ``second`` into its row
-    assert _same(items[0], first) and _same(items[1], second)
+    buf.add(*first)
+    buf.add(*second)
+    items = buf.rows(np.arange(2))
+    buf.add(*third)  # evicts ``first`` and shifts ``second`` into its row
+    _assert_batch_rows(items, [first, second])
 
 
 class _ListBuffer:
@@ -242,7 +248,7 @@ def test_buffer_matches_list_reference(capacity, threshold, ops, seed):
     for op in ops:
         if op >= 0:
             tr = _transition(rng, n=3, origin=op)
-            buf.add(tr)
+            buf.add(*tr)
             ref.add(tr)
         elif ref.items:
             _assert_batch_rows(buf.sample(-op), ref.sample(-op))
@@ -370,8 +376,8 @@ def test_critic_learns_two_state_chain_values():
     agent = Td3Agent(0, n, Td3Config(gamma=gamma), seed=6)
     rng = np.random.default_rng(9)
     for _ in range(300):
-        agent.buffer.add(Transition(s0, rng.dirichlet(np.ones(n)), r0, s1, 0))
-        agent.buffer.add(Transition(s1, rng.dirichlet(np.ones(n)), r1, s0, 0))
+        agent.buffer.add(s0, rng.dirichlet(np.ones(n)), r0, s1, 0)
+        agent.buffer.add(s1, rng.dirichlet(np.ones(n)), r1, s0, 0)
     for _ in range(3000):
         train_step(agent, agent.buffer.sample(32))
     for s, v in ((s0, v0), (s1, v1)):

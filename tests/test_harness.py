@@ -121,6 +121,23 @@ def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match
         load_config(path)
 
 
+@pytest.mark.parametrize("sections", [
+    {"transfer": {"source": 99}},
+    {"transfer": {"source": 3}},  # the default targets resolve to the last cell
+    {"transfer": {"source": 2, "target": 2}},
+    {"similarity": {"candidates": [1, 3]}},
+    {"similarity": {"target": 2, "candidates": [1, 2]}},
+    {"similarity": {"candidates": [1, 1]}},
+], ids=["source-unknown", "source-is-default-target", "source-is-target",
+        "candidate-is-default-target", "candidate-is-target", "candidate-repeats"])
+def test_config_rejects_bad_source_and_candidates(smoke_cfg, sections):
+    d = config_to_dict(smoke_cfg)
+    for name, values in sections.items():
+        d[name].update(values)
+    with pytest.raises(ConfigurationError):
+        config_from_dict(d)
+
+
 def test_config_rejects_unknown_td3_key(smoke_cfg):
     d = config_to_dict(smoke_cfg)
     d["td3"]["warp_speed"] = 9
@@ -402,7 +419,7 @@ def test_run_transfer_runs_every_strategy(tmp_path, tiny_cfg, tiny_artifacts,
     agent = result.extras["tl_agent"]
     assert agent.frozen_actor_layers == (
         tiny_cfg.transfer.frozen_layers if strategy == "feature" else 0)
-    foreign = sum(tr.origin == 1 for tr in agent.buffer)
+    foreign = agent.buffer.origin_counts().get(1, 0)
     assert (foreign > 0) == (strategy in ("instance", "integrated"))
     with open(tmp_path / "gain.csv") as fh:
         assert len(list(csv.DictReader(fh))) == tiny_cfg.phases.tl_training

@@ -14,14 +14,12 @@ from slicetl.errors import (
 )
 from slicetl.runner import Trace
 from slicetl.similarity import (
-    DefaultSample,
     DistanceMatrix,
     LatentStats,
     collect_default_samples,
     compute_distance_matrix,
     encode,
     encode_samples,
-    inter_agent_distance,
     kl_distance,
     kl_gaussian,
     kl_mean_simplified,
@@ -32,9 +30,15 @@ from slicetl.similarity import (
 )
 
 
-def _latent(mu, sigma, agent=-1):
-    return LatentStats(np.asarray(mu, dtype=float),
-                       np.asarray(sigma, dtype=float), agent)
+def _latent(mu, sigma):
+    return LatentStats(np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float))
+
+
+def _set(latents):
+    """One (n, L) posterior set from single posteriors, row by row."""
+
+    return LatentStats(np.stack([p.mu for p in latents]),
+                       np.stack([p.sigma for p in latents]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +118,7 @@ def test_exact_distance_matches_pairwise_brute_force():
     tgt = [_latent(rng.standard_normal(3), rng.uniform(0.2, 2.0, 3))
            for _ in range(5)]
     brute = np.mean([[kl_gaussian(p, q) for q in tgt] for p in src])
-    assert inter_agent_distance(src, tgt, mode="exact") == \
+    assert kl_distance(_set(src), _set(tgt), mode="exact")[0] == \
         pytest.approx(float(brute), rel=1e-10)
 
 
@@ -125,8 +129,9 @@ def test_simplified_distance_falls_back_when_sigma_large():
     tgt = [_latent(rng.standard_normal(3), rng.uniform(0.5, 1.5, 3))
            for _ in range(6)]
     # Sigmas far above the fast-path validity limit: both modes must agree.
-    assert inter_agent_distance(src, tgt, mode="simplified") == \
-        pytest.approx(inter_agent_distance(src, tgt, mode="exact"), rel=1e-12)
+    src, tgt = _set(src), _set(tgt)
+    assert kl_distance(src, tgt, mode="simplified")[0] == \
+        pytest.approx(kl_distance(src, tgt, mode="exact")[0], rel=1e-12)
 
 
 def test_simplified_distance_uses_mean_difference_form():
@@ -137,7 +142,7 @@ def test_simplified_distance_uses_mean_difference_form():
     expected = np.mean([
         [kl_mean_simplified(p.mu, q.mu, sigma) for q in tgt] for p in src
     ])
-    assert inter_agent_distance(src, tgt, mode="simplified", sigma=sigma) == \
+    assert kl_distance(_set(src), _set(tgt), mode="simplified", sigma=sigma)[0] == \
         pytest.approx(float(expected), rel=1e-9)
 
 
@@ -145,7 +150,8 @@ def test_kl_distance_reports_the_form_taken():
     rng = np.random.default_rng(5)
 
     def latents(sigma, n):
-        return [_latent(rng.standard_normal(2), np.full(2, sigma)) for _ in range(n)]
+        return _set([_latent(rng.standard_normal(2), np.full(2, sigma))
+                     for _ in range(n)])
 
     small_src, small_tgt = latents(5e-5, 4), latents(5e-5, 3)
     large_src, large_tgt = latents(0.075, 4), latents(0.075, 3)
@@ -158,13 +164,12 @@ def test_kl_distance_reports_the_form_taken():
     fallback = kl_distance(large_src, large_tgt, mode="simplified")
     assert fallback == kl_distance(large_src, large_tgt, mode="exact")
     assert fallback[1] == "exact"
-    assert inter_agent_distance(large_src, large_tgt, mode="simplified") == fallback[0]
 
 
 def test_distance_matrix_records_each_sources_path():
     rng = np.random.default_rng(11)
     latents = {i: _cluster_latents(rng, np.full(2, float(i))) for i in (1, 2, 3)}
-    latents[2] = [_latent(s.mu, np.full(2, 0.5)) for s in latents[2]]
+    latents[2] = _latent(latents[2].mu, np.full_like(latents[2].sigma, 0.5))
     dm = compute_distance_matrix(latents, target=3, mode="simplified")
     assert dm.mode == "simplified"
     assert dm.paths == {1: "simplified", 2: "exact"}
@@ -176,11 +181,11 @@ def test_distance_matrix_records_each_sources_path():
 
 
 def test_distance_rejects_empty_and_unknown_mode():
-    p = [_latent([0.0], [1.0])]
+    p = _latent([[0.0]], [[1.0]])
     with pytest.raises(EmptySetError):
-        inter_agent_distance([], p)
+        kl_distance(_latent(np.zeros((0, 1)), np.zeros((0, 1))), p)
     with pytest.raises(DomainError):
-        inter_agent_distance(p, p, mode="fancy")
+        kl_distance(p, p, mode="fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +203,11 @@ def _trace(cells, actions, reward=0.5, n=2):
 def test_collect_default_samples_filters_on_action():
     default = equal_partition(2)
     records = _trace([1, 1, 2], [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])
-    samples = collect_default_samples(records, default)
-    assert [s.agent for s in samples] == [1, 2]
-    assert samples[0].x.shape == (9,)
-    assert samples[0].x[-1] == 0.5  # reward appended as the last feature
+    samples = collect_default_samples(records, default, agent=1)
+    assert samples.shape == (1, 9)  # cell 1's non-default step is dropped
+    assert samples[0, -1] == 0.5  # reward appended as the last feature
     only_two = collect_default_samples(records, default, agent=2)
-    assert [s.agent for s in only_two] == [2]
+    assert only_two.shape == (1, 9)
 
 
 def test_collect_default_samples_empty_raises_with_agent():
@@ -218,16 +222,16 @@ def test_collect_default_samples_empty_raises_with_agent():
 
 
 def _synthetic_samples(rng, n_per=60, n_agents=2, dim=9):
-    """Two well-separated clusters, one per agent."""
+    """Two well-separated clusters, one per agent, as one sample matrix:
+    agent a's rows are the a-th block of ``n_per``."""
 
     samples = []
     for agent in range(1, n_agents + 1):
         center = np.zeros(dim)
         center[: dim // 2] = 4.0 * agent
         for _ in range(n_per):
-            samples.append(DefaultSample(
-                center + 0.1 * rng.standard_normal(dim), agent))
-    return samples
+            samples.append(center + 0.1 * rng.standard_normal(dim))
+    return np.stack(samples)
 
 
 def test_vae_loss_decreases_and_reconstructs():
@@ -236,7 +240,7 @@ def test_vae_loss_decreases_and_reconstructs():
     model = vae_train(samples, epochs=200, seed=0, latent_dim=2,
                       hidden=(16, 8))
     assert model.loss_history[-1] < 0.5 * model.loss_history[0]
-    x = samples[0].x
+    x = samples[0]
     err = np.linalg.norm(reconstruct(model, x) - x) / np.linalg.norm(x)
     assert err < 0.1
 
@@ -252,16 +256,27 @@ def test_encode_shapes_and_latent_clusters():
     rng = np.random.default_rng(7)
     samples = _synthetic_samples(rng)
     model = vae_train(samples, epochs=60, seed=0, latent_dim=2, hidden=(16, 8))
-    latents = {
-        a: encode_samples(model, [s for s in samples if s.agent == a])
-        for a in (1, 2)
-    }
-    stats = latents[1][0]
-    assert stats.mu.shape == (2,) and stats.sigma.shape == (2,)
+    latents = {a: encode_samples(model, samples[60 * (a - 1):60 * a]) for a in (1, 2)}
+    stats = latents[1]
+    assert stats.mu.shape == (60, 2) and stats.sigma.shape == (60, 2)
     assert np.all(stats.sigma > 0)
-    d_self = inter_agent_distance(latents[1], latents[1], mode="exact")
-    d_cross = inter_agent_distance(latents[1], latents[2], mode="exact")
+    d_self = kl_distance(latents[1], latents[1], mode="exact")[0]
+    d_cross = kl_distance(latents[1], latents[2], mode="exact")[0]
     assert d_cross > d_self
+
+
+def test_encode_samples_equals_stacked_encode():
+    """The posterior set is bit for bit the per-row posteriors stacked."""
+
+    rng = np.random.default_rng(12)
+    x = _synthetic_samples(rng)
+    model = vae_train(x, epochs=5, seed=0, latent_dim=3, hidden=(16, 8))
+    stats = encode_samples(model, x)
+    rows = [encode(model, row) for row in x]
+    assert stats.mu.tobytes() == np.stack([r.mu for r in rows]).tobytes()
+    assert stats.sigma.tobytes() == np.stack([r.sigma for r in rows]).tobytes()
+    with pytest.raises(DimensionError):
+        encode_samples(model, x[0])
 
 
 def test_encode_rejects_wrong_dim():
@@ -278,8 +293,8 @@ def test_encode_rejects_wrong_dim():
 
 
 def _cluster_latents(rng, center, n=60):
-    return [_latent(center + 0.05 * rng.standard_normal(2),
-                    np.full(2, 1e-4)) for _ in range(n)]
+    return _set([_latent(center + 0.05 * rng.standard_normal(2),
+                         np.full(2, 1e-4)) for _ in range(n)])
 
 
 def test_distance_matrix_and_selection_prefer_nearby_cluster():
@@ -293,6 +308,8 @@ def test_distance_matrix_and_selection_prefer_nearby_cluster():
     assert set(dm.entries) == {1, 2}
     assert dm.entries[1] < dm.entries[2]
     assert select_source(dm) == 1
+    with pytest.raises(DomainError):
+        compute_distance_matrix(latents, target=3, candidates=[1, 3])
 
 
 def test_distance_matrix_enforces_min_samples():

