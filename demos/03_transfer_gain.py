@@ -15,7 +15,7 @@ import numpy as np
 from slicetl import harness
 from slicetl.agent import Td3Agent
 from slicetl.scenario import load_config
-from slicetl.transfer import TransferPlan, fine_tune, integrated_transfer
+from slicetl.transfer import fine_tune, integrated_transfer
 
 OUT = Path("out/train_demo")
 if not (OUT / "demo_config.json").exists():
@@ -31,13 +31,12 @@ pretrained = harness.load_pretrained(OUT, scenario.cell_ids, seed)
 peers = {i: harness.greedy_policy(pretrained[i])
          for i in scenario.cell_ids if i != target_id}
 
-plan = TransferPlan(source=source_id, target=target_id,
-                    strategy="integrated", fine_tune_steps=steps)
 print(f"integrated transfer: cell {source_id} -> cell {target_id}")
 
 tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                     harness._agent_seed(seed, target_id))
-integrated_transfer(pretrained[source_id], tl_agent, plan, seed)
+integrated_transfer(pretrained[source_id], tl_agent,
+                    cfg.transfer.instance_fraction, seed)
 print(f"  transferred buffer: {tl_agent.buffer.origin_counts()}")
 tl_agent, tl_trace, _ = fine_tune(tl_agent, scenario, peers, steps, seed)
 

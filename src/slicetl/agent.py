@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
+from .codec import from_plain, to_plain
 from .errors import (
+    ConfigurationError,
     DimensionError,
     DomainError,
     EmptySetError,
@@ -220,6 +222,15 @@ class Td3Config:
     actor_hidden: tuple[int, int] = (48, 24)
     critic_hidden: tuple[int, int] = (64, 24)
 
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "policy_delay", "buffer_capacity"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if self.updates_per_step < 0:
+            raise ConfigurationError("updates_per_step must be >= 0")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigurationError(f"tau must lie in [0, 1], got {self.tau}")
+
 
 NETWORKS = ("actor", "q1", "q2", "target_actor", "target_q1", "target_q2")
 OPTIMIZED = ("actor", "q1", "q2")  # the networks with an Adam state
@@ -391,7 +402,7 @@ def save_agent(agent: Td3Agent, path) -> None:
         "n_slices": agent.n_slices,
         "step_count": agent.step_count,
         "frozen_actor_layers": agent.frozen_actor_layers,
-        "config": asdict(agent.config),
+        "config": to_plain(agent.config),
     }
     nn.save_checkpoint(
         path,
@@ -407,10 +418,7 @@ def save_agent(agent: Td3Agent, path) -> None:
 
 def load_agent(path, seed: int = 0) -> Td3Agent:
     nets, adams, meta = nn.load_checkpoint(path)
-    cfg_dict = dict(meta["config"])
-    cfg_dict["actor_hidden"] = tuple(cfg_dict["actor_hidden"])
-    cfg_dict["critic_hidden"] = tuple(cfg_dict["critic_hidden"])
-    config = Td3Config(**cfg_dict)
+    config = from_plain(Td3Config, meta["config"], "checkpoint td3")
     agent = Td3Agent(meta["cell_id"], meta["n_slices"], config, seed,
                      networks=nets, adams=adams)
     agent.step_count = meta["step_count"]

@@ -1,0 +1,87 @@
+"""Conversion between config dataclasses and plain YAML/JSON data.
+
+The dataclasses are the only description of the config format: ``from_plain``
+follows their type hints, and every error names the dotted field path.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+from functools import cache
+
+from .errors import ConfigurationError
+
+
+def to_plain(value):
+    """Dataclasses as dicts and tuples as lists, recursively."""
+
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_plain(v) for v in value]
+    return value
+
+
+@cache
+def _schema(cls: type) -> tuple[dict[str, object], frozenset[str]]:
+    """A dataclass's field types and the names of its fields without a default."""
+
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    required = frozenset(f.name for f in fields if f.default is dataclasses.MISSING
+                         and f.default_factory is dataclasses.MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
+
+
+def from_plain(tp, value, where: str = ""):
+    """A ``tp`` built from plain data: dataclasses, ``tuple[X, ...]``, fixed
+    tuples, ``X | None``, ``str``, ``int`` and ``float`` (which also takes
+    an int). A value of another type, or an unknown or missing key, raises
+    ``ConfigurationError`` naming ``where``."""
+
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return from_plain(tp, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(
+                f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(from_plain(t, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(args, value)))
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where)
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:
+        raise ConfigurationError(
+            f"{where}: expected {tp.__name__}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _build(cls: type, value, where: str):
+    name = where or "the config"
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name}: expected a mapping, got {value!r}")
+    fields, required = _schema(cls)
+    for problem, keys in (("unknown", set(value) - set(fields)),
+                          ("missing", required - set(value))):
+        if keys:
+            raise ConfigurationError(f"{problem} key(s) {sorted(keys, key=str)} in {name}")
+    kwargs = {k: from_plain(fields[k], v, f"{where}.{k}" if where else str(k))
+              for k, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as exc:  # a section's own check
+        if not where:
+            raise
+        raise ConfigurationError(f"{where}: {exc}") from exc

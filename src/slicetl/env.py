@@ -77,10 +77,11 @@ class CellConfig:
     cell_id: int
     bandwidth: float  # MHz
     requirements: tuple[SliceRequirement, ...]
-    neighbor_ids: tuple[int, ...]
+    neighbor_ids: tuple[int, ...] = field(default=(), kw_only=True)
     max_ues_per_slice: int
     base_snr_db: float
-    interference_gains: tuple[float, ...]  # aligned with neighbor_ids
+    interference_gains: tuple[float, ...] = field(  # aligned with neighbor_ids
+        default=(), kw_only=True)
     ue_rates: tuple[float, ...]  # per-slice, Mbit/s per UE
     masks: tuple[TrafficMaskParams, ...]  # per-slice
 

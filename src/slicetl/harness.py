@@ -9,7 +9,7 @@ such as the selected transfer source.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -19,7 +19,7 @@ from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
 from .csvio import write_csv
 from .env import ScenarioConfig, equal_partition
-from .errors import ConfigurationError, DependencyError
+from .errors import DependencyError
 from .runner import (
     Act,
     Policy,
@@ -31,7 +31,7 @@ from .runner import (
     run_slots,
 )
 from .scenario import ExperimentConfig, config_to_dict
-from .transfer import TransferPlan, apply_transfer, fine_tune
+from .transfer import apply_transfer, fine_tune
 
 TRACE_VERSION = 1
 METRICS_HEADER = ("t", "cell", "slice", "throughput", "delay", "load", "ues",
@@ -387,24 +387,16 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
         trace = load_trace(trace_path) if trace_path.exists() else None
         distances, source_id = run_similarity(cfg, seed, out / "similarity", trace=trace)
         selected_distance = distances.entries[source_id]
-        if source_id == target_id:
-            raise ConfigurationError(
-                f"similarity selected the transfer target {target_id} as its source")
 
-    plan = TransferPlan(
-        source=source_id, target=target_id, strategy=cfg.transfer.strategy,
-        instance_fraction=cfg.transfer.instance_fraction,
-        frozen_layers=cfg.transfer.frozen_layers,
-        fine_tune_steps=cfg.phases.tl_training,
-    )
+    steps = cfg.phases.tl_training
     peers = {i: greedy_policy(pretrained[i]) for i in peer_ids}
 
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
-    apply_transfer(pretrained[source_id], tl_agent, plan, seed)
+    apply_transfer(pretrained[source_id], tl_agent, cfg.transfer, seed)
     diverged: dict[str, dict[int, str]] = {"tl": {}, "scratch": {}}
     tl_agent, tl_trace, tl_slots = fine_tune(
-        tl_agent, scenario, peers, plan.fine_tune_steps, seed, diverged=diverged["tl"],
+        tl_agent, scenario, peers, steps, seed, diverged=diverged["tl"],
     )
     tl_records = [record_step(scenario, slot) for slot in tl_slots]
 
@@ -413,7 +405,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
     scratch_agent, scratch_trace, _ = fine_tune(
-        scratch_agent, scenario, peers, plan.fine_tune_steps, seed,
+        scratch_agent, scenario, peers, steps, seed,
         diverged=diverged["scratch"],
     )
 
@@ -432,7 +424,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     write_eval_outputs(out, summary)
     write_run_meta(
         out, cfg, seed, method="tl",
-        plan=asdict(plan),
+        source=source_id, target=target_id,
         diverged={run: d[target_id] for run, d in diverged.items() if d},
         selected_distance=selected_distance,
         mean_satisfaction=summary.mean_satisfaction,

@@ -1,25 +1,26 @@
-"""Experiment configuration: YAML parsing, validation, and builtin scenarios.
+"""Experiment configuration: sections, load-time checks, YAML files, builtins.
 
 An experiment file has nested sections ``scenario``, ``phases``, ``td3``,
 ``similarity``, ``transfer`` and ``evaluate``. Two builtin configurations
 ship with the package: ``smoke3`` (one cell per requirement group plus a
 clone target) and ``full12`` (four three-sector sites, two requirement
-groups).
+groups). The section dataclasses are the file format: ``slicetl.codec``
+reads and writes them by their type hints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .agent import Td3Config
+from .codec import from_plain, to_plain
 from .env import (
     CellConfig,
-    DelayModel,
     ScenarioConfig,
     SliceRequirement,
     TrafficMaskParams,
@@ -64,6 +65,9 @@ class SimilarityParams:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown similarity mode {self.mode!r}; expected one of {MODES}")
+        for name in ("epochs", "batch_size", "latent_dim", "min_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ class TransferParams:
             raise ConfigurationError(
                 f"unknown transfer strategy {self.strategy!r}; "
                 f"expected one of {STRATEGIES}")
+        if not (0.0 <= self.instance_fraction <= 1.0):
+            raise ConfigurationError("instance_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -114,13 +120,26 @@ class ExperimentConfig:
         if tr.source is not None and tr.source == self.transfer_target:
             raise ConfigurationError(
                 f"transfer source {tr.source} is the transfer target")
+        if (tr.source is None and None not in (sim.target, tr.target)
+                and sim.target != tr.target):
+            raise ConfigurationError(
+                f"similarity.target {sim.target} differs from transfer.target "
+                f"{tr.target}, so similarity cannot pick transfer.source")
+        hidden = len(self.td3.actor_hidden)
+        if tr.strategy == "feature" and not 1 <= tr.frozen_layers <= hidden:
+            raise ConfigurationError(
+                f"transfer.frozen_layers must lie in [1, {hidden}] "
+                f"(the actor's hidden layers), got {tr.frozen_layers}")
 
     @property
     def similarity_target(self) -> int:
-        """``similarity.target``, or the scenario's last cell when unset."""
+        """``similarity.target``, else ``transfer.target``, else the
+        scenario's last cell."""
 
-        target = self.similarity.target
-        return target if target is not None else self.scenario.cell_ids[-1]
+        for target in (self.similarity.target, self.transfer.target):
+            if target is not None:
+                return target
+        return self.scenario.cell_ids[-1]
 
     @property
     def transfer_target(self) -> int:
@@ -195,115 +214,12 @@ def full_scenario() -> ScenarioConfig:
 BUILTIN_SCENARIOS = {"smoke3": smoke_scenario, "full12": full_scenario}
 
 
-# ---------------------------------------------------------------------------
-# Dict <-> dataclass conversion for the YAML file format.
-# ---------------------------------------------------------------------------
-
-
-def _check_keys(d: dict, known: type, where: str) -> None:
-    """Raise ``ConfigurationError`` naming any key of ``d`` that is not a
-    field of the dataclass ``known``."""
-
-    unknown = sorted(set(d) - {f.name for f in fields(known)}, key=str)
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) {unknown} in {where}")
-
-
-def scenario_from_dict(d: dict) -> ScenarioConfig:
-    try:
-        _check_keys(d, ScenarioConfig, "scenario")
-        for i, c in enumerate(d["cells"]):
-            _check_keys(c, CellConfig, f"scenario cells[{i}]")
-            for j, r in enumerate(c["requirements"]):
-                _check_keys(r, SliceRequirement, f"scenario cells[{i}] requirements[{j}]")
-        cells = tuple(
-            CellConfig(
-                cell_id=int(c["cell_id"]),
-                bandwidth=float(c["bandwidth"]),
-                requirements=tuple(
-                    SliceRequirement(float(r["throughput_target"]),
-                                     float(r["delay_target"]))
-                    for r in c["requirements"]
-                ),
-                neighbor_ids=tuple(int(j) for j in c.get("neighbor_ids", [])),
-                max_ues_per_slice=int(c["max_ues_per_slice"]),
-                base_snr_db=float(c["base_snr_db"]),
-                interference_gains=tuple(
-                    float(g) for g in c.get("interference_gains", [])
-                ),
-                ue_rates=tuple(float(r) for r in c["ue_rates"]),
-                masks=tuple(TrafficMaskParams(**m) for m in c["masks"]),
-            )
-            for c in d["cells"]
-        )
-        delay = DelayModel(**d.get("delay", {}))
-        return ScenarioConfig(cells=cells, delay=delay)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed scenario section: {exc}") from exc
-
-
-def scenario_to_dict(s: ScenarioConfig) -> dict:
-    return {
-        "delay": asdict(s.delay),
-        "cells": [
-            {
-                "cell_id": c.cell_id,
-                "bandwidth": c.bandwidth,
-                "base_snr_db": c.base_snr_db,
-                "max_ues_per_slice": c.max_ues_per_slice,
-                "neighbor_ids": list(c.neighbor_ids),
-                "interference_gains": list(c.interference_gains),
-                "ue_rates": list(c.ue_rates),
-                "requirements": [asdict(r) for r in c.requirements],
-                "masks": [asdict(m) for m in c.masks],
-            }
-            for c in s.cells
-        ],
-    }
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if "scenario" not in d:
-        raise ConfigurationError("config file must contain a 'scenario' section")
-    _check_keys(d, ExperimentConfig, "the config")
-    scenario = scenario_from_dict(d["scenario"])
-    try:
-        td3_dict = dict(d.get("td3", {}))
-        for key in ("actor_hidden", "critic_hidden"):
-            if key in td3_dict:
-                td3_dict[key] = tuple(td3_dict[key])
-        sim_dict = dict(d.get("similarity", {}))
-        if sim_dict.get("candidates") is not None:
-            sim_dict["candidates"] = tuple(sim_dict["candidates"])
-        return ExperimentConfig(
-            scenario=scenario,
-            phases=Phases(**d.get("phases", {})),
-            td3=Td3Config(**td3_dict),
-            similarity=SimilarityParams(**sim_dict),
-            transfer=TransferParams(**d.get("transfer", {})),
-            evaluate=EvaluateParams(**d.get("evaluate", {})),
-            seed=int(d.get("seed", 0)),
-        )
-    except TypeError as exc:
-        raise ConfigurationError(f"malformed config: {exc}") from exc
+    return from_plain(ExperimentConfig, d)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    sim = asdict(cfg.similarity)
-    if sim.get("candidates") is not None:
-        sim["candidates"] = list(sim["candidates"])
-    td3 = asdict(cfg.td3)
-    td3["actor_hidden"] = list(td3["actor_hidden"])
-    td3["critic_hidden"] = list(td3["critic_hidden"])
-    return {
-        "seed": cfg.seed,
-        "scenario": scenario_to_dict(cfg.scenario),
-        "phases": asdict(cfg.phases),
-        "td3": td3,
-        "similarity": sim,
-        "transfer": asdict(cfg.transfer),
-        "evaluate": asdict(cfg.evaluate),
-    }
+    return to_plain(cfg)
 
 
 def load_config(path_or_name: str | Path) -> ExperimentConfig:
@@ -318,9 +234,10 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
         if not path.exists():
             raise ConfigurationError(f"config file {path} does not exist")
         text = path.read_text()
-    data = yaml.safe_load(text)
-    if not isinstance(data, dict):
-        raise ConfigurationError("config file must contain a YAML mapping")
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"config {name} is not valid YAML: {exc}") from exc
     return config_from_dict(data)
 
 

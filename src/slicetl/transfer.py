@@ -9,35 +9,20 @@ fine-tuning of a transferred agent inside the live multi-cell environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import env as envm
 from .agent import NETWORKS, OPTIMIZED, ReplayBuffer, Td3Agent, select_action
-from .errors import ConfigurationError, DomainError, IncompatibleArchitectureError
+from .errors import DomainError, IncompatibleArchitectureError
 from .runner import Policy, Slot, follow, learn, run_slots
+
+if TYPE_CHECKING:
+    from .scenario import TransferParams
 
 STRATEGIES = ("model", "feature", "instance", "integrated")
 FINE_TUNE_NOISE = 0.1  # logit-space exploration std during fine-tuning
-
-
-@dataclass(frozen=True)
-class TransferPlan:
-    source: int
-    target: int
-    strategy: str = "integrated"
-    instance_fraction: float = 1.0
-    frozen_layers: int = 1
-    fine_tune_steps: int = 4000
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown transfer strategy {self.strategy!r}")
-        if not (0.0 <= self.instance_fraction <= 1.0):
-            raise ConfigurationError("instance_fraction must lie in [0, 1]")
-        if self.fine_tune_steps < 0:
-            raise ConfigurationError("fine_tune_steps must be >= 0")
 
 
 def _check_shapes(source: Td3Agent, target: Td3Agent) -> None:
@@ -103,32 +88,28 @@ def instance_transfer(
 
 
 def integrated_transfer(
-    source: Td3Agent, target: Td3Agent, plan: TransferPlan, seed: int = 0
+    source: Td3Agent, target: Td3Agent, instance_fraction: float, seed: int = 0
 ) -> Td3Agent:
     """Model transfer followed by instance transfer; target is fine-tune ready."""
 
-    if plan.strategy != "integrated":
-        raise ConfigurationError(
-            f"integrated_transfer requires an integrated plan, got {plan.strategy!r}"
-        )
     model_transfer(source, target)
-    instance_transfer(source.buffer, target.buffer, plan.instance_fraction, seed)
+    instance_transfer(source.buffer, target.buffer, instance_fraction, seed)
     return target
 
 
 def apply_transfer(
-    source: Td3Agent, target: Td3Agent, plan: TransferPlan, seed: int = 0
+    source: Td3Agent, target: Td3Agent, params: TransferParams, seed: int = 0
 ) -> Td3Agent:
-    """Dispatch to the strategy named in the plan."""
+    """Dispatch to the strategy named in ``params`` (the ``transfer`` section)."""
 
-    if plan.strategy == "model":
+    if params.strategy == "model":
         return model_transfer(source, target)
-    if plan.strategy == "feature":
-        return feature_transfer(source, target, plan.frozen_layers)
-    if plan.strategy == "instance":
-        instance_transfer(source.buffer, target.buffer, plan.instance_fraction, seed)
+    if params.strategy == "feature":
+        return feature_transfer(source, target, params.frozen_layers)
+    if params.strategy == "instance":
+        instance_transfer(source.buffer, target.buffer, params.instance_fraction, seed)
         return target
-    return integrated_transfer(source, target, plan, seed)
+    return integrated_transfer(source, target, params.instance_fraction, seed)
 
 
 def fine_tune(

@@ -23,7 +23,7 @@ from slicetl.env import (
 )
 from slicetl.harness import constant_policy, greedy_policy, rollout
 from slicetl.runner import Trace, follow
-from slicetl.transfer import TransferPlan, fine_tune, integrated_transfer
+from slicetl.transfer import fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
 
 
@@ -230,11 +230,10 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
                                          seed)
     peers = {i: greedy_policy(pretrained[i]) for i in sc.cell_ids
              if i != target_id}
-    plan = TransferPlan(source=source_id, target=target_id,
-                        strategy="integrated", fine_tune_steps=steps)
     tl = Td3Agent(target_id, sc.n_slices, cfg.td3,
                   harness._agent_seed(seed, target_id))
-    integrated_transfer(pretrained[source_id], tl, plan, seed)
+    integrated_transfer(pretrained[source_id], tl, cfg.transfer.instance_fraction,
+                        seed)
     _, tl_trace, _ = fine_tune(tl, sc, peers, steps, seed)
     scratch = Td3Agent(target_id, sc.n_slices, cfg.td3,
                        harness._agent_seed(seed + 1, target_id))

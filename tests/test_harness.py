@@ -65,12 +65,27 @@ def test_builtin_scenarios_have_symmetric_sites():
         assert len(cell.neighbor_ids) == 2  # fully meshed triple
 
 
-def test_config_yaml_round_trip(tmp_path, smoke_cfg):
-    path = tmp_path / "cfg.yaml"
-    save_config(smoke_cfg, path)
-    loaded = load_config(path)
-    assert loaded == smoke_cfg
-    assert config_to_dict(loaded) == config_to_dict(smoke_cfg)
+def test_config_yaml_round_trip(tmp_path, smoke_cfg, full_cfg):
+    for cfg in (smoke_cfg, full_cfg):
+        path = tmp_path / "cfg.yaml"
+        save_config(cfg, path)
+        loaded = load_config(path)
+        assert loaded == cfg
+        assert config_to_dict(loaded) == config_to_dict(cfg)
+
+
+def test_cell_without_neighbors_loads(tmp_path, smoke_cfg):
+    d = config_to_dict(smoke_cfg)
+    lone = d["scenario"]["cells"][0]
+    del lone["neighbor_ids"], lone["interference_gains"]
+    d["scenario"]["cells"] = [lone]
+    d["similarity"]["target"] = d["transfer"]["target"] = None
+    path = tmp_path / "lone.yaml"
+    path.write_text(yaml.safe_dump(d))
+    cell = load_config(path).scenario.cells[0]
+    assert cell.neighbor_ids == cell.interference_gains == ()
+    save_config(load_config(path), path)
+    assert load_config(path).scenario.cells == (cell,)
 
 
 def test_config_dict_round_trip(smoke_cfg):
@@ -106,9 +121,40 @@ def test_config_rejects_missing_scenario():
     (("scenario", "cells", 0, "neighbour_ids"), [2, 3], "neighbour_ids"),
     (("scenario", "cells", 1, "requirements", 0, "delay_taget"), 2.0, "delay_taget"),
     (("scenario", "seed"), 0, "seed"),  # run seeds are the top-level seed
+    # Values whose type differs from the field's name the field. PyYAML
+    # reads an exponent without a dot, 5e-4, as the string '5e-4'.
+    (("td3", "actor_lr"), yaml.safe_load("5e-4"), r"td3\.actor_lr"),
+    (("similarity", "epochs"), 2.5, r"similarity\.epochs"),
+    (("phases", "training"), True, r"phases\.training"),
+    (("similarity", "candidates"), 3, r"similarity\.candidates"),
+    (("td3", "actor_hidden"), [48], r"td3\.actor_hidden"),
+    (("scenario", "cells", 2, "masks", 1, "period"), "100",
+     r"scenario\.cells\[2\]\.masks\[1\]\.period"),
+    # Values that would fail late or silently in a run.
+    (("td3", "batch_size"), 0, "td3: batch_size"),
+    (("td3", "policy_delay"), 0, "td3: policy_delay"),
+    (("td3", "buffer_capacity"), 0, "td3: buffer_capacity"),
+    (("td3", "updates_per_step"), -1, "td3: updates_per_step"),
+    (("td3", "tau"), 2.0, "td3: tau"),
+    (("td3", "tau"), -0.5, "td3: tau"),
+    (("similarity", "epochs"), 0, "similarity: epochs"),
+    (("similarity", "batch_size"), 0, "similarity: batch_size"),
+    (("similarity", "latent_dim"), 0, "similarity: latent_dim"),
+    (("similarity", "min_samples"), 0, "similarity: min_samples"),
+    (("transfer", "instance_fraction"), 1.5, "transfer: instance_fraction"),
+    (("transfer", "instance_fraction"), -0.5, "transfer: instance_fraction"),
+    (("transfer",), {"strategy": "feature", "frozen_layers": 0},
+     r"transfer\.frozen_layers"),
+    (("transfer",), {"strategy": "feature", "frozen_layers": 3},
+     r"transfer\.frozen_layers"),
 ], ids=["strategy", "mode", "target", "candidates", "transfer-target",
         "top-level-key", "scenario-key", "cell-key", "requirement-key",
-        "scenario-seed"])
+        "scenario-seed", "yaml-exponent", "float-for-int", "bool-for-int",
+        "int-for-list", "short-tuple", "str-for-int", "batch-size",
+        "policy-delay", "buffer-capacity", "updates-per-step", "tau-high",
+        "tau-low", "epochs", "similarity-batch-size", "latent-dim",
+        "min-samples", "fraction-high", "fraction-low", "frozen-layers-low",
+        "frozen-layers-high"])
 def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match):
     d = config_to_dict(smoke_cfg)
     section = d
@@ -126,10 +172,13 @@ def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match
     {"transfer": {"source": 3}},  # the default targets resolve to the last cell
     {"transfer": {"source": 2, "target": 2}},
     {"similarity": {"candidates": [1, 3]}},
-    {"similarity": {"target": 2, "candidates": [1, 2]}},
+    {"similarity": {"target": 2, "candidates": [1, 2]}, "transfer": {"target": 2}},
     {"similarity": {"candidates": [1, 1]}},
+    # Similarity could not rank sources for the transfer target.
+    {"similarity": {"target": 2}, "transfer": {"target": 3, "source": None}},
 ], ids=["source-unknown", "source-is-default-target", "source-is-target",
-        "candidate-is-default-target", "candidate-is-target", "candidate-repeats"])
+        "candidate-is-default-target", "candidate-is-target", "candidate-repeats",
+        "targets-differ-without-source"])
 def test_config_rejects_bad_source_and_candidates(smoke_cfg, sections):
     d = config_to_dict(smoke_cfg)
     for name, values in sections.items():
@@ -377,8 +426,8 @@ def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
     tl_out = tmp_path / "tl"
     tl = harness.run_transfer(cfg_tl, seed=0, out=tl_out)
     meta = json.loads((tl_out / "run_meta.json").read_text())
-    assert meta["plan"]["target"] == 3
-    assert meta["plan"]["source"] in (1, 2)
+    assert meta["target"] == 3
+    assert meta["source"] in (1, 2)
     with open(tl_out / "gain.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == tiny_cfg.phases.tl_training
@@ -413,8 +462,10 @@ def test_run_transfer_runs_every_strategy(tmp_path, tiny_cfg, tiny_artifacts,
     cfg = _transfer_cfg(tiny_cfg, tiny_artifacts, strategy=strategy)
     result = harness.run_transfer(cfg, seed=0, out=tmp_path)
     meta = json.loads((tmp_path / "run_meta.json").read_text())
-    assert meta["plan"]["strategy"] == strategy
-    assert meta["plan"]["frozen_layers"] == tiny_cfg.transfer.frozen_layers
+    assert (meta["source"], meta["target"]) == (1, 3)
+    assert meta["config"]["transfer"]["strategy"] == strategy
+    assert (meta["config"]["transfer"]["frozen_layers"]
+            == tiny_cfg.transfer.frozen_layers)
     assert meta["diverged"] == {}
     agent = result.extras["tl_agent"]
     assert agent.frozen_actor_layers == (
@@ -461,6 +512,22 @@ def test_loaded_agents_draw_their_own_streams(tiny_cfg, tiny_artifacts):
         assert len(agent.buffer) > 0
     assert not np.array_equal(draws[ids[0]], draws[ids[1]])
     assert agents[ids[0]].buffer.seed != agents[ids[1]].buffer.seed
+
+
+def test_run_transfer_ranks_sources_for_the_transfer_target(tmp_path, tiny_cfg,
+                                                            tiny_artifacts):
+    cfg = dataclasses.replace(
+        tiny_cfg,
+        similarity=dataclasses.replace(tiny_cfg.similarity, target=None),
+        transfer=dataclasses.replace(tiny_cfg.transfer, target=1,
+                                     artifacts=str(tiny_artifacts)),
+    )
+    result = harness.run_transfer(cfg, seed=5, out=tmp_path)
+    assert result.extras["source"] in (2, 3)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert (meta["source"], meta["target"]) == (result.extras["source"], 1)
+    with open(tmp_path / "similarity" / "distances.csv") as fh:
+        assert {int(r["target"]) for r in csv.DictReader(fh)} == {1}
 
 
 def test_run_transfer_requires_artifacts(tmp_path, tiny_cfg):
@@ -514,6 +581,14 @@ def test_cli_seed_override(tmp_path, tiny_cfg):
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     code = main(["train", "--config", "/nope.yaml", "--out", str(tmp_path)])
+    assert code == ConfigurationError.exit_code
+    assert "ConfigurationError" in capsys.readouterr().err
+
+
+def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("scenario: [cells\nseed: 0\n")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == ConfigurationError.exit_code
     assert "ConfigurationError" in capsys.readouterr().err
 

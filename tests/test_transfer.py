@@ -22,9 +22,8 @@ from slicetl.errors import (
 )
 from slicetl.harness import constant_policy
 from slicetl.runner import record_step
-from slicetl.scenario import smoke_scenario
+from slicetl.scenario import TransferParams, smoke_scenario
 from slicetl.transfer import (
-    TransferPlan,
     apply_transfer,
     feature_transfer,
     fine_tune,
@@ -73,18 +72,17 @@ def _trained(seed, n=2, steps=6):
 
 
 # ---------------------------------------------------------------------------
-# Transfer plan
+# Transfer parameters
 # ---------------------------------------------------------------------------
 
 
-def test_plan_validation():
-    TransferPlan(source=1, target=2)
+def test_transfer_params_validation():
+    TransferParams(source=1, target=2)
     with pytest.raises(ConfigurationError):
-        TransferPlan(source=1, target=2, strategy="teleport")
-    with pytest.raises(ConfigurationError):
-        TransferPlan(source=1, target=2, instance_fraction=1.5)
-    with pytest.raises(ConfigurationError):
-        TransferPlan(source=1, target=2, fine_tune_steps=-1)
+        TransferParams(source=1, target=2, strategy="teleport")
+    for fraction in (-0.5, 1.5):
+        with pytest.raises(ConfigurationError):
+            TransferParams(source=1, target=2, instance_fraction=fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +273,11 @@ def test_integrated_transfer_combines_model_and_instance():
     for _ in range(6):
         source.buffer.add(*_transition(rng, origin=source.cell_id))
     target = _agent(95, cell_id=2)
-    plan = TransferPlan(source=0, target=2, strategy="integrated",
-                        instance_fraction=0.5)
-    integrated_transfer(source, target, plan, seed=0)
+    integrated_transfer(source, target, instance_fraction=0.5, seed=0)
     state = rng.standard_normal(8)
     assert np.array_equal(select_action(source, state),
                           select_action(target, state))
     assert target.buffer.origin_counts() == {0: 3}
-
-
-def test_integrated_transfer_requires_integrated_plan():
-    with pytest.raises(ConfigurationError):
-        integrated_transfer(_agent(0), _agent(1),
-                            TransferPlan(source=0, target=1, strategy="model"))
 
 
 def test_apply_transfer_dispatch():
@@ -297,19 +287,18 @@ def test_apply_transfer_dispatch():
         source.buffer.add(*_transition(rng, origin=source.cell_id))
 
     t_model = apply_transfer(source, _agent(94),
-                             TransferPlan(0, 1, strategy="model"))
+                             TransferParams(strategy="model"))
     assert len(t_model.buffer) == 0
 
     t_inst = apply_transfer(source, _agent(93),
-                            TransferPlan(0, 1, strategy="instance"))
+                            TransferParams(strategy="instance"))
     assert len(t_inst.buffer) == 4
     state = rng.standard_normal(8)
     assert not np.allclose(select_action(source, state),
                            select_action(t_inst, state))
 
     t_feat = apply_transfer(source, _agent(92),
-                            TransferPlan(0, 1, strategy="feature",
-                                         frozen_layers=1))
+                            TransferParams(strategy="feature", frozen_layers=1))
     assert t_feat.frozen_actor_layers == 1
 
 
