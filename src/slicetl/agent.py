@@ -51,23 +51,41 @@ def assemble_states(
 
 
 class Batch(NamedTuple):
-    """Training batch as column arrays, one row per transition."""
+    """Training batch, one row per transition.
+
+    Every field is a view of one (b, 2S + A + 1) block laid out
+    ``[state | action | reward | next_state]``; ``state_actions`` is its
+    first S + A columns, the critics' input.
+    """
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
+    state_actions: np.ndarray
+
+    @classmethod
+    def from_block(
+        cls, block: np.ndarray, state_dim: int, action_dim: int
+    ) -> "Batch":
+        """Views of ``block`` for states of ``state_dim`` and actions of
+        ``action_dim`` entries."""
+
+        sa = state_dim + action_dim
+        return cls(block[:, :state_dim], block[:, state_dim:sa], block[:, sa],
+                   block[:, sa + 1:], block[:, :sa])
 
 
 class ReplayBuffer:
     """Bounded transition store with seeded uniform sampling.
 
-    Transitions are rows of column arrays (state, action, reward, next
-    state, origin), oldest first. The columns grow geometrically up to
-    ``capacity`` rows. Eviction is oldest-first, except that foreign
-    (transferred) transitions are evicted before the owner's once the
-    owner has contributed at least ``evict_threshold`` of its own; the rows
-    after the victim shift down one.
+    Transitions are rows of one float block, laid out as in ``Batch``
+    (state, action, reward, next state), with their origins in a separate
+    int column, oldest first. Both grow geometrically up to ``capacity``
+    rows. Eviction is oldest-first, except that foreign (transferred)
+    transitions are evicted before the owner's once the owner has
+    contributed at least ``evict_threshold`` of its own; the rows after the
+    victim shift down one.
     """
 
     MIN_ROWS = 64  # rows of the first allocation
@@ -89,14 +107,11 @@ class ReplayBuffer:
         self._n = 0
         self._own_count = 0
         # Sized on the first add, when the state and action lengths are known;
-        # until then export writes these empty columns.
-        self._states = self._actions = self._next_states = np.zeros((0, 0))
-        self._rewards = np.zeros(0)
+        # until then the block has only its reward column, and export writes
+        # (0, 0) state and action columns.
+        self._dims = (0, 0)  # state, action lengths
+        self._data = np.zeros((0, 1))
         self._origins = np.zeros(0, dtype=np.int64)
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self._states, self._actions, self._rewards, self._next_states,
-                self._origins)
 
     def __len__(self) -> int:
         return self._n
@@ -108,32 +123,35 @@ class ReplayBuffer:
         """Store one transition; ``origin`` is the id of the agent that
         experienced it."""
 
-        row = (state, action, reward, next_state, origin)
         if self._n >= self.capacity:
             self._evict()
-        if self._n == len(self._rewards):
-            self._grow(row)
-        for col, value in zip(self._columns(), row):
-            col[self._n] = value
+        if self._n == len(self._origins):
+            self._grow(len(state), len(action))
+        s, a = self._dims
+        row = self._data[self._n]
+        row[:s] = state
+        row[s:s + a] = action
+        row[s + a] = reward
+        row[s + a + 1:] = next_state
+        self._origins[self._n] = origin
         self._n += 1
         if origin == self.owner:
             self._own_count += 1
 
-    def _grow(self, row: tuple) -> None:
-        """Reallocate every column with room for more rows, each row shaped
-        like its value in ``row``."""
+    def _grow(self, state_dim: int, action_dim: int) -> None:
+        """Reallocate the block and the origins with room for more rows; the
+        first allocation fixes the state and action lengths."""
 
         n = self._n
+        if not n:
+            self._dims = (state_dim, action_dim)
         rows = min(self.capacity, max(2 * n, self.MIN_ROWS))
-
-        def grown(col: np.ndarray, value) -> np.ndarray:
-            new = np.empty((rows, *np.shape(value)), dtype=col.dtype)
-            if n:
-                new[:n] = col[:n]
-            return new
-
-        (self._states, self._actions, self._rewards, self._next_states,
-         self._origins) = map(grown, self._columns(), row)
+        s, a = self._dims
+        data = np.empty((rows, 2 * s + a + 1))
+        origins = np.empty(rows, dtype=np.int64)
+        data[:n] = self._data[:n]
+        origins[:n] = self._origins[:n]
+        self._data, self._origins = data, origins
 
     def _evict(self) -> None:
         n = self._n
@@ -144,8 +162,8 @@ class ReplayBuffer:
                 victim = int(foreign[0])
         if self._origins[victim] == self.owner:
             self._own_count -= 1
-        for col in self._columns():
-            col[victim:n - 1] = col[victim + 1:n]
+        self._data[victim:n - 1] = self._data[victim + 1:n]
+        self._origins[victim:n - 1] = self._origins[victim + 1:n]
         self._n -= 1
 
     def sample(self, batch_size: int) -> Batch:
@@ -162,21 +180,23 @@ class ReplayBuffer:
         return self._take(idx)
 
     def _take(self, idx: np.ndarray) -> Batch:
-        return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
-                     self._next_states[idx])
+        """One gather of the rows at ``idx``."""
+
+        return Batch.from_block(self._data.take(idx, axis=0), *self._dims)
 
     def export(self, path) -> None:
         """Persist as npz with a fixed field order and version tag."""
 
         n = self._n
+        stored = Batch.from_block(self._data[:n], *self._dims)
         np.savez(
             path,
             version=np.array(BUFFER_VERSION),
             owner=np.array(self.owner),
-            states=self._states[:n],
-            actions=self._actions[:n],
-            rewards=self._rewards[:n],
-            next_states=self._next_states[:n],
+            states=stored.states,
+            actions=stored.actions,
+            rewards=stored.rewards,
+            next_states=stored.next_states,
             origins=self._origins[:n],
         )
 
@@ -230,6 +250,21 @@ class Td3Config:
             raise ConfigurationError("updates_per_step must be >= 0")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError(f"tau must lie in [0, 1], got {self.tau}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ConfigurationError(f"gamma must lie in [0, 1), got {self.gamma}")
+        for name in ("actor_lr", "critic_lr"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        for name in ("target_noise", "noise_clip", "explore_noise",
+                     "explore_noise_final"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        for name in ("actor_hidden", "critic_hidden"):
+            if any(size < 1 for size in getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} sizes must be >= 1, got {list(getattr(self, name))}")
 
 
 NETWORKS = ("actor", "q1", "q2", "target_actor", "target_q1", "target_q2")
@@ -272,7 +307,7 @@ class Td3Agent:
                         "target_q1": q1.copy(), "target_q2": q2.copy()}
         for name in NETWORKS:
             expected = sizes[name.removeprefix("target_")]
-            if list(networks[name].sizes) != expected:
+            if networks[name].sizes != tuple(expected):
                 raise DimensionError(
                     f"{name} has layer sizes {networks[name].sizes}, the config "
                     f"asks for {expected}")
@@ -334,7 +369,7 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
     call; on other calls the third element is None.
     """
 
-    s, a, r, s2 = batch
+    s, _, r, s2, sa = batch
     b = len(r)
     if b < 1:
         raise EmptySetError("training batch must contain at least one transition")
@@ -342,24 +377,23 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
 
     # Target action with clipped logit noise, then the pessimistic target.
     logits2 = nn.mlp_logits(agent.target_actor, s2)
-    noise = np.clip(
-        cfg.target_noise * agent.explore_rng.standard_normal(logits2.shape),
-        -cfg.noise_clip, cfg.noise_clip,
-    )
-    a2 = nn.softmax(logits2 + noise)
-    q1_t, _ = nn.mlp_forward(agent.target_q1, np.hstack([s2, a2]))
-    q2_t, _ = nn.mlp_forward(agent.target_q2, np.hstack([s2, a2]))
+    noise = cfg.target_noise * agent.explore_rng.standard_normal(logits2.shape)
+    np.maximum(noise, -cfg.noise_clip, out=noise)  # np.clip's order
+    np.minimum(noise, cfg.noise_clip, out=noise)
+    logits2 += noise
+    s2a2 = np.concatenate([s2, nn.softmax(logits2)], axis=1)  # for both critics
+    q1_t, _ = nn.mlp_forward(agent.target_q1, s2a2)
+    q2_t, _ = nn.mlp_forward(agent.target_q2, s2a2)
     y = r + cfg.gamma * np.minimum(q1_t[:, 0], q2_t[:, 0])
-    if not np.all(np.isfinite(y)):
+    if not np.logical_and.reduce(np.isfinite(y)):
         raise NumericError("non-finite critic target; step aborted")
 
-    sa = np.hstack([s, a])
     losses = []
     updates = []
     for critic, adam in ((agent.q1, agent.q1_adam), (agent.q2, agent.q2_adam)):
         q, cache = nn.mlp_forward(critic, sa)
         err = q[:, 0] - y
-        loss = float(np.mean(err * err))
+        loss = float(np.add.reduce(err * err) / b)
         if not math.isfinite(loss):
             raise NumericError("non-finite critic loss; step aborted")
         grads, _ = nn.mlp_backward(critic, cache, (2.0 * err / b)[:, None])
@@ -372,8 +406,8 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
     actor_loss = None
     if agent.train_calls % cfg.policy_delay == 0:
         pi, actor_cache = nn.mlp_forward(agent.actor, s)
-        q, q_cache = nn.mlp_forward(agent.q1, np.hstack([s, pi]))
-        actor_loss = float(-np.mean(q))
+        q, q_cache = nn.mlp_forward(agent.q1, np.concatenate([s, pi], axis=1))
+        actor_loss = float(-(np.add.reduce(q, axis=None) / b))
         if not math.isfinite(actor_loss):
             raise NumericError("non-finite actor loss; step aborted")
         _, dinput = nn.mlp_backward(

@@ -31,33 +31,43 @@ CHECKPOINT_VERSION = 1
 HEADS = ("identity", "softmax", "tanh")
 
 
-def _layer_views(
-    flat: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Views of ``flat`` shaped like ``weights`` and ``biases``, laid out
-    w0, b0, w1, b1, ..."""
+Layout = tuple[tuple[int, int, int, tuple[int, int]], ...]
 
-    ws, bs = [], []
+
+def _layout(weights: list[np.ndarray], biases: list[np.ndarray]) -> Layout:
+    """Per layer (weight start, bias start, end, weight shape) in a vector
+    laid out w0, b0, w1, b1, ..."""
+
+    spans = []
     start = 0
     for w, b in zip(weights, biases):
-        ws.append(flat[start:start + w.size].reshape(w.shape))
-        start += w.size
-        bs.append(flat[start:start + b.size].reshape(b.shape))
-        start += b.size
-    return ws, bs
+        mid = start + w.size
+        spans.append((start, mid, mid + b.size, w.shape))
+        start = mid + b.size
+    return tuple(spans)
+
+
+def _layer_views(
+    flat: np.ndarray, layout: Layout
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(weight, bias)`` views of ``flat``, one pair per layer of ``layout``."""
+
+    return [(flat[w0:b0].reshape(shape), flat[b0:end]) for w0, b0, end, shape in layout]
 
 
 def _pack(
     weights: list[np.ndarray], biases: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Copy per-layer arrays into one new float64 vector; returns it and
-    its weight and bias views."""
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], Layout]:
+    """Copy per-layer arrays into one new float64 vector; returns it, its
+    weight and bias views and their layout."""
 
+    layout = _layout(weights, biases)
     flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
-    ws, bs = _layer_views(flat, weights, biases)
-    for view, arr in zip([*ws, *bs], [*weights, *biases]):
-        view[...] = arr
-    return flat, ws, bs
+    pairs = _layer_views(flat, layout)
+    for (w_view, b_view), w, b in zip(pairs, weights, biases):
+        w_view[...] = w
+        b_view[...] = b
+    return flat, [w for w, _ in pairs], [b for _, b in pairs], layout
 
 
 @dataclass
@@ -65,13 +75,18 @@ class Mlp:
     """Fully connected net: ReLU hidden layers, configurable output head.
 
     The constructor copies the given arrays into ``flat``; ``weights`` and
-    ``biases`` are then views of it, so update them in place.
+    ``biases`` are then views of it, so update them in place. It also fixes
+    the layer layout (``layout``, ``n_layers``, ``sizes`` and the layer
+    offsets), which the kernels read instead of recomputing it per call.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head: str = "identity"
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: Layout = field(init=False, repr=False, compare=False)
+    n_layers: int = field(init=False, repr=False, compare=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.head not in HEADS:
@@ -85,32 +100,27 @@ class Mlp:
         for w, b in zip(self.weights, self.biases):
             if b.shape != (w.shape[1],):
                 raise DimensionError("bias shape must match layer output dim")
-        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+        self.flat, self.weights, self.biases, self.layout = _pack(
+            self.weights, self.biases)
+        self.n_layers = len(self.weights)
+        self.sizes = (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.sizes[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
-    def sizes(self) -> list[int]:
-        return [self.in_dim] + [w.shape[1] for w in self.weights]
+        return self.sizes[-1]
 
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, self.head)
 
     def layer_offset(self, layer: int) -> int:
-        """Position in ``flat`` where layer ``layer`` starts."""
+        """Position in ``flat`` where layer ``layer`` starts (its size for
+        ``layer == n_layers``)."""
 
-        return sum(w.size + b.size
-                   for w, b in zip(self.weights[:layer], self.biases[:layer]))
+        return self.layout[layer][0] if layer < self.n_layers else self.flat.size
 
 
 def init_mlp(sizes: list[int], head: str, rng: np.random.Generator) -> Mlp:
@@ -128,9 +138,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; accepts 1-D or 2-D input."""
 
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -164,10 +175,12 @@ def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
             f"input dim {x.shape} does not match network input {params.in_dim}"
         )
     inputs = []
+    last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        z = h @ w + b
-        h = _apply_head(params.head, z) if i == params.n_layers - 1 else np.maximum(z, 0.0)
+        z = h @ w
+        z += b
+        h = np.maximum(z, 0.0, out=z) if i < last else _apply_head(params.head, z)
     cache = ForwardCache(params, inputs, h, was_1d)
     return (h[0] if was_1d else h), cache
 
@@ -178,19 +191,23 @@ def mlp_logits(params: Mlp, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     was_1d = x.ndim == 1
     h = x[None, :] if was_1d else x
+    last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        h = z if i == params.n_layers - 1 else np.maximum(z, 0.0)
+        h = h @ w
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
     return h[0] if was_1d else h
 
 
 class Gradients(list):
     """Per-layer ``(dW_i, db_i)`` pairs that are views of one vector
-    ``flat`` in the parameters' layout."""
+    ``flat`` in the parameters' layout, which ``layout`` records."""
 
     def __init__(self, flat: np.ndarray, params: Mlp) -> None:
-        super().__init__(zip(*_layer_views(flat, params.weights, params.biases)))
+        super().__init__(_layer_views(flat, params.layout))
         self.flat = flat
+        self.layout = params.layout
 
 
 def mlp_backward(
@@ -215,20 +232,21 @@ def mlp_backward(
     # Head backward.
     y = cache.output
     if params.head == "softmax":
-        d = y * (d - (d * y).sum(axis=1, keepdims=True))
+        d = y * (d - np.add.reduce(d * y, axis=1, keepdims=True))
     elif params.head == "tanh":
         d = d * (1.0 - y * y)
 
     grads = Gradients(np.empty(params.flat.size), params)
-    for i in range(params.n_layers - 1, -1, -1):
-        h_in = cache.inputs[i]
-        if i < params.n_layers - 1:
+    last = params.n_layers - 1
+    for i in range(last, -1, -1):
+        if i < last:
             # ReLU applied after this layer on the way forward: the stored
-            # input of layer i+1 is exactly relu(z_i).
-            d = d * (cache.inputs[i + 1] > 0)
+            # input of layer i+1 is exactly relu(z_i). ``d`` is the fresh
+            # product of the layer above, so it is masked in place.
+            d *= cache.inputs[i + 1] > 0
         dw, db = grads[i]
-        np.matmul(h_in.T, d, out=dw)
-        d.sum(axis=0, out=db)
+        np.matmul(cache.inputs[i].T, d, out=dw)
+        np.add.reduce(d, axis=0, out=db)
         d = d @ params.weights[i].T
     return grads, (d[0] if was_1d else d)
 
@@ -239,6 +257,8 @@ class AdamState:
 
     The moments live in the flat vectors ``m`` and ``v``, in the layout of
     ``Mlp.flat``; ``m_w``, ``v_w``, ``m_b`` and ``v_b`` are views of them.
+    ``scratch`` holds two more such vectors that ``adam_step`` writes its
+    temporaries into.
     """
 
     m_w: list[np.ndarray]
@@ -251,10 +271,12 @@ class AdamState:
     eps: float = 1e-8
     m: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.m, self.m_w, self.m_b = _pack(self.m_w, self.m_b)
-        self.v, self.v_w, self.v_b = _pack(self.v_w, self.v_b)
+        self.m, self.m_w, self.m_b, _ = _pack(self.m_w, self.m_b)
+        self.v, self.v_w, self.v_b, _ = _pack(self.v_w, self.v_b)
+        self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def for_params(cls, params: Mlp, **kwargs) -> "AdamState":
@@ -280,33 +302,53 @@ def adam_step(
     ``skip_layers`` must be a prefix ``{0, ..., k-1}`` (the frozen lower
     layers), so the update runs on the suffix of ``params.flat`` after
     them. ``grads`` is either the ``Gradients`` of ``mlp_backward`` or a
-    list of ``(dW_i, db_i)`` pairs.
+    list of ``(dW_i, db_i)`` pairs; ``Gradients`` are checked by their
+    layout, pairs layer by layer.
+
+    The update is ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, evaluated in that order with
+    the temporaries in ``adam.scratch``.
     """
 
-    if len(grads) != params.n_layers:
-        raise DimensionError("one gradient pair per layer required")
-    for i, (dw, db) in enumerate(grads):
-        if dw.shape != params.weights[i].shape or db.shape != params.biases[i].shape:
-            raise DimensionError(f"gradient shape mismatch at layer {i}")
+    if isinstance(grads, Gradients):
+        if grads.layout != params.layout:
+            raise DimensionError("gradients are laid out for another network")
+        g = grads.flat
+    else:
+        if len(grads) != params.n_layers:
+            raise DimensionError("one gradient pair per layer required")
+        for i, (dw, db) in enumerate(grads):
+            if dw.shape != params.weights[i].shape or db.shape != params.biases[i].shape:
+                raise DimensionError(f"gradient shape mismatch at layer {i}")
+        g = np.concatenate([x.ravel() for pair in grads for x in pair])
     if skip_layers != frozenset(range(len(skip_layers))):
         raise DomainError(f"skip_layers must be a prefix of the layers, got "
                           f"{sorted(skip_layers)}")
-    g = (grads.flat if isinstance(grads, Gradients)
-         else np.concatenate([x.ravel() for pair in grads for x in pair]))
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         bad = next(i for i, (dw, db) in enumerate(grads)
                    if not (np.isfinite(dw).all() and np.isfinite(db).all()))
         raise NumericError(f"non-finite gradient at layer {bad}")
     adam.t += 1
-    c1 = 1.0 - adam.beta1**adam.t
-    c2 = 1.0 - adam.beta2**adam.t
+    b1, b2 = adam.beta1, adam.beta2
+    c1 = 1.0 - b1**adam.t
+    c2 = 1.0 - b2**adam.t
     start = params.layer_offset(len(skip_layers))
     m, v, g, p = adam.m[start:], adam.v[start:], g[start:], params.flat[start:]
-    m *= adam.beta1
-    m += (1.0 - adam.beta1) * g
-    v *= adam.beta2
-    v += (1.0 - adam.beta2) * g * g
-    p -= lr * (m / c1) / (np.sqrt(v / c2) + adam.eps)
+    s1, s2 = adam.scratch[0, start:], adam.scratch[1, start:]
+    np.multiply(g, 1.0 - b1, out=s1)
+    m *= b1
+    m += s1
+    np.multiply(g, 1.0 - b2, out=s1)
+    s1 *= g
+    v *= b2
+    v += s1
+    np.divide(m, c1, out=s1)
+    s1 *= lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += adam.eps
+    s1 /= s2
+    p -= s1
     return params
 
 

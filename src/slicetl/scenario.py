@@ -68,6 +68,10 @@ class SimilarityParams:
         for name in ("epochs", "batch_size", "latent_dim", "min_samples"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if not self.lr > 0.0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not self.kl_weight >= 0.0:
+            raise ConfigurationError(f"kl_weight must be >= 0, got {self.kl_weight}")
 
 
 @dataclass(frozen=True)

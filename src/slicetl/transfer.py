@@ -82,7 +82,8 @@ def instance_transfer(
         return target_buffer
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(stored, size=n, replace=False))
-    for row in zip(*source_buffer.rows(idx)):
+    rows = source_buffer.rows(idx)
+    for row in zip(rows.states, rows.actions, rows.rewards, rows.next_states):
         target_buffer.add(*row, source_buffer.owner)
     return target_buffer
 

@@ -48,10 +48,11 @@ def _transition(rng, n=2, origin=0):
 def _batch(transitions):
     """Stack hand-built transitions into a training batch."""
 
-    return Batch(np.stack([t.state for t in transitions]),
-                 np.stack([t.action for t in transitions]),
-                 np.array([t.reward for t in transitions]),
-                 np.stack([t.next_state for t in transitions]))
+    states = np.stack([t.state for t in transitions])
+    actions = np.stack([t.action for t in transitions])
+    block = np.hstack([states, actions, [[t.reward] for t in transitions],
+                       np.stack([t.next_state for t in transitions])])
+    return Batch.from_block(block, states.shape[1], actions.shape[1])
 
 
 def _assert_contents(buf, expected):
@@ -358,8 +359,7 @@ def test_train_step_updates_both_critics():
 def test_train_step_empty_batch_raises():
     agent = Td3Agent(0, 2, Td3Config(), seed=5)
     with pytest.raises(EmptySetError):
-        train_step(agent, Batch(np.zeros((0, 8)), np.zeros((0, 2)), np.zeros(0),
-                                np.zeros((0, 8))))
+        train_step(agent, Batch.from_block(np.zeros((0, 19)), 8, 2))
 
 
 def test_critic_learns_two_state_chain_values():

@@ -137,10 +137,22 @@ def test_config_rejects_missing_scenario():
     (("td3", "updates_per_step"), -1, "td3: updates_per_step"),
     (("td3", "tau"), 2.0, "td3: tau"),
     (("td3", "tau"), -0.5, "td3: tau"),
+    (("td3", "gamma"), 1.0, "td3: gamma"),
+    (("td3", "gamma"), -0.1, "td3: gamma"),
+    (("td3", "actor_lr"), 0.0, "td3: actor_lr"),
+    (("td3", "critic_lr"), -1e-3, "td3: critic_lr"),
+    (("td3", "target_noise"), -0.1, "td3: target_noise"),
+    (("td3", "noise_clip"), -0.2, "td3: noise_clip"),
+    (("td3", "explore_noise"), -0.3, "td3: explore_noise"),
+    (("td3", "explore_noise_final"), -0.05, "td3: explore_noise_final"),
+    (("td3", "actor_hidden"), [48, 0], "td3: actor_hidden"),
+    (("td3", "critic_hidden"), [0, 24], "td3: critic_hidden"),
     (("similarity", "epochs"), 0, "similarity: epochs"),
     (("similarity", "batch_size"), 0, "similarity: batch_size"),
     (("similarity", "latent_dim"), 0, "similarity: latent_dim"),
     (("similarity", "min_samples"), 0, "similarity: min_samples"),
+    (("similarity", "lr"), 0.0, "similarity: lr"),
+    (("similarity", "kl_weight"), -1e-3, "similarity: kl_weight"),
     (("transfer", "instance_fraction"), 1.5, "transfer: instance_fraction"),
     (("transfer", "instance_fraction"), -0.5, "transfer: instance_fraction"),
     (("transfer",), {"strategy": "feature", "frozen_layers": 0},
@@ -152,9 +164,11 @@ def test_config_rejects_missing_scenario():
         "scenario-seed", "yaml-exponent", "float-for-int", "bool-for-int",
         "int-for-list", "short-tuple", "str-for-int", "batch-size",
         "policy-delay", "buffer-capacity", "updates-per-step", "tau-high",
-        "tau-low", "epochs", "similarity-batch-size", "latent-dim",
-        "min-samples", "fraction-high", "fraction-low", "frozen-layers-low",
-        "frozen-layers-high"])
+        "tau-low", "gamma-one", "gamma-negative", "actor-lr", "critic-lr",
+        "target-noise", "noise-clip", "explore-noise", "explore-noise-final",
+        "actor-hidden", "critic-hidden", "epochs", "similarity-batch-size",
+        "latent-dim", "min-samples", "similarity-lr", "kl-weight", "fraction-high",
+        "fraction-low", "frozen-layers-low", "frozen-layers-high"])
 def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match):
     d = config_to_dict(smoke_cfg)
     section = d

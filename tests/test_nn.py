@@ -275,6 +275,27 @@ def test_adam_non_finite_error_names_the_layer():
     assert adam.t == 0 and np.array_equal(params.flat, before)
 
 
+def test_adam_rejects_gradients_of_another_layout():
+    """Both nets hold 8 parameters starting at offset 0, but a (1, 4) weight
+    is not a (3, 2) one: the layout check compares shapes too."""
+
+    rng = np.random.default_rng(15)
+    params = nn.init_mlp([1, 4], "identity", rng)
+    other = nn.init_mlp([3, 2], "identity", rng)
+    assert params.flat.size == other.flat.size == 8
+    assert params.layer_offset(0) == other.layer_offset(0)
+    _, cache = nn.mlp_forward(other, rng.standard_normal((2, 3)))
+    grads, _ = nn.mlp_backward(other, cache, rng.standard_normal((2, 2)))
+    adam = nn.AdamState.for_params(params)
+    before = params.flat.copy()
+    with pytest.raises(DimensionError):
+        nn.adam_step(adam, params, grads, lr=0.1)
+    assert adam.t == 0 and np.array_equal(params.flat, before)
+    # The same gradients as (dW, db) pairs fail the per-layer check.
+    with pytest.raises(DimensionError, match="layer 0"):
+        nn.adam_step(adam, params, list(grads), lr=0.1)
+
+
 def test_adam_reset_zeroes_accumulators():
     params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
     adam = nn.AdamState.for_params(params)

@@ -57,10 +57,11 @@ def _transition(rng, n=2, origin=0):
 def _batch(transitions):
     """Stack hand-built transitions into a training batch."""
 
-    return Batch(np.stack([t.state for t in transitions]),
-                 np.stack([t.action for t in transitions]),
-                 np.array([t.reward for t in transitions]),
-                 np.stack([t.next_state for t in transitions]))
+    states = np.stack([t.state for t in transitions])
+    actions = np.stack([t.action for t in transitions])
+    block = np.hstack([states, actions, [[t.reward] for t in transitions],
+                       np.stack([t.next_state for t in transitions])])
+    return Batch.from_block(block, states.shape[1], actions.shape[1])
 
 
 def _trained(seed, n=2, steps=6):
