@@ -321,6 +321,10 @@ def run_similarity(
     equal = equal_partition(cfg.scenario.n_slices)
     agents = [target, *candidates]
     samples = [simm.collect_default_samples(trace, equal, i) for i in agents]
+    # Every agent needs enough samples for its distance; check before the
+    # VAE trains, not after.
+    simm.require_samples({i: len(x) for i, x in zip(agents, samples)},
+                         sim.min_samples)
     model = simm.vae_train(
         np.concatenate(samples), kl_weight=sim.kl_weight, epochs=sim.epochs,
         seed=seed, latent_dim=sim.latent_dim, batch_size=sim.batch_size, lr=sim.lr,

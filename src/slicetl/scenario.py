@@ -65,7 +65,7 @@ class SimilarityParams:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown similarity mode {self.mode!r}; expected one of {MODES}")
-        for name in ("epochs", "batch_size", "latent_dim", "min_samples"):
+        for name in ("steps", "epochs", "batch_size", "latent_dim", "min_samples"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if not self.lr > 0.0:

@@ -111,6 +111,12 @@ def vae_train(
 
     Minimizes ||x - x_hat||^2 + kl_weight * KL(N(mu, diag(sigma^2)) || N(0, I))
     by minibatch Adam; per-epoch mean loss lands in ``model.loss_history``.
+
+    The minibatch step works on in-place temporaries and writes the
+    encoder's output gradient into one preallocated block. It keeps the
+    operands and the grouping of every floating-point operation of the
+    textbook form (``tests/frozen_td3.py``), so it computes the same bits;
+    it never writes into the networks' outputs, which their caches hold.
     """
 
     x = np.asarray(x, dtype=np.float64)
@@ -131,35 +137,60 @@ def vae_train(
     dec_adam = nn.AdamState.for_params(decoder)
 
     m = xs.shape[0]
+    l = latent_dim
+    enc_dout = np.empty((batch_size, 2 * l))  # [dmu | dlogvar] of a batch
     history = []
     for epoch in range(epochs):
         order = rng.permutation(m)
         epoch_loss = 0.0
         for start in range(0, m, batch_size):
-            xb = xs[order[start:start + batch_size]]
+            xb = xs.take(order[start:start + batch_size], axis=0)
             b = xb.shape[0]
             enc_out, enc_cache = nn.mlp_forward(encoder, xb)
-            mu, logvar = enc_out[:, :latent_dim], enc_out[:, latent_dim:]
-            sigma = np.exp(0.5 * logvar)
-            eps = rng.standard_normal(mu.shape)
-            z = mu + sigma * eps
+            mu, logvar = enc_out[:, :l], enc_out[:, l:]
+            sigma = logvar * 0.5
+            np.exp(sigma, out=sigma)
+            eps = rng.standard_normal((b, l))
+            z = sigma * eps
+            z += mu
             xh, dec_cache = nn.mlp_forward(decoder, z)
 
-            recon = np.sum((xb - xh) ** 2, axis=1)
-            kl = 0.5 * np.sum(sigma**2 + mu**2 - 1.0 - logvar, axis=1)
-            loss = float(np.mean(recon + kl_weight * kl))
+            # Loss: mean of ||xh - xb||^2 + kl_weight * 0.5 * sum(S) with
+            # S = sigma^2 + mu^2 - 1 - logvar; err becomes the decoder's
+            # output gradient 2 (xh - xb) / b once the loss is taken.
+            err = xh - xb
+            recon = np.add.reduce(err * err, axis=1)
+            s = sigma * sigma
+            s += mu * mu
+            s -= 1.0
+            s -= logvar
+            kl = np.add.reduce(s, axis=1)
+            kl *= 0.5
+            kl *= kl_weight
+            recon += kl
+            loss = float(np.add.reduce(recon)) / b
             if not math.isfinite(loss):
                 raise NumericError(f"VAE loss diverged at epoch {epoch}")
             epoch_loss += loss * b
 
-            dxh = 2.0 * (xh - xb) / b
-            dec_grads, dz = nn.mlp_backward(decoder, dec_cache, dxh)
-            dmu = dz + kl_weight * mu / b
-            dsigma = dz * eps + kl_weight * (sigma - 1.0 / sigma) / b
-            dlogvar = 0.5 * sigma * dsigma
-            enc_grads, _ = nn.mlp_backward(
-                encoder, enc_cache, np.hstack([dmu, dlogvar])
-            )
+            err *= 2.0
+            err /= b
+            dec_grads, dz = nn.mlp_backward(decoder, dec_cache, err)
+            dout = enc_dout[:b]
+            dmu, dlogvar = dout[:, :l], dout[:, l:]
+            np.multiply(mu, kl_weight, out=dmu)
+            dmu /= b
+            dmu += dz
+            # dsigma = dz * eps + kl_weight * (sigma - 1 / sigma) / b, in s.
+            np.divide(1.0, sigma, out=s)
+            np.subtract(sigma, s, out=s)
+            s *= kl_weight
+            s /= b
+            dz *= eps
+            s += dz
+            np.multiply(sigma, 0.5, out=dlogvar)
+            dlogvar *= s
+            enc_grads, _ = nn.mlp_backward(encoder, enc_cache, dout)
             nn.adam_step(dec_adam, decoder, dec_grads, lr)
             nn.adam_step(enc_adam, encoder, enc_grads, lr)
         history.append(epoch_loss / m)
@@ -191,7 +222,9 @@ def encode_samples(model: VaeModel, x: np.ndarray) -> LatentStats:
         raise DimensionError(
             f"sample matrix {x.shape} does not match encoder input {model.input_dim}")
     xs = (x - model.feature_mean) / model.feature_std
-    out = np.stack([nn.mlp_forward(model.encoder, row)[0] for row in xs])
+    out = np.empty((len(xs), model.encoder.out_dim))
+    for i, row in enumerate(xs):
+        out[i] = nn.mlp_forward(model.encoder, row)[0]
     return LatentStats(out[:, :model.latent_dim],
                        np.exp(0.5 * out[:, model.latent_dim:]))
 
@@ -316,6 +349,17 @@ class DistanceMatrix:
                 raise DomainError(f"invalid KL path {path!r} for source {i}")
 
 
+def require_samples(counts: dict[int, int], min_samples: int) -> None:
+    """Raise ``EmptySetError`` naming the first agent of ``counts`` (agent
+    id -> sample count) with fewer than ``min_samples`` samples."""
+
+    for i, n in counts.items():
+        if n < min_samples:
+            raise EmptySetError(
+                f"agent {i} has fewer than {min_samples} default-action samples"
+            )
+
+
 def compute_distance_matrix(
     latents_by_agent: dict[int, LatentStats],
     target: int,
@@ -338,11 +382,7 @@ def compute_distance_matrix(
         raise DomainError(f"target agent {target} is among the candidate sources")
     counts = {i: len(latents_by_agent[i].mu) if i in latents_by_agent else 0
               for i in [target, *candidates]}
-    for i, n in counts.items():
-        if n < min_samples:
-            raise EmptySetError(
-                f"agent {i} has fewer than {min_samples} default-action samples"
-            )
+    require_samples(counts, min_samples)
     results = {
         i: kl_distance(latents_by_agent[i], latents_by_agent[target], mode)
         for i in candidates

@@ -5,6 +5,7 @@ VAE's minibatch step reproduce the frozen implementations in
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from slicetl.agent import (
     NETWORKS,
@@ -140,12 +141,16 @@ def test_buffer_that_evicted_foreign_rows_bit_for_bit():
     _assert_same(agent, twin)
 
 
-def test_vae_three_epochs_bit_for_bit():
+@pytest.mark.parametrize("rows, settings", [
+    (150, dict(kl_weight=1e-3, latent_dim=4, hidden=(64, 24), batch_size=32)),
+    # A larger KL weight, other shapes and a partial last batch (101 = 4 x 24 + 5).
+    (101, dict(kl_weight=0.05, latent_dim=2, hidden=(32, 8), batch_size=24)),
+], ids=["shipped", "partial-batch"])
+def test_vae_three_epochs_bit_for_bit(rows, settings):
     rng = np.random.default_rng(23)
-    x = rng.standard_normal((150, 17)) * rng.uniform(0.5, 3.0, 17)
+    x = rng.standard_normal((rows, 17)) * rng.uniform(0.5, 3.0, 17)
     x += rng.uniform(-1.0, 1.0, 17)
-    kwargs = dict(kl_weight=1e-3, epochs=3, seed=8, latent_dim=4, hidden=(64, 24),
-                  batch_size=32, lr=1e-3)
+    kwargs = dict(epochs=3, seed=8, lr=1e-3, **settings)
     model = vae_train(x, min_samples=50, **kwargs)
     encoder, decoder, history = ref.vae_train(
         (x - model.feature_mean) / model.feature_std, **kwargs)

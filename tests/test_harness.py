@@ -18,7 +18,12 @@ from slicetl.agent import Td3Agent, train_step
 from slicetl.cli import main
 from slicetl.csvio import write_csv
 from slicetl.env import equal_partition
-from slicetl.errors import ConfigurationError, DependencyError, NumericError
+from slicetl.errors import (
+    ConfigurationError,
+    DependencyError,
+    EmptySetError,
+    NumericError,
+)
 from slicetl.harness import (
     constant_policy,
     empirical_cdf,
@@ -147,6 +152,7 @@ def test_config_rejects_missing_scenario():
     (("td3", "explore_noise_final"), -0.05, "td3: explore_noise_final"),
     (("td3", "actor_hidden"), [48, 0], "td3: actor_hidden"),
     (("td3", "critic_hidden"), [0, 24], "td3: critic_hidden"),
+    (("similarity", "steps"), 0, "similarity: steps"),
     (("similarity", "epochs"), 0, "similarity: epochs"),
     (("similarity", "batch_size"), 0, "similarity: batch_size"),
     (("similarity", "latent_dim"), 0, "similarity: latent_dim"),
@@ -166,9 +172,10 @@ def test_config_rejects_missing_scenario():
         "policy-delay", "buffer-capacity", "updates-per-step", "tau-high",
         "tau-low", "gamma-one", "gamma-negative", "actor-lr", "critic-lr",
         "target-noise", "noise-clip", "explore-noise", "explore-noise-final",
-        "actor-hidden", "critic-hidden", "epochs", "similarity-batch-size",
-        "latent-dim", "min-samples", "similarity-lr", "kl-weight", "fraction-high",
-        "fraction-low", "frozen-layers-low", "frozen-layers-high"])
+        "actor-hidden", "critic-hidden", "similarity-steps", "epochs",
+        "similarity-batch-size", "latent-dim", "min-samples", "similarity-lr",
+        "kl-weight", "fraction-high", "fraction-low", "frozen-layers-low",
+        "frozen-layers-high"])
 def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match):
     d = config_to_dict(smoke_cfg)
     section = d
@@ -564,6 +571,22 @@ def test_run_similarity_selects_a_source(tmp_path, tiny_cfg):
         rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(v))
                         for r in rows for k, v in r.items() if k != "agent")
+
+
+def test_run_similarity_checks_sample_counts_before_training(tmp_path, tiny_cfg,
+                                                             monkeypatch):
+    """30 default-action steps give each agent 30 < min_samples samples:
+    the run fails before the VAE trains."""
+
+    cfg = dataclasses.replace(
+        tiny_cfg, similarity=dataclasses.replace(tiny_cfg.similarity, steps=30))
+
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("vae_train ran although an agent lacks samples")
+
+    monkeypatch.setattr(harness.simm, "vae_train", must_not_train)
+    with pytest.raises(EmptySetError, match="agent 3 has fewer than 50"):
+        harness.run_similarity(cfg, seed=0, out=tmp_path / "sim")
 
 
 # ---------------------------------------------------------------------------

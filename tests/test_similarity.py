@@ -277,6 +277,8 @@ def test_encode_samples_equals_stacked_encode():
     assert stats.sigma.tobytes() == np.stack([r.sigma for r in rows]).tobytes()
     with pytest.raises(DimensionError):
         encode_samples(model, x[0])
+    empty = encode_samples(model, x[:0])
+    assert empty.mu.shape == empty.sigma.shape == (0, 3)
 
 
 def test_encode_rejects_wrong_dim():
