@@ -28,7 +28,7 @@ cfg = dataclasses.replace(
 
 print("training 3 agents (reduced budget)...")
 result = harness.run_madrl(cfg, seed=1, out=OUT)
-summary = result.extras["summary"]
+summary = result.summary
 print(f"  eval mean satisfaction: {summary.mean_satisfaction:.3f}")
 print(f"  eval mean worst-slice delay: {summary.mean_max_delay:.2f} ms")
 

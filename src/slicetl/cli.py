@@ -51,8 +51,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "transfer":
             harness.run_transfer(cfg, seed, args.out)
         else:
-            summary = harness.run_evaluate(cfg, seed, args.out)
-            print(f"mean satisfaction: {summary.mean_satisfaction:.4f}")
+            result = harness.run_evaluate(cfg, seed, args.out)
+            print(f"mean satisfaction: {result.summary.mean_satisfaction:.4f}")
     except SliceTlError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code

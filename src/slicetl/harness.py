@@ -9,7 +9,7 @@ such as the selected transfer source.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -37,15 +37,6 @@ TRACE_VERSION = 1
 METRICS_HEADER = ("t", "cell", "slice", "throughput", "delay", "load", "ues",
                   "share", "reward")
 BLOCK_SLOTS = 64  # slots of metrics.csv formatted at a time
-
-
-@dataclass
-class RunMetrics:
-    """Everything a run produced that downstream steps may consume."""
-
-    records: list[SlotRecord]
-    eval_records: list[SlotRecord]
-    extras: dict
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +108,7 @@ def load_trace(path) -> Trace:
     with np.load(path, allow_pickle=False) as data:
         if int(data["version"]) != TRACE_VERSION:
             raise DependencyError(f"unsupported trace version {data['version']}")
-        return Trace(*(data[field] for field in Trace._fields))
+        return Trace(*(data[name] for name in Trace._fields))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +120,10 @@ def greedy_policy(agent: Td3Agent) -> Policy:
     return lambda state: select_action(agent, state, explore=False)
 
 
-def constant_policy(shares: np.ndarray) -> Policy:
-    return lambda state: shares
+def greedy_act(scenario: ScenarioConfig, agents: dict[int, Td3Agent]) -> Act:
+    """Act hook in which every cell follows its agent's greedy policy."""
+
+    return follow(scenario, {cid: greedy_policy(a) for cid, a in agents.items()})
 
 
 def baseline_act(scenario: ScenarioConfig) -> Act:
@@ -201,9 +194,34 @@ def evaluate_policies(
     return EvalSummary(satisfaction, max_delay.reshape(-1), records)
 
 
-def write_eval_outputs(out: Path, summary: EvalSummary) -> None:
+@dataclass
+class RunResult:
+    """What an evaluating run produced, for the steps that read it after."""
+
+    summary: EvalSummary  # the evaluation; its records end ``metrics.csv``
+    records: list[SlotRecord]  # the learning slots before them, if any
+    agents: dict[int, Td3Agent] = field(default_factory=dict)  # the evaluated learners
+    source: int | None = None  # a transfer run's source cell
+    tl_trace: np.ndarray | None = None  # the target's reward per fine-tuning slot
+    scratch_trace: np.ndarray | None = None  # the same for the scratch learner
+
+
+def _evaluate_and_write(
+    cfg: ExperimentConfig, seed: int, out: Path, records: list[SlotRecord],
+    act: Act, eval_seed: int, **meta,
+) -> EvalSummary:
+    """The tail every evaluating run shares: evaluate ``act``, write
+    ``metrics.csv`` (``records``, then the evaluation's), both CDFs, and
+    ``run_meta.json`` last, with ``meta`` added to its common keys."""
+
+    summary = evaluate_policies(cfg.scenario, act, cfg.phases.evaluation, eval_seed)
+    write_metrics_csv(out / "metrics.csv", records + summary.records)
     write_cdf_csv(out / "cdf_throughput.csv", summary.satisfaction, "satisfaction")
     write_cdf_csv(out / "cdf_delay.csv", summary.max_delay, "max_delay_ms")
+    write_run_meta(out, cfg, seed, **meta,
+                   mean_satisfaction=summary.mean_satisfaction,
+                   mean_max_delay=summary.mean_max_delay)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +229,12 @@ def write_eval_outputs(out: Path, summary: EvalSummary) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_baseline(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
+def run_baseline(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     """Traffic-aware baseline with perfect demand knowledge; no learning."""
 
-    out = _prepare_out(out)
-    summary = evaluate_policies(cfg.scenario, baseline_act(cfg.scenario),
-                                cfg.phases.evaluation, seed)
-    write_metrics_csv(out / "metrics.csv", summary.records)
-    write_eval_outputs(out, summary)
-    write_run_meta(out, cfg, seed, method="baseline",
-                   mean_satisfaction=summary.mean_satisfaction,
-                   mean_max_delay=summary.mean_max_delay)
-    return RunMetrics(summary.records, summary.records,
-                      {"summary": summary})
+    summary = _evaluate_and_write(cfg, seed, _prepare_out(out), [],
+                                  baseline_act(cfg.scenario), seed, method="baseline")
+    return RunResult(summary, [])
 
 
 def _agent_seed(seed: int, cell_id: int) -> int:
@@ -238,7 +249,7 @@ def make_agents(cfg: ExperimentConfig, seed: int) -> dict[int, Td3Agent]:
     }
 
 
-def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
+def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     """Train all cells in parallel: exploration, training, evaluation.
 
     Persists per-agent checkpoints, replay buffers, and a default-action
@@ -284,18 +295,9 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
         save_agent(agent, checkpoints / f"cell_{cid}.npz")
         agent.buffer.export(buffers / f"cell_{cid}.npz")
 
-    summary = evaluate_policies(
-        scenario,
-        follow(scenario, {cid: greedy_policy(agent) for cid, agent in agents.items()}),
-        cfg.phases.evaluation, seed + 1,
-    )
-    write_metrics_csv(out / "metrics.csv", records + summary.records)
-    write_eval_outputs(out, summary)
-    write_run_meta(out, cfg, seed, method="madrl", diverged=diverged,
-                   mean_satisfaction=summary.mean_satisfaction,
-                   mean_max_delay=summary.mean_max_delay)
-    return RunMetrics(records, summary.records,
-                      {"agents": agents, "summary": summary, "out": out})
+    summary = _evaluate_and_write(cfg, seed, out, records, greedy_act(scenario, agents),
+                                  seed + 1, method="madrl", diverged=diverged)
+    return RunResult(summary, records, agents)
 
 
 def run_similarity(
@@ -312,14 +314,16 @@ def run_similarity(
     target = cfg.similarity_target
     candidates = (list(sim.candidates) if sim.candidates is not None
                   else [i for i in cfg.scenario.cell_ids if i != target])
+    agents = [target, *candidates]
     if trace is None:
         if sim.trace is not None:
             trace = load_trace(sim.trace)
         else:
+            # Each slot of a fresh rollout gives every agent one sample.
+            simm.require_samples({i: sim.steps for i in agents}, sim.min_samples)
             trace = default_action_trace(cfg.scenario, sim.steps, seed, out)
 
     equal = equal_partition(cfg.scenario.n_slices)
-    agents = [target, *candidates]
     samples = [simm.collect_default_samples(trace, equal, i) for i in agents]
     # Every agent needs enough samples for its distance; check before the
     # VAE trains, not after.
@@ -367,7 +371,7 @@ def load_pretrained(
     return agents
 
 
-def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetrics:
+def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     """``transfer.strategy`` to the target cell plus a paired-seed scratch run.
 
     Emits the per-step TL gain curve (TL reward minus scratch reward under
@@ -381,7 +385,6 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
             "transfer requires 'transfer.artifacts' pointing at a train run"
         )
     target_id = cfg.transfer_target
-    peer_ids = [i for i in scenario.cell_ids if i != target_id]
     pretrained = load_pretrained(cfg.transfer.artifacts, scenario.cell_ids, seed)
 
     source_id = cfg.transfer.source
@@ -393,7 +396,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
         selected_distance = distances.entries[source_id]
 
     steps = cfg.phases.tl_training
-    peers = {i: greedy_policy(pretrained[i]) for i in peer_ids}
+    peers = {i: greedy_policy(a) for i, a in pretrained.items() if i != target_id}
 
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
@@ -416,48 +419,33 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunMetric
     write_csv(out / "gain.csv", ("t", "reward_tl", "reward_scratch", "gain"),
               [(np.arange(1, tl_trace.size + 1), tl_trace, scratch_trace,
                 tl_trace - scratch_trace)])
-
-    policies = dict(peers)
-    policies[target_id] = greedy_policy(tl_agent)
-    summary = evaluate_policies(scenario, follow(scenario, policies),
-                                cfg.phases.evaluation, seed + 1)
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(exist_ok=True)
     save_agent(tl_agent, checkpoints / f"cell_{target_id}.npz")
-    write_metrics_csv(out / "metrics.csv", tl_records + summary.records)
-    write_eval_outputs(out, summary)
-    write_run_meta(
-        out, cfg, seed, method="tl",
-        source=source_id, target=target_id,
+
+    agents = {**pretrained, target_id: tl_agent}
+    summary = _evaluate_and_write(
+        cfg, seed, out, tl_records, greedy_act(scenario, agents), seed + 1,
+        method="tl", source=source_id, target=target_id,
         diverged={run: d[target_id] for run, d in diverged.items() if d},
         selected_distance=selected_distance,
-        mean_satisfaction=summary.mean_satisfaction,
-        mean_max_delay=summary.mean_max_delay,
     )
-    return RunMetrics(
-        tl_records, summary.records,
-        {"tl_trace": tl_trace, "scratch_trace": scratch_trace,
-         "tl_agent": tl_agent, "summary": summary, "source": source_id},
-    )
+    return RunResult(summary, tl_records, agents, source_id, tl_trace, scratch_trace)
 
 
-def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> EvalSummary:
+def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     """Frozen-policy evaluation of checkpointed agents or the baseline."""
 
     out = _prepare_out(out)
     scenario = cfg.scenario
+    agents: dict[int, Td3Agent] = {}
     if cfg.evaluate.checkpoints is None:
         act = baseline_act(scenario)
     else:
         agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids, seed)
-        act = follow(scenario, {cid: greedy_policy(a) for cid, a in agents.items()})
-    summary = evaluate_policies(scenario, act, cfg.phases.evaluation, seed)
-    write_metrics_csv(out / "metrics.csv", summary.records)
-    write_eval_outputs(out, summary)
-    write_run_meta(out, cfg, seed, method="evaluate",
-                   mean_satisfaction=summary.mean_satisfaction,
-                   mean_max_delay=summary.mean_max_delay)
-    return summary
+        act = greedy_act(scenario, agents)
+    summary = _evaluate_and_write(cfg, seed, out, [], act, seed, method="evaluate")
+    return RunResult(summary, [], agents)
 
 
 def _prepare_out(out: str | Path) -> Path:

@@ -2,7 +2,7 @@
 
 An experiment file has nested sections ``scenario``, ``phases``, ``td3``,
 ``similarity``, ``transfer`` and ``evaluate``. Two builtin configurations
-ship with the package: ``smoke3`` (one cell per requirement group plus a
+are built here in Python: ``smoke3`` (one cell per requirement group plus a
 clone target) and ``full12`` (four three-sector sites, two requirement
 groups). The section dataclasses are the file format: ``slicetl.codec``
 reads and writes them by their type hints.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import yaml
@@ -231,15 +230,16 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
 
     name = str(path_or_name)
     if name in BUILTIN_SCENARIOS:
-        ref = resources.files("slicetl.configs").joinpath(f"{name}.yaml")
-        text = ref.read_text()
-    else:
-        path = Path(path_or_name)
-        if not path.exists():
-            raise ConfigurationError(f"config file {path} does not exist")
-        text = path.read_text()
+        # Default sections; the last cell is the similarity and transfer target.
+        scenario = BUILTIN_SCENARIOS[name]()
+        target = scenario.cell_ids[-1]
+        return ExperimentConfig(scenario, similarity=SimilarityParams(target=target),
+                                transfer=TransferParams(target=target))
+    path = Path(path_or_name)
+    if not path.exists():
+        raise ConfigurationError(f"config file {path} does not exist")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config {name} is not valid YAML: {exc}") from exc
     return config_from_dict(data)

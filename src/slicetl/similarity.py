@@ -229,14 +229,6 @@ def encode_samples(model: VaeModel, x: np.ndarray) -> LatentStats:
                        np.exp(0.5 * out[:, model.latent_dim:]))
 
 
-def reconstruct(model: VaeModel, x: np.ndarray) -> np.ndarray:
-    """Deterministic reconstruction through the posterior mean (for tests)."""
-
-    stats = encode(model, x)
-    xh, _ = nn.mlp_forward(model.decoder, stats.mu)
-    return xh * model.feature_std + model.feature_mean
-
-
 def kl_gaussian(p: LatentStats, q: LatentStats) -> float:
     """Closed-form KL divergence between two diagonal Gaussians."""
 

@@ -21,7 +21,7 @@ from slicetl.env import (
     equal_partition,
     slice_rewards,
 )
-from slicetl.harness import constant_policy, greedy_policy, rollout
+from slicetl.harness import greedy_policy, rollout
 from slicetl.runner import Trace, follow
 from slicetl.transfer import fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
@@ -164,7 +164,7 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     for seed in (0, 1, 2):
         trace = Trace.of(rollout(
             sc,
-            follow(sc, {c.cell_id: constant_policy(a_prime) for c in sc.cells}),
+            follow(sc, {c.cell_id: lambda state: a_prime for c in sc.cells}),
             sim.steps, seed,
         ))
         samples = {
@@ -203,7 +203,7 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     for seed in (0, 1, 2):
         trace = Trace.of(rollout(
             sc,
-            follow(sc, {c.cell_id: constant_policy(a_prime) for c in sc.cells}),
+            follow(sc, {c.cell_id: lambda state: a_prime for c in sc.cells}),
             sim.steps, seed,
         ))
         samples = {
@@ -245,7 +245,7 @@ def test_criterion_08_transfer_jumpstart(pipeline):
     """Integrated TL must out-earn paired-seed scratch training by at least
     10% relative mean reward over fine-tuning steps 1-200, in 3/3 seeds."""
 
-    source = pipeline["transfer"].extras["source"]
+    source = pipeline["transfer"].source
     for seed in (0, 1, 2):
         tl_trace, scratch_trace = _tl_and_scratch_traces(pipeline, source, seed)
         assert tl_trace.mean() >= 1.10 * scratch_trace.mean()
@@ -276,9 +276,9 @@ def test_criterion_10_method_ordering_after_convergence(pipeline):
     under full training budgets, with TL strictly above the baseline,
     <= 30 min wall clock for the whole pipeline."""
 
-    baseline = pipeline["baseline"].extras["summary"].mean_satisfaction
-    madrl = pipeline["train"].extras["summary"].mean_satisfaction
-    tl = pipeline["transfer"].extras["summary"].mean_satisfaction
+    baseline = pipeline["baseline"].summary.mean_satisfaction
+    madrl = pipeline["train"].summary.mean_satisfaction
+    tl = pipeline["transfer"].summary.mean_satisfaction
     assert tl >= madrl >= baseline
     assert tl > baseline
     assert pipeline["elapsed"] < 30 * 60

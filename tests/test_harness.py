@@ -25,7 +25,6 @@ from slicetl.errors import (
     NumericError,
 )
 from slicetl.harness import (
-    constant_policy,
     empirical_cdf,
     evaluate_policies,
     load_trace,
@@ -39,6 +38,7 @@ from slicetl.harness import (
 from slicetl.runner import Trace, follow
 from slicetl.transfer import STRATEGIES
 from slicetl.scenario import (
+    EvaluateParams,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -59,6 +59,9 @@ def test_builtin_configs_load():
     assert smoke.scenario.n_cells == 3
     assert full.scenario.n_cells == 12
     assert smoke.scenario.n_slices == full.scenario.n_slices == 4
+    # The last cell is the similarity and transfer target.
+    assert (smoke.similarity.target, smoke.transfer.target) == (3, 3)
+    assert (full.similarity.target, full.transfer.target) == (12, 12)
 
 
 def test_builtin_scenarios_have_symmetric_sites():
@@ -236,14 +239,16 @@ def test_cdf_csv_round_trip(tmp_path):
     assert [float(r["cdf"]) for r in rows] == [1 / 3, 2 / 3, 1.0]
 
 
+def _equal_split(scenario):
+    """Act hook in which every cell follows a constant equal-split policy."""
+
+    equal = equal_partition(scenario.n_slices)
+    return follow(scenario, {cid: lambda state: equal for cid in scenario.cell_ids})
+
+
 def test_metrics_csv_schema_and_float_round_trip(tmp_path):
     scenario = smoke_scenario()
-    records = rollout(
-        scenario,
-        follow(scenario, {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-                for c in scenario.cells}),
-        steps=3, seed=0,
-    )
+    records = rollout(scenario, _equal_split(scenario), steps=3, seed=0)
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, records)
     with open(path) as fh:
@@ -315,27 +320,9 @@ def test_column_writer_matches_csv_writer(data):
     assert written == _reference_csv(header, zip(ints, repeated, mixed, small))
 
 
-def test_learned_runs_write_the_reference_metrics_csv(tmp_path, tiny_cfg):
-    """The actors' shares are distinct values in every row, unlike the
-    baseline's; both runs' files match csv.writer over their slot records."""
-
-    train = harness.run_madrl(tiny_cfg, seed=0, out=tmp_path / "train")
-    assert ((tmp_path / "train" / "metrics.csv").read_bytes()
-            == _reference_metrics_csv(train.records + train.eval_records))
-    tl = harness.run_transfer(_transfer_cfg(tiny_cfg, tmp_path / "train"), seed=0,
-                              out=tmp_path / "tl")
-    assert ((tmp_path / "tl" / "metrics.csv").read_bytes()
-            == _reference_metrics_csv(tl.records + tl.eval_records))
-
-
 def test_trace_round_trip(tmp_path):
     scenario = smoke_scenario()
-    records = rollout(
-        scenario,
-        follow(scenario, {c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-                for c in scenario.cells}),
-        steps=4, seed=1,
-    )
+    records = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
     path = tmp_path / "trace.npz"
     trace = Trace.of(records)
     save_trace(path, trace)
@@ -363,9 +350,7 @@ def test_load_trace_missing_file(tmp_path):
 
 def test_rollout_is_deterministic():
     scenario = smoke_scenario()
-    act = follow(scenario, {
-        c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-        for c in scenario.cells})
+    act = _equal_split(scenario)
     a = rollout(scenario, act, steps=10, seed=5)
     b = rollout(scenario, act, steps=10, seed=5)
     assert all(
@@ -378,9 +363,7 @@ def test_rollout_is_deterministic():
 
 def test_evaluate_policies_summary_shapes():
     scenario = smoke_scenario()
-    act = follow(scenario, {
-        c.cell_id: constant_policy(equal_partition(scenario.n_slices))
-        for c in scenario.cells})
+    act = _equal_split(scenario)
     summary = evaluate_policies(scenario, act, steps=8, seed=0)
     assert summary.satisfaction.shape == (8 * scenario.n_cells,)
     assert summary.max_delay.shape == (8 * scenario.n_cells,)
@@ -393,16 +376,44 @@ def test_evaluate_policies_summary_shapes():
 # ---------------------------------------------------------------------------
 
 
-def test_run_baseline_artifacts(tmp_path, tiny_cfg):
-    out = tmp_path / "base"
-    run_baseline(tiny_cfg, seed=0, out=out)
-    assert (out / "metrics.csv").exists()
-    assert (out / "cdf_throughput.csv").exists()
-    assert (out / "cdf_delay.csv").exists()
-    meta = json.loads((out / "run_meta.json").read_text())
-    assert meta["method"] == "baseline"
-    assert meta["seed"] == 0
+RUNS = {
+    "baseline": lambda cfg, artifacts, out: run_baseline(cfg, 0, out),
+    "train": lambda cfg, artifacts, out: harness.run_madrl(cfg, 0, out),
+    "transfer": lambda cfg, artifacts, out: harness.run_transfer(
+        _transfer_cfg(cfg, artifacts), 0, out),
+    "evaluate": lambda cfg, artifacts, out: run_evaluate(cfg, 0, out),
+    "evaluate-checkpoints": lambda cfg, artifacts, out: run_evaluate(
+        dataclasses.replace(cfg, evaluate=EvaluateParams(str(artifacts))), 0, out),
+}
+
+
+@pytest.mark.parametrize("run, method", [
+    ("baseline", "baseline"), ("train", "madrl"), ("transfer", "tl"),
+    ("evaluate", "evaluate"), ("evaluate-checkpoints", "evaluate"),
+], ids=list(RUNS))
+def test_run_baseline_artifacts(tmp_path, tiny_cfg, tiny_artifacts, run, method):
+    """Every evaluating run ends with the same tail: metrics.csv, both
+    CDFs, and run_meta.json written last. metrics.csv matches csv.writer
+    over the slot records, also where the actors' shares are distinct
+    values in every row, unlike the baseline's."""
+
+    out = tmp_path / run
+    result = RUNS[run](tiny_cfg, tiny_artifacts, out)
+    files = [p for p in out.rglob("*") if p.is_file()]
+    names = {p.name for p in files}
+    assert {"metrics.csv", "cdf_throughput.csv", "cdf_delay.csv",
+            "run_meta.json"} <= names
+    meta_path = out / "run_meta.json"
+    assert all(meta_path.stat().st_mtime_ns >= p.stat().st_mtime_ns for p in files)
+    meta = json.loads(meta_path.read_text())
+    assert (meta["method"], meta["seed"]) == (method, 0)
     assert 0.0 <= meta["mean_satisfaction"] <= 1.0
+    assert meta["mean_max_delay"] == result.summary.mean_max_delay
+    assert ("diverged" in meta) == (run in ("train", "transfer"))
+    # The evaluation's records end metrics.csv, after the learning slots.
+    assert len(result.summary.records) == tiny_cfg.phases.evaluation
+    assert ((out / "metrics.csv").read_bytes()
+            == _reference_metrics_csv(result.records + result.summary.records))
 
 
 def test_baseline_shares_follow_the_slot_demands(tmp_path, tiny_cfg):
@@ -438,7 +449,7 @@ def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
         assert (train_out / "buffers" / f"cell_{cid}.npz").exists()
     assert (train_out / "default_trace.npz").exists()
     assert json.loads((train_out / "run_meta.json").read_text())["diverged"] == {}
-    assert result.extras["summary"].satisfaction.size > 0
+    assert result.summary.satisfaction.size > 0
 
     cfg_tl = dataclasses.replace(
         tiny_cfg,
@@ -461,8 +472,8 @@ def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
         cfg_tl,
         evaluate=dataclasses.replace(cfg_tl.evaluate, checkpoints=str(train_out)),
     )
-    summary = run_evaluate(eval_cfg, seed=0, out=tmp_path / "eval")
-    assert 0.0 <= summary.mean_satisfaction <= 1.0
+    result = run_evaluate(eval_cfg, seed=0, out=tmp_path / "eval")
+    assert 0.0 <= result.summary.mean_satisfaction <= 1.0
 
 
 @pytest.fixture(scope="module")
@@ -488,7 +499,7 @@ def test_run_transfer_runs_every_strategy(tmp_path, tiny_cfg, tiny_artifacts,
     assert (meta["config"]["transfer"]["frozen_layers"]
             == tiny_cfg.transfer.frozen_layers)
     assert meta["diverged"] == {}
-    agent = result.extras["tl_agent"]
+    agent = result.agents[3]
     assert agent.frozen_actor_layers == (
         tiny_cfg.transfer.frozen_layers if strategy == "feature" else 0)
     foreign = agent.buffer.origin_counts().get(1, 0)
@@ -544,9 +555,9 @@ def test_run_transfer_ranks_sources_for_the_transfer_target(tmp_path, tiny_cfg,
                                      artifacts=str(tiny_artifacts)),
     )
     result = harness.run_transfer(cfg, seed=5, out=tmp_path)
-    assert result.extras["source"] in (2, 3)
+    assert result.source in (2, 3)
     meta = json.loads((tmp_path / "run_meta.json").read_text())
-    assert (meta["source"], meta["target"]) == (result.extras["source"], 1)
+    assert (meta["source"], meta["target"]) == (result.source, 1)
     with open(tmp_path / "similarity" / "distances.csv") as fh:
         assert {int(r["target"]) for r in csv.DictReader(fh)} == {1}
 
@@ -575,18 +586,34 @@ def test_run_similarity_selects_a_source(tmp_path, tiny_cfg):
 
 def test_run_similarity_checks_sample_counts_before_training(tmp_path, tiny_cfg,
                                                              monkeypatch):
-    """30 default-action steps give each agent 30 < min_samples samples:
-    the run fails before the VAE trains."""
+    """A 30-slot trace gives each agent 30 < min_samples samples: the run
+    fails before the VAE trains."""
 
-    cfg = dataclasses.replace(
-        tiny_cfg, similarity=dataclasses.replace(tiny_cfg.similarity, steps=30))
+    trace = harness.default_action_trace(tiny_cfg.scenario, 30, 0, tmp_path)
 
     def must_not_train(*args, **kwargs):
         raise AssertionError("vae_train ran although an agent lacks samples")
 
     monkeypatch.setattr(harness.simm, "vae_train", must_not_train)
     with pytest.raises(EmptySetError, match="agent 3 has fewer than 50"):
+        harness.run_similarity(tiny_cfg, seed=0, out=tmp_path / "sim", trace=trace)
+
+
+def test_run_similarity_checks_steps_before_the_rollout(tmp_path, tiny_cfg,
+                                                       monkeypatch):
+    """Without a trace, 30 default-action steps give each agent 30 <
+    min_samples samples: the run fails before any slot runs."""
+
+    cfg = dataclasses.replace(
+        tiny_cfg, similarity=dataclasses.replace(tiny_cfg.similarity, steps=30))
+
+    def must_not_roll_out(*args, **kwargs):
+        raise AssertionError("the rollout ran although an agent lacks samples")
+
+    monkeypatch.setattr(harness, "default_action_trace", must_not_roll_out)
+    with pytest.raises(EmptySetError, match="agent 3 has fewer than 50"):
         harness.run_similarity(cfg, seed=0, out=tmp_path / "sim")
+    assert not (tmp_path / "sim" / "default_trace.npz").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +667,3 @@ def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_builtin_yaml_matches_programmatic_scenario():
-    cfg = load_config("smoke3")
-    assert cfg.scenario == smoke_scenario()
-    assert load_config("full12").scenario == full_scenario()

@@ -20,7 +20,6 @@ from slicetl.errors import (
     DomainError,
     IncompatibleArchitectureError,
 )
-from slicetl.harness import constant_policy
 from slicetl.runner import record_step
 from slicetl.scenario import TransferParams, smoke_scenario
 from slicetl.transfer import (
@@ -313,8 +312,8 @@ def test_fine_tune_runs_and_traces_rewards():
     n = scenario.n_slices
     cfg = Td3Config(batch_size=8, updates_per_step=1)
     target = Td3Agent(3, n, cfg, seed=0)
-    peers = {1: constant_policy(equal_partition(n)),
-             2: constant_policy(equal_partition(n))}
+    equal = equal_partition(n)
+    peers = {1: lambda state: equal, 2: lambda state: equal}
     target, trace, _ = fine_tune(target, scenario, peers, steps=30, seed=0)
     assert trace.shape == (30,)
     assert np.all((trace >= 0.0) & (trace <= 1.0))
@@ -326,8 +325,8 @@ def test_fine_tune_collects_all_cell_records():
     scenario = smoke_scenario()
     n = scenario.n_slices
     target = Td3Agent(3, n, Td3Config(batch_size=8, updates_per_step=1), seed=1)
-    peers = {1: constant_policy(equal_partition(n)),
-             2: constant_policy(equal_partition(n))}
+    equal = equal_partition(n)
+    peers = {1: lambda state: equal, 2: lambda state: equal}
     _, _, slots = fine_tune(target, scenario, peers, steps=5, seed=0)
     records = [record_step(scenario, slot) for slot in slots]
     assert [r.t for r in records] == [1, 2, 3, 4, 5]
@@ -338,5 +337,5 @@ def test_fine_tune_requires_all_peer_policies():
     scenario = smoke_scenario()
     target = Td3Agent(3, scenario.n_slices, Td3Config(), seed=0)
     with pytest.raises(ConfigurationError):
-        fine_tune(target, scenario, {1: constant_policy(
-            equal_partition(scenario.n_slices))}, steps=5, seed=0)
+        equal = equal_partition(scenario.n_slices)
+        fine_tune(target, scenario, {1: lambda state: equal}, steps=5, seed=0)
