@@ -32,7 +32,7 @@ def neighbor_means(load: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Mean per-slice load of each row's neighbours: ``neighbors`` (k, d),
     d >= 1, indexes rows of ``load`` (K, N); returns (k, N)."""
 
-    return load[neighbors].mean(axis=1)
+    return np.add.reduce(load[neighbors], axis=1) / neighbors.shape[1]
 
 
 def assemble_states(
@@ -115,6 +115,13 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return self._n
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """The (state, action) lengths of the stored rows; (0, 0) until the
+        first row is stored."""
+
+        return self._dims
 
     def origin_counts(self) -> dict[int, int]:
         return dict(Counter(self._origins[:self._n].tolist()))
@@ -393,10 +400,12 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
     for critic, adam in ((agent.q1, agent.q1_adam), (agent.q2, agent.q2_adam)):
         q, cache = nn.mlp_forward(critic, sa)
         err = q[:, 0] - y
-        loss = float(np.add.reduce(err * err) / b)
+        loss = float(np.add.reduce(err * err)) / b
         if not math.isfinite(loss):
             raise NumericError("non-finite critic loss; step aborted")
-        grads, _ = nn.mlp_backward(critic, cache, (2.0 * err / b)[:, None])
+        err *= 2.0  # the output gradient (2.0 * err) / b, in place
+        err /= b
+        grads, _ = nn.mlp_backward(critic, cache, err[:, None])
         updates.append((adam, critic, grads))
         losses.append(loss)
     for adam, critic, grads in updates:
@@ -407,7 +416,7 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
     if agent.train_calls % cfg.policy_delay == 0:
         pi, actor_cache = nn.mlp_forward(agent.actor, s)
         q, q_cache = nn.mlp_forward(agent.q1, np.concatenate([s, pi], axis=1))
-        actor_loss = float(-(np.add.reduce(q, axis=None) / b))
+        actor_loss = -(float(np.add.reduce(q, axis=None)) / b)
         if not math.isfinite(actor_loss):
             raise NumericError("non-finite actor loss; step aborted")
         _, dinput = nn.mlp_backward(

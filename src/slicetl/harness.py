@@ -19,7 +19,7 @@ from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
 from .csvio import write_csv
 from .env import ScenarioConfig, equal_partition
-from .errors import DependencyError
+from .errors import DependencyError, DimensionError
 from .runner import (
     Act,
     Policy,
@@ -31,7 +31,7 @@ from .runner import (
     run_slots,
 )
 from .scenario import ExperimentConfig, config_to_dict
-from .transfer import apply_transfer, fine_tune
+from .transfer import INSTANCE_STRATEGIES, apply_transfer, fine_tune
 
 TRACE_VERSION = 1
 METRICS_HEADER = ("t", "cell", "slice", "throughput", "delay", "load", "ues",
@@ -352,13 +352,18 @@ def load_pretrained(
 ) -> dict[int, Td3Agent]:
     """Checkpointed agents and their buffers, with the random streams of
     ``make_agents``: each agent draws as a fresh agent seeded with
-    ``_agent_seed(seed, cell_id)``, its buffer samples like that agent's."""
+    ``_agent_seed(seed, cell_id)``, its buffer samples like that agent's.
+
+    A cell without a buffer file keeps an empty buffer. A non-empty buffer
+    whose rows are not (4N, N) wide for its agent's N slices raises
+    ``DimensionError``.
+    """
 
     artifacts = Path(artifacts)
     agents = {}
     for cid in cell_ids:
         ckpt = artifacts / "checkpoints" / f"cell_{cid}.npz"
-        buf = artifacts / "buffers" / f"cell_{cid}.npz"
+        buf = _buffer_file(artifacts, cid)
         if not ckpt.exists():
             raise DependencyError(f"missing checkpoint {ckpt}")
         agent = load_agent(ckpt, _agent_seed(seed, cid))
@@ -367,15 +372,26 @@ def load_pretrained(
                 buf, agent.config.buffer_capacity, seed=agent.buffer.seed,
                 evict_threshold=agent.config.batch_size,
             )
+            widths = (4 * agent.n_slices, agent.n_slices)
+            if len(agent.buffer) and agent.buffer.dims != widths:
+                raise DimensionError(
+                    f"{buf} holds (state, action) rows of widths "
+                    f"{agent.buffer.dims}; the agent of {ckpt} takes {widths}")
         agents[cid] = agent
     return agents
+
+
+def _buffer_file(artifacts: str | Path, cell_id: int) -> Path:
+    return Path(artifacts) / "buffers" / f"cell_{cell_id}.npz"
 
 
 def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     """``transfer.strategy`` to the target cell plus a paired-seed scratch run.
 
     Emits the per-step TL gain curve (TL reward minus scratch reward under
-    identical environment seeds) and the post-fine-tuning evaluation.
+    identical environment seeds) and the post-fine-tuning evaluation. An
+    ``instance`` or ``integrated`` transfer whose source has no buffer file
+    raises ``DependencyError`` before any transfer runs.
     """
 
     out = _prepare_out(out)
@@ -394,6 +410,12 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
         trace = load_trace(trace_path) if trace_path.exists() else None
         distances, source_id = run_similarity(cfg, seed, out / "similarity", trace=trace)
         selected_distance = distances.entries[source_id]
+
+    source_buffer = _buffer_file(cfg.transfer.artifacts, source_id)
+    if cfg.transfer.strategy in INSTANCE_STRATEGIES and not source_buffer.exists():
+        raise DependencyError(
+            f"transfer.strategy {cfg.transfer.strategy!r} moves the source's "
+            f"transitions, but its buffer {source_buffer} does not exist")
 
     steps = cfg.phases.tl_training
     peers = {i: greedy_policy(a) for i, a in pretrained.items() if i != target_id}

@@ -29,6 +29,7 @@ from .errors import (
 
 CHECKPOINT_VERSION = 1
 HEADS = ("identity", "softmax", "tanh")
+_FLOAT64 = np.dtype(np.float64)
 
 
 Layout = tuple[tuple[int, int, int, tuple[int, int]], ...]
@@ -76,8 +77,12 @@ class Mlp:
 
     The constructor copies the given arrays into ``flat``; ``weights`` and
     ``biases`` are then views of it, so update them in place. It also fixes
-    the layer layout (``layout``, ``n_layers``, ``sizes`` and the layer
-    offsets), which the kernels read instead of recomputing it per call.
+    the layer layout (``layout``, ``n_layers``, ``sizes``, the layer
+    offsets and the ``(weight, bias)`` pairs of the ReLU layers and of the
+    output layer), which the kernels read instead of recomputing it per
+    call. ``grads`` is the workspace ``mlp_backward`` writes this network's
+    gradients into (see ``workspace``); a network that is never
+    differentiated (a target network, a greedy peer) holds none.
     """
 
     weights: list[np.ndarray]
@@ -87,6 +92,11 @@ class Mlp:
     layout: Layout = field(init=False, repr=False, compare=False)
     n_layers: int = field(init=False, repr=False, compare=False)
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    hidden: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
+    output: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                  compare=False)
+    grads: Gradients | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.head not in HEADS:
@@ -104,6 +114,9 @@ class Mlp:
             self.weights, self.biases)
         self.n_layers = len(self.weights)
         self.sizes = (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
+        pairs = tuple(zip(self.weights, self.biases))
+        self.hidden, self.output = pairs[:-1], pairs[-1]
+        self.grads = None
 
     @property
     def in_dim(self) -> int:
@@ -115,6 +128,19 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, self.head)
+
+    def workspace(self) -> Gradients:
+        """``grads``, allocated on the first call.
+
+        ``AdamState.for_params`` calls it, so a network built to be trained
+        gets its workspace next to its Adam moments, which live as long;
+        allocated later, amid a training step's temporaries, it fragments
+        the heap and raises peak memory.
+        """
+
+        if self.grads is None:
+            self.grads = Gradients(np.empty(self.flat.size), self)
+        return self.grads
 
     def layer_offset(self, layer: int) -> int:
         """Position in ``flat`` where layer ``layer`` starts (its size for
@@ -134,10 +160,19 @@ def init_mlp(sizes: list[int], head: str, rng: np.random.Generator) -> Mlp:
     return Mlp(weights, biases, head)
 
 
+def _as_float64(x) -> np.ndarray:
+    """``np.asarray(x, dtype=np.float64)``, without the call when ``x`` is
+    already a float64 ndarray."""
+
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; accepts 1-D or 2-D input."""
 
-    z = np.asarray(z, dtype=np.float64)
+    z = _as_float64(z)
     e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
@@ -152,14 +187,6 @@ class ForwardCache:
     was_1d: bool
 
 
-def _apply_head(head: str, z: np.ndarray) -> np.ndarray:
-    if head == "identity":
-        return z
-    if head == "softmax":
-        return softmax(z)
-    return np.tanh(z)
-
-
 def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass; returns output and a cache for exact backprop.
 
@@ -167,7 +194,7 @@ def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     matches the input's dimensionality.
     """
 
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x)
     was_1d = x.ndim == 1
     h = x[None, :] if was_1d else x
     if h.ndim != 2 or h.shape[1] != params.in_dim:
@@ -175,12 +202,19 @@ def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
             f"input dim {x.shape} does not match network input {params.in_dim}"
         )
     inputs = []
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for w, b in params.hidden:
         inputs.append(h)
-        z = h @ w
-        z += b
-        h = np.maximum(z, 0.0, out=z) if i < last else _apply_head(params.head, z)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    inputs.append(h)
+    w, b = params.output
+    h = h @ w
+    h += b
+    if params.head == "softmax":
+        h = softmax(h)
+    elif params.head == "tanh":
+        h = np.tanh(h)
     cache = ForwardCache(params, inputs, h, was_1d)
     return (h[0] if was_1d else h), cache
 
@@ -188,15 +222,16 @@ def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
 def mlp_logits(params: Mlp, x: np.ndarray) -> np.ndarray:
     """Pre-head output of the final layer (used for logit-space noise)."""
 
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float64(x)
     was_1d = x.ndim == 1
     h = x[None, :] if was_1d else x
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for w, b in params.hidden:
         h = h @ w
         h += b
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
+    w, b = params.output
+    h = h @ w
+    h += b
     return h[0] if was_1d else h
 
 
@@ -216,12 +251,15 @@ def mlp_backward(
     """Exact gradients of the forward map.
 
     Returns ``(grads, input_gradient)`` where ``grads[i] = (dW_i, db_i)``,
-    written into one flat vector ``grads.flat``.
+    written into one flat vector ``grads.flat``. ``grads`` is the network's
+    own workspace ``params.workspace()``: it is valid until the next
+    ``mlp_backward`` of the same network, which overwrites it; copy it to
+    keep it longer.
     """
 
     if cache.params is not params:
         raise ContractViolationError("cache does not belong to these parameters")
-    dout = np.asarray(output_gradient, dtype=np.float64)
+    dout = _as_float64(output_gradient)
     was_1d = dout.ndim == 1
     d = dout[None, :] if was_1d else dout
     if d.shape != cache.output.shape:
@@ -236,14 +274,15 @@ def mlp_backward(
     elif params.head == "tanh":
         d = d * (1.0 - y * y)
 
-    grads = Gradients(np.empty(params.flat.size), params)
+    grads = params.workspace()
     last = params.n_layers - 1
     for i in range(last, -1, -1):
         if i < last:
             # ReLU applied after this layer on the way forward: the stored
-            # input of layer i+1 is exactly relu(z_i). ``d`` is the fresh
-            # product of the layer above, so it is masked in place.
-            d *= cache.inputs[i + 1] > 0
+            # input of layer i+1 is exactly relu(z_i) >= 0, whose sign is
+            # the ReLU's derivative. ``d`` is the fresh product of the layer
+            # above, so it is masked in place.
+            d *= np.sign(cache.inputs[i + 1])
         dw, db = grads[i]
         np.matmul(cache.inputs[i].T, d, out=dw)
         np.add.reduce(d, axis=0, out=db)
@@ -282,7 +321,9 @@ class AdamState:
     def for_params(cls, params: Mlp, **kwargs) -> "AdamState":
         zeros_w = [np.zeros_like(w) for w in params.weights]
         zeros_b = [np.zeros_like(b) for b in params.biases]
-        return cls(zeros_w, zeros_w, zeros_b, zeros_b, **kwargs)
+        adam = cls(zeros_w, zeros_w, zeros_b, zeros_b, **kwargs)
+        params.workspace()
+        return adam
 
     def reset(self) -> None:
         self.m.fill(0.0)
@@ -302,15 +343,18 @@ def adam_step(
     ``skip_layers`` must be a prefix ``{0, ..., k-1}`` (the frozen lower
     layers), so the update runs on the suffix of ``params.flat`` after
     them. ``grads`` is either the ``Gradients`` of ``mlp_backward`` or a
-    list of ``(dW_i, db_i)`` pairs; ``Gradients`` are checked by their
-    layout, pairs layer by layer.
+    list of ``(dW_i, db_i)`` pairs. ``params``' own workspace
+    (``params.grads``) needs no check; other ``Gradients`` are checked by
+    their layout, pairs layer by layer.
 
     The update is ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, evaluated in that order with
     the temporaries in ``adam.scratch``.
     """
 
-    if isinstance(grads, Gradients):
+    if grads is params.grads:
+        g = grads.flat
+    elif isinstance(grads, Gradients):
         if grads.layout != params.layout:
             raise DimensionError("gradients are laid out for another network")
         g = grads.flat
@@ -321,7 +365,7 @@ def adam_step(
             if dw.shape != params.weights[i].shape or db.shape != params.biases[i].shape:
                 raise DimensionError(f"gradient shape mismatch at layer {i}")
         g = np.concatenate([x.ravel() for pair in grads for x in pair])
-    if skip_layers != frozenset(range(len(skip_layers))):
+    if skip_layers and skip_layers != frozenset(range(len(skip_layers))):
         raise DomainError(f"skip_layers must be a prefix of the layers, got "
                           f"{sorted(skip_layers)}")
     if not np.logical_and.reduce(np.isfinite(g)):

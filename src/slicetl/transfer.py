@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from .scenario import TransferParams
 
 STRATEGIES = ("model", "feature", "instance", "integrated")
+INSTANCE_STRATEGIES = ("instance", "integrated")  # they move source transitions
 FINE_TUNE_NOISE = 0.1  # logit-space exploration std during fine-tuning
 
 

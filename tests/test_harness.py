@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -14,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicetl import harness, runner
-from slicetl.agent import Td3Agent, train_step
+from slicetl.agent import ReplayBuffer, Td3Agent, train_step
 from slicetl.cli import main
 from slicetl.csvio import write_csv
 from slicetl.env import equal_partition
 from slicetl.errors import (
     ConfigurationError,
     DependencyError,
+    DimensionError,
     EmptySetError,
     NumericError,
 )
@@ -36,7 +39,7 @@ from slicetl.harness import (
     write_metrics_csv,
 )
 from slicetl.runner import Trace, follow
-from slicetl.transfer import STRATEGIES
+from slicetl.transfer import INSTANCE_STRATEGIES, STRATEGIES
 from slicetl.scenario import (
     EvaluateParams,
     config_from_dict,
@@ -560,6 +563,69 @@ def test_run_transfer_ranks_sources_for_the_transfer_target(tmp_path, tiny_cfg,
     assert (meta["source"], meta["target"]) == (result.source, 1)
     with open(tmp_path / "similarity" / "distances.csv") as fh:
         assert {int(r["target"]) for r in csv.DictReader(fh)} == {1}
+
+
+def _copy_artifacts(tiny_artifacts, tmp_path):
+    artifacts = tmp_path / "artifacts"
+    shutil.copytree(tiny_artifacts, artifacts)
+    return artifacts
+
+
+def test_load_pretrained_rejects_a_buffer_of_other_widths(tmp_path, tiny_cfg,
+                                                          tiny_artifacts):
+    """A buffer of a 5-slice run next to a 3-slice checkpoint fails at load,
+    naming the file, not as a broadcast error deep inside fine-tuning."""
+
+    artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
+    rng = np.random.default_rng(0)
+    other = ReplayBuffer(16, seed=0, owner=1)
+    for _ in range(4):
+        other.add(rng.standard_normal(20), rng.dirichlet(np.ones(5)), 0.5,
+                  rng.standard_normal(20), 1)
+    path = artifacts / "buffers" / "cell_1.npz"
+    other.export(path)
+    with pytest.raises(DimensionError, match=re.escape(str(path))):
+        harness.load_pretrained(artifacts, tiny_cfg.scenario.cell_ids, seed=0)
+    with pytest.raises(DimensionError, match=re.escape(str(path))):
+        harness.run_transfer(_transfer_cfg(tiny_cfg, artifacts), seed=0,
+                             out=tmp_path / "tl")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_transfer_without_the_source_buffer(tmp_path, tiny_cfg, tiny_artifacts,
+                                                monkeypatch, strategy):
+    """Only the strategies that move source transitions need the source's
+    buffer file; they fail naming it before any transfer runs."""
+
+    artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
+    path = artifacts / "buffers" / "cell_1.npz"
+    path.unlink()
+    cfg = _transfer_cfg(tiny_cfg, artifacts, strategy=strategy)
+    if strategy in INSTANCE_STRATEGIES:
+        def no_transfer(*args):
+            raise AssertionError("apply_transfer ran")
+
+        monkeypatch.setattr(harness, "apply_transfer", no_transfer)
+        with pytest.raises(DependencyError, match=re.escape(str(path))):
+            harness.run_transfer(cfg, seed=0, out=tmp_path / "tl")
+    else:
+        result = harness.run_transfer(cfg, seed=0, out=tmp_path / "tl")
+        assert len(result.agents[1].buffer) == 0
+
+
+def test_peers_without_buffers_still_transfer_and_evaluate(tmp_path, tiny_cfg,
+                                                           tiny_artifacts):
+    artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
+    (artifacts / "buffers" / "cell_2.npz").unlink()
+    result = harness.run_transfer(_transfer_cfg(tiny_cfg, artifacts), seed=0,
+                                  out=tmp_path / "tl")
+    assert result.agents[3].buffer.origin_counts().get(1, 0) > 0
+    assert len(result.agents[2].buffer) == 0
+    shutil.rmtree(artifacts / "buffers")
+    result = run_evaluate(dataclasses.replace(
+        tiny_cfg, evaluate=EvaluateParams(str(artifacts))), seed=0,
+        out=tmp_path / "eval")
+    assert 0.0 <= result.summary.mean_satisfaction <= 1.0
 
 
 def test_run_transfer_requires_artifacts(tmp_path, tiny_cfg):

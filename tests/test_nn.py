@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicetl import nn
+from slicetl.agent import Td3Agent, Td3Config, train_step
 from slicetl.errors import (
     ContractViolationError,
     DimensionError,
     DomainError,
     NumericError,
 )
+
+from . import frozen_td3 as ref
 
 
 def finite_difference_check(params, x, rng, h=1e-6):
@@ -253,6 +256,69 @@ def test_backward_gradients_are_views_of_one_vector():
     assert grads.flat.shape == params.flat.shape
     assert np.array_equal(
         grads.flat, np.concatenate([x.ravel() for pair in grads for x in pair]))
+
+
+def test_backward_writes_the_networks_own_workspace():
+    """``mlp_backward`` returns the network's one gradient workspace, valid
+    until the next backward of the same network; a copy has its own."""
+
+    rng = np.random.default_rng(16)
+    net = nn.init_mlp([4, 6, 3], "softmax", rng)
+    assert net.grads is None  # allocated by the first backward
+    x, c = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+    _, cache = nn.mlp_forward(net, x)
+    first, _ = nn.mlp_backward(net, cache, c)
+    kept = first.flat.copy()
+    again, _ = nn.mlp_backward(net, cache, c)
+    assert again is first is net.grads
+    assert np.array_equal(again.flat, kept)
+
+    copy = net.copy()
+    assert copy.grads is None
+    nn.AdamState.for_params(copy)  # a network built to be trained gets one
+    assert copy.grads is not None
+    _, copy_cache = nn.mlp_forward(copy, rng.standard_normal((5, 4)))
+    copy_grads, _ = nn.mlp_backward(copy, copy_cache, rng.standard_normal((5, 3)))
+    assert copy_grads is copy.grads
+    assert not np.shares_memory(copy_grads.flat, net.grads.flat)
+    assert np.array_equal(net.grads.flat, kept)
+
+
+def test_target_networks_hold_no_workspace_after_train_step():
+    rng = np.random.default_rng(17)
+    agent = Td3Agent(1, 3, Td3Config(batch_size=8, policy_delay=1), seed=3)
+    for _ in range(8):
+        agent.buffer.add(rng.standard_normal(12), rng.dirichlet(np.ones(3)),
+                         float(rng.uniform()), rng.standard_normal(12), 1)
+    train_step(agent, agent.buffer.sample(8))
+    assert all(net.grads is not None for net in (agent.actor, agent.q1, agent.q2))
+    assert all(net.grads is None for net in (
+        agent.target_actor, agent.target_q1, agent.target_q2))
+
+
+@pytest.mark.parametrize("head", nn.HEADS)
+def test_backward_matches_the_reference_through_signed_zeros(head):
+    """A dead ReLU unit under a negative upstream gradient masks it to -0.0.
+    The gradients and the input gradient must match the frozen reference
+    bit for bit, compared as integers so that -0.0 differs from 0.0."""
+
+    rng = np.random.default_rng(18)
+    net = nn.init_mlp([3, 5, 4, 2], head, rng)
+    net.biases[1][0] = -100.0  # hidden unit 0 of layer 1 is zero on every row
+    net.weights[2][0] = 1.0  # and gets the sum of the output gradients
+    x = rng.standard_normal((6, 3))
+    dout = -rng.uniform(0.1, 1.0, (6, 2))
+    twin = ref.Mlp(net.weights, net.biases, head)
+
+    _, cache = nn.mlp_forward(net, x)
+    assert np.all(cache.inputs[2][:, 0] == 0.0)
+    if head == "identity":
+        assert np.all((dout @ net.weights[2].T)[:, 0] < 0.0)
+    grads, dx = nn.mlp_backward(net, cache, dout)
+    _, ref_cache = ref.mlp_forward(twin, x)
+    ref_grads, ref_dx = ref.mlp_backward(twin, ref_cache, dout)
+    assert np.array_equal(grads.flat.view(np.int64), ref_grads.flat.view(np.int64))
+    assert np.array_equal(dx.view(np.int64), ref_dx.view(np.int64))
 
 
 def test_adam_rejects_non_finite_gradient():
