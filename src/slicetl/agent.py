@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .codec import from_plain, to_plain
+from .codec import from_plain, read_npz, to_plain
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -217,7 +217,7 @@ class ReplayBuffer:
         transitions, which would otherwise be evicted silently.
         """
 
-        with np.load(path, allow_pickle=False) as data:
+        with read_npz(path) as data:
             if int(data["version"]) != BUFFER_VERSION:
                 raise DomainError(f"unsupported buffer version {data['version']}")
             stored = len(data["rewards"])
@@ -336,13 +336,11 @@ class Td3Agent:
 
 
 def select_action(
-    agent: Td3Agent,
-    state: np.ndarray,
-    explore: bool = False,
-    noise_scale: float | None = None,
+    agent: Td3Agent, state: np.ndarray, noise_scale: float | None = None
 ) -> np.ndarray:
-    """The actor's share row for one state, optionally with logit-space
-    Gaussian noise from the agent's exploration stream."""
+    """The actor's share row for one state: greedy when ``noise_scale`` is
+    None, else with logit-space Gaussian noise of that std from the agent's
+    exploration stream."""
 
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (agent.actor.in_dim,):
@@ -351,9 +349,8 @@ def select_action(
             f"{agent.actor.in_dim}"
         )
     logits = nn.mlp_logits(agent.actor, state)
-    if explore:
-        scale = agent.config.explore_noise if noise_scale is None else noise_scale
-        logits = logits + scale * agent.explore_rng.standard_normal(logits.shape)
+    if noise_scale is not None:
+        logits = logits + noise_scale * agent.explore_rng.standard_normal(logits.shape)
     return nn.softmax(logits)
 
 
@@ -396,8 +393,7 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
         raise NumericError("non-finite critic target; step aborted")
 
     losses = []
-    updates = []
-    for critic, adam in ((agent.q1, agent.q1_adam), (agent.q2, agent.q2_adam)):
+    for critic in (agent.q1, agent.q2):
         q, cache = nn.mlp_forward(critic, sa)
         err = q[:, 0] - y
         loss = float(np.add.reduce(err * err)) / b
@@ -405,11 +401,10 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
             raise NumericError("non-finite critic loss; step aborted")
         err *= 2.0  # the output gradient (2.0 * err) / b, in place
         err /= b
-        grads, _ = nn.mlp_backward(critic, cache, err[:, None])
-        updates.append((adam, critic, grads))
+        nn.mlp_backward(critic, cache, err[:, None])
         losses.append(loss)
-    for adam, critic, grads in updates:
-        nn.adam_step(adam, critic, grads, cfg.critic_lr)
+    nn.adam_step(agent.q1_adam, agent.q1, cfg.critic_lr)
+    nn.adam_step(agent.q2_adam, agent.q2, cfg.critic_lr)
 
     agent.train_calls += 1
     actor_loss = None
@@ -423,9 +418,9 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
             agent.q1, q_cache, np.full((b, 1), -1.0 / b)
         )
         da = dinput[:, s.shape[1]:]
-        actor_grads, _ = nn.mlp_backward(agent.actor, actor_cache, da)
+        nn.mlp_backward(agent.actor, actor_cache, da)
         nn.adam_step(
-            agent.actor_adam, agent.actor, actor_grads, cfg.actor_lr,
+            agent.actor_adam, agent.actor, cfg.actor_lr,
             skip_layers=frozenset(range(agent.frozen_actor_layers)),
         )
         soft_update(agent.target_actor, agent.actor, cfg.tau)

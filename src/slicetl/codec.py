@@ -1,4 +1,5 @@
-"""Conversion between config dataclasses and plain YAML/JSON data.
+"""Conversion between config dataclasses and plain YAML/JSON data, and the
+one reader of npz artifacts.
 
 The dataclasses are the only description of the config format: ``from_plain``
 follows their type hints, and every error names the dotted field path.
@@ -9,9 +10,17 @@ from __future__ import annotations
 import dataclasses
 import types
 import typing
+import zipfile
+from contextlib import contextmanager
 from functools import cache
+from typing import Iterator
 
-from .errors import ConfigurationError
+import numpy as np
+
+from .errors import ConfigurationError, DependencyError
+
+# What numpy raises for a file or a member it cannot read as an array.
+_UNREADABLE = (OSError, EOFError, ValueError, zipfile.BadZipFile)
 
 
 def to_plain(value):
@@ -85,3 +94,43 @@ def _build(cls: type, value, where: str):
         if not where:
             raise
         raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+class NpzMembers:
+    """The members of an open npz file. Reading a missing or unreadable
+    member raises ``DependencyError`` naming the file and the member."""
+
+    def __init__(self, path, data) -> None:
+        self.path = path
+        self.files = data.files
+        self._data = data
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._data
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._data[name]
+        except KeyError:
+            raise DependencyError(f"{self.path} has no member {name!r}") from None
+        except _UNREADABLE as exc:
+            raise DependencyError(
+                f"{self.path}: cannot read member {name!r}: {exc}") from exc
+
+
+@contextmanager
+def read_npz(path) -> Iterator[NpzMembers]:
+    """``np.load(path)`` without pickles, as the members of an npz archive.
+
+    A file that is missing or not an npz archive raises ``DependencyError``
+    naming it, as does reading a member that is missing or unreadable.
+    """
+
+    try:
+        data = np.load(path, allow_pickle=False)
+    except _UNREADABLE as exc:
+        raise DependencyError(f"{path} is not a readable npz archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DependencyError(f"{path} is not an npz archive")
+    with data:
+        yield NpzMembers(path, data)

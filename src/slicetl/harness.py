@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
+from .codec import read_npz
 from .csvio import write_csv
 from .env import ScenarioConfig, equal_partition
 from .errors import DependencyError, DimensionError
@@ -102,10 +103,7 @@ def save_trace(path, trace: Trace) -> None:
 
 
 def load_trace(path) -> Trace:
-    path = Path(path)
-    if not path.exists():
-        raise DependencyError(f"trace file {path} does not exist")
-    with np.load(path, allow_pickle=False) as data:
+    with read_npz(path) as data:
         if int(data["version"]) != TRACE_VERSION:
             raise DependencyError(f"unsupported trace version {data['version']}")
         return Trace(*(data[name] for name in Trace._fields))
@@ -117,7 +115,7 @@ def load_trace(path) -> Trace:
 
 
 def greedy_policy(agent: Td3Agent) -> Policy:
-    return lambda state: select_action(agent, state, explore=False)
+    return lambda state: select_action(agent, state)
 
 
 def greedy_act(scenario: ScenarioConfig, agents: dict[int, Td3Agent]) -> Act:
@@ -274,7 +272,7 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
         noise = (cfg.td3.explore_noise * (1.0 - frac)
                  + cfg.td3.explore_noise_final * frac)
         return np.stack([
-            select_action(agent, s, explore=True, noise_scale=noise)
+            select_action(agent, s, noise)
             for agent, s in zip(ordered, states)])
 
     records: list[SlotRecord] = []

@@ -4,13 +4,15 @@ Provides exactly what the TD3 agents and the similarity VAE need: MLP
 forward/backward with analytic gradients, bias-corrected Adam, and
 bit-exact checkpointing. Everything is computed in 64-bit floats.
 
-Each network keeps its parameters in one contiguous vector ``flat``, laid
-out w0, b0, w1, b1, ...; ``weights[i]`` and ``biases[i]`` are reshaped
-views of it. Adam's moments and the gradients of ``mlp_backward`` share
-that layout, so an Adam step or a Polyak average is a few vector
-operations instead of a loop over layers. Every update is elementwise and
-keeps the per-layer order of operations, so the flat layout computes the
-same bits as per-layer arrays.
+A network keeps its parameters in one contiguous vector ``flat``, laid out
+w0, b0, w1, b1, ... Its gradients (``grads``, the workspace that
+``mlp_backward`` writes and ``adam_step`` reads) and its Adam moments
+(``AdamState.m`` and ``v``) are vectors in the same layout. Per-layer arrays
+exist only as views of such a vector, cut by ``Mlp.views``; ``weights[i]``
+and ``biases[i]`` are the views of ``flat``. So an Adam step or a Polyak
+average is a few vector operations instead of a loop over layers. Every
+update is elementwise and keeps the per-layer order of operations, so the
+flat layout computes the same bits as per-layer arrays.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import read_npz
 from .errors import (
     ContractViolationError,
+    DependencyError,
     DimensionError,
     DomainError,
     NumericError,
@@ -32,91 +36,49 @@ HEADS = ("identity", "softmax", "tanh")
 _FLOAT64 = np.dtype(np.float64)
 
 
-Layout = tuple[tuple[int, int, int, tuple[int, int]], ...]
-
-
-def _layout(weights: list[np.ndarray], biases: list[np.ndarray]) -> Layout:
-    """Per layer (weight start, bias start, end, weight shape) in a vector
-    laid out w0, b0, w1, b1, ..."""
-
-    spans = []
-    start = 0
-    for w, b in zip(weights, biases):
-        mid = start + w.size
-        spans.append((start, mid, mid + b.size, w.shape))
-        start = mid + b.size
-    return tuple(spans)
-
-
-def _layer_views(
-    flat: np.ndarray, layout: Layout
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(weight, bias)`` views of ``flat``, one pair per layer of ``layout``."""
-
-    return [(flat[w0:b0].reshape(shape), flat[b0:end]) for w0, b0, end, shape in layout]
-
-
-def _pack(
-    weights: list[np.ndarray], biases: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], Layout]:
-    """Copy per-layer arrays into one new float64 vector; returns it, its
-    weight and bias views and their layout."""
-
-    layout = _layout(weights, biases)
-    flat = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
-    pairs = _layer_views(flat, layout)
-    for (w_view, b_view), w, b in zip(pairs, weights, biases):
-        w_view[...] = w
-        b_view[...] = b
-    return flat, [w for w, _ in pairs], [b for _, b in pairs], layout
-
-
-@dataclass
 class Mlp:
     """Fully connected net: ReLU hidden layers, configurable output head.
 
-    The constructor copies the given arrays into ``flat``; ``weights`` and
-    ``biases`` are then views of it, so update them in place. It also fixes
-    the layer layout (``layout``, ``n_layers``, ``sizes``, the layer
-    offsets and the ``(weight, bias)`` pairs of the ReLU layers and of the
-    output layer), which the kernels read instead of recomputing it per
-    call. ``grads`` is the workspace ``mlp_backward`` writes this network's
-    gradients into (see ``workspace``); a network that is never
-    differentiated (a target network, a greedy peer) holds none.
+    The constructor copies the given arrays into ``flat`` and fixes the
+    layout the kernels read: per layer (weight start, bias start, end,
+    weight shape) in ``layout``, ``n_layers``, ``sizes``, and the views of
+    ``flat`` as ``weights``, ``biases`` and ``(weight, bias)`` pairs of the
+    ReLU layers (``hidden``) and of the output layer (``output``). Update
+    ``flat`` in place. ``grads`` is the gradient workspace (see
+    ``workspace``); a never differentiated network (a target network, a
+    greedy peer) holds none.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head: str = "identity"
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    layout: Layout = field(init=False, repr=False, compare=False)
-    n_layers: int = field(init=False, repr=False, compare=False)
-    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    hidden: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False)
-    output: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
-                                                  compare=False)
-    grads: Gradients | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.head not in HEADS:
-            raise DomainError(f"unknown head {self.head!r}")
-        for i in range(len(self.weights) - 1):
-            if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+                 head: str = "identity") -> None:
+        if head not in HEADS:
+            raise DomainError(f"unknown head {head!r}")
+        spans = []
+        start = 0
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if i and weights[i - 1].shape[1] != w.shape[0]:
                 raise DimensionError(
-                    f"layer {i} output dim {self.weights[i].shape[1]} does not "
-                    f"chain into layer {i + 1}"
-                )
-        for w, b in zip(self.weights, self.biases):
+                    f"layer {i - 1} output dim {weights[i - 1].shape[1]} does "
+                    f"not chain into layer {i}")
             if b.shape != (w.shape[1],):
                 raise DimensionError("bias shape must match layer output dim")
-        self.flat, self.weights, self.biases, self.layout = _pack(
-            self.weights, self.biases)
-        self.n_layers = len(self.weights)
+            mid = start + w.size
+            spans.append((start, mid, mid + b.size, w.shape))
+            start = mid + b.size
+        self.head = head
+        self.layout = tuple(spans)
+        self.flat = np.empty(start)
+        pairs = self.views(self.flat)
+        for (w_view, b_view), w, b in zip(pairs, weights, biases):
+            w_view[...] = w
+            b_view[...] = b
+        self.weights = [w for w, _ in pairs]
+        self.biases = [b for _, b in pairs]
+        self.n_layers = len(pairs)
         self.sizes = (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
-        pairs = tuple(zip(self.weights, self.biases))
-        self.hidden, self.output = pairs[:-1], pairs[-1]
-        self.grads = None
+        self.hidden, self.output = tuple(pairs[:-1]), pairs[-1]
+        self.grads: np.ndarray | None = None
+        self.grad_views: list[tuple[np.ndarray, np.ndarray]] = []
 
     @property
     def in_dim(self) -> int:
@@ -126,11 +88,19 @@ class Mlp:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
+    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(weight, bias)`` views of ``vec``, a vector in this network's
+        layout, one pair per layer."""
+
+        return [(vec[w0:b0].reshape(shape), vec[b0:end])
+                for w0, b0, end, shape in self.layout]
+
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, self.head)
 
-    def workspace(self) -> Gradients:
-        """``grads``, allocated on the first call.
+    def workspace(self) -> np.ndarray:
+        """``grads``, allocated (zeroed) with its views ``grad_views`` on the
+        first call.
 
         ``AdamState.for_params`` calls it, so a network built to be trained
         gets its workspace next to its Adam moments, which live as long;
@@ -139,7 +109,8 @@ class Mlp:
         """
 
         if self.grads is None:
-            self.grads = Gradients(np.empty(self.flat.size), self)
+            self.grads = np.zeros(self.flat.size)
+            self.grad_views = self.views(self.grads)
         return self.grads
 
     def layer_offset(self, layer: int) -> int:
@@ -235,26 +206,15 @@ def mlp_logits(params: Mlp, x: np.ndarray) -> np.ndarray:
     return h[0] if was_1d else h
 
 
-class Gradients(list):
-    """Per-layer ``(dW_i, db_i)`` pairs that are views of one vector
-    ``flat`` in the parameters' layout, which ``layout`` records."""
-
-    def __init__(self, flat: np.ndarray, params: Mlp) -> None:
-        super().__init__(_layer_views(flat, params.layout))
-        self.flat = flat
-        self.layout = params.layout
-
-
 def mlp_backward(
     params: Mlp, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[Gradients, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the forward map.
 
-    Returns ``(grads, input_gradient)`` where ``grads[i] = (dW_i, db_i)``,
-    written into one flat vector ``grads.flat``. ``grads`` is the network's
-    own workspace ``params.workspace()``: it is valid until the next
-    ``mlp_backward`` of the same network, which overwrites it; copy it to
-    keep it longer.
+    Returns ``(grads, input_gradient)``, where ``grads`` is the network's
+    own workspace ``params.grads`` (see ``Mlp.workspace``), a vector in the
+    layout of ``params.flat``. It is valid until the next ``mlp_backward``
+    of the same network, which overwrites it; copy it to keep it longer.
     """
 
     if cache.params is not params:
@@ -283,7 +243,7 @@ def mlp_backward(
             # the ReLU's derivative. ``d`` is the fresh product of the layer
             # above, so it is masked in place.
             d *= np.sign(cache.inputs[i + 1])
-        dw, db = grads[i]
+        dw, db = params.grad_views[i]
         np.matmul(cache.inputs[i].T, d, out=dw)
         np.add.reduce(d, axis=0, out=db)
         d = d @ params.weights[i].T
@@ -292,36 +252,28 @@ def mlp_backward(
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators mirroring an Mlp's shapes.
+    """Bias-corrected Adam accumulators of one network.
 
-    The moments live in the flat vectors ``m`` and ``v``, in the layout of
-    ``Mlp.flat``; ``m_w``, ``v_w``, ``m_b`` and ``v_b`` are views of them.
-    ``scratch`` holds two more such vectors that ``adam_step`` writes its
-    temporaries into.
+    The moments ``m`` and ``v`` are vectors in the layout of the network's
+    ``flat``; ``scratch`` holds two more such vectors that ``adam_step``
+    writes its temporaries into.
     """
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: np.ndarray = field(init=False, repr=False, compare=False)
-    v: np.ndarray = field(init=False, repr=False, compare=False)
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.m, self.m_w, self.m_b, _ = _pack(self.m_w, self.m_b)
-        self.v, self.v_w, self.v_b, _ = _pack(self.v_w, self.v_b)
         self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def for_params(cls, params: Mlp, **kwargs) -> "AdamState":
-        zeros_w = [np.zeros_like(w) for w in params.weights]
-        zeros_b = [np.zeros_like(b) for b in params.biases]
-        adam = cls(zeros_w, zeros_w, zeros_b, zeros_b, **kwargs)
+        size = params.flat.size
+        adam = cls(np.zeros(size), np.zeros(size), **kwargs)
         params.workspace()
         return adam
 
@@ -334,43 +286,32 @@ class AdamState:
 def adam_step(
     adam: AdamState,
     params: Mlp,
-    grads: list[tuple[np.ndarray, np.ndarray]],
     lr: float,
     skip_layers: frozenset[int] = frozenset(),
 ) -> Mlp:
-    """In-place Adam update; layers in ``skip_layers`` are left untouched.
+    """In-place Adam update of ``params`` from its gradients ``params.grads``;
+    layers in ``skip_layers`` are left untouched.
 
     ``skip_layers`` must be a prefix ``{0, ..., k-1}`` (the frozen lower
     layers), so the update runs on the suffix of ``params.flat`` after
-    them. ``grads`` is either the ``Gradients`` of ``mlp_backward`` or a
-    list of ``(dW_i, db_i)`` pairs. ``params``' own workspace
-    (``params.grads``) needs no check; other ``Gradients`` are checked by
-    their layout, pairs layer by layer.
+    them. A network that was never differentiated has no gradients and
+    raises ``ContractViolationError``.
 
     The update is ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, evaluated in that order with
     the temporaries in ``adam.scratch``.
     """
 
-    if grads is params.grads:
-        g = grads.flat
-    elif isinstance(grads, Gradients):
-        if grads.layout != params.layout:
-            raise DimensionError("gradients are laid out for another network")
-        g = grads.flat
-    else:
-        if len(grads) != params.n_layers:
-            raise DimensionError("one gradient pair per layer required")
-        for i, (dw, db) in enumerate(grads):
-            if dw.shape != params.weights[i].shape or db.shape != params.biases[i].shape:
-                raise DimensionError(f"gradient shape mismatch at layer {i}")
-        g = np.concatenate([x.ravel() for pair in grads for x in pair])
+    g = params.grads
+    if g is None:
+        raise ContractViolationError(
+            "adam_step needs the network's gradients; it was never differentiated")
     if skip_layers and skip_layers != frozenset(range(len(skip_layers))):
         raise DomainError(f"skip_layers must be a prefix of the layers, got "
                           f"{sorted(skip_layers)}")
     if not np.logical_and.reduce(np.isfinite(g)):
-        bad = next(i for i, (dw, db) in enumerate(grads)
-                   if not (np.isfinite(dw).all() and np.isfinite(db).all()))
+        first = np.flatnonzero(~np.isfinite(g))[0]
+        bad = next(i for i, (_, _, end, _) in enumerate(params.layout) if first < end)
         raise NumericError(f"non-finite gradient at layer {bad}")
     adam.t += 1
     b1, b2 = adam.beta1, adam.beta2
@@ -401,53 +342,16 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def _mlp_to_arrays(name: str, params: Mlp) -> dict[str, np.ndarray]:
-    out = {f"{name}.head": np.array(params.head)}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out[f"{name}.w{i}"] = w
-        out[f"{name}.b{i}"] = b
-    return out
+def _members(name: str, net: Mlp, vectors: dict[str, np.ndarray]):
+    """``(member, view)`` of every layer of ``vectors`` (prefix -> vector in
+    ``net``'s layout), in file order: per layer i, ``<name>.<prefix>w<i>``
+    of each vector, then ``<name>.<prefix>b<i>`` of each."""
 
-
-def _mlp_from_arrays(name: str, data) -> Mlp:
-    weights, biases = [], []
-    i = 0
-    while f"{name}.w{i}" in data:
-        weights.append(data[f"{name}.w{i}"])
-        biases.append(data[f"{name}.b{i}"])
-        i += 1
-    return Mlp(weights, biases, str(data[f"{name}.head"]))
-
-
-def _adam_to_arrays(name: str, adam: AdamState) -> dict[str, np.ndarray]:
-    out = {
-        f"{name}.adam_meta": np.array(
-            [adam.t, adam.beta1, adam.beta2, adam.eps], dtype=np.float64
-        )
-    }
-    for i in range(len(adam.m_w)):
-        out[f"{name}.mw{i}"] = adam.m_w[i]
-        out[f"{name}.vw{i}"] = adam.v_w[i]
-        out[f"{name}.mb{i}"] = adam.m_b[i]
-        out[f"{name}.vb{i}"] = adam.v_b[i]
-    return out
-
-
-def _adam_from_arrays(name: str, data) -> AdamState:
-    meta = data[f"{name}.adam_meta"]
-    m_w, v_w, m_b, v_b = [], [], [], []
-    i = 0
-    while f"{name}.mw{i}" in data:
-        m_w.append(data[f"{name}.mw{i}"])
-        v_w.append(data[f"{name}.vw{i}"])
-        m_b.append(data[f"{name}.mb{i}"])
-        v_b.append(data[f"{name}.vb{i}"])
-        i += 1
-    return AdamState(
-        m_w, v_w, m_b, v_b,
-        t=int(meta[0]), beta1=float(meta[1]), beta2=float(meta[2]),
-        eps=float(meta[3]),
-    )
+    views = [(prefix, net.views(vec)) for prefix, vec in vectors.items()]
+    for i in range(net.n_layers):
+        for part, j in (("w", 0), ("b", 1)):
+            for prefix, pairs in views:
+                yield f"{name}.{prefix}{part}{i}", pairs[i][j]
 
 
 def save_checkpoint(
@@ -456,33 +360,68 @@ def save_checkpoint(
     adams: dict[str, AdamState] | None = None,
     meta: dict | None = None,
 ) -> None:
+    """Write ``nets``, their Adam states and ``meta`` as a v1 checkpoint.
+
+    An Adam state is keyed by the name of its network, whose layout it
+    shares. The npz members, in order: ``version``, ``net_names`` (sorted)
+    and ``meta_json``; per network, by name, ``<name>.head``, ``<name>.w0``,
+    ``<name>.b0``, ``<name>.w1``, ...; then, with Adam states, ``adam_names``
+    (sorted) and per state ``<name>.adam_meta`` (t, beta1, beta2, eps as
+    float64) and per layer i ``<name>.mw<i>``, ``.vw<i>``, ``.mb<i>``,
+    ``.vb<i>``. Every layer member is a view cut by ``Mlp.views``.
+    """
+
     arrays: dict[str, np.ndarray] = {
         "version": np.array(CHECKPOINT_VERSION),
         "net_names": np.array(sorted(nets)),
         "meta_json": np.array(json.dumps(meta or {}, sort_keys=True)),
     }
     for name in sorted(nets):
-        arrays.update(_mlp_to_arrays(name, nets[name]))
+        arrays[f"{name}.head"] = np.array(nets[name].head)
+        arrays.update(_members(name, nets[name], {"": nets[name].flat}))
     if adams:
         arrays["adam_names"] = np.array(sorted(adams))
         for name in sorted(adams):
-            arrays.update(_adam_to_arrays(name, adams[name]))
+            adam = adams[name]
+            arrays[f"{name}.adam_meta"] = np.array(
+                [adam.t, adam.beta1, adam.beta2, adam.eps], dtype=np.float64)
+            arrays.update(_members(name, nets[name], {"m": adam.m, "v": adam.v}))
     np.savez(path, **arrays)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, AdamState], dict]:
-    with np.load(path, allow_pickle=False) as data:
+    """The networks, Adam states and meta of a ``save_checkpoint`` file.
+
+    A missing member, or an Adam moment that does not fit its network's
+    layout, raises ``DependencyError``; another version raises
+    ``ContractViolationError``.
+    """
+
+    with read_npz(path) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ContractViolationError(
                 f"unsupported checkpoint version {version}"
             )
-        nets = {str(n): _mlp_from_arrays(str(n), data) for n in data["net_names"]}
+        nets = {}
+        for name in map(str, data["net_names"]):
+            layers = range(sum(key.startswith(f"{name}.w") for key in data.files))
+            nets[name] = Mlp([data[f"{name}.w{i}"] for i in layers],
+                             [data[f"{name}.b{i}"] for i in layers],
+                             str(data[f"{name}.head"]))
         adams = {}
-        if "adam_names" in data:
-            adams = {
-                str(n): _adam_from_arrays(str(n), data)
-                for n in data["adam_names"]
-            }
+        for name in map(str, data["adam_names"] if "adam_names" in data else []):
+            if name not in nets:
+                raise DependencyError(f"{path}: Adam state {name!r} has no network")
+            moments = {"m": np.empty(nets[name].flat.size),
+                       "v": np.empty(nets[name].flat.size)}
+            for key, view in _members(name, nets[name], moments):
+                stored = data[key]
+                if stored.shape != view.shape:
+                    raise DependencyError(f"{path}: {key} does not fit its network")
+                view[...] = stored
+            t, beta1, beta2, eps = data[f"{name}.adam_meta"]
+            adams[name] = AdamState(**moments, t=int(t), beta1=float(beta1),
+                                    beta2=float(beta2), eps=float(eps))
         meta = json.loads(str(data["meta_json"]))
     return nets, adams, meta

@@ -44,6 +44,9 @@ class Phases:
         for name, value in asdict(self).items():
             if value < 0:
                 raise ConfigurationError(f"phase {name} must be >= 0")
+        if self.evaluation < 1:
+            raise ConfigurationError("phase evaluation must be >= 1: the "
+                                     "evaluation means need at least one slot")
 
 
 @dataclass(frozen=True)

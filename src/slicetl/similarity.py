@@ -175,7 +175,7 @@ def vae_train(
 
             err *= 2.0
             err /= b
-            dec_grads, dz = nn.mlp_backward(decoder, dec_cache, err)
+            _, dz = nn.mlp_backward(decoder, dec_cache, err)
             dout = enc_dout[:b]
             dmu, dlogvar = dout[:, :l], dout[:, l:]
             np.multiply(mu, kl_weight, out=dmu)
@@ -190,9 +190,9 @@ def vae_train(
             s += dz
             np.multiply(sigma, 0.5, out=dlogvar)
             dlogvar *= s
-            enc_grads, _ = nn.mlp_backward(encoder, enc_cache, dout)
-            nn.adam_step(dec_adam, decoder, dec_grads, lr)
-            nn.adam_step(enc_adam, encoder, enc_grads, lr)
+            nn.mlp_backward(encoder, enc_cache, dout)
+            nn.adam_step(dec_adam, decoder, lr)
+            nn.adam_step(enc_adam, encoder, lr)
         history.append(epoch_loss / m)
 
     return VaeModel(encoder, decoder, kl_weight, latent_dim, mean, std, history)

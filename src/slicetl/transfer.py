@@ -58,10 +58,9 @@ def feature_transfer(
             f"frozen_layers must lie in (0, {source.actor.n_layers}), "
             f"got {frozen_layers}"
         )
+    k = source.actor.layer_offset(frozen_layers)
     for net in (target.actor, target.target_actor):
-        for i in range(frozen_layers):
-            net.weights[i][...] = source.actor.weights[i]
-            net.biases[i][...] = source.actor.biases[i]
+        net.flat[:k] = source.actor.flat[:k]
     target.frozen_actor_layers = frozen_layers
     return target
 
@@ -120,7 +119,6 @@ def fine_tune(
     peers: dict[int, Policy],
     steps: int,
     seed: int,
-    noise_scale: float = FINE_TUNE_NOISE,
     diverged: dict[int, str] | None = None,
 ):
     """Train the target agent in the live network without an exploration phase.
@@ -138,7 +136,7 @@ def fine_tune(
     diverged = {} if diverged is None else diverged
 
     act = follow(scenario, {**peers, target.cell_id: lambda s: select_action(
-        target, s, explore=True, noise_scale=noise_scale)})
+        target, s, FINE_TUNE_NOISE)})
 
     def observe(slot):
         learn(target, slot, idx, diverged)

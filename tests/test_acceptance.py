@@ -113,7 +113,8 @@ def test_criterion_04_reward_and_action_invariants():
         check_shares(shares[i], (4,))  # env.step's check of every share row
     agent = Td3Agent(0, 4, Td3Config(explore_noise=3.0), seed=0)
     for _ in range(300):
-        a = harness.select_action(agent, rng.standard_normal(16), explore=True)
+        a = harness.select_action(agent, rng.standard_normal(16),
+                                   agent.config.explore_noise)
         assert np.all(a >= 0.0) and abs(a.sum() - 1.0) <= 1e-9
     for _ in range(300):
         b = baseline_shares(rng.uniform(0.0, 50.0, (1, 4)))[0]
@@ -315,5 +316,5 @@ def test_criterion_11_determinism_and_persistence(tiny_cfg, tmp_path):
             for b1, b2 in zip(orig_nets[name].biases, new_nets[name].biases):
                 assert np.array_equal(b1, b2)
         for name in orig_adams:
-            for m1, m2 in zip(orig_adams[name].m_w, new_adams[name].m_w):
-                assert np.array_equal(m1, m2)
+            assert np.array_equal(orig_adams[name].m, new_adams[name].m)
+            assert np.array_equal(orig_adams[name].v, new_adams[name].v)

@@ -275,7 +275,7 @@ def test_select_action_always_simplex_valid():
     agent = Td3Agent(0, 4, Td3Config(explore_noise=5.0), seed=1)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        a = select_action(agent, rng.standard_normal(16), explore=True)
+        a = select_action(agent, rng.standard_normal(16), agent.config.explore_noise)
         assert np.all(a >= 0) and abs(a.sum() - 1.0) <= 1e-9
 
 

@@ -43,9 +43,10 @@ def _twin(agent):
     for name, net in agent.networks().items():
         setattr(twin, name, ref.Mlp(net.weights, net.biases, net.head))
     for name in OPTIMIZED:
-        adam = getattr(agent, f"{name}_adam")
+        adam, net = getattr(agent, f"{name}_adam"), getattr(agent, name)
+        (m_w, m_b), (v_w, v_b) = zip(*net.views(adam.m)), zip(*net.views(adam.v))
         setattr(twin, f"{name}_adam", ref.AdamState(
-            adam.m_w, adam.v_w, adam.m_b, adam.v_b, t=adam.t))
+            list(m_w), list(v_w), list(m_b), list(v_b), t=adam.t))
     return twin
 
 

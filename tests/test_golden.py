@@ -10,9 +10,11 @@ say so.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from slicetl import harness
+from slicetl.agent import OPTIMIZED, Td3Agent, Td3Config, load_agent, save_agent
 from slicetl.scenario import load_config
 
 SEED = 7
@@ -33,6 +35,8 @@ GOLDEN = {
     },
 }
 
+CHECKPOINT_SHA256 = "b79f739c5d51d53a7abf06f80378fa07c6128155486d9af9e19a570732d2a293"
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_baseline_and_default_trace_bytes(name, tmp_path):
@@ -45,3 +49,28 @@ def test_baseline_and_default_trace_bytes(name, tmp_path):
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+def _checkpoint_agent():
+    """A seeded fresh agent with seeded Adam moments. Its init draws only
+    ``rng.uniform`` and copies, so the bytes do not depend on the BLAS kernel."""
+
+    agent = Td3Agent(2, 3, Td3Config(), seed=SEED)
+    rng = np.random.default_rng(SEED)
+    for t, name in enumerate(OPTIMIZED, start=5):
+        adam = getattr(agent, f"{name}_adam")
+        adam.m[...] = rng.standard_normal(adam.m.size)
+        adam.v[...] = rng.uniform(size=adam.v.size)
+        adam.t = t
+    return agent
+
+
+def test_checkpoint_v1_bytes(tmp_path):
+    """The v1 checkpoint's member names, order, dtypes and values."""
+
+    path = tmp_path / "agent.npz"
+    save_agent(_checkpoint_agent(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+    again = tmp_path / "again.npz"
+    save_agent(load_agent(path), again)
+    assert again.read_bytes() == path.read_bytes()

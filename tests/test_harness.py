@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicetl import harness, runner
-from slicetl.agent import ReplayBuffer, Td3Agent, train_step
+from slicetl.agent import ReplayBuffer, Td3Agent, Td3Config, save_agent, train_step
+from slicetl.nn import load_checkpoint
 from slicetl.cli import main
 from slicetl.csvio import write_csv
 from slicetl.env import equal_partition
@@ -142,6 +143,7 @@ def test_config_rejects_missing_scenario():
     (("scenario", "cells", 2, "masks", 1, "period"), "100",
      r"scenario\.cells\[2\]\.masks\[1\]\.period"),
     # Values that would fail late or silently in a run.
+    (("phases", "evaluation"), 0, "phases: phase evaluation"),
     (("td3", "batch_size"), 0, "td3: batch_size"),
     (("td3", "policy_delay"), 0, "td3: policy_delay"),
     (("td3", "buffer_capacity"), 0, "td3: buffer_capacity"),
@@ -174,7 +176,8 @@ def test_config_rejects_missing_scenario():
 ], ids=["strategy", "mode", "target", "candidates", "transfer-target",
         "top-level-key", "scenario-key", "cell-key", "requirement-key",
         "scenario-seed", "yaml-exponent", "float-for-int", "bool-for-int",
-        "int-for-list", "short-tuple", "str-for-int", "batch-size",
+        "int-for-list", "short-tuple", "str-for-int", "evaluation-slots",
+        "batch-size",
         "policy-delay", "buffer-capacity", "updates-per-step", "tau-high",
         "tau-low", "gamma-one", "gamma-negative", "actor-lr", "critic-lr",
         "target-noise", "noise-clip", "explore-noise", "explore-noise-final",
@@ -728,6 +731,50 @@ def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
     code = main(["transfer", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")])
     assert code == DependencyError.exit_code
+
+
+# What each npz reader needs: a valid file to write, the reader, and a member
+# it cannot do without.
+NPZ_READERS = {
+    "trace": (lambda path: save_trace(path, Trace(
+        np.arange(2), np.ones(2, dtype=np.int64), np.zeros((2, 8)),
+        np.full((2, 2), 0.5), np.zeros(2))), load_trace, "states"),
+    "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
+                   load_checkpoint, "net_names"),
+    "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1).export(path),
+               lambda path: ReplayBuffer.load(path, capacity=4, seed=0), "rewards"),
+}
+
+
+@pytest.mark.parametrize("defect", ["missing-member", "not-an-npz"])
+@pytest.mark.parametrize("reader", sorted(NPZ_READERS))
+def test_malformed_artifact_raises_dependency_error(tmp_path, reader, defect):
+    write, read, member = NPZ_READERS[reader]
+    path = tmp_path / "artifact.npz"
+    if defect == "missing-member":
+        write(path)
+        with np.load(path) as data:
+            kept = {k: data[k] for k in data.files if k != member}
+        np.savez(path, **kept)
+        match = rf"{re.escape(str(path))} has no member '{member}'"
+    else:
+        path.write_bytes(b"not an npz archive\n")
+        match = rf"{re.escape(str(path))} is not a readable npz archive"
+    with pytest.raises(DependencyError, match=match):
+        read(path)
+
+
+def test_cli_evaluate_with_a_junk_checkpoint_exit_code(tmp_path, tiny_cfg, capsys):
+    artifacts = tmp_path / "artifacts"
+    (artifacts / "checkpoints").mkdir(parents=True)
+    for cid in tiny_cfg.scenario.cell_ids:
+        (artifacts / "checkpoints" / f"cell_{cid}.npz").write_bytes(b"junk")
+    cfg = dataclasses.replace(tiny_cfg, evaluate=EvaluateParams(str(artifacts)))
+    cfg_path = tmp_path / "eval.yaml"
+    save_config(cfg, cfg_path)
+    code = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == DependencyError.exit_code
+    assert "error [DependencyError]" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():

@@ -30,21 +30,17 @@ def finite_difference_check(params, x, rng, h=1e-6):
         return float(np.sum(c * out))
 
     worst = 0.0
-    for i in range(params.n_layers):
-        for arr, g in ((params.weights[i], grads[i][0]),
-                       (params.biases[i], grads[i][1])):
-            flat = arr.ravel()
-            gflat = g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = loss()
-                flat[j] = orig - h
-                down = loss()
-                flat[j] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(gflat[j]), 1e-8)
-                worst = max(worst, abs(fd - gflat[j]) / denom)
+    flat = params.flat
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        up = loss()
+        flat[j] = orig - h
+        down = loss()
+        flat[j] = orig
+        fd = (up - down) / (2 * h)
+        denom = max(abs(fd), abs(grads[j]), 1e-8)
+        worst = max(worst, abs(fd - grads[j]) / denom)
     return worst
 
 
@@ -146,14 +142,23 @@ def test_glorot_init_bounds():
 # ---------------------------------------------------------------------------
 
 
+def _set_grads(params, pairs):
+    """Write per-layer ``(dW, db)`` into the network's gradient workspace,
+    the vector ``adam_step`` reads."""
+
+    for (dw, db), (w, b) in zip(params.views(params.workspace()), pairs):
+        dw[...] = w
+        db[...] = b
+
+
 def test_adam_minimizes_quadratic():
     rng = np.random.default_rng(8)
     params = nn.init_mlp([2, 2], "identity", rng)
     adam = nn.AdamState.for_params(params)
     target = np.array([[1.0, -2.0], [0.5, 3.0]])
     for _ in range(3000):
-        grads = [(params.weights[0] - target, params.biases[0] * 0.0)]
-        nn.adam_step(adam, params, grads, lr=0.01)
+        _set_grads(params, [(params.weights[0] - target, params.biases[0] * 0.0)])
+        nn.adam_step(adam, params, lr=0.01)
     assert np.allclose(params.weights[0], target, atol=1e-3)
 
 
@@ -161,7 +166,8 @@ def test_adam_first_step_matches_hand_calculation():
     # With bias correction, the very first Adam step is -lr * sign(g).
     params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
     adam = nn.AdamState.for_params(params)
-    nn.adam_step(adam, params, [(np.array([[4.0]]), np.array([-2.0]))], lr=0.1)
+    _set_grads(params, [(np.array([[4.0]]), np.array([-2.0]))])
+    nn.adam_step(adam, params, lr=0.1)
     assert params.weights[0][0, 0] == pytest.approx(-0.1, rel=1e-6)
     assert params.biases[0][0] == pytest.approx(0.1, rel=1e-6)
 
@@ -171,9 +177,8 @@ def test_adam_skip_layers_freezes_parameters():
     params = nn.init_mlp([3, 4, 2], "identity", rng)
     adam = nn.AdamState.for_params(params)
     before = [w.copy() for w in params.weights]
-    grads = [(np.ones_like(w), np.ones_like(b))
-             for w, b in zip(params.weights, params.biases)]
-    nn.adam_step(adam, params, grads, lr=0.1, skip_layers=frozenset({0}))
+    params.workspace().fill(1.0)
+    nn.adam_step(adam, params, lr=0.1, skip_layers=frozenset({0}))
     assert np.array_equal(params.weights[0], before[0])
     assert not np.array_equal(params.weights[1], before[1])
 
@@ -182,10 +187,9 @@ def test_adam_skip_layers_must_be_a_prefix():
     rng = np.random.default_rng(12)
     params = nn.init_mlp([3, 4, 2], "identity", rng)
     adam = nn.AdamState.for_params(params)
-    grads = [(np.ones_like(w), np.ones_like(b))
-             for w, b in zip(params.weights, params.biases)]
+    params.workspace().fill(1.0)
     with pytest.raises(DomainError):
-        nn.adam_step(adam, params, grads, lr=0.1, skip_layers=frozenset({1}))
+        nn.adam_step(adam, params, lr=0.1, skip_layers=frozenset({1}))
 
 
 def _reference_adam_step(m_w, v_w, m_b, v_b, t, weights, biases, grads, lr,
@@ -227,22 +231,22 @@ def test_fused_adam_matches_per_layer_reference(sizes, steps, frozen, backward,
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
     for t in range(1, steps + 1):
-        if backward:  # flat gradients straight from mlp_backward
+        if backward:  # gradients straight from mlp_backward
             _, cache = nn.mlp_forward(params, rng.standard_normal((4, sizes[0])))
-            grads, _ = nn.mlp_backward(params, cache,
-                                       rng.standard_normal((4, sizes[-1])))
+            nn.mlp_backward(params, cache, rng.standard_normal((4, sizes[-1])))
         else:
-            grads = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape))
-                     for w, b in zip(weights, biases)]
-        ref_grads = [(dw.copy(), db.copy()) for dw, db in grads]
-        nn.adam_step(adam, params, grads, lr=0.01,
-                     skip_layers=frozenset(range(frozen)))
+            _set_grads(params, [(rng.standard_normal(w.shape),
+                                 rng.standard_normal(b.shape))
+                                for w, b in zip(weights, biases)])
+        ref_grads = [(dw.copy(), db.copy()) for dw, db in params.views(params.grads)]
+        nn.adam_step(adam, params, lr=0.01, skip_layers=frozenset(range(frozen)))
         _reference_adam_step(m_w, v_w, m_b, v_b, t, weights, biases, ref_grads,
                              0.01, frozen)
     assert adam.t == steps
+    (got_m_w, got_m_b), (got_v_w, got_v_b) = (
+        zip(*params.views(adam.m)), zip(*params.views(adam.v)))
     for got, want in zip(
-        [*params.weights, *params.biases, *adam.m_w, *adam.v_w, *adam.m_b,
-         *adam.v_b],
+        [*params.weights, *params.biases, *got_m_w, *got_v_w, *got_m_b, *got_v_b],
         [*weights, *biases, *m_w, *v_w, *m_b, *v_b],
     ):
         assert np.array_equal(got, want)
@@ -250,12 +254,15 @@ def test_fused_adam_matches_per_layer_reference(sizes, steps, frozen, backward,
 
 def test_backward_gradients_are_views_of_one_vector():
     rng = np.random.default_rng(13)
-    params = nn.init_mlp([4, 6, 3], "softmax", rng)
+    params = nn.init_mlp([4, 6, 3], "identity", rng)
+    c = rng.standard_normal((5, 3))
     _, cache = nn.mlp_forward(params, rng.standard_normal((5, 4)))
-    grads, _ = nn.mlp_backward(params, cache, rng.standard_normal((5, 3)))
-    assert grads.flat.shape == params.flat.shape
-    assert np.array_equal(
-        grads.flat, np.concatenate([x.ravel() for pair in grads for x in pair]))
+    grads, _ = nn.mlp_backward(params, cache, c)
+    assert grads.shape == params.flat.shape
+    _, (dw1, db1) = params.views(grads)  # the output layer's gradients
+    assert np.shares_memory(dw1, grads) and np.shares_memory(db1, grads)
+    assert np.allclose(dw1, cache.inputs[1].T @ c)
+    assert np.allclose(db1, c.sum(axis=0))
 
 
 def test_backward_writes_the_networks_own_workspace():
@@ -268,10 +275,10 @@ def test_backward_writes_the_networks_own_workspace():
     x, c = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
     _, cache = nn.mlp_forward(net, x)
     first, _ = nn.mlp_backward(net, cache, c)
-    kept = first.flat.copy()
+    kept = first.copy()
     again, _ = nn.mlp_backward(net, cache, c)
     assert again is first is net.grads
-    assert np.array_equal(again.flat, kept)
+    assert np.array_equal(again, kept)
 
     copy = net.copy()
     assert copy.grads is None
@@ -280,8 +287,8 @@ def test_backward_writes_the_networks_own_workspace():
     _, copy_cache = nn.mlp_forward(copy, rng.standard_normal((5, 4)))
     copy_grads, _ = nn.mlp_backward(copy, copy_cache, rng.standard_normal((5, 3)))
     assert copy_grads is copy.grads
-    assert not np.shares_memory(copy_grads.flat, net.grads.flat)
-    assert np.array_equal(net.grads.flat, kept)
+    assert not np.shares_memory(copy_grads, net.grads)
+    assert np.array_equal(net.grads, kept)
 
 
 def test_target_networks_hold_no_workspace_after_train_step():
@@ -317,15 +324,16 @@ def test_backward_matches_the_reference_through_signed_zeros(head):
     grads, dx = nn.mlp_backward(net, cache, dout)
     _, ref_cache = ref.mlp_forward(twin, x)
     ref_grads, ref_dx = ref.mlp_backward(twin, ref_cache, dout)
-    assert np.array_equal(grads.flat.view(np.int64), ref_grads.flat.view(np.int64))
+    assert np.array_equal(grads.view(np.int64), ref_grads.flat.view(np.int64))
     assert np.array_equal(dx.view(np.int64), ref_dx.view(np.int64))
 
 
 def test_adam_rejects_non_finite_gradient():
     params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
     adam = nn.AdamState.for_params(params)
+    _set_grads(params, [(np.array([[np.nan]]), np.zeros(1))])
     with pytest.raises(NumericError):
-        nn.adam_step(adam, params, [(np.array([[np.nan]]), np.zeros(1))], lr=0.1)
+        nn.adam_step(adam, params, lr=0.1)
 
 
 def test_adam_non_finite_error_names_the_layer():
@@ -333,42 +341,33 @@ def test_adam_non_finite_error_names_the_layer():
     params = nn.init_mlp([3, 4, 2], "identity", rng)
     adam = nn.AdamState.for_params(params)
     before = params.flat.copy()
-    grads = [(np.zeros_like(w), np.zeros_like(b))
-             for w, b in zip(params.weights, params.biases)]
-    grads[1][1][0] = np.inf
+    params.views(params.workspace())[1][1][0] = np.inf
     with pytest.raises(NumericError, match="layer 1"):
-        nn.adam_step(adam, params, grads, lr=0.1)
+        nn.adam_step(adam, params, lr=0.1)
     assert adam.t == 0 and np.array_equal(params.flat, before)
 
 
-def test_adam_rejects_gradients_of_another_layout():
-    """Both nets hold 8 parameters starting at offset 0, but a (1, 4) weight
-    is not a (3, 2) one: the layout check compares shapes too."""
+def test_adam_rejects_a_network_that_was_never_differentiated():
+    """Without ``for_params`` or a backward pass the network has no
+    gradients for ``adam_step`` to read."""
 
     rng = np.random.default_rng(15)
-    params = nn.init_mlp([1, 4], "identity", rng)
-    other = nn.init_mlp([3, 2], "identity", rng)
-    assert params.flat.size == other.flat.size == 8
-    assert params.layer_offset(0) == other.layer_offset(0)
-    _, cache = nn.mlp_forward(other, rng.standard_normal((2, 3)))
-    grads, _ = nn.mlp_backward(other, cache, rng.standard_normal((2, 2)))
-    adam = nn.AdamState.for_params(params)
+    params = nn.init_mlp([3, 2], "identity", rng)
+    adam = nn.AdamState(np.zeros(params.flat.size), np.zeros(params.flat.size))
     before = params.flat.copy()
-    with pytest.raises(DimensionError):
-        nn.adam_step(adam, params, grads, lr=0.1)
+    with pytest.raises(ContractViolationError, match="never differentiated"):
+        nn.adam_step(adam, params, lr=0.1)
     assert adam.t == 0 and np.array_equal(params.flat, before)
-    # The same gradients as (dW, db) pairs fail the per-layer check.
-    with pytest.raises(DimensionError, match="layer 0"):
-        nn.adam_step(adam, params, list(grads), lr=0.1)
 
 
 def test_adam_reset_zeroes_accumulators():
     params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
     adam = nn.AdamState.for_params(params)
-    nn.adam_step(adam, params, [(np.ones((1, 1)), np.ones(1))], lr=0.1)
+    params.workspace().fill(1.0)
+    nn.adam_step(adam, params, lr=0.1)
+    assert np.all(adam.m != 0.0) and np.all(adam.v != 0.0)
     adam.reset()
     assert adam.t == 0
-    assert np.all(adam.m_w[0] == 0.0) and np.all(adam.v_w[0] == 0.0)
     assert np.all(adam.m == 0.0) and np.all(adam.v == 0.0)
 
 
@@ -396,13 +395,15 @@ def test_weights_are_views_of_the_flat_vector(tmp_path):
     assert not np.array_equal(copy.weights[0], net.weights[0])
 
     adam = nn.AdamState.for_params(net)
-    for arrays, flat in ((adam.m_w + adam.m_b, adam.m), (adam.v_w + adam.v_b, adam.v)):
-        assert all(np.shares_memory(a, flat) for a in arrays)
+    for vec in (adam.m, adam.v, net.grads):
+        assert vec.shape == net.flat.shape
+        assert all(np.shares_memory(w, vec) and np.shares_memory(b, vec)
+                   for w, b in net.views(vec))
     path = tmp_path / "ckpt.npz"
     nn.save_checkpoint(path, {"net": net}, {"net": adam})
     nets, adams, _ = nn.load_checkpoint(path)
     _assert_views(nets["net"])
-    assert np.shares_memory(adams["net"].m_w[0], adams["net"].m)
+    assert adams["net"].m.shape == adams["net"].v.shape == net.flat.shape
 
 
 def test_mlp_constructor_copies_its_arrays():
@@ -421,9 +422,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     net = nn.init_mlp([4, 6, 3], "softmax", rng)
     adam = nn.AdamState.for_params(net)
-    nn.adam_step(adam, net, [(rng.standard_normal(w.shape),
-                              rng.standard_normal(b.shape))
-                             for w, b in zip(net.weights, net.biases)], lr=0.01)
+    net.grads[...] = rng.standard_normal(net.flat.size)
+    nn.adam_step(adam, net, lr=0.01)
     path = tmp_path / "ckpt.npz"
     nn.save_checkpoint(path, {"net": net}, {"net": adam}, {"tag": 42})
     nets, adams, meta = nn.load_checkpoint(path)
@@ -431,8 +431,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert nets["net"].head == "softmax"
     for w1, w2 in zip(net.weights, nets["net"].weights):
         assert np.array_equal(w1, w2)
-    for m1, m2 in zip(adam.m_w, adams["net"].m_w):
-        assert np.array_equal(m1, m2)
+    assert np.array_equal(adam.m, adams["net"].m)
+    assert np.array_equal(adam.v, adams["net"].v)
     assert adams["net"].t == adam.t
 
 
