@@ -16,9 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .codec import from_plain, read_npz, to_plain
+from .codec import from_plain, read_npz, to_plain, write_npz
 from .errors import (
     ConfigurationError,
+    DependencyError,
     DimensionError,
     DomainError,
     EmptySetError,
@@ -26,6 +27,7 @@ from .errors import (
 )
 
 BUFFER_VERSION = 1
+_BUFFER_COLUMNS = ("states", "actions", "rewards", "next_states", "origins")
 
 
 def neighbor_means(load: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
@@ -196,16 +198,10 @@ class ReplayBuffer:
 
         n = self._n
         stored = Batch.from_block(self._data[:n], *self._dims)
-        np.savez(
-            path,
-            version=np.array(BUFFER_VERSION),
-            owner=np.array(self.owner),
-            states=stored.states,
-            actions=stored.actions,
-            rewards=stored.rewards,
-            next_states=stored.next_states,
-            origins=self._origins[:n],
-        )
+        write_npz(path, BUFFER_VERSION, dict(
+            owner=np.array(self.owner), states=stored.states, actions=stored.actions,
+            rewards=stored.rewards, next_states=stored.next_states,
+            origins=self._origins[:n]))
 
     @classmethod
     def load(
@@ -213,22 +209,25 @@ class ReplayBuffer:
     ) -> "ReplayBuffer":
         """Rebuild an exported buffer, one ``add`` per stored transition.
 
-        Raises ``DomainError`` if the file holds more than ``capacity``
-        transitions, which would otherwise be evicted silently.
+        A file that ``codec.read_npz`` rejects, or whose columns hold
+        different numbers of rows, raises ``DependencyError``; a file that
+        holds more than ``capacity`` transitions, which would otherwise be
+        evicted silently, raises ``DomainError``.
         """
 
-        with read_npz(path) as data:
-            if int(data["version"]) != BUFFER_VERSION:
-                raise DomainError(f"unsupported buffer version {data['version']}")
-            stored = len(data["rewards"])
-            if stored > capacity:
-                raise DomainError(
-                    f"{path} holds {stored} transitions, more than the "
-                    f"capacity {capacity}")
-            buf = cls(capacity, seed, int(data["owner"]), evict_threshold)
-            for row in zip(data["states"], data["actions"], data["rewards"],
-                           data["next_states"], data["origins"]):
-                buf.add(*row)
+        data = read_npz(path, BUFFER_VERSION)
+        columns = [data[name] for name in _BUFFER_COLUMNS]
+        rows = {name: len(column) for name, column in zip(_BUFFER_COLUMNS, columns)}
+        if len(set(rows.values())) > 1:
+            raise DependencyError(f"{path} has columns of unequal length: {rows}")
+        stored = rows["rewards"]
+        if stored > capacity:
+            raise DomainError(
+                f"{path} holds {stored} transitions, more than the "
+                f"capacity {capacity}")
+        buf = cls(capacity, seed, int(data["owner"]), evict_threshold)
+        for row in zip(*columns):
+            buf.add(*row)
         return buf
 
 

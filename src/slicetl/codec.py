@@ -1,5 +1,5 @@
-"""Conversion between config dataclasses and plain YAML/JSON data, and the
-one reader of npz artifacts.
+"""Conversion between config dataclasses and plain YAML/JSON data, the one
+writer and reader of versioned npz artifacts, and atomic file writes.
 
 The dataclasses are the only description of the config format: ``from_plain``
 follows their type hints, and every error names the dotted field path.
@@ -8,12 +8,14 @@ follows their type hints, and every error names the dotted field path.
 from __future__ import annotations
 
 import dataclasses
+import os
 import types
 import typing
 import zipfile
 from contextlib import contextmanager
 from functools import cache
-from typing import Iterator
+from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -96,41 +98,60 @@ def _build(cls: type, value, where: str):
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
-class NpzMembers:
-    """The members of an open npz file. Reading a missing or unreadable
-    member raises ``DependencyError`` naming the file and the member."""
+class NpzMembers(dict):
+    """The members of an npz file, by name; reading a missing member raises
+    ``DependencyError`` naming the file and the member."""
 
-    def __init__(self, path, data) -> None:
+    def __init__(self, path, members: dict[str, np.ndarray]) -> None:
+        super().__init__(members)
         self.path = path
-        self.files = data.files
-        self._data = data
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._data
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self._data[name]
-        except KeyError:
-            raise DependencyError(f"{self.path} has no member {name!r}") from None
-        except _UNREADABLE as exc:
-            raise DependencyError(
-                f"{self.path}: cannot read member {name!r}: {exc}") from exc
+    def __missing__(self, name: str):
+        raise DependencyError(f"{self.path} has no member {name!r}")
 
 
 @contextmanager
-def read_npz(path) -> Iterator[NpzMembers]:
-    """``np.load(path)`` without pickles, as the members of an npz archive.
+def atomic_open(path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """``open`` on a ``.tmp`` sibling of ``path`` that replaces ``path`` when
+    the block ends. If the block raises, the sibling is removed and a file
+    already at ``path`` is left as it was."""
 
-    A file that is missing or not an npz archive raises ``DependencyError``
-    naming it, as does reading a member that is missing or unreadable.
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_npz(path, version: int, members: dict[str, np.ndarray]) -> None:
+    """Write ``path`` (no ``.npz`` is appended) as an npz archive whose
+    members are ``version`` and then ``members`` in order."""
+
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, version=np.array(version), **members)
+
+
+def read_npz(path, version: int) -> NpzMembers:
+    """Every member of the npz archive at ``path``, read without pickles.
+
+    A file that is missing or not an npz archive, a member that cannot be
+    read, and a ``version`` member that is missing or is not the integer
+    ``version`` raise ``DependencyError`` naming the file.
     """
 
     try:
         data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DependencyError(f"{path} is not an npz archive")
+        with data:
+            members = NpzMembers(path, {name: data[name] for name in data.files})
     except _UNREADABLE as exc:
         raise DependencyError(f"{path} is not a readable npz archive: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise DependencyError(f"{path} is not an npz archive")
-    with data:
-        yield NpzMembers(path, data)
+    found = members["version"]
+    if found.shape or found.dtype.kind not in "iu" or found != version:
+        raise DependencyError(
+            f"{path} is version {found.tolist()!r}, expected version {version}")
+    return members

@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import atomic_open
+
 LINE_END = "\r\n"
 
 
@@ -50,9 +52,10 @@ def write_csv(
     path, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray | list[str]]]
 ) -> None:
     """Write the header line, then the rows of each block of columns in
-    turn; only one block's text is held at a time."""
+    turn; only one block's text is held at a time. The file appears under
+    ``path`` only once every block is written."""
 
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write(",".join(header) + LINE_END)
         for columns in blocks:
             fh.write(rows_text(columns))

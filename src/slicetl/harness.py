@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
-from .codec import read_npz
+from .codec import atomic_open, read_npz, write_npz
 from .csvio import write_csv
 from .env import ScenarioConfig, equal_partition
 from .errors import DependencyError, DimensionError
@@ -95,18 +95,17 @@ def write_run_meta(out: Path, cfg: ExperimentConfig, seed: int, **extra) -> None
         "config": config_to_dict(cfg),
     }
     meta.update(extra)
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    with atomic_open(out / "run_meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True))
 
 
 def save_trace(path, trace: Trace) -> None:
-    np.savez(path, version=np.array(TRACE_VERSION), **trace._asdict())
+    write_npz(path, TRACE_VERSION, trace._asdict())
 
 
 def load_trace(path) -> Trace:
-    with read_npz(path) as data:
-        if int(data["version"]) != TRACE_VERSION:
-            raise DependencyError(f"unsupported trace version {data['version']}")
-        return Trace(*(data[name] for name in Trace._fields))
+    data = read_npz(path, TRACE_VERSION)
+    return Trace(*(data[name] for name in Trace._fields))
 
 
 # ---------------------------------------------------------------------------

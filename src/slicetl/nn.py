@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import read_npz
+from .codec import read_npz, write_npz
 from .errors import (
     ContractViolationError,
     DependencyError,
@@ -372,7 +372,6 @@ def save_checkpoint(
     """
 
     arrays: dict[str, np.ndarray] = {
-        "version": np.array(CHECKPOINT_VERSION),
         "net_names": np.array(sorted(nets)),
         "meta_json": np.array(json.dumps(meta or {}, sort_keys=True)),
     }
@@ -386,42 +385,37 @@ def save_checkpoint(
             arrays[f"{name}.adam_meta"] = np.array(
                 [adam.t, adam.beta1, adam.beta2, adam.eps], dtype=np.float64)
             arrays.update(_members(name, nets[name], {"m": adam.m, "v": adam.v}))
-    np.savez(path, **arrays)
+    write_npz(path, CHECKPOINT_VERSION, arrays)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, AdamState], dict]:
     """The networks, Adam states and meta of a ``save_checkpoint`` file.
 
-    A missing member, or an Adam moment that does not fit its network's
-    layout, raises ``DependencyError``; another version raises
-    ``ContractViolationError``.
+    A file that ``codec.read_npz`` rejects (missing, not an npz archive,
+    an unreadable or missing member, another version), or an Adam moment
+    that does not fit its network's layout, raises ``DependencyError``.
     """
 
-    with read_npz(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ContractViolationError(
-                f"unsupported checkpoint version {version}"
-            )
-        nets = {}
-        for name in map(str, data["net_names"]):
-            layers = range(sum(key.startswith(f"{name}.w") for key in data.files))
-            nets[name] = Mlp([data[f"{name}.w{i}"] for i in layers],
-                             [data[f"{name}.b{i}"] for i in layers],
-                             str(data[f"{name}.head"]))
-        adams = {}
-        for name in map(str, data["adam_names"] if "adam_names" in data else []):
-            if name not in nets:
-                raise DependencyError(f"{path}: Adam state {name!r} has no network")
-            moments = {"m": np.empty(nets[name].flat.size),
-                       "v": np.empty(nets[name].flat.size)}
-            for key, view in _members(name, nets[name], moments):
-                stored = data[key]
-                if stored.shape != view.shape:
-                    raise DependencyError(f"{path}: {key} does not fit its network")
-                view[...] = stored
-            t, beta1, beta2, eps = data[f"{name}.adam_meta"]
-            adams[name] = AdamState(**moments, t=int(t), beta1=float(beta1),
-                                    beta2=float(beta2), eps=float(eps))
-        meta = json.loads(str(data["meta_json"]))
+    data = read_npz(path, CHECKPOINT_VERSION)
+    nets = {}
+    for name in map(str, data["net_names"]):
+        layers = range(sum(key.startswith(f"{name}.w") for key in data))
+        nets[name] = Mlp([data[f"{name}.w{i}"] for i in layers],
+                         [data[f"{name}.b{i}"] for i in layers],
+                         str(data[f"{name}.head"]))
+    adams = {}
+    for name in map(str, data["adam_names"] if "adam_names" in data else []):
+        if name not in nets:
+            raise DependencyError(f"{path}: Adam state {name!r} has no network")
+        moments = {"m": np.empty(nets[name].flat.size),
+                   "v": np.empty(nets[name].flat.size)}
+        for key, view in _members(name, nets[name], moments):
+            stored = data[key]
+            if stored.shape != view.shape:
+                raise DependencyError(f"{path}: {key} does not fit its network")
+            view[...] = stored
+        t, beta1, beta2, eps = data[f"{name}.adam_meta"]
+        adams[name] = AdamState(**moments, t=int(t), beta1=float(beta1),
+                                beta2=float(beta2), eps=float(eps))
+    meta = json.loads(str(data["meta_json"]))
     return nets, adams, meta

@@ -12,7 +12,6 @@ to a common small value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -396,16 +395,17 @@ def select_source(distances: DistanceMatrix, target: int | None = None) -> int:
 
 
 def write_distances_csv(path, distances: DistanceMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "distance", "n_source", "n_target",
-                         "mode", "kl_path"])
-        for i in sorted(distances.entries):
-            writer.writerow([
-                i, distances.target, repr(distances.entries[i]),
-                distances.counts[i], distances.counts[distances.target],
-                distances.mode, distances.paths.get(i, ""),
-            ])
+    ids = sorted(distances.entries)
+    n = len(ids)
+    write_csv(
+        path,
+        ("source", "target", "distance", "n_source", "n_target", "mode", "kl_path"),
+        [(np.array(ids), np.full(n, distances.target),
+          [repr(distances.entries[i]) for i in ids],
+          np.array([distances.counts[i] for i in ids]),
+          np.full(n, distances.counts[distances.target]),
+          [distances.mode] * n, [distances.paths.get(i, "") for i in ids])],
+    )
 
 
 def write_latents_csv(path, latents: dict[int, LatentStats]) -> None:

@@ -23,7 +23,7 @@ from slicetl.agent import (
     soft_update,
     train_step,
 )
-from slicetl.errors import DimensionError, DomainError, EmptySetError
+from slicetl.errors import DependencyError, DimensionError, DomainError, EmptySetError
 from slicetl.runner import assemble_all_states
 from slicetl.scenario import smoke_scenario
 
@@ -186,6 +186,26 @@ def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
     assert len(ReplayBuffer.load(path, capacity=5, seed=0)) == 5
     with pytest.raises(DomainError):
         ReplayBuffer.load(path, capacity=4, seed=0)
+
+
+def test_buffer_load_rejects_columns_of_unequal_length(tmp_path):
+    """A torn file, 5 states but 3 rewards, fails rather than loading as
+    the 3 transitions the shortest column allows."""
+
+    rng = np.random.default_rng(13)
+    buf = ReplayBuffer(capacity=10, seed=0, owner=3)
+    for _ in range(5):
+        buf.add(*_transition(rng, origin=3))
+    path = tmp_path / "buf.npz"
+    buf.export(path)
+    with np.load(path) as data:
+        members = {k: data[k] for k in data.files}
+    members["rewards"] = members["rewards"][:3]
+    np.savez(path, **members)
+    with pytest.raises(DependencyError) as err:
+        ReplayBuffer.load(path, capacity=10, seed=0)
+    assert str(path) in str(err.value)
+    assert "'states': 5" in str(err.value) and "'rewards': 3" in str(err.value)
 
 
 def test_buffer_rows_are_copies():

@@ -318,12 +318,42 @@ def test_column_writer_matches_csv_writer(data):
     columns = [np.array(ints, dtype=np.int64), np.array(repeated, dtype=np.float64),
                np.array(mixed, dtype=np.float64), np.array(small, dtype=np.int64)]
     header = ("i", "repeated", "mixed", "small")
+    # The shape of distances.csv: integer, float and name columns, the names
+    # both as an array and as text already formatted.
+    names = data.draw(st.lists(st.sampled_from(["exact", "simplified", ""]),
+                               min_size=n, max_size=n))
+    distances = (np.array(small, dtype=np.int64), np.array(mixed, dtype=np.float64),
+                 np.array(ints, dtype=np.int64), np.array(names), names)
+    distances_header = ("source", "distance", "n_source", "mode", "kl_path")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "columns.csv"
         write_csv(path, header, [[c[:split] for c in columns],
                                  [c[split:] for c in columns]])
         written = path.read_bytes()
+        write_csv(path, distances_header, [distances])
+        written_distances = path.read_bytes()
     assert written == _reference_csv(header, zip(ints, repeated, mixed, small))
+    assert written_distances == _reference_csv(
+        distances_header, zip(small, mixed, ints, names, names))
+
+
+@pytest.mark.parametrize("existing", [None, b"kept\r\n"], ids=["no-file", "old-file"])
+def test_write_csv_failing_midway_leaves_no_file(tmp_path, existing):
+    """A block iterator that raises after its first block leaves no file
+    under the final name (or the earlier one untouched) and no temp file."""
+
+    def blocks():
+        yield [np.arange(3)]
+        raise RuntimeError("block failed")
+
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_csv(path, ("x",), blocks())
+    assert sorted(tmp_path.iterdir()) == ([] if existing is None else [path])
+    if existing is not None:
+        assert path.read_bytes() == existing
 
 
 def test_trace_round_trip(tmp_path):
@@ -746,35 +776,75 @@ NPZ_READERS = {
 }
 
 
-@pytest.mark.parametrize("defect", ["missing-member", "not-an-npz"])
+def _rewrite_npz(path, version, drop=None) -> None:
+    """Rewrite an npz artifact with another ``version`` member and without
+    the member ``drop``."""
+
+    with np.load(path) as data:
+        kept = {k: data[k] for k in data.files if k not in ("version", drop)}
+    np.savez(path, version=version, **kept)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["missing-member", "not-an-npz", "corrupt-member", "version-999", "float-version"])
 @pytest.mark.parametrize("reader", sorted(NPZ_READERS))
 def test_malformed_artifact_raises_dependency_error(tmp_path, reader, defect):
     write, read, member = NPZ_READERS[reader]
     path = tmp_path / "artifact.npz"
+    write(path)
     if defect == "missing-member":
-        write(path)
-        with np.load(path) as data:
-            kept = {k: data[k] for k in data.files if k != member}
-        np.savez(path, **kept)
+        _rewrite_npz(path, np.array(1), drop=member)
         match = rf"{re.escape(str(path))} has no member '{member}'"
-    else:
+    elif defect == "not-an-npz":
         path.write_bytes(b"not an npz archive\n")
         match = rf"{re.escape(str(path))} is not a readable npz archive"
+    elif defect == "corrupt-member":
+        path.write_bytes(path.read_bytes().replace(b"\x93NUMPY", b"\x93NUMPX", 1))
+        match = rf"{re.escape(str(path))} is not a readable npz archive"
+    elif defect == "version-999":
+        _rewrite_npz(path, np.array(999))
+        match = rf"{re.escape(str(path))} is version 999, expected version 1"
+    else:
+        _rewrite_npz(path, np.array(1.0))
+        match = rf"{re.escape(str(path))} is version 1.0, expected version 1"
     with pytest.raises(DependencyError, match=match):
         read(path)
 
 
-def test_cli_evaluate_with_a_junk_checkpoint_exit_code(tmp_path, tiny_cfg, capsys):
-    artifacts = tmp_path / "artifacts"
-    (artifacts / "checkpoints").mkdir(parents=True)
-    for cid in tiny_cfg.scenario.cell_ids:
-        (artifacts / "checkpoints" / f"cell_{cid}.npz").write_bytes(b"junk")
-    cfg = dataclasses.replace(tiny_cfg, evaluate=EvaluateParams(str(artifacts)))
+def _evaluate_code(tmp_path, tiny_cfg) -> int:
+    """Exit code of ``slicetl evaluate`` on the checkpoints under
+    ``tmp_path / "artifacts"``."""
+
+    cfg = dataclasses.replace(
+        tiny_cfg, evaluate=EvaluateParams(str(tmp_path / "artifacts")))
     cfg_path = tmp_path / "eval.yaml"
     save_config(cfg, cfg_path)
-    code = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert code == DependencyError.exit_code
+    return main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def test_cli_evaluate_with_a_junk_checkpoint_exit_code(tmp_path, tiny_cfg, capsys):
+    checkpoints = tmp_path / "artifacts" / "checkpoints"
+    checkpoints.mkdir(parents=True)
+    for cid in tiny_cfg.scenario.cell_ids:
+        (checkpoints / f"cell_{cid}.npz").write_bytes(b"junk")
+    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code
     assert "error [DependencyError]" in capsys.readouterr().err
+
+
+def test_cli_evaluate_with_an_unknown_checkpoint_version_exit_code(
+        tmp_path, tiny_cfg, capsys):
+    """A v999 checkpoint is an artifact fault like any other: exit 11."""
+
+    checkpoints = tmp_path / "artifacts" / "checkpoints"
+    checkpoints.mkdir(parents=True)
+    for cid in tiny_cfg.scenario.cell_ids:
+        path = checkpoints / f"cell_{cid}.npz"
+        save_agent(Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3, seed=0), path)
+        if cid == 1:
+            _rewrite_npz(path, np.array(999))
+    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code
+    assert "cell_1.npz is version 999, expected version 1" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():

@@ -9,6 +9,7 @@ from slicetl import nn
 from slicetl.agent import Td3Agent, Td3Config, train_step
 from slicetl.errors import (
     ContractViolationError,
+    DependencyError,
     DimensionError,
     DomainError,
     NumericError,
@@ -440,5 +441,5 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, version=np.array(999), net_names=np.array([]),
              meta_json=np.array("{}"))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(DependencyError, match="is version 999, expected version 1"):
         nn.load_checkpoint(path)
