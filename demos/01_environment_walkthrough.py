@@ -32,7 +32,7 @@ print("\ndemand-proportional baseline over 200 steps:")
 state = env.init_network(scenario, seed=0)
 totals = np.zeros(scenario.n_cells)
 for _ in range(200):
-    demands = env.peek_demands(state, scenario)  # (cells, slices)
+    demands = env.peek_demands(state)  # (cells, slices)
     state, rewards = env.step(state, baseline_shares(demands), scenario)
     totals += rewards
 print(f"  mean reward per cell: {np.round(totals / 200, 3)}")

@@ -27,7 +27,9 @@ from .errors import (
 )
 
 BUFFER_VERSION = 1
-_BUFFER_COLUMNS = ("states", "actions", "rewards", "next_states", "origins")
+# Each column of a buffer file and its rank.
+_BUFFER_COLUMNS = {"states": 2, "actions": 2, "rewards": 1, "next_states": 2,
+                   "origins": 1}
 
 
 def neighbor_means(load: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
@@ -82,12 +84,12 @@ class ReplayBuffer:
     """Bounded transition store with seeded uniform sampling.
 
     Transitions are rows of one float block, laid out as in ``Batch``
-    (state, action, reward, next state), with their origins in a separate
-    int column, oldest first. Both grow geometrically up to ``capacity``
-    rows. Eviction is oldest-first, except that foreign (transferred)
-    transitions are evicted before the owner's once the owner has
-    contributed at least ``evict_threshold`` of its own; the rows after the
-    victim shift down one.
+    (state, action, reward, next state) for the state and action lengths
+    ``dims``, with their origins in a separate int column, oldest first.
+    Both grow geometrically up to ``capacity`` rows. Eviction is
+    oldest-first, except that foreign (transferred) transitions are evicted
+    before the owner's once the owner has contributed at least
+    ``evict_threshold`` of its own; the rows after the victim shift down one.
     """
 
     MIN_ROWS = 64  # rows of the first allocation
@@ -97,33 +99,25 @@ class ReplayBuffer:
         capacity: int,
         seed: int,
         owner: int,
+        dims: tuple[int, int],
         evict_threshold: int = 32,
     ) -> None:
         if capacity < 1:
             raise DomainError("buffer capacity must be >= 1")
         self.capacity = capacity
         self.owner = owner
+        self.dims = dims  # state, action lengths
         self.evict_threshold = evict_threshold
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._n = 0
         self._own_count = 0
-        # Sized on the first add, when the state and action lengths are known;
-        # until then the block has only its reward column, and export writes
-        # (0, 0) state and action columns.
-        self._dims = (0, 0)  # state, action lengths
-        self._data = np.zeros((0, 1))
+        s, a = dims
+        self._data = np.zeros((0, 2 * s + a + 1))
         self._origins = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        """The (state, action) lengths of the stored rows; (0, 0) until the
-        first row is stored."""
-
-        return self._dims
 
     def origin_counts(self) -> dict[int, int]:
         return dict(Counter(self._origins[:self._n].tolist()))
@@ -135,8 +129,8 @@ class ReplayBuffer:
         if self._n >= self.capacity:
             self._evict()
         if self._n == len(self._origins):
-            self._grow(len(state), len(action))
-        s, a = self._dims
+            self._grow()
+        s, a = self.dims
         row = self._data[self._n]
         row[:s] = state
         row[s:s + a] = action
@@ -147,16 +141,12 @@ class ReplayBuffer:
         if origin == self.owner:
             self._own_count += 1
 
-    def _grow(self, state_dim: int, action_dim: int) -> None:
-        """Reallocate the block and the origins with room for more rows; the
-        first allocation fixes the state and action lengths."""
+    def _grow(self) -> None:
+        """Reallocate the block and the origins with room for more rows."""
 
         n = self._n
-        if not n:
-            self._dims = (state_dim, action_dim)
         rows = min(self.capacity, max(2 * n, self.MIN_ROWS))
-        s, a = self._dims
-        data = np.empty((rows, 2 * s + a + 1))
+        data = np.empty((rows, self._data.shape[1]))
         origins = np.empty(rows, dtype=np.int64)
         data[:n] = self._data[:n]
         origins[:n] = self._origins[:n]
@@ -191,13 +181,13 @@ class ReplayBuffer:
     def _take(self, idx: np.ndarray) -> Batch:
         """One gather of the rows at ``idx``."""
 
-        return Batch.from_block(self._data.take(idx, axis=0), *self._dims)
+        return Batch.from_block(self._data.take(idx, axis=0), *self.dims)
 
     def export(self, path) -> None:
         """Persist as npz with a fixed field order and version tag."""
 
         n = self._n
-        stored = Batch.from_block(self._data[:n], *self._dims)
+        stored = Batch.from_block(self._data[:n], *self.dims)
         write_npz(path, BUFFER_VERSION, dict(
             owner=np.array(self.owner), states=stored.states, actions=stored.actions,
             rewards=stored.rewards, next_states=stored.next_states,
@@ -205,28 +195,39 @@ class ReplayBuffer:
 
     @classmethod
     def load(
-        cls, path, capacity: int, seed: int, evict_threshold: int = 32
+        cls, path, capacity: int, seed: int, dims: tuple[int, int],
+        evict_threshold: int = 32,
     ) -> "ReplayBuffer":
-        """Rebuild an exported buffer, one ``add`` per stored transition.
+        """Rebuild an exported buffer of rows ``dims`` wide, one ``add`` per
+        stored transition.
 
-        A file that ``codec.read_npz`` rejects, or whose columns hold
-        different numbers of rows, raises ``DependencyError``; a file that
-        holds more than ``capacity`` transitions, which would otherwise be
-        evicted silently, raises ``DomainError``.
+        A file that ``codec.read_npz`` rejects, whose owner is not one
+        integer, whose columns are not numeric arrays of their ranks (the
+        state, action and next-state columns 2-D, the others 1-D) and of one
+        row count, or whose next states are not as wide as its states, raises
+        ``DependencyError``; rows of other (state, action) widths than
+        ``dims`` raise ``DimensionError``; more than ``capacity``
+        transitions, which would otherwise be evicted silently, raise
+        ``DomainError``.
         """
 
         data = read_npz(path, BUFFER_VERSION)
-        columns = [data[name] for name in _BUFFER_COLUMNS]
-        rows = {name: len(column) for name, column in zip(_BUFFER_COLUMNS, columns)}
-        if len(set(rows.values())) > 1:
-            raise DependencyError(f"{path} has columns of unequal length: {rows}")
-        stored = rows["rewards"]
+        stored = data.columns(_BUFFER_COLUMNS)
+        owner = int(data.array("owner", (), "iu"))
+        widths = (data["states"].shape[1], data["actions"].shape[1])
+        if data["next_states"].shape[1] != widths[0]:
+            raise DependencyError(f"{path} holds next states of another width "
+                                  f"than its states ({widths[0]})")
+        if widths != dims:
+            raise DimensionError(
+                f"{path} holds (state, action) rows of widths {widths}, "
+                f"expected {dims}")
         if stored > capacity:
             raise DomainError(
                 f"{path} holds {stored} transitions, more than the "
                 f"capacity {capacity}")
-        buf = cls(capacity, seed, int(data["owner"]), evict_threshold)
-        for row in zip(*columns):
+        buf = cls(capacity, seed, owner, dims, evict_threshold)
+        for row in zip(*(data[name] for name in _BUFFER_COLUMNS)):
             buf.add(*row)
         return buf
 
@@ -324,11 +325,13 @@ class Td3Agent:
         self.actor_adam, self.q1_adam, self.q2_adam = (adams[name] for name in OPTIMIZED)
         self.buffer = ReplayBuffer(
             config.buffer_capacity, int(buffer_seq.generate_state(1)[0]),
-            owner=cell_id, evict_threshold=config.batch_size,
+            owner=cell_id, dims=(state_dim, n_slices),
+            evict_threshold=config.batch_size,
         )
         self.step_count = 0
         self.train_calls = 0
         self.frozen_actor_layers = 0
+        self.diverged: str | None = None  # the error that stopped its training
 
     def networks(self) -> dict[str, nn.Mlp]:
         return {name: getattr(self, name) for name in NETWORKS}
@@ -433,14 +436,20 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """The agent fields a checkpoint's ``meta_json`` holds next to its networks."""
+
+    cell_id: int
+    n_slices: int
+    step_count: int
+    frozen_actor_layers: int
+    config: Td3Config
+
+
 def save_agent(agent: Td3Agent, path) -> None:
-    meta = {
-        "cell_id": agent.cell_id,
-        "n_slices": agent.n_slices,
-        "step_count": agent.step_count,
-        "frozen_actor_layers": agent.frozen_actor_layers,
-        "config": to_plain(agent.config),
-    }
+    meta = CheckpointMeta(agent.cell_id, agent.n_slices, agent.step_count,
+                          agent.frozen_actor_layers, agent.config)
     nn.save_checkpoint(
         path,
         agent.networks(),
@@ -449,15 +458,22 @@ def save_agent(agent: Td3Agent, path) -> None:
             "q1": agent.q1_adam,
             "q2": agent.q2_adam,
         },
-        meta,
+        to_plain(meta),
     )
 
 
 def load_agent(path, seed: int = 0) -> Td3Agent:
-    nets, adams, meta = nn.load_checkpoint(path)
-    config = from_plain(Td3Config, meta["config"], "checkpoint td3")
-    agent = Td3Agent(meta["cell_id"], meta["n_slices"], config, seed,
+    """The agent of a ``save_agent`` checkpoint; a checkpoint that
+    ``nn.load_checkpoint`` rejects, or whose meta lacks a field or holds
+    one of another type or out of range, raises ``DependencyError``."""
+
+    nets, adams, plain = nn.load_checkpoint(path)
+    try:
+        meta = from_plain(CheckpointMeta, plain, f"{path} meta")
+    except ConfigurationError as exc:
+        raise DependencyError(str(exc)) from exc
+    agent = Td3Agent(meta.cell_id, meta.n_slices, meta.config, seed,
                      networks=nets, adams=adams)
-    agent.step_count = meta["step_count"]
-    agent.frozen_actor_layers = meta["frozen_actor_layers"]
+    agent.step_count = meta.step_count
+    agent.frozen_actor_layers = meta.frozen_actor_layers
     return agent

@@ -109,6 +109,32 @@ class NpzMembers(dict):
     def __missing__(self, name: str):
         raise DependencyError(f"{self.path} has no member {name!r}")
 
+    def array(self, name: str, shape: tuple[int | None, ...],
+              kinds: str = "iuf") -> np.ndarray:
+        """The member ``name``, which must have ``shape`` (None: any length
+        on that axis) and a dtype of one of the numpy ``kinds``; otherwise
+        ``DependencyError`` naming the file and the member."""
+
+        found = self[name]
+        if (found.ndim != len(shape) or found.dtype.kind not in kinds
+                or any(n not in (None, m) for n, m in zip(shape, found.shape))):
+            expected = ", ".join("n" if n is None else str(n) for n in shape)
+            raise DependencyError(
+                f"{self.path}: {name} is a {found.dtype} array of shape "
+                f"{found.shape}, expected ({expected}) of kind {kinds!r}")
+        return found
+
+    def columns(self, ranks: dict[str, int]) -> int:
+        """The row count shared by the numeric columns ``ranks`` (member
+        name -> rank); a column of another rank or kind, or columns of
+        unequal row counts, raise ``DependencyError`` naming the file."""
+
+        rows = {name: len(self.array(name, (None,) * rank))
+                for name, rank in ranks.items()}
+        if len(set(rows.values())) > 1:
+            raise DependencyError(f"{self.path} has columns of unequal length: {rows}")
+        return rows[next(iter(ranks))]
+
 
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs) -> Iterator[IO]:

@@ -311,18 +311,17 @@ METRICS = ("throughput", "delay", "load", "ues")
 @dataclass(frozen=True, eq=False)
 class NetworkState:
     """All per-cell per-slice metrics at one time step, as (K, N) arrays in
-    scenario order, and the RNG state the next step draws from."""
+    scenario order, the traffic of the next step, already drawn, and the RNG
+    state after that draw."""
 
     step: int
     throughput: np.ndarray  # Mbit/s per user
     delay: np.ndarray  # ms
     load: np.ndarray  # in [0, 1]
     ues: np.ndarray  # int64 user counts
+    next_ues: np.ndarray  # int64 user counts at step + 1
+    next_demands: np.ndarray  # Mbit/s at step + 1
     rng_state: dict
-    # The next slot's traffic as drawn by ``peek_demands``, for the ``step``
-    # that follows to reuse: (scenario arrays, ues, demands, RNG state after
-    # the draw). Not part of the state's value; ``step`` never writes it.
-    peeked_traffic: tuple | None = field(default=None, init=False, repr=False)
 
     def total_loads(self) -> np.ndarray:
         """Per-cell sum of the slice loads, added left to right."""
@@ -337,7 +336,7 @@ class NetworkState:
             return NotImplemented
         return (self.step == other.step and self.rng_state == other.rng_state
                 and all(np.array_equal(getattr(self, f), getattr(other, f))
-                        for f in METRICS))
+                        for f in (*METRICS, "next_ues", "next_demands")))
 
 
 # ---------------------------------------------------------------------------
@@ -477,39 +476,23 @@ def _metrics(
 
 
 def init_network(scenario: ScenarioConfig, seed: int) -> NetworkState:
-    """Initial state at t=0 under the default equal partition, no interference history."""
+    """Initial state at t=0 under the default equal partition, no interference
+    history; draws the traffic of t=0, then that of t=1."""
 
     arrays = scenario.arrays
     rng = np.random.default_rng(seed)
     ues, demands = _traffic(arrays, 0, rng)
     k, n = demands.shape
     metrics = _metrics(arrays, np.full((k, n), 1.0 / n), np.zeros(k), demands, ues)
-    return NetworkState(0, *metrics, ues, rng.bit_generator.state)
+    return NetworkState(0, *metrics, ues, *_traffic(arrays, 1, rng),
+                        rng.bit_generator.state)
 
 
-def _draw_traffic(
-    state: NetworkState, arrays: ScenarioArrays
-) -> tuple[ScenarioArrays, np.ndarray, np.ndarray, dict]:
-    """UE counts and demands (K, N) of the slot after ``state`` and the RNG
-    state after their draws; the ones a peek kept if it was on ``arrays``."""
-
-    peeked = state.peeked_traffic
-    if peeked is not None and peeked[0] is arrays:
-        return peeked
-    rng = _generator(state.rng_state)
-    ues, demands = _traffic(arrays, state.step + 1, rng)
-    return arrays, ues, demands, rng.bit_generator.state
-
-
-def peek_demands(state: NetworkState, scenario: ScenarioConfig) -> np.ndarray:
+def peek_demands(state: NetworkState) -> np.ndarray:
     """Demands (K, N) the cells will see at the next step (perfect-knowledge
-    oracle): the draws the next ``step`` call will make, without advancing
-    the state. The draws are kept on ``state``, so that step does not repeat
-    them; the array returned is the caller's own copy."""
+    oracle), as the caller's own copy."""
 
-    traffic = _draw_traffic(state, scenario.arrays)
-    object.__setattr__(state, "peeked_traffic", traffic)
-    return traffic[2].copy()
+    return state.next_demands.copy()
 
 
 def step(
@@ -518,12 +501,17 @@ def step(
     """Advance the whole network by one slot under one share row per cell
     (K, N); returns (new state, per-cell rewards).
 
-    Interference is computed from the previous step's neighbor total loads.
+    The slot's traffic is the one ``state`` holds; interference is computed
+    from the previous step's neighbor total loads. The new state draws the
+    traffic of the step after it.
     """
 
     arrays = scenario.arrays
     shares = check_shares(shares, arrays.ue_rates.shape)
-    _, ues, demands, rng_state = _draw_traffic(state, arrays)
-    tp, delay, load = _metrics(arrays, shares, state.total_loads(), demands, ues)
+    tp, delay, load = _metrics(arrays, shares, state.total_loads(),
+                               state.next_demands, state.next_ues)
     rewards = slice_rewards(tp, delay, arrays.throughput_target, arrays.delay_target)
-    return NetworkState(state.step + 1, tp, delay, load, ues, rng_state), rewards
+    rng = _generator(state.rng_state)
+    return NetworkState(state.step + 1, tp, delay, load, state.next_ues,
+                        *_traffic(arrays, state.step + 2, rng),
+                        rng.bit_generator.state), rewards

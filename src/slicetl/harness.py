@@ -19,8 +19,8 @@ from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
 from .codec import atomic_open, read_npz, write_npz
 from .csvio import write_csv
-from .env import ScenarioConfig, equal_partition
-from .errors import DependencyError, DimensionError
+from .env import NetworkState, ScenarioConfig, equal_partition
+from .errors import DependencyError
 from .runner import (
     Act,
     Policy,
@@ -103,8 +103,17 @@ def save_trace(path, trace: Trace) -> None:
     write_npz(path, TRACE_VERSION, trace._asdict())
 
 
+# Each column of a trace file and its rank.
+_TRACE_COLUMNS = {"t": 1, "cell": 1, "states": 2, "actions": 2, "rewards": 1}
+
+
 def load_trace(path) -> Trace:
+    """The trace at ``path``; a file that ``codec.read_npz`` rejects, or whose
+    columns are not numeric arrays of their ranks and of one row count,
+    raises ``DependencyError``."""
+
     data = read_npz(path, TRACE_VERSION)
+    data.columns(_TRACE_COLUMNS)
     return Trace(*(data[name] for name in Trace._fields))
 
 
@@ -123,15 +132,14 @@ def greedy_act(scenario: ScenarioConfig, agents: dict[int, Td3Agent]) -> Act:
     return follow(scenario, {cid: greedy_policy(a) for cid, a in agents.items()})
 
 
-def baseline_act(scenario: ScenarioConfig) -> Act:
+def baseline_act(t: int, net_state: NetworkState, states: np.ndarray) -> np.ndarray:
     """Act hook of the traffic-aware baseline with perfect demand knowledge.
 
     Each cell splits its bandwidth in proportion to the demands the coming
-    slot will bring, read once per slot from the network's RNG state.
+    slot will bring, which the network state already holds.
     """
 
-    return lambda t, net_state, states: envm.baseline_shares(
-        envm.peek_demands(net_state, scenario))
+    return envm.baseline_shares(envm.peek_demands(net_state))
 
 
 def rollout(
@@ -230,7 +238,7 @@ def run_baseline(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     """Traffic-aware baseline with perfect demand knowledge; no learning."""
 
     summary = _evaluate_and_write(cfg, seed, _prepare_out(out), [],
-                                  baseline_act(cfg.scenario), seed, method="baseline")
+                                  baseline_act, seed, method="baseline")
     return RunResult(summary, [])
 
 
@@ -275,11 +283,10 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
             for agent, s in zip(ordered, states)])
 
     records: list[SlotRecord] = []
-    diverged: dict[int, str] = {}
 
     def observe(slot):
         for i, agent in enumerate(ordered):
-            learn(agent, slot, i, diverged, train=slot.t > explore)
+            learn(agent, slot, i, train=slot.t > explore)
         records.append(record_step(scenario, slot))
 
     run_slots(scenario, seed, explore + training, act, observe)
@@ -292,6 +299,7 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
         save_agent(agent, checkpoints / f"cell_{cid}.npz")
         agent.buffer.export(buffers / f"cell_{cid}.npz")
 
+    diverged = {cid: a.diverged for cid, a in agents.items() if a.diverged is not None}
     summary = _evaluate_and_write(cfg, seed, out, records, greedy_act(scenario, agents),
                                   seed + 1, method="madrl", diverged=diverged)
     return RunResult(summary, records, agents)
@@ -351,8 +359,8 @@ def load_pretrained(
     ``make_agents``: each agent draws as a fresh agent seeded with
     ``_agent_seed(seed, cell_id)``, its buffer samples like that agent's.
 
-    A cell without a buffer file keeps an empty buffer. A non-empty buffer
-    whose rows are not (4N, N) wide for its agent's N slices raises
+    A cell without a buffer file keeps an empty buffer. A buffer whose rows
+    are not as wide as its agent's (``ReplayBuffer.load``) raises
     ``DimensionError``.
     """
 
@@ -367,13 +375,8 @@ def load_pretrained(
         if buf.exists():
             agent.buffer = ReplayBuffer.load(
                 buf, agent.config.buffer_capacity, seed=agent.buffer.seed,
-                evict_threshold=agent.config.batch_size,
+                dims=agent.buffer.dims, evict_threshold=agent.config.batch_size,
             )
-            widths = (4 * agent.n_slices, agent.n_slices)
-            if len(agent.buffer) and agent.buffer.dims != widths:
-                raise DimensionError(
-                    f"{buf} holds (state, action) rows of widths "
-                    f"{agent.buffer.dims}; the agent of {ckpt} takes {widths}")
         agents[cid] = agent
     return agents
 
@@ -420,20 +423,15 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
     apply_transfer(pretrained[source_id], tl_agent, cfg.transfer, seed)
-    diverged: dict[str, dict[int, str]] = {"tl": {}, "scratch": {}}
-    tl_agent, tl_trace, tl_slots = fine_tune(
-        tl_agent, scenario, peers, steps, seed, diverged=diverged["tl"],
-    )
+    tl_agent, tl_trace, tl_slots = fine_tune(tl_agent, scenario, peers, steps, seed)
     tl_records = [record_step(scenario, slot) for slot in tl_slots]
 
     # Paired-seed scratch reference: identical environment randomness,
     # fresh agent with a different init stream.
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
-    scratch_agent, scratch_trace, _ = fine_tune(
-        scratch_agent, scenario, peers, steps, seed,
-        diverged=diverged["scratch"],
-    )
+    scratch_agent, scratch_trace, _ = fine_tune(scratch_agent, scenario, peers, steps,
+                                                seed)
 
     write_csv(out / "gain.csv", ("t", "reward_tl", "reward_scratch", "gain"),
               [(np.arange(1, tl_trace.size + 1), tl_trace, scratch_trace,
@@ -446,7 +444,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     summary = _evaluate_and_write(
         cfg, seed, out, tl_records, greedy_act(scenario, agents), seed + 1,
         method="tl", source=source_id, target=target_id,
-        diverged={run: d[target_id] for run, d in diverged.items() if d},
+        diverged={run: a.diverged for run, a in (("tl", tl_agent),
+                                                 ("scratch", scratch_agent))
+                  if a.diverged is not None},
         selected_distance=selected_distance,
     )
     return RunResult(summary, tl_records, agents, source_id, tl_trace, scratch_trace)
@@ -459,7 +459,7 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     scenario = cfg.scenario
     agents: dict[int, Td3Agent] = {}
     if cfg.evaluate.checkpoints is None:
-        act = baseline_act(scenario)
+        act = baseline_act
     else:
         agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids, seed)
         act = greedy_act(scenario, agents)

@@ -32,12 +32,12 @@ from .errors import (
 )
 
 CHECKPOINT_VERSION = 1
-HEADS = ("identity", "softmax", "tanh")
+HEADS = ("identity", "softmax")
 _FLOAT64 = np.dtype(np.float64)
 
 
 class Mlp:
-    """Fully connected net: ReLU hidden layers, configurable output head.
+    """Fully connected net: ReLU hidden layers, an identity or softmax head.
 
     The constructor copies the given arrays into ``flat`` and fixes the
     layout the kernels read: per layer (weight start, bias start, end,
@@ -184,8 +184,6 @@ def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     h += b
     if params.head == "softmax":
         h = softmax(h)
-    elif params.head == "tanh":
-        h = np.tanh(h)
     cache = ForwardCache(params, inputs, h, was_1d)
     return (h[0] if was_1d else h), cache
 
@@ -231,8 +229,6 @@ def mlp_backward(
     y = cache.output
     if params.head == "softmax":
         d = y * (d - np.add.reduce(d * y, axis=1, keepdims=True))
-    elif params.head == "tanh":
-        d = d * (1.0 - y * y)
 
     grads = params.workspace()
     last = params.n_layers - 1
@@ -392,30 +388,43 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, AdamState], dict]:
     """The networks, Adam states and meta of a ``save_checkpoint`` file.
 
     A file that ``codec.read_npz`` rejects (missing, not an npz archive,
-    an unreadable or missing member, another version), or an Adam moment
-    that does not fit its network's layout, raises ``DependencyError``.
+    an unreadable or missing member, another version), a network whose
+    head is unknown or whose layers are not 2-D weights and 1-D biases that
+    chain, an Adam state that does not fit its network's layout or lacks
+    its four meta values, or a meta that is not a JSON object raises
+    ``DependencyError``.
     """
 
     data = read_npz(path, CHECKPOINT_VERSION)
     nets = {}
-    for name in map(str, data["net_names"]):
+    for name in map(str, data.array("net_names", (None,), "U")):
         layers = range(sum(key.startswith(f"{name}.w") for key in data))
-        nets[name] = Mlp([data[f"{name}.w{i}"] for i in layers],
-                         [data[f"{name}.b{i}"] for i in layers],
-                         str(data[f"{name}.head"]))
+        head = str(data.array(f"{name}.head", (), "U"))
+        if head not in HEADS or not layers:
+            raise DependencyError(f"{path}: network {name!r} needs a known head and "
+                                  f"a layer, has head {head!r} and {len(layers)}")
+        try:
+            nets[name] = Mlp([data.array(f"{name}.w{i}", (None, None)) for i in layers],
+                             [data.array(f"{name}.b{i}", (None,)) for i in layers],
+                             head)
+        except DimensionError as exc:
+            raise DependencyError(f"{path}: network {name!r}: {exc}") from exc
     adams = {}
-    for name in map(str, data["adam_names"] if "adam_names" in data else []):
+    names = data.array("adam_names", (None,), "U") if "adam_names" in data else []
+    for name in map(str, names):
         if name not in nets:
             raise DependencyError(f"{path}: Adam state {name!r} has no network")
         moments = {"m": np.empty(nets[name].flat.size),
                    "v": np.empty(nets[name].flat.size)}
         for key, view in _members(name, nets[name], moments):
-            stored = data[key]
-            if stored.shape != view.shape:
-                raise DependencyError(f"{path}: {key} does not fit its network")
-            view[...] = stored
-        t, beta1, beta2, eps = data[f"{name}.adam_meta"]
+            view[...] = data.array(key, view.shape)
+        t, beta1, beta2, eps = data.array(f"{name}.adam_meta", (4,))
         adams[name] = AdamState(**moments, t=int(t), beta1=float(beta1),
                                 beta2=float(beta2), eps=float(eps))
-    meta = json.loads(str(data["meta_json"]))
+    try:
+        meta = json.loads(str(data.array("meta_json", (), "U")))
+    except json.JSONDecodeError as exc:
+        raise DependencyError(f"{path}: meta_json is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DependencyError(f"{path}: meta_json is not a JSON object")
     return nets, adams, meta

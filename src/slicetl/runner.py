@@ -127,25 +127,21 @@ def record_step(scenario: ScenarioConfig, slot: Slot) -> SlotRecord:
                       slot.rewards, net.throughput, net.delay, net.load, net.ues)
 
 
-def learn(
-    agent: Td3Agent, slot: Slot, index: int, diverged: dict[int, str],
-    train: bool = True,
-) -> None:
+def learn(agent: Td3Agent, slot: Slot, index: int, train: bool = True) -> None:
     """Store the agent's transition of the slot, then run its updates.
 
     ``index`` is the agent's cell position in the scenario. An agent whose
-    update raises is recorded in ``diverged`` and trains no more, so one
-    diverging agent cannot abort the others.
+    update raises records the error in ``agent.diverged`` and trains no
+    more, so one diverging agent cannot abort the others.
     """
 
-    cid = agent.cell_id
     agent.buffer.add(slot.states[index], slot.actions[index], slot.rewards[index],
-                     slot.next_states[index], cid)
+                     slot.next_states[index], agent.cell_id)
     agent.step_count += 1
     cfg = agent.config
-    if train and cid not in diverged and len(agent.buffer) >= cfg.batch_size:
+    if train and agent.diverged is None and len(agent.buffer) >= cfg.batch_size:
         try:
             for _ in range(cfg.updates_per_step):
                 train_step(agent, agent.buffer.sample(cfg.batch_size))
         except SliceTlError as exc:
-            diverged[cid] = str(exc)
+            agent.diverged = str(exc)

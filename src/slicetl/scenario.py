@@ -159,30 +159,33 @@ def _slice_phases(n_slices: int) -> list[float]:
     return [2.0 * math.pi * n / n_slices for n in range(n_slices)]
 
 
+# Every builtin cell's radio and traffic parameters.
+CELL_BANDWIDTH = 20.0  # MHz
+CELL_SNR_DB = 12.0
+CELL_MAX_UES = 8  # per slice
+NEIGHBOR_GAIN = 1.0
+MASK_AMPLITUDE = 0.2
+MASK_NOISE_STD = 0.01
+
+
 def _make_cell(
     cell_id: int,
     group: tuple[tuple[float, float], ...],
     neighbor_ids: tuple[int, ...],
-    bandwidth: float = 20.0,
-    base_snr_db: float = 12.0,
-    max_ues_per_slice: int = 8,
-    gain: float = 1.0,
-    amplitude: float = 0.2,
-    noise_std: float = 0.01,
 ) -> CellConfig:
     n = len(group)
     return CellConfig(
         cell_id=cell_id,
-        bandwidth=bandwidth,
+        bandwidth=CELL_BANDWIDTH,
         requirements=tuple(SliceRequirement(tp, d) for tp, d in group),
         neighbor_ids=neighbor_ids,
-        max_ues_per_slice=max_ues_per_slice,
-        base_snr_db=base_snr_db,
-        interference_gains=tuple(gain for _ in neighbor_ids),
+        max_ues_per_slice=CELL_MAX_UES,
+        base_snr_db=CELL_SNR_DB,
+        interference_gains=tuple(NEIGHBOR_GAIN for _ in neighbor_ids),
         ue_rates=tuple(tp for tp, _ in group),
         masks=tuple(
-            TrafficMaskParams(period=100, amplitude=amplitude, offset=0.5,
-                              phase=ph, noise_std=noise_std)
+            TrafficMaskParams(period=100, amplitude=MASK_AMPLITUDE, offset=0.5,
+                              phase=ph, noise_std=MASK_NOISE_STD)
             for ph in _slice_phases(n)
         ),
     )

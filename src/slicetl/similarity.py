@@ -264,15 +264,14 @@ def kl_distance(
     source: LatentStats,
     target: LatentStats,
     mode: str = "exact",
-    sigma: float | None = None,
 ) -> tuple[float, str]:
     """Mean pairwise KL(source sample || target sample) over two posterior
     sets (n, L), and the form that computed it, ``"exact"`` or
     ``"simplified"``.
 
-    ``mode='simplified'`` uses the common-sigma fast path with ``sigma``
-    (pooled median posterior sigma when not given), but falls back to the
-    exact form whenever any posterior sigma exceeds the validity limit.
+    ``mode='simplified'`` uses the common-sigma fast path with the pooled
+    median posterior sigma, but falls back to the exact form whenever any
+    posterior sigma exceeds the validity limit.
     """
 
     mu_s, sig_s, mu_t, sig_t = source.mu, source.sigma, target.mu, target.sigma
@@ -288,8 +287,7 @@ def kl_distance(
     if mode == "simplified":
         max_sigma = max(float(sig_s.max()), float(sig_t.max()))
         if max_sigma <= SIMPLIFIED_SIGMA_LIMIT:
-            if sigma is None:
-                sigma = float(np.median(np.concatenate([sig_s.ravel(), sig_t.ravel()])))
+            sigma = float(np.median(np.concatenate([sig_s.ravel(), sig_t.ravel()])))
             if sigma <= 0:
                 raise DomainError("pooled sigma must be positive")
             diff2 = (
@@ -382,13 +380,9 @@ def compute_distance_matrix(
                           {i: r[1] for i, r in results.items()})
 
 
-def select_source(distances: DistanceMatrix, target: int | None = None) -> int:
+def select_source(distances: DistanceMatrix) -> int:
     """Candidate with the smallest distance; ties break to the lowest id."""
 
-    if target is not None and target != distances.target:
-        raise DomainError(
-            f"distance matrix was computed for target {distances.target}"
-        )
     if not distances.entries:
         raise EmptySetError("distance matrix has no candidates")
     return min(distances.entries, key=lambda i: (distances.entries[i], i))

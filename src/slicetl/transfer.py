@@ -72,10 +72,15 @@ def instance_transfer(
     seed: int,
 ) -> ReplayBuffer:
     """Append a uniform ceil(fraction * |source|) subsample, origin-tagged,
-    oldest first."""
+    oldest first; buffers of other row widths raise
+    ``IncompatibleArchitectureError``."""
 
     if not (0.0 <= fraction <= 1.0):
         raise DomainError(f"fraction must lie in [0, 1], got {fraction}")
+    if source_buffer.dims != target_buffer.dims:
+        raise IncompatibleArchitectureError(
+            f"buffer rows differ: source {source_buffer.dims} vs "
+            f"target {target_buffer.dims}")
     stored = len(source_buffer)
     n = math.ceil(fraction * stored)
     if n == 0:
@@ -119,7 +124,6 @@ def fine_tune(
     peers: dict[int, Policy],
     steps: int,
     seed: int,
-    diverged: dict[int, str] | None = None,
 ):
     """Train the target agent in the live network without an exploration phase.
 
@@ -127,19 +131,18 @@ def fine_tune(
     ``(target, reward_trace, slots)``: the target's reward in each slot,
     and every slot the network ran, from which ``record_step`` builds the
     records of all cells. If the target's training diverges, it stops
-    training and its error is recorded in ``diverged``.
+    training and records the error in ``target.diverged``.
     """
 
     idx = scenario.cell_ids.index(target.cell_id)
     trace = np.zeros(steps)
     slots: list[Slot] = []
-    diverged = {} if diverged is None else diverged
 
     act = follow(scenario, {**peers, target.cell_id: lambda s: select_action(
         target, s, FINE_TUNE_NOISE)})
 
     def observe(slot):
-        learn(target, slot, idx, diverged)
+        learn(target, slot, idx)
         trace[slot.t - 1] = slot.rewards[idx]
         slots.append(slot)
 

@@ -38,6 +38,9 @@ class Row(NamedTuple):
     origin: int
 
 
+DIMS = (8, 2)  # the (state, action) widths of a 2-slice transition
+
+
 def _transition(rng, n=2, origin=0):
     return Row(
         rng.standard_normal(4 * n), rng.dirichlet(np.ones(n)),
@@ -108,7 +111,7 @@ def test_assemble_state_layout():
 
 def test_buffer_evicts_oldest_when_all_own():
     rng = np.random.default_rng(0)
-    buf = ReplayBuffer(capacity=3, seed=0, owner=0, evict_threshold=2)
+    buf = ReplayBuffer(capacity=3, seed=0, owner=0, dims=DIMS, evict_threshold=2)
     items = [_transition(rng) for _ in range(4)]
     for tr in items:
         buf.add(*tr)
@@ -118,7 +121,7 @@ def test_buffer_evicts_oldest_when_all_own():
 
 def test_buffer_evicts_foreign_first_once_owner_established():
     rng = np.random.default_rng(1)
-    buf = ReplayBuffer(capacity=4, seed=0, owner=0, evict_threshold=2)
+    buf = ReplayBuffer(capacity=4, seed=0, owner=0, dims=DIMS, evict_threshold=2)
     foreign = [_transition(rng, origin=9) for _ in range(2)]
     own = [_transition(rng, origin=0) for _ in range(3)]
     for tr in foreign + own[:2]:
@@ -131,7 +134,7 @@ def test_buffer_evicts_foreign_first_once_owner_established():
 
 def test_buffer_evicts_oldest_before_owner_established():
     rng = np.random.default_rng(2)
-    buf = ReplayBuffer(capacity=2, seed=0, owner=0, evict_threshold=5)
+    buf = ReplayBuffer(capacity=2, seed=0, owner=0, dims=DIMS, evict_threshold=5)
     a, b, c = (_transition(rng, origin=9) for _ in range(3))
     buf.add(*a)
     buf.add(*b)
@@ -142,8 +145,8 @@ def test_buffer_evicts_oldest_before_owner_established():
 def test_buffer_sampling_is_seeded():
     rng = np.random.default_rng(3)
     items = [_transition(rng) for _ in range(10)]
-    buf1 = ReplayBuffer(capacity=10, seed=42, owner=0)
-    buf2 = ReplayBuffer(capacity=10, seed=42, owner=0)
+    buf1 = ReplayBuffer(capacity=10, seed=42, owner=0, dims=DIMS)
+    buf2 = ReplayBuffer(capacity=10, seed=42, owner=0, dims=DIMS)
     for tr in items:
         buf1.add(*tr)
         buf2.add(*tr)
@@ -156,17 +159,17 @@ def test_buffer_sampling_is_seeded():
 
 def test_buffer_sample_empty_raises():
     with pytest.raises(EmptySetError):
-        ReplayBuffer(capacity=2, seed=0, owner=0).sample(1)
+        ReplayBuffer(capacity=2, seed=0, owner=0, dims=DIMS).sample(1)
 
 
 def test_buffer_export_load_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    buf = ReplayBuffer(capacity=10, seed=0, owner=3)
+    buf = ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS)
     for origin in (3, 3, 7):
         buf.add(*_transition(rng, origin=origin))
     path = tmp_path / "buf.npz"
     buf.export(path)
-    loaded = ReplayBuffer.load(path, capacity=10, seed=0)
+    loaded = ReplayBuffer.load(path, capacity=10, seed=0, dims=DIMS)
     assert len(loaded) == 3
     assert loaded.owner == 3
     assert loaded.origin_counts() == {3: 2, 7: 1}
@@ -178,14 +181,14 @@ def test_buffer_export_load_round_trip(tmp_path):
 
 def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
     rng = np.random.default_rng(12)
-    buf = ReplayBuffer(capacity=10, seed=0, owner=3)
+    buf = ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS)
     for _ in range(5):
         buf.add(*_transition(rng, origin=3))
     path = tmp_path / "buf.npz"
     buf.export(path)
-    assert len(ReplayBuffer.load(path, capacity=5, seed=0)) == 5
+    assert len(ReplayBuffer.load(path, capacity=5, seed=0, dims=DIMS)) == 5
     with pytest.raises(DomainError):
-        ReplayBuffer.load(path, capacity=4, seed=0)
+        ReplayBuffer.load(path, capacity=4, seed=0, dims=DIMS)
 
 
 def test_buffer_load_rejects_columns_of_unequal_length(tmp_path):
@@ -193,7 +196,7 @@ def test_buffer_load_rejects_columns_of_unequal_length(tmp_path):
     the 3 transitions the shortest column allows."""
 
     rng = np.random.default_rng(13)
-    buf = ReplayBuffer(capacity=10, seed=0, owner=3)
+    buf = ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS)
     for _ in range(5):
         buf.add(*_transition(rng, origin=3))
     path = tmp_path / "buf.npz"
@@ -203,14 +206,14 @@ def test_buffer_load_rejects_columns_of_unequal_length(tmp_path):
     members["rewards"] = members["rewards"][:3]
     np.savez(path, **members)
     with pytest.raises(DependencyError) as err:
-        ReplayBuffer.load(path, capacity=10, seed=0)
+        ReplayBuffer.load(path, capacity=10, seed=0, dims=DIMS)
     assert str(path) in str(err.value)
     assert "'states': 5" in str(err.value) and "'rewards': 3" in str(err.value)
 
 
 def test_buffer_rows_are_copies():
     rng = np.random.default_rng(13)
-    buf = ReplayBuffer(capacity=2, seed=0, owner=0)
+    buf = ReplayBuffer(capacity=2, seed=0, owner=0, dims=DIMS)
     first, second, third = (_transition(rng) for _ in range(3))
     buf.add(*first)
     buf.add(*second)
@@ -264,7 +267,7 @@ class _ListBuffer:
 )
 def test_buffer_matches_list_reference(capacity, threshold, ops, seed):
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer(capacity, seed, owner=0, evict_threshold=threshold)
+    buf = ReplayBuffer(capacity, seed, owner=0, dims=(12, 3), evict_threshold=threshold)
     ref = _ListBuffer(capacity, seed, owner=0, evict_threshold=threshold)
     for op in ops:
         if op >= 0:

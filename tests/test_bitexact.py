@@ -21,6 +21,7 @@ from slicetl.transfer import feature_transfer, instance_transfer
 from . import frozen_td3 as ref
 
 N_SLICES = 4
+DIMS = (4 * N_SLICES, N_SLICES)  # the (state, action) widths of a row
 
 
 def _row(rng, origin):
@@ -128,7 +129,7 @@ def test_buffer_that_evicted_foreign_rows_bit_for_bit():
     twin = _twin(agent)
     for _ in range(12):  # own rows older than the foreign ones
         _add(agent, twin, _row(rng, 3))
-    source = ReplayBuffer(50, seed=0, owner=1)
+    source = ReplayBuffer(50, seed=0, owner=1, dims=DIMS)
     for _ in range(24):
         source.add(*_row(rng, 1))
     instance_transfer(source, agent.buffer, 0.75, seed=7)
@@ -162,7 +163,7 @@ def test_vae_three_epochs_bit_for_bit(rows, settings):
 
 def test_sample_is_one_block_with_critic_input_view():
     rng = np.random.default_rng(24)
-    buf = ReplayBuffer(20, seed=3, owner=1)
+    buf = ReplayBuffer(20, seed=3, owner=1, dims=DIMS)
     for _ in range(10):
         buf.add(*_row(rng, 1))
     batch = buf.sample(6)

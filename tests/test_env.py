@@ -312,8 +312,8 @@ def test_peek_demands_matches_realized_ue_counts():
     state = env.init_network(scenario, seed=11)
     actions = _rows(*[equal_partition(scenario.n_slices)] * scenario.n_cells)
     for _ in range(5):
-        peeked = env.peek_demands(state, scenario)
-        again = env.peek_demands(state, scenario)  # peeking must not advance
+        peeked = env.peek_demands(state)
+        again = env.peek_demands(state)  # peeking must not advance
         assert np.array_equal(peeked, again)
         state, _ = env.step(state, actions, scenario)
         for i, cell in enumerate(scenario.cells):
@@ -322,28 +322,26 @@ def test_peek_demands_matches_realized_ue_counts():
             assert np.allclose(peeked[i], ues * rates)
 
 
-def test_peek_and_step_share_one_traffic_draw(monkeypatch):
-    """A peek followed by a step draws the slot's traffic once, and the
-    step's state equals that of a step without a peek; a step alone
-    leaves nothing on the state it read."""
+def test_state_holds_the_next_slots_traffic(monkeypatch):
+    """Each state carries the traffic of the step after it: a peek reads it
+    without drawing, and the step uses it and draws only the slot after."""
 
     scenario = smoke_scenario()
     actions = _rows(*[equal_partition(scenario.n_slices)] * scenario.n_cells)
-    first = env.init_network(scenario, seed=11)
-    unpeeked, unpeeked_rewards = env.step(first, actions, scenario)
-    assert first.peeked_traffic is None
     state = env.init_network(scenario, seed=11)
     draws = []
     mask_values = env.mask_values
     monkeypatch.setattr(env, "mask_values",
                         lambda *args: draws.append(args[0]) or mask_values(*args))
-    peeked = env.peek_demands(state, scenario)
-    assert np.array_equal(peeked, unpeeked.ues * scenario.arrays.ue_rates)
+    peeked = env.peek_demands(state)
+    assert draws == []
+    assert np.array_equal(peeked, state.next_ues * scenario.arrays.ue_rates)
     peeked[...] = 0.0  # the caller's own copy: the step does not see this
-    stepped, rewards = env.step(state, actions, scenario)
-    assert draws == [1]
-    assert stepped == unpeeked
-    assert np.array_equal(rewards, unpeeked_rewards)
+    stepped, _ = env.step(state, actions, scenario)
+    assert draws == [2]
+    assert np.array_equal(stepped.ues, state.next_ues)
+    assert np.array_equal(stepped.ues * scenario.arrays.ue_rates, state.next_demands)
+    assert stepped == env.step(env.init_network(scenario, seed=11), actions, scenario)[0]
 
 
 def test_interference_couples_through_previous_load():
@@ -450,6 +448,18 @@ def _check_state(state, metrics):
         assert _same_bits(getattr(state, name), column), name
 
 
+def _check_next_traffic(scenario, state, t, rng):
+    """``state`` holds the reference traffic of step t, drawn from ``rng``
+    (not advanced), and the generator state after that draw."""
+
+    after = copy.deepcopy(rng)
+    ues, demands = (np.stack(column) for column in
+                    zip(*_ref_traffic(scenario, t, after)))
+    assert _same_bits(state.next_ues, ues)
+    assert _same_bits(state.next_demands, demands)
+    assert state.rng_state == after.bit_generator.state
+
+
 _positive = st.floats(0.1, 50.0, allow_nan=False)
 _zero_or = lambda strategy: st.one_of(st.just(0.0), strategy)  # noqa: E731
 
@@ -510,13 +520,13 @@ def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
     metrics, _ = _ref_slot(scenario, 0, rng, equal, [[0.0] * n] * k)
     state = env.init_network(scenario, seed)
     _check_state(state, metrics)
-    assert state.rng_state == rng.bit_generator.state
+    _check_next_traffic(scenario, state, 1, rng)
     assert _same_bits(assemble_all_states(scenario, state),
                       _ref_states(scenario, metrics))
     for t in range(1, data.draw(st.integers(1, 4)) + 1):
         peek_rng = copy.deepcopy(rng)
         peeked = np.stack([d for _, d in _ref_traffic(scenario, t, peek_rng)])
-        assert _same_bits(env.peek_demands(state, scenario), peeked)
+        assert _same_bits(env.peek_demands(state), peeked)
         assert _same_bits(env.baseline_shares(peeked), np.stack(
             [peeked[i] / peeked[i].sum() if peeked[i].sum() > 0 else np.full(n, 1.0 / n)
              for i in range(k)]))
@@ -526,7 +536,8 @@ def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
         state, got = env.step(state, shares, scenario)
         _check_state(state, metrics)
         assert _same_bits(got, rewards)
-        assert state.step == t and state.rng_state == rng.bit_generator.state
+        assert state.step == t
+        _check_next_traffic(scenario, state, t + 1, rng)
         assert _same_bits(assemble_all_states(scenario, state),
                           _ref_states(scenario, metrics))
 

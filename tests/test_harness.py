@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicetl import harness, runner
-from slicetl.agent import ReplayBuffer, Td3Agent, Td3Config, save_agent, train_step
+from slicetl.agent import (
+    ReplayBuffer,
+    Td3Agent,
+    Td3Config,
+    load_agent,
+    save_agent,
+    train_step,
+)
 from slicetl.nn import load_checkpoint
 from slicetl.cli import main
 from slicetl.csvio import write_csv
@@ -567,6 +574,32 @@ def test_run_transfer_survives_a_diverging_fine_tune(tmp_path, tiny_cfg,
     assert len(calls) > 1  # the scratch run kept training
 
 
+def test_run_madrl_stops_only_the_diverging_agent(tmp_path, tiny_cfg, monkeypatch):
+    """An update that raises stops its own agent's training and is recorded
+    under its cell; the other agents train on."""
+
+    calls = {cid: 0 for cid in tiny_cfg.scenario.cell_ids}
+
+    def diverge_once(agent, batch):
+        calls[agent.cell_id] += 1
+        if agent.cell_id == 2 and calls[2] == 3:
+            raise NumericError("non-finite critic loss; step aborted")
+        return train_step(agent, batch)
+
+    monkeypatch.setattr(runner, "train_step", diverge_once)
+    result = harness.run_madrl(tiny_cfg, seed=0, out=tmp_path)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["diverged"] == {"2": "non-finite critic loss; step aborted"}
+    agents = result.agents
+    assert agents[2].diverged == "non-finite critic loss; step aborted"
+    assert (calls[2], agents[2].train_calls) == (3, 2)
+    assert agents[1].diverged is None and agents[3].diverged is None
+    # Every training slot after the first batch fills runs one update.
+    trained = tiny_cfg.phases.training * tiny_cfg.td3.updates_per_step
+    assert calls[1] == calls[3] == agents[1].train_calls == agents[3].train_calls
+    assert calls[1] == trained
+
+
 def test_loaded_agents_draw_their_own_streams(tiny_cfg, tiny_artifacts):
     ids = tiny_cfg.scenario.cell_ids
     agents = harness.load_pretrained(tiny_artifacts, ids, seed=7)
@@ -611,7 +644,7 @@ def test_load_pretrained_rejects_a_buffer_of_other_widths(tmp_path, tiny_cfg,
 
     artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
     rng = np.random.default_rng(0)
-    other = ReplayBuffer(16, seed=0, owner=1)
+    other = ReplayBuffer(16, seed=0, owner=1, dims=(20, 5))
     for _ in range(4):
         other.add(rng.standard_normal(20), rng.dirichlet(np.ones(5)), 0.5,
                   rng.standard_normal(20), 1)
@@ -771,8 +804,9 @@ NPZ_READERS = {
         np.full((2, 2), 0.5), np.zeros(2))), load_trace, "states"),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_checkpoint, "net_names"),
-    "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1).export(path),
-               lambda path: ReplayBuffer.load(path, capacity=4, seed=0), "rewards"),
+    "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1, dims=(8, 2)).export(path),
+               lambda path: ReplayBuffer.load(path, capacity=4, seed=0, dims=(8, 2)),
+               "rewards"),
 }
 
 
@@ -812,6 +846,99 @@ def test_malformed_artifact_raises_dependency_error(tmp_path, reader, defect):
         read(path)
 
 
+def _write_buffer(path) -> None:
+    rng = np.random.default_rng(0)
+    buf = ReplayBuffer(4, seed=0, owner=1, dims=(8, 2))
+    for _ in range(3):
+        buf.add(rng.standard_normal(8), rng.dirichlet(np.ones(2)), 0.5,
+                rng.standard_normal(8), 1)
+    buf.export(path)
+
+
+def _edit_meta(edit):
+    def apply(members):
+        meta = json.loads(str(members["meta_json"]))
+        edit(meta)
+        members["meta_json"] = np.array(json.dumps(meta))
+    return apply
+
+
+# Readers of each artifact kind: they must raise DependencyError.
+ARTIFACT_READERS = {
+    "buffer": (_write_buffer,
+               lambda path: ReplayBuffer.load(path, capacity=4, seed=0, dims=(8, 2))),
+    "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
+                   load_agent),
+    "trace": (NPZ_READERS["trace"][0], load_trace),
+}
+
+# One malformed member each: the artifact it is in and how it is rewritten.
+MALFORMED_MEMBERS = {
+    "0-d-rewards": ("buffer", lambda m: m.update(rewards=m["rewards"][0])),
+    "1-d-states": ("buffer", lambda m: m.update(states=m["states"][:, 0])),
+    "2-d-origins": ("buffer", lambda m: m.update(origins=m["origins"][:, None])),
+    "wider-next-states": ("buffer", lambda m: m.update(
+        next_states=np.hstack([m["next_states"], m["next_states"][:, :1]]))),
+    "two-owners": ("buffer", lambda m: m.update(owner=np.array([1, 1]))),
+    "text-states": ("buffer", lambda m: m.update(states=m["states"].astype(str))),
+    "non-json-meta": ("checkpoint", lambda m: m.update(meta_json=np.array("{cell"))),
+    "meta-without-cell-id": ("checkpoint", _edit_meta(lambda meta: meta.pop("cell_id"))),
+    "text-n-slices": ("checkpoint", _edit_meta(lambda meta: meta.update(n_slices="2"))),
+    "2-value-adam-meta": ("checkpoint", lambda m: m.update(
+        {"actor.adam_meta": m["actor.adam_meta"][:2]})),
+    "1-d-weight": ("checkpoint", lambda m: m.update({"actor.w0": m["actor.w0"][:, 0]})),
+    "unchained-layers": ("checkpoint", lambda m: m.update(
+        {"actor.w1": m["actor.w1"][1:]})),
+    "unknown-head": ("checkpoint", lambda m: m.update({"actor.head": np.array("relu6")})),
+    "2-d-trace-rewards": ("trace", lambda m: m.update(rewards=m["rewards"][:, None])),
+    "short-trace-states": ("trace", lambda m: m.update(states=m["states"][:-1])),
+}
+
+
+def _edit_npz(path, edit) -> None:
+    """Rewrite an npz artifact after ``edit`` changed its member dict."""
+
+    with np.load(path) as data:
+        members = {k: data[k] for k in data.files}
+    edit(members)
+    np.savez(path, **members)
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_MEMBERS))
+def test_malformed_member_raises_dependency_error(tmp_path, fault):
+    """A member of the wrong rank, kind or length fails as an artifact fault
+    naming the file, not as a TypeError or IndexError deep in a run."""
+
+    kind, edit = MALFORMED_MEMBERS[fault]
+    write, read = ARTIFACT_READERS[kind]
+    path = tmp_path / "artifact.npz"
+    write(path)
+    _edit_npz(path, edit)
+    with pytest.raises(DependencyError, match=re.escape(str(path))):
+        read(path)
+
+
+def _save_checkpoints(tmp_path, tiny_cfg) -> Path:
+    """Fresh agents' checkpoints for every cell under ``tmp_path /
+    "artifacts"``; returns the checkpoint directory."""
+
+    checkpoints = tmp_path / "artifacts" / "checkpoints"
+    checkpoints.mkdir(parents=True)
+    for cid in tiny_cfg.scenario.cell_ids:
+        save_agent(Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3, seed=0),
+                   checkpoints / f"cell_{cid}.npz")
+    return checkpoints
+
+
+def test_cli_evaluate_with_a_non_json_checkpoint_meta_exit_code(
+        tmp_path, tiny_cfg, capsys):
+    checkpoints = _save_checkpoints(tmp_path, tiny_cfg)
+    _edit_npz(checkpoints / "cell_2.npz",
+              lambda members: members.update(meta_json=np.array("{cell")))
+    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code
+    assert "meta_json is not JSON" in capsys.readouterr().err
+
+
 def _evaluate_code(tmp_path, tiny_cfg) -> int:
     """Exit code of ``slicetl evaluate`` on the checkpoints under
     ``tmp_path / "artifacts"``."""
@@ -836,13 +963,8 @@ def test_cli_evaluate_with_an_unknown_checkpoint_version_exit_code(
         tmp_path, tiny_cfg, capsys):
     """A v999 checkpoint is an artifact fault like any other: exit 11."""
 
-    checkpoints = tmp_path / "artifacts" / "checkpoints"
-    checkpoints.mkdir(parents=True)
-    for cid in tiny_cfg.scenario.cell_ids:
-        path = checkpoints / f"cell_{cid}.npz"
-        save_agent(Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3, seed=0), path)
-        if cid == 1:
-            _rewrite_npz(path, np.array(999))
+    checkpoints = _save_checkpoints(tmp_path, tiny_cfg)
+    _rewrite_npz(checkpoints / "cell_1.npz", np.array(999))
     assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code
     assert "cell_1.npz is version 999, expected version 1" in capsys.readouterr().err
 

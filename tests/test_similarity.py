@@ -142,7 +142,8 @@ def test_simplified_distance_uses_mean_difference_form():
     expected = np.mean([
         [kl_mean_simplified(p.mu, q.mu, sigma) for q in tgt] for p in src
     ])
-    assert kl_distance(_set(src), _set(tgt), mode="simplified", sigma=sigma)[0] == \
+    # Every posterior sigma is ``sigma``, so the pooled median is too.
+    assert kl_distance(_set(src), _set(tgt), mode="simplified")[0] == \
         pytest.approx(float(expected), rel=1e-9)
 
 
@@ -329,12 +330,6 @@ def test_select_source_tie_breaks_to_lowest_id():
     dm = DistanceMatrix(target=9, entries={5: 1.0, 2: 1.0, 7: 3.0},
                         counts={9: 60, 5: 60, 2: 60, 7: 60})
     assert select_source(dm) == 2
-
-
-def test_select_source_rejects_wrong_target():
-    dm = DistanceMatrix(target=9, entries={5: 1.0}, counts={9: 1, 5: 1})
-    with pytest.raises(DomainError):
-        select_source(dm, target=4)
 
 
 def test_distances_csv_round_trip(tmp_path):

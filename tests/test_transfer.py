@@ -46,6 +46,9 @@ class Row(NamedTuple):
     origin: int
 
 
+DIMS = (8, 2)  # the (state, action) widths of a 2-slice transition
+
+
 def _transition(rng, n=2, origin=0):
     return Row(
         rng.standard_normal(4 * n), rng.dirichlet(np.ones(n)),
@@ -183,10 +186,10 @@ def test_feature_transfer_rejects_bad_layer_count():
 
 def test_instance_transfer_counts_and_origin_tagging():
     rng = np.random.default_rng(6)
-    src = ReplayBuffer(capacity=100, seed=0, owner=1)
+    src = ReplayBuffer(capacity=100, seed=0, owner=1, dims=DIMS)
     for _ in range(10):
         src.add(*_transition(rng, origin=1))
-    tgt = ReplayBuffer(capacity=100, seed=0, owner=2)
+    tgt = ReplayBuffer(capacity=100, seed=0, owner=2, dims=DIMS)
     for _ in range(3):
         tgt.add(*_transition(rng, origin=2))
 
@@ -198,10 +201,10 @@ def test_instance_transfer_counts_and_origin_tagging():
 
 def test_instance_transfer_fraction_edges():
     rng = np.random.default_rng(7)
-    src = ReplayBuffer(capacity=10, seed=0, owner=1)
+    src = ReplayBuffer(capacity=10, seed=0, owner=1, dims=DIMS)
     for _ in range(4):
         src.add(*_transition(rng, origin=1))
-    tgt = ReplayBuffer(capacity=10, seed=0, owner=2)
+    tgt = ReplayBuffer(capacity=10, seed=0, owner=2, dims=DIMS)
     instance_transfer(src, tgt, fraction=0.0, seed=0)
     assert len(tgt) == 0
     instance_transfer(src, tgt, fraction=1.0, seed=0)
@@ -210,16 +213,29 @@ def test_instance_transfer_fraction_edges():
         instance_transfer(src, tgt, fraction=-0.1, seed=0)
 
 
+def test_instance_transfer_rejects_rows_of_other_widths():
+    """A 2-slice source cannot fill a 4-slice target's buffer, even before
+    the target has stored a row."""
+
+    rng = np.random.default_rng(8)
+    src = ReplayBuffer(capacity=10, seed=0, owner=1, dims=DIMS)
+    src.add(*_transition(rng, origin=1))
+    tgt = ReplayBuffer(capacity=10, seed=0, owner=2, dims=(16, 4))
+    with pytest.raises(IncompatibleArchitectureError):
+        instance_transfer(src, tgt, fraction=1.0, seed=0)
+    assert len(tgt) == 0
+
+
 def test_instance_transfer_subsample_is_seeded():
     rng = np.random.default_rng(8)
-    src = ReplayBuffer(capacity=50, seed=0, owner=1)
+    src = ReplayBuffer(capacity=50, seed=0, owner=1, dims=DIMS)
     items = [_transition(rng, origin=1) for _ in range(20)]
     for tr in items:
         src.add(*tr)
     expected = [items[i] for i in np.sort(
         np.random.default_rng(42).choice(20, size=10, replace=False))]
     for _ in range(2):
-        tgt = ReplayBuffer(capacity=50, seed=0, owner=2)
+        tgt = ReplayBuffer(capacity=50, seed=0, owner=2, dims=DIMS)
         instance_transfer(src, tgt, fraction=0.5, seed=42)
         assert len(tgt) == len(expected)
         picked = tgt.rows(np.arange(len(tgt)))
@@ -233,7 +249,7 @@ def test_instance_transfer_subsample_is_seeded():
 
 def test_instance_transfer_reads_rows_without_copying_the_buffer(monkeypatch):
     rng = np.random.default_rng(9)
-    src = ReplayBuffer(capacity=50, seed=0, owner=1)
+    src = ReplayBuffer(capacity=50, seed=0, owner=1, dims=DIMS)
     for _ in range(12):
         src.add(*_transition(rng, origin=1))
     idx = np.sort(np.random.default_rng(3).choice(12, size=6, replace=False))
@@ -241,7 +257,8 @@ def test_instance_transfer_reads_rows_without_copying_the_buffer(monkeypatch):
     adds = []
     monkeypatch.setattr(ReplayBuffer, "add",
                         lambda self, *row: adds.append(Row(*row)) or None)
-    instance_transfer(src, ReplayBuffer(capacity=50, seed=0, owner=2), 0.5, seed=3)
+    instance_transfer(src, ReplayBuffer(capacity=50, seed=0, owner=2, dims=DIMS), 0.5,
+                      seed=3)
     assert len(adds) == 6  # one add per moved row, oldest first
     for k, tr in enumerate(adds):
         assert np.array_equal(tr.state, expected.states[k])
@@ -253,7 +270,7 @@ def test_instance_transfer_reads_rows_without_copying_the_buffer(monkeypatch):
 
 def test_buffer_rows_rejects_out_of_range_indices():
     rng = np.random.default_rng(10)
-    buf = ReplayBuffer(capacity=8, seed=0, owner=1)
+    buf = ReplayBuffer(capacity=8, seed=0, owner=1, dims=DIMS)
     for _ in range(3):
         buf.add(*_transition(rng, origin=1))
     assert len(buf.rows(np.array([], dtype=int)).rewards) == 0
