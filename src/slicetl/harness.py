@@ -340,9 +340,8 @@ def run_similarity(
         min_samples=sim.min_samples,
     )
     latents = {i: simm.encode_samples(model, x) for i, x in zip(agents, samples)}
-    distances = simm.compute_distance_matrix(
-        latents, target, candidates, mode=sim.mode, min_samples=sim.min_samples
-    )
+    distances = simm.compute_distance_matrix(latents, target, candidates,
+                                             min_samples=sim.min_samples)
     source = simm.select_source(distances)
     simm.write_distances_csv(out / "distances.csv", distances)
     simm.write_latents_csv(out / "latents.csv", latents)
@@ -353,30 +352,41 @@ def run_similarity(
 
 
 def load_pretrained(
-    artifacts: str | Path, cell_ids: Sequence[int], seed: int
+    artifacts: str | Path, scenario: ScenarioConfig, seed: int
 ) -> dict[int, Td3Agent]:
-    """Checkpointed agents and their buffers, with the random streams of
-    ``make_agents``: each agent draws as a fresh agent seeded with
-    ``_agent_seed(seed, cell_id)``, its buffer samples like that agent's.
+    """Checkpointed agents of the scenario's cells and their buffers, with
+    the random streams of ``make_agents``: each agent draws as a fresh agent
+    seeded with ``_agent_seed(seed, cell_id)``, its buffer samples like that
+    agent's.
 
     A cell without a buffer file keeps an empty buffer. A buffer whose rows
     are not as wide as its agent's (``ReplayBuffer.load``) raises
-    ``DimensionError``.
+    ``DimensionError``. A checkpoint of another cell than its file names, or
+    of another slice count than the scenario's, and a buffer owned by
+    another cell raise ``DependencyError`` naming the file.
     """
 
     artifacts = Path(artifacts)
     agents = {}
-    for cid in cell_ids:
+    for cid in scenario.cell_ids:
         ckpt = artifacts / "checkpoints" / f"cell_{cid}.npz"
         buf = _buffer_file(artifacts, cid)
         if not ckpt.exists():
             raise DependencyError(f"missing checkpoint {ckpt}")
         agent = load_agent(ckpt, _agent_seed(seed, cid))
+        if agent.cell_id != cid:
+            raise DependencyError(f"{ckpt} holds the agent of cell {agent.cell_id}")
+        if agent.n_slices != scenario.n_slices:
+            raise DependencyError(f"{ckpt} holds an agent of {agent.n_slices} "
+                                  f"slices, the scenario has {scenario.n_slices}")
         if buf.exists():
             agent.buffer = ReplayBuffer.load(
                 buf, agent.config.buffer_capacity, seed=agent.buffer.seed,
                 dims=agent.buffer.dims, evict_threshold=agent.config.batch_size,
             )
+            if agent.buffer.owner != cid:
+                raise DependencyError(
+                    f"{buf} holds the buffer of cell {agent.buffer.owner}")
         agents[cid] = agent
     return agents
 
@@ -401,7 +411,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
             "transfer requires 'transfer.artifacts' pointing at a train run"
         )
     target_id = cfg.transfer_target
-    pretrained = load_pretrained(cfg.transfer.artifacts, scenario.cell_ids, seed)
+    pretrained = load_pretrained(cfg.transfer.artifacts, scenario, seed)
 
     source_id = cfg.transfer.source
     selected_distance = None
@@ -461,7 +471,7 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     if cfg.evaluate.checkpoints is None:
         act = baseline_act
     else:
-        agents = load_pretrained(cfg.evaluate.checkpoints, scenario.cell_ids, seed)
+        agents = load_pretrained(cfg.evaluate.checkpoints, scenario, seed)
         act = greedy_act(scenario, agents)
     summary = _evaluate_and_write(cfg, seed, out, [], act, seed, method="evaluate")
     return RunResult(summary, [], agents)

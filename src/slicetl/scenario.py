@@ -25,7 +25,7 @@ from .env import (
     TrafficMaskParams,
 )
 from .errors import ConfigurationError
-from .similarity import MODES
+from .similarity import DEFAULT_MIN_SAMPLES
 from .transfer import STRATEGIES
 
 # Per-slice (throughput Mbit/s, delay ms) targets of the two cell groups.
@@ -52,21 +52,17 @@ class Phases:
 @dataclass(frozen=True)
 class SimilarityParams:
     steps: int = 300  # default-action rollout length
-    min_samples: int = 50
+    min_samples: int = DEFAULT_MIN_SAMPLES
     latent_dim: int = 4
     kl_weight: float = 1e-3
     epochs: int = 200
     batch_size: int = 32
     lr: float = 1e-3
-    mode: str = "simplified"
     target: int | None = None
     candidates: tuple[int, ...] | None = None
     trace: str | None = None  # path to an existing default-action trace
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"unknown similarity mode {self.mode!r}; expected one of {MODES}")
         for name in ("steps", "epochs", "batch_size", "latent_dim", "min_samples"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")

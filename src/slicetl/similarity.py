@@ -5,9 +5,7 @@ all agents, collected under a shared default action: one (n, 4N+1) matrix
 per agent, one row per sample. Each sample's posterior
 N(mu, diag(sigma^2)) is a latent feature, and an agent's posterior set is
 one pair of (n, L) ``mu`` and ``sigma`` arrays. The distance between two
-agents is the mean pairwise KL divergence between their posteriors, with a
-mean-squared-difference fast path valid when all posterior sigmas collapse
-to a common small value.
+agents is the mean pairwise KL divergence between their posteriors.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from .errors import (
 )
 
 DEFAULT_MIN_SAMPLES = 50
-SIMPLIFIED_SIGMA_LIMIT = 1e-3
 ACTION_MATCH_TOL = 1e-9
-MODES = ("exact", "simplified")  # KL distance: closed form, common-sigma fast path
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def kl_gaussian(p: LatentStats, q: LatentStats) -> float:
 def kl_mean_simplified(
     mu_n: np.ndarray, mu_m: np.ndarray, sigma: float
 ) -> float:
-    """Mean-difference fast path: KL when both covariances are sigma^2 * I."""
+    """The mean-difference lemma: KL when both covariances are sigma^2 * I."""
 
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
@@ -260,45 +256,17 @@ def kl_mean_simplified(
     return float(np.sum(d * d)) / (2.0 * sigma**2)
 
 
-def kl_distance(
-    source: LatentStats,
-    target: LatentStats,
-    mode: str = "exact",
-) -> tuple[float, str]:
+def kl_distance(source: LatentStats, target: LatentStats) -> float:
     """Mean pairwise KL(source sample || target sample) over two posterior
-    sets (n, L), and the form that computed it, ``"exact"`` or
-    ``"simplified"``.
-
-    ``mode='simplified'`` uses the common-sigma fast path with the pooled
-    median posterior sigma, but falls back to the exact form whenever any
-    posterior sigma exceeds the validity limit.
-    """
+    sets (n, L), in closed form."""
 
     mu_s, sig_s, mu_t, sig_t = source.mu, source.sigma, target.mu, target.sigma
     if mu_s.ndim != 2 or mu_t.ndim != 2:
         raise DimensionError("latent sets must be (n, L) arrays")
     if not len(mu_s) or not len(mu_t):
         raise EmptySetError("latent sets must be non-empty")
-    if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}")
     if mu_s.shape[1] != mu_t.shape[1]:
         raise DimensionError("latent dimensions differ between sets")
-
-    if mode == "simplified":
-        max_sigma = max(float(sig_s.max()), float(sig_t.max()))
-        if max_sigma <= SIMPLIFIED_SIGMA_LIMIT:
-            sigma = float(np.median(np.concatenate([sig_s.ravel(), sig_t.ravel()])))
-            if sigma <= 0:
-                raise DomainError("pooled sigma must be positive")
-            diff2 = (
-                np.sum(mu_s**2, axis=1)[:, None]
-                + np.sum(mu_t**2, axis=1)[None, :]
-                - 2.0 * mu_s @ mu_t.T
-            )
-            distance = float(np.mean(np.maximum(diff2, 0.0))) / (2.0 * sigma**2)
-            return distance, "simplified"
-        # Lemma precondition violated: fall through to the exact form.
-
     if np.any(sig_t <= 0):
         raise SingularityError("a target sample has a zero-variance dimension")
     vp = sig_s**2  # (Ns, L)
@@ -316,7 +284,7 @@ def kl_distance(
     )
     trace = vp @ inv_vq.T
     kl = 0.5 * (log_term - l + quad + trace)
-    return float(np.mean(kl)), "exact"
+    return float(np.mean(kl))
 
 
 @dataclass
@@ -326,16 +294,11 @@ class DistanceMatrix:
     target: int
     entries: dict[int, float]
     counts: dict[int, int]
-    mode: str = "exact"  # the form requested
-    paths: dict[int, str] = field(default_factory=dict)  # the form each source took
 
     def __post_init__(self) -> None:
         for i, d in self.entries.items():
             if d < 0:
                 raise DomainError(f"negative distance for source {i}")
-        for i, path in self.paths.items():
-            if i not in self.entries or path not in MODES:
-                raise DomainError(f"invalid KL path {path!r} for source {i}")
 
 
 def require_samples(counts: dict[int, int], min_samples: int) -> None:
@@ -353,7 +316,6 @@ def compute_distance_matrix(
     latents_by_agent: dict[int, LatentStats],
     target: int,
     candidates: Sequence[int] | None = None,
-    mode: str = "simplified",
     min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> DistanceMatrix:
     """Distance from each candidate's posterior set to the target's; the
@@ -372,12 +334,9 @@ def compute_distance_matrix(
     counts = {i: len(latents_by_agent[i].mu) if i in latents_by_agent else 0
               for i in [target, *candidates]}
     require_samples(counts, min_samples)
-    results = {
-        i: kl_distance(latents_by_agent[i], latents_by_agent[target], mode)
-        for i in candidates
-    }
-    return DistanceMatrix(target, {i: r[0] for i, r in results.items()}, counts, mode,
-                          {i: r[1] for i, r in results.items()})
+    entries = {i: kl_distance(latents_by_agent[i], latents_by_agent[target])
+               for i in candidates}
+    return DistanceMatrix(target, entries, counts)
 
 
 def select_source(distances: DistanceMatrix) -> int:
@@ -393,12 +352,11 @@ def write_distances_csv(path, distances: DistanceMatrix) -> None:
     n = len(ids)
     write_csv(
         path,
-        ("source", "target", "distance", "n_source", "n_target", "mode", "kl_path"),
+        ("source", "target", "distance", "n_source", "n_target"),
         [(np.array(ids), np.full(n, distances.target),
-          [repr(distances.entries[i]) for i in ids],
+          np.array([distances.entries[i] for i in ids], dtype=np.float64),
           np.array([distances.counts[i] for i in ids]),
-          np.full(n, distances.counts[distances.target]),
-          [distances.mode] * n, [distances.paths.get(i, "") for i in ids])],
+          np.full(n, distances.counts[distances.target]))],
     )
 
 

@@ -184,7 +184,7 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
             for j in latents:
                 if i == j:
                     continue
-                d = simm.kl_distance(latents[i], latents[j], mode=sim.mode)[0]
+                d = simm.kl_distance(latents[i], latents[j])
                 if (i in group_a) == (j in group_a):
                     intra["a" if i in group_a else "b"].append(d)
                 else:
@@ -218,8 +218,7 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
                                latent_dim=sim.latent_dim,
                                batch_size=sim.batch_size, lr=sim.lr)
         latents = {i: simm.encode_samples(model, g) for i, g in samples.items()}
-        distances = simm.compute_distance_matrix(latents, target=3,
-                                                 mode=sim.mode)
+        distances = simm.compute_distance_matrix(latents, target=3)
         assert simm.select_source(distances) == 1
 
 
@@ -227,8 +226,7 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
     cfg = pipeline["cfg"]
     sc = cfg.scenario
     target_id = 3
-    pretrained = harness.load_pretrained(pipeline["root"] / "train", sc.cell_ids,
-                                         seed)
+    pretrained = harness.load_pretrained(pipeline["root"] / "train", sc, seed)
     peers = {i: greedy_policy(pretrained[i]) for i in sc.cell_ids
              if i != target_id}
     tl = Td3Agent(target_id, sc.n_slices, cfg.td3,

@@ -130,7 +130,8 @@ def test_config_rejects_missing_scenario():
 
 @pytest.mark.parametrize("keys, value, match", [
     (("transfer", "strategy"), "telepathy", None),
-    (("similarity", "mode"), "approximate", None),
+    # A key this version dropped fails by name, as any unknown key does.
+    (("similarity", "mode"), "simplified", "mode"),
     (("similarity", "target"), 9, None),
     (("similarity", "candidates"), [1, 9], None),
     (("transfer", "target"), 9, None),
@@ -325,23 +326,23 @@ def test_column_writer_matches_csv_writer(data):
     columns = [np.array(ints, dtype=np.int64), np.array(repeated, dtype=np.float64),
                np.array(mixed, dtype=np.float64), np.array(small, dtype=np.int64)]
     header = ("i", "repeated", "mixed", "small")
-    # The shape of distances.csv: integer, float and name columns, the names
-    # both as an array and as text already formatted.
+    # Integer, float and name columns in one block, the names both as an
+    # array and as text already formatted.
     names = data.draw(st.lists(st.sampled_from(["exact", "simplified", ""]),
                                min_size=n, max_size=n))
-    distances = (np.array(small, dtype=np.int64), np.array(mixed, dtype=np.float64),
-                 np.array(ints, dtype=np.int64), np.array(names), names)
-    distances_header = ("source", "distance", "n_source", "mode", "kl_path")
+    named = (np.array(small, dtype=np.int64), np.array(mixed, dtype=np.float64),
+             np.array(ints, dtype=np.int64), np.array(names), names)
+    named_header = ("id", "value", "count", "name", "name_text")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "columns.csv"
         write_csv(path, header, [[c[:split] for c in columns],
                                  [c[split:] for c in columns]])
         written = path.read_bytes()
-        write_csv(path, distances_header, [distances])
-        written_distances = path.read_bytes()
+        write_csv(path, named_header, [named])
+        written_named = path.read_bytes()
     assert written == _reference_csv(header, zip(ints, repeated, mixed, small))
-    assert written_distances == _reference_csv(
-        distances_header, zip(small, mixed, ints, names, names))
+    assert written_named == _reference_csv(
+        named_header, zip(small, mixed, ints, names, names))
 
 
 @pytest.mark.parametrize("existing", [None, b"kept\r\n"], ids=["no-file", "old-file"])
@@ -602,7 +603,7 @@ def test_run_madrl_stops_only_the_diverging_agent(tmp_path, tiny_cfg, monkeypatc
 
 def test_loaded_agents_draw_their_own_streams(tiny_cfg, tiny_artifacts):
     ids = tiny_cfg.scenario.cell_ids
-    agents = harness.load_pretrained(tiny_artifacts, ids, seed=7)
+    agents = harness.load_pretrained(tiny_artifacts, tiny_cfg.scenario, seed=7)
     draws = {}
     for cid, agent in agents.items():
         fresh = Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3,
@@ -651,10 +652,30 @@ def test_load_pretrained_rejects_a_buffer_of_other_widths(tmp_path, tiny_cfg,
     path = artifacts / "buffers" / "cell_1.npz"
     other.export(path)
     with pytest.raises(DimensionError, match=re.escape(str(path))):
-        harness.load_pretrained(artifacts, tiny_cfg.scenario.cell_ids, seed=0)
+        harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0)
     with pytest.raises(DimensionError, match=re.escape(str(path))):
         harness.run_transfer(_transfer_cfg(tiny_cfg, artifacts), seed=0,
                              out=tmp_path / "tl")
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "buffer", "slices"])
+def test_load_pretrained_rejects_mislabelled_artifacts(tmp_path, tiny_cfg,
+                                                       tiny_artifacts, capsys, kind):
+    """Cell 1's checkpoint or buffer copied over cell 2's, or a checkpoint
+    of another slice count, fails at load naming the file, and the CLI
+    exits with the artifact error's code."""
+
+    artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
+    folder = "buffers" if kind == "buffer" else "checkpoints"
+    path = artifacts / folder / "cell_2.npz"
+    if kind == "slices":
+        save_agent(Td3Agent(2, tiny_cfg.scenario.n_slices + 1, tiny_cfg.td3, 0), path)
+    else:
+        shutil.copyfile(artifacts / folder / "cell_1.npz", path)
+    with pytest.raises(DependencyError, match=re.escape(str(path))):
+        harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0)
+    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code == 11
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -706,10 +727,7 @@ def test_run_similarity_selects_a_source(tmp_path, tiny_cfg):
     assert source in (1, 2)
     with open(tmp_path / "sim" / "distances.csv") as fh:
         distance_rows = list(csv.DictReader(fh))
-    # The posterior sigmas lie far above the fast path's limit, so the
-    # requested simplified form falls back to the exact one.
-    assert [(r["mode"], r["kl_path"]) for r in distance_rows] == [
-        ("simplified", "exact")] * 2
+    assert [int(r["source"]) for r in distance_rows] == [1, 2]
     with open(tmp_path / "sim" / "latents.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(v))

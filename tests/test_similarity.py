@@ -118,75 +118,14 @@ def test_exact_distance_matches_pairwise_brute_force():
     tgt = [_latent(rng.standard_normal(3), rng.uniform(0.2, 2.0, 3))
            for _ in range(5)]
     brute = np.mean([[kl_gaussian(p, q) for q in tgt] for p in src])
-    assert kl_distance(_set(src), _set(tgt), mode="exact")[0] == \
+    assert kl_distance(_set(src), _set(tgt)) == \
         pytest.approx(float(brute), rel=1e-10)
 
 
-def test_simplified_distance_falls_back_when_sigma_large():
-    rng = np.random.default_rng(3)
-    src = [_latent(rng.standard_normal(3), rng.uniform(0.5, 1.5, 3))
-           for _ in range(6)]
-    tgt = [_latent(rng.standard_normal(3), rng.uniform(0.5, 1.5, 3))
-           for _ in range(6)]
-    # Sigmas far above the fast-path validity limit: both modes must agree.
-    src, tgt = _set(src), _set(tgt)
-    assert kl_distance(src, tgt, mode="simplified")[0] == \
-        pytest.approx(kl_distance(src, tgt, mode="exact")[0], rel=1e-12)
-
-
-def test_simplified_distance_uses_mean_difference_form():
-    rng = np.random.default_rng(4)
-    sigma = 5e-5
-    src = [_latent(rng.standard_normal(2), np.full(2, sigma)) for _ in range(4)]
-    tgt = [_latent(rng.standard_normal(2), np.full(2, sigma)) for _ in range(3)]
-    expected = np.mean([
-        [kl_mean_simplified(p.mu, q.mu, sigma) for q in tgt] for p in src
-    ])
-    # Every posterior sigma is ``sigma``, so the pooled median is too.
-    assert kl_distance(_set(src), _set(tgt), mode="simplified")[0] == \
-        pytest.approx(float(expected), rel=1e-9)
-
-
-def test_kl_distance_reports_the_form_taken():
-    rng = np.random.default_rng(5)
-
-    def latents(sigma, n):
-        return _set([_latent(rng.standard_normal(2), np.full(2, sigma))
-                     for _ in range(n)])
-
-    small_src, small_tgt = latents(5e-5, 4), latents(5e-5, 3)
-    large_src, large_tgt = latents(0.075, 4), latents(0.075, 3)
-    exact = kl_distance(small_src, small_tgt, mode="exact")
-    assert exact[1] == "exact"
-    fast = kl_distance(small_src, small_tgt, mode="simplified")
-    assert fast[1] == "simplified"
-    assert fast[0] == pytest.approx(exact[0], rel=1e-6)
-    # Sigma above the fast path's limit: the exact form runs, and says so.
-    fallback = kl_distance(large_src, large_tgt, mode="simplified")
-    assert fallback == kl_distance(large_src, large_tgt, mode="exact")
-    assert fallback[1] == "exact"
-
-
-def test_distance_matrix_records_each_sources_path():
-    rng = np.random.default_rng(11)
-    latents = {i: _cluster_latents(rng, np.full(2, float(i))) for i in (1, 2, 3)}
-    latents[2] = _latent(latents[2].mu, np.full_like(latents[2].sigma, 0.5))
-    dm = compute_distance_matrix(latents, target=3, mode="simplified")
-    assert dm.mode == "simplified"
-    assert dm.paths == {1: "simplified", 2: "exact"}
-    assert compute_distance_matrix(latents, target=3, mode="exact").paths == {
-        1: "exact", 2: "exact"}
-    with pytest.raises(DomainError):
-        DistanceMatrix(target=3, entries={1: 1.0}, counts={3: 1, 1: 1},
-                       paths={1: "approximate"})
-
-
-def test_distance_rejects_empty_and_unknown_mode():
+def test_distance_rejects_empty_sets():
     p = _latent([[0.0]], [[1.0]])
     with pytest.raises(EmptySetError):
         kl_distance(_latent(np.zeros((0, 1)), np.zeros((0, 1))), p)
-    with pytest.raises(DomainError):
-        kl_distance(p, p, mode="fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +203,8 @@ def test_encode_shapes_and_latent_clusters():
     stats = latents[1]
     assert stats.mu.shape == (60, 2) and stats.sigma.shape == (60, 2)
     assert np.all(stats.sigma > 0)
-    d_self = kl_distance(latents[1], latents[1], mode="exact")[0]
-    d_cross = kl_distance(latents[1], latents[2], mode="exact")[0]
+    d_self = kl_distance(latents[1], latents[1])
+    d_cross = kl_distance(latents[1], latents[2])
     assert d_cross > d_self
 
 
@@ -333,16 +272,16 @@ def test_select_source_tie_breaks_to_lowest_id():
 
 
 def test_distances_csv_round_trip(tmp_path):
-    dm = DistanceMatrix(target=3, entries={1: 0.125, 2: 7.5},
-                        counts={3: 60, 1: 60, 2: 55}, mode="simplified",
-                        paths={1: "simplified", 2: "exact"})
+    entries = {1: 0.1 + 0.2, 2: 1.0 / 3.0}
+    dm = DistanceMatrix(target=3, entries=entries, counts={3: 60, 1: 60, 2: 55})
     path = tmp_path / "distances.csv"
     write_distances_csv(path, dm)
+    assert path.read_text().splitlines()[0] == "source,target,distance,n_source,n_target"
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert float(rows[0]["distance"]) == 0.125
+    for row in rows:
+        distance = float(row["distance"])
+        assert distance.hex() == entries[int(row["source"])].hex()
     assert rows[0]["source"] == "1" and rows[0]["target"] == "3"
     assert rows[1]["n_source"] == "55"
-    assert [r["mode"] for r in rows] == ["simplified", "simplified"]
-    assert [r["kl_path"] for r in rows] == ["simplified", "exact"]
