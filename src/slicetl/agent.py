@@ -8,6 +8,7 @@ simplex-valid by construction.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -278,6 +279,19 @@ NETWORKS = ("actor", "q1", "q2", "target_actor", "target_q1", "target_q2")
 OPTIMIZED = ("actor", "q1", "q2")  # the networks with an Adam state
 
 
+def network_shapes(
+    n_slices: int, config: Td3Config
+) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Layer sizes and head of each network in ``NETWORKS`` of an agent for
+    ``n_slices`` slices; a target network has its online network's."""
+
+    state_dim = 4 * n_slices
+    actor = ((state_dim, *config.actor_hidden, n_slices), "softmax")
+    critic = ((state_dim + n_slices, *config.critic_hidden, 1), "identity")
+    shapes = {"actor": actor, "q1": critic, "q2": critic}
+    return {name: shapes[name.removeprefix("target_")] for name in NETWORKS}
+
+
 class Td3Agent:
     """TD3 learner for one cell's resource partitioning.
 
@@ -299,22 +313,16 @@ class Td3Agent:
         self.cell_id = cell_id
         self.n_slices = n_slices
         self.config = config
-        state_dim = 4 * n_slices
         init_seq, explore_seq, buffer_seq = np.random.SeedSequence(seed).spawn(3)
         self.explore_rng = np.random.default_rng(explore_seq)
-        actor_sizes = [state_dim, *config.actor_hidden, n_slices]
-        critic_sizes = [state_dim + n_slices, *config.critic_hidden, 1]
-        sizes = {"actor": actor_sizes, "q1": critic_sizes, "q2": critic_sizes}
+        shapes = network_shapes(n_slices, config)
         if networks is None:
             init_rng = np.random.default_rng(init_seq)
-            actor = nn.init_mlp(actor_sizes, "softmax", init_rng)
-            q1 = nn.init_mlp(critic_sizes, "identity", init_rng)
-            q2 = nn.init_mlp(critic_sizes, "identity", init_rng)
-            networks = {"actor": actor, "q1": q1, "q2": q2, "target_actor": actor.copy(),
-                        "target_q1": q1.copy(), "target_q2": q2.copy()}
+            networks = {name: nn.init_mlp(*shapes[name], init_rng) for name in OPTIMIZED}
+            networks.update({f"target_{name}": networks[name].copy() for name in OPTIMIZED})
         for name in NETWORKS:
-            expected = sizes[name.removeprefix("target_")]
-            if networks[name].sizes != tuple(expected):
+            expected = shapes[name][0]
+            if networks[name].sizes != expected:
                 raise DimensionError(
                     f"{name} has layer sizes {networks[name].sizes}, the config "
                     f"asks for {expected}")
@@ -325,7 +333,7 @@ class Td3Agent:
         self.actor_adam, self.q1_adam, self.q2_adam = (adams[name] for name in OPTIMIZED)
         self.buffer = ReplayBuffer(
             config.buffer_capacity, int(buffer_seq.generate_state(1)[0]),
-            owner=cell_id, dims=(state_dim, n_slices),
+            owner=cell_id, dims=(4 * n_slices, n_slices),
             evict_threshold=config.batch_size,
         )
         self.step_count = 0
@@ -335,6 +343,9 @@ class Td3Agent:
 
     def networks(self) -> dict[str, nn.Mlp]:
         return {name: getattr(self, name) for name in NETWORKS}
+
+    def adams(self) -> dict[str, nn.AdamState]:
+        return {name: getattr(self, f"{name}_adam") for name in OPTIMIZED}
 
 
 def select_action(
@@ -436,44 +447,85 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
 # ---------------------------------------------------------------------------
 
 
+CHECKPOINT_VERSION = 2
+
+
 @dataclass(frozen=True)
 class CheckpointMeta:
-    """The agent fields a checkpoint's ``meta_json`` holds next to its networks."""
+    """The agent fields a checkpoint's ``meta_json`` holds next to its vectors."""
 
     cell_id: int
     n_slices: int
     step_count: int
     frozen_actor_layers: int
+    adam_steps: tuple[int, int, int]  # ``AdamState.t`` of each network in OPTIMIZED
     config: Td3Config
+
+    def __post_init__(self) -> None:
+        if self.n_slices < 1:
+            raise ConfigurationError(f"n_slices must be >= 1, got {self.n_slices}")
+        if self.step_count < 0:
+            raise ConfigurationError(f"step_count must be >= 0, got {self.step_count}")
+        layers = len(self.config.actor_hidden) + 1
+        if not 0 <= self.frozen_actor_layers < layers:
+            raise ConfigurationError(
+                f"frozen_actor_layers must lie in [0, {layers}) (the actor's "
+                f"layers), got {self.frozen_actor_layers}")
+        if min(self.adam_steps) < 0:
+            raise ConfigurationError(
+                f"adam_steps must be >= 0, got {list(self.adam_steps)}")
 
 
 def save_agent(agent: Td3Agent, path) -> None:
+    """Write ``agent`` as a v2 checkpoint. Its npz members, in order:
+    ``version``, ``meta_json`` (a ``CheckpointMeta``), the flat vector of
+    each network in ``NETWORKS``, named after it, and ``<name>.m``,
+    ``<name>.v``, the Adam moments of each network in ``OPTIMIZED``."""
+
+    adams = agent.adams()
     meta = CheckpointMeta(agent.cell_id, agent.n_slices, agent.step_count,
-                          agent.frozen_actor_layers, agent.config)
-    nn.save_checkpoint(
-        path,
-        agent.networks(),
-        {
-            "actor": agent.actor_adam,
-            "q1": agent.q1_adam,
-            "q2": agent.q2_adam,
-        },
-        to_plain(meta),
-    )
+                          agent.frozen_actor_layers,
+                          tuple(adam.t for adam in adams.values()), agent.config)
+    members = {"meta_json": np.array(json.dumps(to_plain(meta), sort_keys=True))}
+    members.update((name, net.flat) for name, net in agent.networks().items())
+    for name, adam in adams.items():
+        members[f"{name}.m"], members[f"{name}.v"] = adam.m, adam.v
+    write_npz(path, CHECKPOINT_VERSION, members)
 
 
 def load_agent(path, seed: int = 0) -> Td3Agent:
-    """The agent of a ``save_agent`` checkpoint; a checkpoint that
-    ``nn.load_checkpoint`` rejects, or whose meta lacks a field or holds
-    one of another type or out of range, raises ``DependencyError``."""
+    """The agent of a ``save_agent`` checkpoint, built around its vectors
+    with the random streams of a fresh agent seeded with ``seed``.
 
-    nets, adams, plain = nn.load_checkpoint(path)
+    Every vector's length follows from the meta's slice count and TD3
+    config. A file that ``codec.read_npz`` rejects (missing, not an npz
+    archive, an unreadable or missing member, another version), a meta that
+    is not JSON, lacks a field or holds one of another type or out of range,
+    and a vector of another length or not of floats raise
+    ``DependencyError``.
+    """
+
+    data = read_npz(path, CHECKPOINT_VERSION)
+    try:
+        plain = json.loads(str(data.array("meta_json", (), "U")))
+    except json.JSONDecodeError as exc:
+        raise DependencyError(f"{path}: meta_json is not JSON: {exc}") from exc
     try:
         meta = from_plain(CheckpointMeta, plain, f"{path} meta")
     except ConfigurationError as exc:
         raise DependencyError(str(exc)) from exc
+    networks = {name: nn.Mlp(*shape)
+                for name, shape in network_shapes(meta.n_slices, meta.config).items()}
+    for name, net in networks.items():
+        net.flat[...] = data.array(name, net.flat.shape, "f")
+    adams = {}
+    for name, t in zip(OPTIMIZED, meta.adam_steps):
+        shape = networks[name].flat.shape
+        m, v = (np.asarray(data.array(f"{name}.{moment}", shape, "f"), dtype=np.float64)
+                for moment in "mv")
+        adams[name] = nn.AdamState(m, v, t)
     agent = Td3Agent(meta.cell_id, meta.n_slices, meta.config, seed,
-                     networks=nets, adams=adams)
+                     networks=networks, adams=adams)
     agent.step_count = meta.step_count
     agent.frozen_actor_layers = meta.frozen_actor_layers
     return agent

@@ -1,8 +1,8 @@
 """Minimal dense neural-network kernel in float64 numpy.
 
 Provides exactly what the TD3 agents and the similarity VAE need: MLP
-forward/backward with analytic gradients, bias-corrected Adam, and
-bit-exact checkpointing. Everything is computed in 64-bit floats.
+forward/backward with analytic gradients and bias-corrected Adam.
+Everything is computed in 64-bit floats.
 
 A network keeps its parameters in one contiguous vector ``flat``, laid out
 w0, b0, w1, b1, ... Its gradients (``grads``, the workspace that
@@ -17,65 +17,50 @@ flat layout computes the same bits as per-layer arrays.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import read_npz, write_npz
-from .errors import (
-    ContractViolationError,
-    DependencyError,
-    DimensionError,
-    DomainError,
-    NumericError,
-)
+from .errors import ContractViolationError, DimensionError, DomainError, NumericError
 
-CHECKPOINT_VERSION = 1
 HEADS = ("identity", "softmax")
+# Adam's moment decay rates and the offset of its denominator.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _FLOAT64 = np.dtype(np.float64)
 
 
 class Mlp:
     """Fully connected net: ReLU hidden layers, an identity or softmax head.
 
-    The constructor copies the given arrays into ``flat`` and fixes the
-    layout the kernels read: per layer (weight start, bias start, end,
-    weight shape) in ``layout``, ``n_layers``, ``sizes``, and the views of
-    ``flat`` as ``weights``, ``biases`` and ``(weight, bias)`` pairs of the
-    ReLU layers (``hidden``) and of the output layer (``output``). Update
-    ``flat`` in place. ``grads`` is the gradient workspace (see
-    ``workspace``); a never differentiated network (a target network, a
-    greedy peer) holds none.
+    ``sizes`` are the widths of the input and of each layer's output. The
+    constructor copies ``flat`` (zeros when None), a vector in the layout
+    it fixes: per layer (weight start, bias start, end, weight shape) in
+    ``layout``, ``n_layers``, and the views of ``flat`` as ``weights``,
+    ``biases`` and ``(weight, bias)`` pairs of the ReLU layers (``hidden``)
+    and of the output layer (``output``). Update ``flat`` in place.
+    ``grads`` is the gradient workspace (see ``workspace``); a never
+    differentiated network (a target network, a greedy peer) holds none.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
-                 head: str = "identity") -> None:
+    def __init__(self, sizes: Sequence[int], head: str = "identity",
+                 flat: np.ndarray | None = None) -> None:
         if head not in HEADS:
             raise DomainError(f"unknown head {head!r}")
         spans = []
         start = 0
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if i and weights[i - 1].shape[1] != w.shape[0]:
-                raise DimensionError(
-                    f"layer {i - 1} output dim {weights[i - 1].shape[1]} does "
-                    f"not chain into layer {i}")
-            if b.shape != (w.shape[1],):
-                raise DimensionError("bias shape must match layer output dim")
-            mid = start + w.size
-            spans.append((start, mid, mid + b.size, w.shape))
-            start = mid + b.size
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            mid = start + fan_in * fan_out
+            spans.append((start, mid, mid + fan_out, (fan_in, fan_out)))
+            start = mid + fan_out
         self.head = head
+        self.sizes = tuple(sizes)
         self.layout = tuple(spans)
-        self.flat = np.empty(start)
+        self.flat = np.zeros(start) if flat is None else np.array(flat, dtype=np.float64)
         pairs = self.views(self.flat)
-        for (w_view, b_view), w, b in zip(pairs, weights, biases):
-            w_view[...] = w
-            b_view[...] = b
         self.weights = [w for w, _ in pairs]
         self.biases = [b for _, b in pairs]
         self.n_layers = len(pairs)
-        self.sizes = (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
         self.hidden, self.output = tuple(pairs[:-1]), pairs[-1]
         self.grads: np.ndarray | None = None
         self.grad_views: list[tuple[np.ndarray, np.ndarray]] = []
@@ -96,7 +81,7 @@ class Mlp:
                 for w0, b0, end, shape in self.layout]
 
     def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.head)
+        return Mlp(self.sizes, self.head, self.flat)
 
     def workspace(self) -> np.ndarray:
         """``grads``, allocated (zeroed) with its views ``grad_views`` on the
@@ -120,15 +105,14 @@ class Mlp:
         return self.layout[layer][0] if layer < self.n_layers else self.flat.size
 
 
-def init_mlp(sizes: list[int], head: str, rng: np.random.Generator) -> Mlp:
+def init_mlp(sizes: Sequence[int], head: str, rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases."""
 
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases, head)
+    net = Mlp(sizes, head)
+    for w in net.weights:
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _as_float64(x) -> np.ndarray:
@@ -251,25 +235,23 @@ class AdamState:
     """Bias-corrected Adam accumulators of one network.
 
     The moments ``m`` and ``v`` are vectors in the layout of the network's
-    ``flat``; ``scratch`` holds two more such vectors that ``adam_step``
-    writes its temporaries into.
+    ``flat``, and ``t`` counts the steps taken; ``scratch`` holds two more
+    such vectors that ``adam_step`` writes its temporaries into. Every
+    state uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.scratch = np.empty((2, self.m.size))
 
     @classmethod
-    def for_params(cls, params: Mlp, **kwargs) -> "AdamState":
+    def for_params(cls, params: Mlp) -> "AdamState":
         size = params.flat.size
-        adam = cls(np.zeros(size), np.zeros(size), **kwargs)
+        adam = cls(np.zeros(size), np.zeros(size))
         params.workspace()
         return adam
 
@@ -310,7 +292,7 @@ def adam_step(
         bad = next(i for i, (_, _, end, _) in enumerate(params.layout) if first < end)
         raise NumericError(f"non-finite gradient at layer {bad}")
     adam.t += 1
-    b1, b2 = adam.beta1, adam.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**adam.t
     c2 = 1.0 - b2**adam.t
     start = params.layer_offset(len(skip_layers))
@@ -327,104 +309,8 @@ def adam_step(
     s1 *= lr
     np.divide(v, c2, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += adam.eps
+    s2 += ADAM_EPS
     s1 /= s2
     p -= s1
     return params
 
-
-# ---------------------------------------------------------------------------
-# Checkpointing: versioned npz, bit-exact on round trip.
-# ---------------------------------------------------------------------------
-
-
-def _members(name: str, net: Mlp, vectors: dict[str, np.ndarray]):
-    """``(member, view)`` of every layer of ``vectors`` (prefix -> vector in
-    ``net``'s layout), in file order: per layer i, ``<name>.<prefix>w<i>``
-    of each vector, then ``<name>.<prefix>b<i>`` of each."""
-
-    views = [(prefix, net.views(vec)) for prefix, vec in vectors.items()]
-    for i in range(net.n_layers):
-        for part, j in (("w", 0), ("b", 1)):
-            for prefix, pairs in views:
-                yield f"{name}.{prefix}{part}{i}", pairs[i][j]
-
-
-def save_checkpoint(
-    path,
-    nets: dict[str, Mlp],
-    adams: dict[str, AdamState] | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Write ``nets``, their Adam states and ``meta`` as a v1 checkpoint.
-
-    An Adam state is keyed by the name of its network, whose layout it
-    shares. The npz members, in order: ``version``, ``net_names`` (sorted)
-    and ``meta_json``; per network, by name, ``<name>.head``, ``<name>.w0``,
-    ``<name>.b0``, ``<name>.w1``, ...; then, with Adam states, ``adam_names``
-    (sorted) and per state ``<name>.adam_meta`` (t, beta1, beta2, eps as
-    float64) and per layer i ``<name>.mw<i>``, ``.vw<i>``, ``.mb<i>``,
-    ``.vb<i>``. Every layer member is a view cut by ``Mlp.views``.
-    """
-
-    arrays: dict[str, np.ndarray] = {
-        "net_names": np.array(sorted(nets)),
-        "meta_json": np.array(json.dumps(meta or {}, sort_keys=True)),
-    }
-    for name in sorted(nets):
-        arrays[f"{name}.head"] = np.array(nets[name].head)
-        arrays.update(_members(name, nets[name], {"": nets[name].flat}))
-    if adams:
-        arrays["adam_names"] = np.array(sorted(adams))
-        for name in sorted(adams):
-            adam = adams[name]
-            arrays[f"{name}.adam_meta"] = np.array(
-                [adam.t, adam.beta1, adam.beta2, adam.eps], dtype=np.float64)
-            arrays.update(_members(name, nets[name], {"m": adam.m, "v": adam.v}))
-    write_npz(path, CHECKPOINT_VERSION, arrays)
-
-
-def load_checkpoint(path) -> tuple[dict[str, Mlp], dict[str, AdamState], dict]:
-    """The networks, Adam states and meta of a ``save_checkpoint`` file.
-
-    A file that ``codec.read_npz`` rejects (missing, not an npz archive,
-    an unreadable or missing member, another version), a network whose
-    head is unknown or whose layers are not 2-D weights and 1-D biases that
-    chain, an Adam state that does not fit its network's layout or lacks
-    its four meta values, or a meta that is not a JSON object raises
-    ``DependencyError``.
-    """
-
-    data = read_npz(path, CHECKPOINT_VERSION)
-    nets = {}
-    for name in map(str, data.array("net_names", (None,), "U")):
-        layers = range(sum(key.startswith(f"{name}.w") for key in data))
-        head = str(data.array(f"{name}.head", (), "U"))
-        if head not in HEADS or not layers:
-            raise DependencyError(f"{path}: network {name!r} needs a known head and "
-                                  f"a layer, has head {head!r} and {len(layers)}")
-        try:
-            nets[name] = Mlp([data.array(f"{name}.w{i}", (None, None)) for i in layers],
-                             [data.array(f"{name}.b{i}", (None,)) for i in layers],
-                             head)
-        except DimensionError as exc:
-            raise DependencyError(f"{path}: network {name!r}: {exc}") from exc
-    adams = {}
-    names = data.array("adam_names", (None,), "U") if "adam_names" in data else []
-    for name in map(str, names):
-        if name not in nets:
-            raise DependencyError(f"{path}: Adam state {name!r} has no network")
-        moments = {"m": np.empty(nets[name].flat.size),
-                   "v": np.empty(nets[name].flat.size)}
-        for key, view in _members(name, nets[name], moments):
-            view[...] = data.array(key, view.shape)
-        t, beta1, beta2, eps = data.array(f"{name}.adam_meta", (4,))
-        adams[name] = AdamState(**moments, t=int(t), beta1=float(beta1),
-                                beta2=float(beta2), eps=float(eps))
-    try:
-        meta = json.loads(str(data.array("meta_json", (), "U")))
-    except json.JSONDecodeError as exc:
-        raise DependencyError(f"{path}: meta_json is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DependencyError(f"{path}: meta_json is not a JSON object")
-    return nets, adams, meta

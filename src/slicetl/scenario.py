@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .agent import Td3Config
-from .codec import from_plain, to_plain
+from .codec import atomic_open, from_plain, to_plain
 from .env import (
     CellConfig,
     ScenarioConfig,
@@ -248,4 +248,5 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
+    with atomic_open(path) as fh:
+        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import env as envm
-from .agent import NETWORKS, OPTIMIZED, ReplayBuffer, Td3Agent, select_action
+from .agent import NETWORKS, ReplayBuffer, Td3Agent, select_action
 from .errors import DomainError, IncompatibleArchitectureError
 from .runner import Policy, Slot, follow, learn, run_slots
 
@@ -41,8 +41,8 @@ def model_transfer(source: Td3Agent, target: Td3Agent) -> Td3Agent:
     _check_shapes(source, target)
     for name in NETWORKS:
         setattr(target, name, getattr(source, name).copy())
-    for name in OPTIMIZED:
-        getattr(target, f"{name}_adam").reset()
+    for adam in target.adams().values():
+        adam.reset()
     target.step_count = 0
     return target
 

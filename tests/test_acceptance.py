@@ -299,20 +299,9 @@ def test_criterion_11_determinism_and_persistence(tiny_cfg, tmp_path):
     harness.run_madrl(tiny_cfg, seed=5, out=tb)
     assert (ta / "metrics.csv").read_bytes() == (tb / "metrics.csv").read_bytes()
 
-    # Checkpoint persistence: load and re-save must reproduce every array.
+    # Checkpoint persistence: load and re-save must reproduce the file's bytes.
     for cid in tiny_cfg.scenario.cell_ids:
         path = ta / "checkpoints" / f"cell_{cid}.npz"
-        agent = harness.load_agent(path)
         resaved = tmp_path / f"resaved_{cid}.npz"
-        harness.save_agent(agent, resaved)
-        orig_nets, orig_adams, orig_meta = nn.load_checkpoint(path)
-        new_nets, new_adams, new_meta = nn.load_checkpoint(resaved)
-        assert orig_meta == new_meta
-        for name in orig_nets:
-            for w1, w2 in zip(orig_nets[name].weights, new_nets[name].weights):
-                assert np.array_equal(w1, w2)
-            for b1, b2 in zip(orig_nets[name].biases, new_nets[name].biases):
-                assert np.array_equal(b1, b2)
-        for name in orig_adams:
-            assert np.array_equal(orig_adams[name].m, new_adams[name].m)
-            assert np.array_equal(orig_adams[name].v, new_adams[name].v)
+        harness.save_agent(harness.load_agent(path), resaved)
+        assert resaved.read_bytes() == path.read_bytes()

@@ -35,7 +35,7 @@ GOLDEN = {
     },
 }
 
-CHECKPOINT_SHA256 = "b79f739c5d51d53a7abf06f80378fa07c6128155486d9af9e19a570732d2a293"
+CHECKPOINT_SHA256 = "9317c150b72cc2d87d6e22315e7186a400a54e8718fecd04a217addbdbe250a0"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -65,8 +65,8 @@ def _checkpoint_agent():
     return agent
 
 
-def test_checkpoint_v1_bytes(tmp_path):
-    """The v1 checkpoint's member names, order, dtypes and values."""
+def test_checkpoint_v2_bytes(tmp_path):
+    """The v2 checkpoint's member names, order, dtypes and values."""
 
     path = tmp_path / "agent.npz"
     save_agent(_checkpoint_agent(), path)

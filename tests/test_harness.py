@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from slicetl import harness, runner
 from slicetl.agent import (
+    BUFFER_VERSION,
+    CHECKPOINT_VERSION,
     ReplayBuffer,
     Td3Agent,
     Td3Config,
@@ -24,7 +26,6 @@ from slicetl.agent import (
     save_agent,
     train_step,
 )
-from slicetl.nn import load_checkpoint
 from slicetl.cli import main
 from slicetl.csvio import write_csv
 from slicetl.env import equal_partition
@@ -36,6 +37,7 @@ from slicetl.errors import (
     NumericError,
 )
 from slicetl.harness import (
+    TRACE_VERSION,
     empirical_cdf,
     evaluate_policies,
     load_trace,
@@ -814,17 +816,17 @@ def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
     assert code == DependencyError.exit_code
 
 
-# What each npz reader needs: a valid file to write, the reader, and a member
-# it cannot do without.
+# What each npz reader needs: a valid file to write, the reader, a member it
+# cannot do without, and the version it reads.
 NPZ_READERS = {
     "trace": (lambda path: save_trace(path, Trace(
         np.arange(2), np.ones(2, dtype=np.int64), np.zeros((2, 8)),
-        np.full((2, 2), 0.5), np.zeros(2))), load_trace, "states"),
+        np.full((2, 2), 0.5), np.zeros(2))), load_trace, "states", TRACE_VERSION),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
-                   load_checkpoint, "net_names"),
+                   load_agent, "actor", CHECKPOINT_VERSION),
     "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1, dims=(8, 2)).export(path),
                lambda path: ReplayBuffer.load(path, capacity=4, seed=0, dims=(8, 2)),
-               "rewards"),
+               "rewards", BUFFER_VERSION),
 }
 
 
@@ -842,11 +844,11 @@ def _rewrite_npz(path, version, drop=None) -> None:
     ["missing-member", "not-an-npz", "corrupt-member", "version-999", "float-version"])
 @pytest.mark.parametrize("reader", sorted(NPZ_READERS))
 def test_malformed_artifact_raises_dependency_error(tmp_path, reader, defect):
-    write, read, member = NPZ_READERS[reader]
+    write, read, member, version = NPZ_READERS[reader]
     path = tmp_path / "artifact.npz"
     write(path)
     if defect == "missing-member":
-        _rewrite_npz(path, np.array(1), drop=member)
+        _rewrite_npz(path, np.array(version), drop=member)
         match = rf"{re.escape(str(path))} has no member '{member}'"
     elif defect == "not-an-npz":
         path.write_bytes(b"not an npz archive\n")
@@ -856,10 +858,11 @@ def test_malformed_artifact_raises_dependency_error(tmp_path, reader, defect):
         match = rf"{re.escape(str(path))} is not a readable npz archive"
     elif defect == "version-999":
         _rewrite_npz(path, np.array(999))
-        match = rf"{re.escape(str(path))} is version 999, expected version 1"
+        match = rf"{re.escape(str(path))} is version 999, expected version {version}"
     else:
-        _rewrite_npz(path, np.array(1.0))
-        match = rf"{re.escape(str(path))} is version 1.0, expected version 1"
+        _rewrite_npz(path, np.array(float(version)))
+        match = (rf"{re.escape(str(path))} is version {float(version)}, "
+                 rf"expected version {version}")
     with pytest.raises(DependencyError, match=match):
         read(path)
 
@@ -902,12 +905,19 @@ MALFORMED_MEMBERS = {
     "non-json-meta": ("checkpoint", lambda m: m.update(meta_json=np.array("{cell"))),
     "meta-without-cell-id": ("checkpoint", _edit_meta(lambda meta: meta.pop("cell_id"))),
     "text-n-slices": ("checkpoint", _edit_meta(lambda meta: meta.update(n_slices="2"))),
-    "2-value-adam-meta": ("checkpoint", lambda m: m.update(
-        {"actor.adam_meta": m["actor.adam_meta"][:2]})),
-    "1-d-weight": ("checkpoint", lambda m: m.update({"actor.w0": m["actor.w0"][:, 0]})),
-    "unchained-layers": ("checkpoint", lambda m: m.update(
-        {"actor.w1": m["actor.w1"][1:]})),
-    "unknown-head": ("checkpoint", lambda m: m.update({"actor.head": np.array("relu6")})),
+    "zero-n-slices": ("checkpoint", _edit_meta(lambda meta: meta.update(n_slices=0))),
+    "negative-step-count": ("checkpoint",
+                            _edit_meta(lambda meta: meta.update(step_count=-1))),
+    "negative-frozen-actor-layers": ("checkpoint", _edit_meta(
+        lambda meta: meta.update(frozen_actor_layers=-1))),
+    # The default actor has 3 layers; freezing all of them would stop its training.
+    "3-frozen-actor-layers": ("checkpoint", _edit_meta(
+        lambda meta: meta.update(frozen_actor_layers=3))),
+    "negative-adam-step": ("checkpoint", _edit_meta(
+        lambda meta: meta.update(adam_steps=[0, -1, 0]))),
+    "short-actor": ("checkpoint", lambda m: m.update(actor=m["actor"][1:])),
+    "2-d-q1": ("checkpoint", lambda m: m.update(q1=m["q1"][:, None])),
+    "text-m": ("checkpoint", lambda m: m.update({"q2.m": m["q2.m"].astype(str)})),
     "2-d-trace-rewards": ("trace", lambda m: m.update(rewards=m["rewards"][:, None])),
     "short-trace-states": ("trace", lambda m: m.update(states=m["states"][:-1])),
 }
@@ -936,7 +946,7 @@ def test_malformed_member_raises_dependency_error(tmp_path, fault):
         read(path)
 
 
-def _save_checkpoints(tmp_path, tiny_cfg) -> Path:
+def _write_checkpoints(tmp_path, tiny_cfg) -> Path:
     """Fresh agents' checkpoints for every cell under ``tmp_path /
     "artifacts"``; returns the checkpoint directory."""
 
@@ -950,7 +960,7 @@ def _save_checkpoints(tmp_path, tiny_cfg) -> Path:
 
 def test_cli_evaluate_with_a_non_json_checkpoint_meta_exit_code(
         tmp_path, tiny_cfg, capsys):
-    checkpoints = _save_checkpoints(tmp_path, tiny_cfg)
+    checkpoints = _write_checkpoints(tmp_path, tiny_cfg)
     _edit_npz(checkpoints / "cell_2.npz",
               lambda members: members.update(meta_json=np.array("{cell")))
     assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code
@@ -981,10 +991,20 @@ def test_cli_evaluate_with_an_unknown_checkpoint_version_exit_code(
         tmp_path, tiny_cfg, capsys):
     """A v999 checkpoint is an artifact fault like any other: exit 11."""
 
-    checkpoints = _save_checkpoints(tmp_path, tiny_cfg)
+    checkpoints = _write_checkpoints(tmp_path, tiny_cfg)
     _rewrite_npz(checkpoints / "cell_1.npz", np.array(999))
     assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code
-    assert "cell_1.npz is version 999, expected version 1" in capsys.readouterr().err
+    assert "cell_1.npz is version 999, expected version 2" in capsys.readouterr().err
+
+
+def test_cli_evaluate_with_a_v1_checkpoint_exit_code(tmp_path, tiny_cfg, capsys):
+    """A checkpoint of the per-layer v1 format is not read: exit 11, as for
+    any other version; re-running ``slicetl train`` writes v2 checkpoints."""
+
+    checkpoints = _write_checkpoints(tmp_path, tiny_cfg)
+    _rewrite_npz(checkpoints / "cell_1.npz", np.array(1))
+    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code == 11
+    assert "cell_1.npz is version 1, expected version 2" in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():

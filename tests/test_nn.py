@@ -1,4 +1,5 @@
-"""Numeric kernel tests: forward/backward exactness, Adam, checkpoints."""
+"""Numeric kernel tests: forward/backward exactness, Adam, and the flat
+vectors a checkpoint stores."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicetl import nn
-from slicetl.agent import Td3Agent, Td3Config, train_step
+from slicetl.agent import (
+    CHECKPOINT_VERSION,
+    Td3Agent,
+    Td3Config,
+    load_agent,
+    save_agent,
+    train_step,
+)
 from slicetl.errors import (
     ContractViolationError,
     DependencyError,
@@ -118,14 +126,9 @@ def test_forward_rejects_wrong_input_dim():
         nn.mlp_forward(params, np.zeros(7))
 
 
-def test_mlp_rejects_unknown_head_and_bad_chain():
-    rng = np.random.default_rng(6)
+def test_mlp_rejects_unknown_head():
     with pytest.raises(DomainError):
-        nn.Mlp([np.zeros((2, 3))], [np.zeros(3)], head="relu6")
-    w = [rng.standard_normal((2, 3)), rng.standard_normal((4, 1))]
-    b = [np.zeros(3), np.zeros(1)]
-    with pytest.raises(DimensionError):
-        nn.Mlp(w, b)
+        nn.Mlp((2, 3), head="relu6")
 
 
 def test_glorot_init_bounds():
@@ -165,7 +168,7 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_first_step_matches_hand_calculation():
     # With bias correction, the very first Adam step is -lr * sign(g).
-    params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
+    params = nn.Mlp((1, 1), "identity")
     adam = nn.AdamState.for_params(params)
     _set_grads(params, [(np.array([[4.0]]), np.array([-2.0]))])
     nn.adam_step(adam, params, lr=0.1)
@@ -330,7 +333,7 @@ def test_backward_matches_the_reference_through_signed_zeros(head):
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
+    params = nn.Mlp((1, 1), "identity")
     adam = nn.AdamState.for_params(params)
     _set_grads(params, [(np.array([[np.nan]]), np.zeros(1))])
     with pytest.raises(NumericError):
@@ -362,7 +365,7 @@ def test_adam_rejects_a_network_that_was_never_differentiated():
 
 
 def test_adam_reset_zeroes_accumulators():
-    params = nn.Mlp([np.zeros((1, 1))], [np.zeros(1)], "identity")
+    params = nn.Mlp((1, 1), "identity")
     adam = nn.AdamState.for_params(params)
     params.workspace().fill(1.0)
     nn.adam_step(adam, params, lr=0.1)
@@ -385,7 +388,7 @@ def _assert_views(net):
                                   for x in (w, b)]))
 
 
-def test_weights_are_views_of_the_flat_vector(tmp_path):
+def test_weights_are_views_of_the_flat_vector():
     rng = np.random.default_rng(15)
     net = nn.init_mlp([4, 6, 3], "softmax", rng)
     _assert_views(net)
@@ -400,46 +403,54 @@ def test_weights_are_views_of_the_flat_vector(tmp_path):
         assert vec.shape == net.flat.shape
         assert all(np.shares_memory(w, vec) and np.shares_memory(b, vec)
                    for w, b in net.views(vec))
-    path = tmp_path / "ckpt.npz"
-    nn.save_checkpoint(path, {"net": net}, {"net": adam})
-    nets, adams, _ = nn.load_checkpoint(path)
-    _assert_views(nets["net"])
-    assert adams["net"].m.shape == adams["net"].v.shape == net.flat.shape
 
 
 def test_mlp_constructor_copies_its_arrays():
-    w, b = np.ones((2, 3)), np.zeros(3)
-    net = nn.Mlp([w], [b])
+    flat = np.ones(9)
+    net = nn.Mlp((2, 3), "identity", flat)
+    assert np.array_equal(net.flat, flat)
     net.weights[0] += 1.0
-    assert np.all(w == 1.0)
+    assert np.all(flat == 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: the flat vectors through save_agent/load_agent
 # ---------------------------------------------------------------------------
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+    """Every network and Adam moment is one member of the file, which
+    ``load_agent`` reads back bit for bit into views of flat vectors."""
+
     rng = np.random.default_rng(11)
-    net = nn.init_mlp([4, 6, 3], "softmax", rng)
-    adam = nn.AdamState.for_params(net)
-    net.grads[...] = rng.standard_normal(net.flat.size)
-    nn.adam_step(adam, net, lr=0.01)
+    agent = Td3Agent(3, 2, Td3Config(), seed=11)
+    for name, adam in agent.adams().items():
+        net = getattr(agent, name)
+        net.grads[...] = rng.standard_normal(net.flat.size)
+        nn.adam_step(adam, net, lr=0.01)
+    agent.q1_adam.t = 4
     path = tmp_path / "ckpt.npz"
-    nn.save_checkpoint(path, {"net": net}, {"net": adam}, {"tag": 42})
-    nets, adams, meta = nn.load_checkpoint(path)
-    assert meta == {"tag": 42}
-    assert nets["net"].head == "softmax"
-    for w1, w2 in zip(net.weights, nets["net"].weights):
-        assert np.array_equal(w1, w2)
-    assert np.array_equal(adam.m, adams["net"].m)
-    assert np.array_equal(adam.v, adams["net"].v)
-    assert adams["net"].t == adam.t
+    save_agent(agent, path)
+    with np.load(path) as data:
+        assert data.files == [
+            "version", "meta_json", "actor", "q1", "q2", "target_actor", "target_q1",
+            "target_q2", "actor.m", "actor.v", "q1.m", "q1.v", "q2.m", "q2.v"]
+    loaded = load_agent(path)
+    for name, net in agent.networks().items():
+        twin = loaded.networks()[name]
+        _assert_views(twin)
+        assert twin.head == net.head and twin.sizes == net.sizes
+        assert np.array_equal(twin.flat.view(np.int64), net.flat.view(np.int64))
+    for name, adam in agent.adams().items():
+        twin = loaded.adams()[name]
+        assert twin.t == adam.t
+        assert np.array_equal(twin.m.view(np.int64), adam.m.view(np.int64))
+        assert np.array_equal(twin.v.view(np.int64), adam.v.view(np.int64))
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.npz"
-    np.savez(path, version=np.array(999), net_names=np.array([]),
-             meta_json=np.array("{}"))
-    with pytest.raises(DependencyError, match="is version 999, expected version 1"):
-        nn.load_checkpoint(path)
+    np.savez(path, version=np.array(999), meta_json=np.array("{}"))
+    with pytest.raises(DependencyError,
+                       match=f"is version 999, expected version {CHECKPOINT_VERSION}"):
+        load_agent(path)
