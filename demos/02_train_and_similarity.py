@@ -33,10 +33,9 @@ print(f"  eval mean satisfaction: {summary.mean_satisfaction:.3f}")
 print(f"  eval mean worst-slice delay: {summary.mean_max_delay:.2f} ms")
 
 print("\nsimilarity analysis (shared default-action trace + pooled VAE):")
-trace = harness.load_trace(OUT / "default_trace.npz")
-distances, source = harness.run_similarity(
-    cfg, seed=1, out=OUT / "similarity", trace=trace
-)
+sim_cfg = dataclasses.replace(cfg, similarity=dataclasses.replace(
+    cfg.similarity, trace=str(OUT / "default_trace.npz")))
+distances, source = harness.run_similarity(sim_cfg, seed=1, out=OUT / "similarity")
 for cand, dist in sorted(distances.entries.items()):
     marker = "  <- selected" if cand == source else ""
     print(f"  distance(cell {cand} -> cell {distances.target}): "

@@ -27,8 +27,9 @@ cfg = load_config("smoke3")
 cfg = dataclasses.replace(
     cfg,
     phases=dataclasses.replace(cfg.phases, tl_training=400),
+    similarity=dataclasses.replace(cfg.similarity, target=target_id),
     transfer=dataclasses.replace(cfg.transfer, source=meta["source"],
-                                 target=target_id, artifacts=str(TRAIN)),
+                                 artifacts=str(TRAIN)),
 )
 
 print(f"integrated transfer: cell {meta['source']} -> cell {target_id}")

@@ -432,10 +432,8 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
         )
         da = dinput[:, s.shape[1]:]
         nn.mlp_backward(agent.actor, actor_cache, da)
-        nn.adam_step(
-            agent.actor_adam, agent.actor, cfg.actor_lr,
-            skip_layers=frozenset(range(agent.frozen_actor_layers)),
-        )
+        nn.adam_step(agent.actor_adam, agent.actor, cfg.actor_lr,
+                     agent.frozen_actor_layers)
         soft_update(agent.target_actor, agent.actor, cfg.tau)
         soft_update(agent.target_q1, agent.q1, cfg.tau)
         soft_update(agent.target_q2, agent.q2, cfg.tau)

@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("similarity", "VAE similarity analysis and source selection"),
         ("transfer", "transfer.strategy to the target plus a paired-seed "
                      "scratch reference"),
-        ("evaluate", "frozen-policy evaluation (checkpoints or baseline)"),
+        ("evaluate", "frozen-policy evaluation of a train or transfer run's agents"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,

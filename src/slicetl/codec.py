@@ -152,6 +152,13 @@ def atomic_open(path, mode: str = "w", **kwargs) -> Iterator[IO]:
         raise
 
 
+def copy_file(src, dst) -> None:
+    """Copy the bytes of ``src`` to ``dst`` through ``atomic_open``."""
+
+    with open(src, "rb") as fh, atomic_open(dst, "wb") as out:
+        out.write(fh.read())
+
+
 def write_npz(path, version: int, members: dict[str, np.ndarray]) -> None:
     """Write ``path`` (no ``.npz`` is appended) as an npz archive whose
     members are ``version`` and then ``members`` in order."""

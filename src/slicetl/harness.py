@@ -9,7 +9,7 @@ such as the selected transfer source.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
-from .codec import atomic_open, read_npz, write_npz
+from .codec import atomic_open, copy_file, read_npz, write_npz
 from .csvio import write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
 from .errors import DependencyError
@@ -223,7 +223,7 @@ def _evaluate_and_write(
     write_metrics_csv(out / "metrics.csv", records + summary.records)
     write_cdf_csv(out / "cdf_throughput.csv", summary.satisfaction, "satisfaction")
     write_cdf_csv(out / "cdf_delay.csv", summary.max_delay, "max_delay_ms")
-    write_run_meta(out, cfg, seed, **meta,
+    write_run_meta(out, cfg, seed, **meta, eval_seed=eval_seed,
                    mean_satisfaction=summary.mean_satisfaction,
                    mean_max_delay=summary.mean_max_delay)
     return summary
@@ -306,27 +306,24 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
 
 
 def run_similarity(
-    cfg: ExperimentConfig, seed: int, out: str | Path, trace: Trace | None = None,
+    cfg: ExperimentConfig, seed: int, out: str | Path
 ) -> tuple[simm.DistanceMatrix, int]:
     """Pooled VAE + latent KL distances + source selection for one target.
 
-    ``trace`` is the default-action trace to read; without it the trace
-    comes from ``similarity.trace`` or from a fresh rollout.
+    The default-action trace is the file ``similarity.trace``, else a fresh
+    rollout.
     """
 
     out = _prepare_out(out)
     sim = cfg.similarity
-    target = cfg.similarity_target
-    candidates = (list(sim.candidates) if sim.candidates is not None
-                  else [i for i in cfg.scenario.cell_ids if i != target])
+    target, candidates = cfg.similarity_target, cfg.similarity_candidates
     agents = [target, *candidates]
-    if trace is None:
-        if sim.trace is not None:
-            trace = load_trace(sim.trace)
-        else:
-            # Each slot of a fresh rollout gives every agent one sample.
-            simm.require_samples({i: sim.steps for i in agents}, sim.min_samples)
-            trace = default_action_trace(cfg.scenario, sim.steps, seed, out)
+    if sim.trace is not None:
+        trace = load_trace(sim.trace)
+    else:
+        # Each slot of a fresh rollout gives every agent one sample.
+        simm.require_samples({i: sim.steps for i in agents}, sim.min_samples)
+        trace = default_action_trace(cfg.scenario, sim.steps, seed, out)
 
     equal = equal_partition(cfg.scenario.n_slices)
     samples = [simm.collect_default_samples(trace, equal, i) for i in agents]
@@ -401,7 +398,8 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     Emits the per-step TL gain curve (TL reward minus scratch reward under
     identical environment seeds) and the post-fine-tuning evaluation. An
     ``instance`` or ``integrated`` transfer whose source has no buffer file
-    raises ``DependencyError`` before any transfer runs.
+    raises ``DependencyError`` before any transfer runs. ``checkpoints/``
+    gets the target's checkpoint and copies of its peers' from the artifacts.
     """
 
     out = _prepare_out(out)
@@ -410,18 +408,21 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
         raise DependencyError(
             "transfer requires 'transfer.artifacts' pointing at a train run"
         )
-    target_id = cfg.transfer_target
-    pretrained = load_pretrained(cfg.transfer.artifacts, scenario, seed)
+    artifacts = Path(cfg.transfer.artifacts)
+    target_id = cfg.similarity_target
+    pretrained = load_pretrained(artifacts, scenario, seed)
 
     source_id = cfg.transfer.source
     selected_distance = None
     if source_id is None:
-        trace_path = Path(cfg.transfer.artifacts) / "default_trace.npz"
-        trace = load_trace(trace_path) if trace_path.exists() else None
-        distances, source_id = run_similarity(cfg, seed, out / "similarity", trace=trace)
+        sim_cfg = cfg
+        if (artifacts / "default_trace.npz").exists():
+            sim_cfg = replace(cfg, similarity=replace(
+                cfg.similarity, trace=str(artifacts / "default_trace.npz")))
+        distances, source_id = run_similarity(sim_cfg, seed, out / "similarity")
         selected_distance = distances.entries[source_id]
 
-    source_buffer = _buffer_file(cfg.transfer.artifacts, source_id)
+    source_buffer = _buffer_file(artifacts, source_id)
     if cfg.transfer.strategy in INSTANCE_STRATEGIES and not source_buffer.exists():
         raise DependencyError(
             f"transfer.strategy {cfg.transfer.strategy!r} moves the source's "
@@ -449,6 +450,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     checkpoints = out / "checkpoints"
     checkpoints.mkdir(exist_ok=True)
     save_agent(tl_agent, checkpoints / f"cell_{target_id}.npz")
+    for cid in peers:
+        copy_file(artifacts / "checkpoints" / f"cell_{cid}.npz",
+                  checkpoints / f"cell_{cid}.npz")
 
     agents = {**pretrained, target_id: tl_agent}
     summary = _evaluate_and_write(
@@ -463,17 +467,15 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
 
 
 def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
-    """Frozen-policy evaluation of checkpointed agents or the baseline."""
+    """Frozen-policy evaluation of the agents in ``evaluate.checkpoints``."""
 
-    out = _prepare_out(out)
-    scenario = cfg.scenario
-    agents: dict[int, Td3Agent] = {}
     if cfg.evaluate.checkpoints is None:
-        act = baseline_act
-    else:
-        agents = load_pretrained(cfg.evaluate.checkpoints, scenario, seed)
-        act = greedy_act(scenario, agents)
-    summary = _evaluate_and_write(cfg, seed, out, [], act, seed, method="evaluate")
+        raise DependencyError("evaluate requires 'evaluate.checkpoints' pointing "
+                              "at a train or transfer run")
+    out = _prepare_out(out)
+    agents = load_pretrained(cfg.evaluate.checkpoints, cfg.scenario, seed)
+    summary = _evaluate_and_write(cfg, seed, out, [], greedy_act(cfg.scenario, agents),
+                                  seed, method="evaluate")
     return RunResult(summary, [], agents)
 
 

@@ -99,10 +99,9 @@ class Mlp:
         return self.grads
 
     def layer_offset(self, layer: int) -> int:
-        """Position in ``flat`` where layer ``layer`` starts (its size for
-        ``layer == n_layers``)."""
+        """Position in ``flat`` where layer ``layer`` starts."""
 
-        return self.layout[layer][0] if layer < self.n_layers else self.flat.size
+        return self.layout[layer][0]
 
 
 def init_mlp(sizes: Sequence[int], head: str, rng: np.random.Generator) -> Mlp:
@@ -265,15 +264,15 @@ def adam_step(
     adam: AdamState,
     params: Mlp,
     lr: float,
-    skip_layers: frozenset[int] = frozenset(),
+    frozen_layers: int = 0,
 ) -> Mlp:
     """In-place Adam update of ``params`` from its gradients ``params.grads``;
-    layers in ``skip_layers`` are left untouched.
+    the lowest ``frozen_layers`` layers are left untouched.
 
-    ``skip_layers`` must be a prefix ``{0, ..., k-1}`` (the frozen lower
-    layers), so the update runs on the suffix of ``params.flat`` after
-    them. A network that was never differentiated has no gradients and
-    raises ``ContractViolationError``.
+    The update runs on the suffix of ``params.flat`` after the frozen
+    layers; ``frozen_layers`` outside ``[0, n_layers)`` raises
+    ``DomainError``. A network that was never differentiated has no
+    gradients and raises ``ContractViolationError``.
 
     The update is ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, evaluated in that order with
@@ -284,9 +283,9 @@ def adam_step(
     if g is None:
         raise ContractViolationError(
             "adam_step needs the network's gradients; it was never differentiated")
-    if skip_layers and skip_layers != frozenset(range(len(skip_layers))):
-        raise DomainError(f"skip_layers must be a prefix of the layers, got "
-                          f"{sorted(skip_layers)}")
+    if not 0 <= frozen_layers < params.n_layers:
+        raise DomainError(f"frozen_layers must lie in [0, {params.n_layers}), "
+                          f"got {frozen_layers}")
     if not np.logical_and.reduce(np.isfinite(g)):
         first = np.flatnonzero(~np.isfinite(g))[0]
         bad = next(i for i, (_, _, end, _) in enumerate(params.layout) if first < end)
@@ -295,7 +294,7 @@ def adam_step(
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**adam.t
     c2 = 1.0 - b2**adam.t
-    start = params.layer_offset(len(skip_layers))
+    start = params.layer_offset(frozen_layers)
     m, v, g, p = adam.m[start:], adam.v[start:], g[start:], params.flat[start:]
     s1, s2 = adam.scratch[0, start:], adam.scratch[1, start:]
     np.multiply(g, 1.0 - b1, out=s1)

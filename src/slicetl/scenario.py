@@ -76,7 +76,6 @@ class SimilarityParams:
 class TransferParams:
     strategy: str = "integrated"
     source: int | None = None  # None: pick via similarity analysis
-    target: int | None = None
     instance_fraction: float = 1.0
     frozen_layers: int = 1
     artifacts: str | None = None  # directory of a previous train run
@@ -92,7 +91,7 @@ class TransferParams:
 
 @dataclass(frozen=True)
 class EvaluateParams:
-    checkpoints: str | None = None  # None: evaluate the baseline policy
+    checkpoints: str | None = None  # directory of a train or transfer run
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         sim, tr = self.similarity, self.transfer
         candidates = sim.candidates or ()
-        named = [sim.target, *candidates, tr.target, tr.source]
+        named = [sim.target, *candidates, tr.source]
         ids = self.scenario.cell_ids
         unknown = [i for i in named if i is not None and i not in ids]
         if unknown:
@@ -119,14 +118,9 @@ class ExperimentConfig:
                 f"similarity target {self.similarity_target} is also a candidate")
         if len(set(candidates)) != len(candidates):
             raise ConfigurationError(f"similarity candidates {list(candidates)} repeat")
-        if tr.source is not None and tr.source == self.transfer_target:
+        if tr.source == self.similarity_target:
             raise ConfigurationError(
-                f"transfer source {tr.source} is the transfer target")
-        if (tr.source is None and None not in (sim.target, tr.target)
-                and sim.target != tr.target):
-            raise ConfigurationError(
-                f"similarity.target {sim.target} differs from transfer.target "
-                f"{tr.target}, so similarity cannot pick transfer.source")
+                f"transfer source {tr.source} is the target cell")
         hidden = len(self.td3.actor_hidden)
         if tr.strategy == "feature" and not 1 <= tr.frozen_layers <= hidden:
             raise ConfigurationError(
@@ -135,20 +129,19 @@ class ExperimentConfig:
 
     @property
     def similarity_target(self) -> int:
-        """``similarity.target``, else ``transfer.target``, else the
-        scenario's last cell."""
+        """The target cell of similarity and transfer: ``similarity.target``,
+        else the scenario's last cell."""
 
-        for target in (self.similarity.target, self.transfer.target):
-            if target is not None:
-                return target
-        return self.scenario.cell_ids[-1]
+        target = self.similarity.target
+        return target if target is not None else self.scenario.cell_ids[-1]
 
     @property
-    def transfer_target(self) -> int:
-        """``transfer.target``, or the similarity target when unset."""
+    def similarity_candidates(self) -> tuple[int, ...]:
+        """``similarity.candidates``, else every other cell in scenario order."""
 
-        target = self.transfer.target
-        return target if target is not None else self.similarity_target
+        if self.similarity.candidates is not None:
+            return self.similarity.candidates
+        return tuple(i for i in self.scenario.cell_ids if i != self.similarity_target)
 
 
 def _slice_phases(n_slices: int) -> list[float]:
@@ -232,11 +225,10 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
 
     name = str(path_or_name)
     if name in BUILTIN_SCENARIOS:
-        # Default sections; the last cell is the similarity and transfer target.
+        # Default sections; the last cell is the target.
         scenario = BUILTIN_SCENARIOS[name]()
-        target = scenario.cell_ids[-1]
-        return ExperimentConfig(scenario, similarity=SimilarityParams(target=target),
-                                transfer=TransferParams(target=target))
+        return ExperimentConfig(
+            scenario, similarity=SimilarityParams(target=scenario.cell_ids[-1]))
     path = Path(path_or_name)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")

@@ -315,18 +315,13 @@ def require_samples(counts: dict[int, int], min_samples: int) -> None:
 def compute_distance_matrix(
     latents_by_agent: dict[int, LatentStats],
     target: int,
-    candidates: Sequence[int] | None = None,
+    candidates: Sequence[int],
     min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> DistanceMatrix:
-    """Distance from each candidate's posterior set to the target's; the
-    candidates default to every other agent of ``latents_by_agent``."""
+    """Distance from each candidate's posterior set to the target's."""
 
     if target not in latents_by_agent:
         raise EmptySetError(f"no latent samples for target agent {target}")
-    candidates = (
-        sorted(i for i in latents_by_agent if i != target)
-        if candidates is None else list(candidates)
-    )
     if not candidates:
         raise EmptySetError("no candidate source agents")
     if target in candidates:

@@ -8,6 +8,7 @@ persistence. The expensive full-budget pipeline is shared through the
 session-scoped ``pipeline`` fixture.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
                                latent_dim=sim.latent_dim,
                                batch_size=sim.batch_size, lr=sim.lr)
         latents = {i: simm.encode_samples(model, g) for i, g in samples.items()}
-        distances = simm.compute_distance_matrix(latents, target=3)
+        distances = simm.compute_distance_matrix(latents, target=3, candidates=[1, 2])
         assert simm.select_source(distances) == 1
 
 
@@ -255,10 +256,10 @@ def test_criterion_09_distance_gain_ordering(pipeline):
     least as high as TL from the highest-distance source, in 3/3 seeds."""
 
     cfg = pipeline["cfg"]
-    trace = harness.load_trace(pipeline["root"] / "train" / "default_trace.npz")
+    cfg = dataclasses.replace(cfg, similarity=dataclasses.replace(
+        cfg.similarity, trace=str(pipeline["root"] / "train" / "default_trace.npz")))
     distances, _ = harness.run_similarity(
-        cfg, seed=1, out=pipeline["root"] / "similarity_ordering", trace=trace,
-    )
+        cfg, seed=1, out=pipeline["root"] / "similarity_ordering")
     nearest = min(distances.entries, key=distances.entries.get)
     farthest = max(distances.entries, key=distances.entries.get)
     assert nearest != farthest

@@ -73,8 +73,8 @@ def test_builtin_configs_load():
     assert full.scenario.n_cells == 12
     assert smoke.scenario.n_slices == full.scenario.n_slices == 4
     # The last cell is the similarity and transfer target.
-    assert (smoke.similarity.target, smoke.transfer.target) == (3, 3)
-    assert (full.similarity.target, full.transfer.target) == (12, 12)
+    assert (smoke.similarity.target, full.similarity.target) == (3, 12)
+    assert (smoke.similarity_target, full.similarity_target) == (3, 12)
 
 
 def test_builtin_scenarios_have_symmetric_sites():
@@ -100,7 +100,7 @@ def test_cell_without_neighbors_loads(tmp_path, smoke_cfg):
     lone = d["scenario"]["cells"][0]
     del lone["neighbor_ids"], lone["interference_gains"]
     d["scenario"]["cells"] = [lone]
-    d["similarity"]["target"] = d["transfer"]["target"] = None
+    d["similarity"]["target"] = None
     path = tmp_path / "lone.yaml"
     path.write_text(yaml.safe_dump(d))
     cell = load_config(path).scenario.cells[0]
@@ -136,7 +136,8 @@ def test_config_rejects_missing_scenario():
     (("similarity", "mode"), "simplified", "mode"),
     (("similarity", "target"), 9, None),
     (("similarity", "candidates"), [1, 9], None),
-    (("transfer", "target"), 9, None),
+    # similarity.target names the one target cell; transfer has none.
+    (("transfer", "target"), 3, r"unknown key\(s\) \['target'\] in transfer"),
     # Misspelt keys name themselves instead of falling back to defaults.
     (("simlarity",), {"mode": "exact"}, "simlarity"),
     (("scenario", "dleay"), {"d_min": 1.0}, "dleay"),
@@ -210,15 +211,12 @@ def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match
 @pytest.mark.parametrize("sections", [
     {"transfer": {"source": 99}},
     {"transfer": {"source": 3}},  # the default targets resolve to the last cell
-    {"transfer": {"source": 2, "target": 2}},
+    {"similarity": {"target": 2}, "transfer": {"source": 2}},
     {"similarity": {"candidates": [1, 3]}},
-    {"similarity": {"target": 2, "candidates": [1, 2]}, "transfer": {"target": 2}},
+    {"similarity": {"target": 2, "candidates": [1, 2]}},
     {"similarity": {"candidates": [1, 1]}},
-    # Similarity could not rank sources for the transfer target.
-    {"similarity": {"target": 2}, "transfer": {"target": 3, "source": None}},
 ], ids=["source-unknown", "source-is-default-target", "source-is-target",
-        "candidate-is-default-target", "candidate-is-target", "candidate-repeats",
-        "targets-differ-without-source"])
+        "candidate-is-default-target", "candidate-is-target", "candidate-repeats"])
 def test_config_rejects_bad_source_and_candidates(smoke_cfg, sections):
     d = config_to_dict(smoke_cfg)
     for name, values in sections.items():
@@ -427,7 +425,6 @@ RUNS = {
     "train": lambda cfg, artifacts, out: harness.run_madrl(cfg, 0, out),
     "transfer": lambda cfg, artifacts, out: harness.run_transfer(
         _transfer_cfg(cfg, artifacts), 0, out),
-    "evaluate": lambda cfg, artifacts, out: run_evaluate(cfg, 0, out),
     "evaluate-checkpoints": lambda cfg, artifacts, out: run_evaluate(
         dataclasses.replace(cfg, evaluate=EvaluateParams(str(artifacts))), 0, out),
 }
@@ -435,7 +432,7 @@ RUNS = {
 
 @pytest.mark.parametrize("run, method", [
     ("baseline", "baseline"), ("train", "madrl"), ("transfer", "tl"),
-    ("evaluate", "evaluate"), ("evaluate-checkpoints", "evaluate"),
+    ("evaluate-checkpoints", "evaluate"),
 ], ids=list(RUNS))
 def test_run_baseline_artifacts(tmp_path, tiny_cfg, tiny_artifacts, run, method):
     """Every evaluating run ends with the same tail: metrics.csv, both
@@ -453,6 +450,9 @@ def test_run_baseline_artifacts(tmp_path, tiny_cfg, tiny_artifacts, run, method)
     assert all(meta_path.stat().st_mtime_ns >= p.stat().st_mtime_ns for p in files)
     meta = json.loads(meta_path.read_text())
     assert (meta["method"], meta["seed"]) == (method, 0)
+    # Learning runs evaluate on the next seed, so a baseline at seed s + 1
+    # and a train run at seed s evaluate on the same slots.
+    assert meta["eval_seed"] == (1 if run in ("train", "transfer") else 0)
     assert 0.0 <= meta["mean_satisfaction"] <= 1.0
     assert meta["mean_max_delay"] == result.summary.mean_max_delay
     assert ("diverged" in meta) == (run in ("train", "transfer"))
@@ -480,11 +480,42 @@ def test_baseline_shares_follow_the_slot_demands(tmp_path, tiny_cfg):
         assert np.array_equal(shares, demands / demands.sum())
 
 
-def test_evaluate_without_checkpoints_is_the_baseline(tmp_path, tiny_cfg):
-    run_baseline(tiny_cfg, seed=4, out=tmp_path / "base")
-    run_evaluate(tiny_cfg, seed=4, out=tmp_path / "eval")
-    assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
-            == (tmp_path / "base" / "metrics.csv").read_bytes())
+def test_evaluate_without_checkpoints_exits_11(tmp_path, tiny_cfg, monkeypatch,
+                                              capsys):
+    """``slicetl baseline`` is the one way to evaluate the baseline: an
+    evaluate run without ``evaluate.checkpoints`` fails before any slot."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(harness, "run_slots", must_not_run)
+    cfg_path = _write_tiny_yaml(tmp_path, tiny_cfg)
+    code = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == DependencyError.exit_code == 11
+    assert "evaluate.checkpoints" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_transfer_output_is_evaluable(tmp_path, tiny_cfg, tiny_artifacts):
+    """A transfer run's checkpoints are every cell's: evaluating them at the
+    transfer's evaluation seed repeats its evaluation byte for byte."""
+
+    tl_out, eval_out = tmp_path / "tl", tmp_path / "eval"
+    harness.run_transfer(_transfer_cfg(tiny_cfg, tiny_artifacts), seed=2, out=tl_out)
+    assert sorted(p.name for p in (tl_out / "checkpoints").iterdir()) == [
+        f"cell_{cid}.npz" for cid in tiny_cfg.scenario.cell_ids]
+    run_evaluate(dataclasses.replace(tiny_cfg, evaluate=EvaluateParams(str(tl_out))),
+                 seed=3, out=eval_out)
+    sc = tiny_cfg.scenario
+    rows = tiny_cfg.phases.evaluation * sc.n_cells * sc.n_slices
+    evaluated = (eval_out / "metrics.csv").read_bytes().splitlines(keepends=True)
+    transferred = (tl_out / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert len(evaluated) == rows + 1
+    assert evaluated[1:] == transferred[-rows:]
+    meta_eval, meta_tl = (json.loads((out / "run_meta.json").read_text())
+                          for out in (eval_out, tl_out))
+    assert meta_eval["eval_seed"] == meta_tl["eval_seed"] == 3
+    assert meta_eval["mean_satisfaction"] == meta_tl["mean_satisfaction"]
 
 
 def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
@@ -622,9 +653,8 @@ def test_run_transfer_ranks_sources_for_the_transfer_target(tmp_path, tiny_cfg,
                                                             tiny_artifacts):
     cfg = dataclasses.replace(
         tiny_cfg,
-        similarity=dataclasses.replace(tiny_cfg.similarity, target=None),
-        transfer=dataclasses.replace(tiny_cfg.transfer, target=1,
-                                     artifacts=str(tiny_artifacts)),
+        similarity=dataclasses.replace(tiny_cfg.similarity, target=1),
+        transfer=dataclasses.replace(tiny_cfg.transfer, artifacts=str(tiny_artifacts)),
     )
     result = harness.run_transfer(cfg, seed=5, out=tmp_path)
     assert result.source in (2, 3)
@@ -741,14 +771,16 @@ def test_run_similarity_checks_sample_counts_before_training(tmp_path, tiny_cfg,
     """A 30-slot trace gives each agent 30 < min_samples samples: the run
     fails before the VAE trains."""
 
-    trace = harness.default_action_trace(tiny_cfg.scenario, 30, 0, tmp_path)
+    harness.default_action_trace(tiny_cfg.scenario, 30, 0, tmp_path)
+    cfg = dataclasses.replace(tiny_cfg, similarity=dataclasses.replace(
+        tiny_cfg.similarity, trace=str(tmp_path / "default_trace.npz")))
 
     def must_not_train(*args, **kwargs):
         raise AssertionError("vae_train ran although an agent lacks samples")
 
     monkeypatch.setattr(harness.simm, "vae_train", must_not_train)
     with pytest.raises(EmptySetError, match="agent 3 has fewer than 50"):
-        harness.run_similarity(tiny_cfg, seed=0, out=tmp_path / "sim", trace=trace)
+        harness.run_similarity(cfg, seed=0, out=tmp_path / "sim")
 
 
 def test_run_similarity_checks_steps_before_the_rollout(tmp_path, tiny_cfg,
@@ -807,6 +839,18 @@ def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
     code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == ConfigurationError.exit_code
     assert "ConfigurationError" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_saved_transfer_target(tmp_path, tiny_cfg, capsys):
+    """A config saved when transfer had its own target fails at load."""
+
+    d = config_to_dict(tiny_cfg)
+    d["transfer"]["target"] = 3
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(d))
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == ConfigurationError.exit_code == 2
+    assert "unknown key(s) ['target'] in transfer" in capsys.readouterr().err
 
 
 def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):

@@ -182,18 +182,25 @@ def test_adam_skip_layers_freezes_parameters():
     adam = nn.AdamState.for_params(params)
     before = [w.copy() for w in params.weights]
     params.workspace().fill(1.0)
-    nn.adam_step(adam, params, lr=0.1, skip_layers=frozenset({0}))
+    nn.adam_step(adam, params, lr=0.1, frozen_layers=1)
     assert np.array_equal(params.weights[0], before[0])
     assert not np.array_equal(params.weights[1], before[1])
 
 
-def test_adam_skip_layers_must_be_a_prefix():
+def test_adam_frozen_layers_must_lie_in_range():
+    """A negative count, or one that freezes every layer, raises before the
+    step touches the parameters or the moments."""
+
     rng = np.random.default_rng(12)
     params = nn.init_mlp([3, 4, 2], "identity", rng)
     adam = nn.AdamState.for_params(params)
     params.workspace().fill(1.0)
-    with pytest.raises(DomainError):
-        nn.adam_step(adam, params, lr=0.1, skip_layers=frozenset({1}))
+    before = params.flat.copy()
+    for frozen in (-1, params.n_layers):
+        with pytest.raises(DomainError, match="frozen_layers"):
+            nn.adam_step(adam, params, lr=0.1, frozen_layers=frozen)
+    assert np.array_equal(params.flat, before)
+    assert adam.t == 0 and not adam.m.any()
 
 
 def _reference_adam_step(m_w, v_w, m_b, v_b, t, weights, biases, grads, lr,
@@ -226,7 +233,7 @@ def test_fused_adam_matches_per_layer_reference(sizes, steps, frozen, backward,
                                                 seed):
     rng = np.random.default_rng(seed)
     params = nn.init_mlp(sizes, "identity", rng)
-    frozen = min(frozen, params.n_layers)
+    frozen = min(frozen, params.n_layers - 1)
     adam = nn.AdamState.for_params(params)
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
@@ -243,7 +250,7 @@ def test_fused_adam_matches_per_layer_reference(sizes, steps, frozen, backward,
                                  rng.standard_normal(b.shape))
                                 for w, b in zip(weights, biases)])
         ref_grads = [(dw.copy(), db.copy()) for dw, db in params.views(params.grads)]
-        nn.adam_step(adam, params, lr=0.01, skip_layers=frozenset(range(frozen)))
+        nn.adam_step(adam, params, lr=0.01, frozen_layers=frozen)
         _reference_adam_step(m_w, v_w, m_b, v_b, t, weights, biases, ref_grads,
                              0.01, frozen)
     assert adam.t == steps

@@ -249,7 +249,7 @@ def test_distance_matrix_and_selection_prefer_nearby_cluster():
         2: _cluster_latents(rng, np.array([5.0, 5.0])),
         3: _cluster_latents(rng, np.array([0.1, 0.0])),
     }
-    dm = compute_distance_matrix(latents, target=3)
+    dm = compute_distance_matrix(latents, target=3, candidates=[1, 2])
     assert set(dm.entries) == {1, 2}
     assert dm.entries[1] < dm.entries[2]
     assert select_source(dm) == 1
@@ -262,7 +262,7 @@ def test_distance_matrix_enforces_min_samples():
     latents = {1: _cluster_latents(rng, np.zeros(2), n=10),
                2: _cluster_latents(rng, np.zeros(2))}
     with pytest.raises(EmptySetError):
-        compute_distance_matrix(latents, target=2, min_samples=50)
+        compute_distance_matrix(latents, target=2, candidates=[1], min_samples=50)
 
 
 def test_select_source_tie_breaks_to_lowest_id():

@@ -80,12 +80,12 @@ def _trained(seed, n=2, steps=6):
 
 
 def test_transfer_params_validation():
-    TransferParams(source=1, target=2)
+    TransferParams(source=1)
     with pytest.raises(ConfigurationError):
-        TransferParams(source=1, target=2, strategy="teleport")
+        TransferParams(source=1, strategy="teleport")
     for fraction in (-0.5, 1.5):
         with pytest.raises(ConfigurationError):
-            TransferParams(source=1, target=2, instance_fraction=fraction)
+            TransferParams(source=1, instance_fraction=fraction)
 
 
 # ---------------------------------------------------------------------------
