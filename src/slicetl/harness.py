@@ -21,16 +21,7 @@ from .codec import atomic_open, copy_file, read_npz, write_npz
 from .csvio import write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
 from .errors import DependencyError
-from .runner import (
-    Act,
-    Policy,
-    SlotRecord,
-    Trace,
-    follow,
-    learn,
-    record_step,
-    run_slots,
-)
+from .runner import Act, SlotRecord, Trace, agents_act, learn, record_step, run_slots
 from .scenario import ExperimentConfig, config_to_dict
 from .transfer import INSTANCE_STRATEGIES, apply_transfer, fine_tune
 
@@ -118,18 +109,8 @@ def load_trace(path) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Policy helpers
+# Act hooks and rollouts
 # ---------------------------------------------------------------------------
-
-
-def greedy_policy(agent: Td3Agent) -> Policy:
-    return lambda state: select_action(agent, state)
-
-
-def greedy_act(scenario: ScenarioConfig, agents: dict[int, Td3Agent]) -> Act:
-    """Act hook in which every cell follows its agent's greedy policy."""
-
-    return follow(scenario, {cid: greedy_policy(a) for cid, a in agents.items()})
 
 
 def baseline_act(t: int, net_state: NetworkState, states: np.ndarray) -> np.ndarray:
@@ -147,10 +128,7 @@ def rollout(
 ) -> list[SlotRecord]:
     """Run fixed policies for ``steps`` slots and log every cell's metrics."""
 
-    records: list[SlotRecord] = []
-    run_slots(scenario, seed, steps, act,
-              lambda slot: records.append(record_step(scenario, slot)))
-    return records
+    return [record_step(scenario, s) for s in run_slots(scenario, seed, steps, act)]
 
 
 def default_action_trace(
@@ -163,7 +141,7 @@ def default_action_trace(
     equal = np.full((scenario.n_cells, n), 1.0 / n)
     equal.flags.writeable = False  # every slot's record shares it
     trace = Trace.of(rollout(scenario, lambda t, net_state, states: equal, steps, seed))
-    save_trace(out / "default_trace.npz", trace)
+    save_trace(_trace_file(out), trace)
     return trace
 
 
@@ -283,24 +261,20 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
             for agent, s in zip(ordered, states)])
 
     records: list[SlotRecord] = []
-
-    def observe(slot):
+    for slot in run_slots(scenario, seed, explore + training, act):
         for i, agent in enumerate(ordered):
             learn(agent, slot, i, train=slot.t > explore)
         records.append(record_step(scenario, slot))
 
-    run_slots(scenario, seed, explore + training, act, observe)
-
-    checkpoints = out / "checkpoints"
-    buffers = out / "buffers"
-    checkpoints.mkdir(exist_ok=True)
-    buffers.mkdir(exist_ok=True)
     for cid, agent in agents.items():
-        save_agent(agent, checkpoints / f"cell_{cid}.npz")
-        agent.buffer.export(buffers / f"cell_{cid}.npz")
+        ckpt, buf = _checkpoint_file(out, cid), _buffer_file(out, cid)
+        ckpt.parent.mkdir(exist_ok=True)
+        buf.parent.mkdir(exist_ok=True)
+        save_agent(agent, ckpt)
+        agent.buffer.export(buf)
 
     diverged = {cid: a.diverged for cid, a in agents.items() if a.diverged is not None}
-    summary = _evaluate_and_write(cfg, seed, out, records, greedy_act(scenario, agents),
+    summary = _evaluate_and_write(cfg, seed, out, records, agents_act(scenario, agents),
                                   seed + 1, method="madrl", diverged=diverged)
     return RunResult(summary, records, agents)
 
@@ -348,26 +322,21 @@ def run_similarity(
     return distances, source
 
 
-def load_pretrained(
+def load_checkpoints(
     artifacts: str | Path, scenario: ScenarioConfig, seed: int
 ) -> dict[int, Td3Agent]:
-    """Checkpointed agents of the scenario's cells and their buffers, with
-    the random streams of ``make_agents``: each agent draws as a fresh agent
-    seeded with ``_agent_seed(seed, cell_id)``, its buffer samples like that
-    agent's.
+    """Checkpointed agents of the scenario's cells, with the random streams
+    of ``make_agents``: each agent draws as a fresh agent seeded with
+    ``_agent_seed(seed, cell_id)``, and its buffer is empty.
 
-    A cell without a buffer file keeps an empty buffer. A buffer whose rows
-    are not as wide as its agent's (``ReplayBuffer.load``) raises
-    ``DimensionError``. A checkpoint of another cell than its file names, or
-    of another slice count than the scenario's, and a buffer owned by
-    another cell raise ``DependencyError`` naming the file.
+    A missing checkpoint, one of another cell than its file names, or of
+    another slice count than the scenario's, raises ``DependencyError``
+    naming the file.
     """
 
-    artifacts = Path(artifacts)
     agents = {}
     for cid in scenario.cell_ids:
-        ckpt = artifacts / "checkpoints" / f"cell_{cid}.npz"
-        buf = _buffer_file(artifacts, cid)
+        ckpt = _checkpoint_file(artifacts, cid)
         if not ckpt.exists():
             raise DependencyError(f"missing checkpoint {ckpt}")
         agent = load_agent(ckpt, _agent_seed(seed, cid))
@@ -376,6 +345,25 @@ def load_pretrained(
         if agent.n_slices != scenario.n_slices:
             raise DependencyError(f"{ckpt} holds an agent of {agent.n_slices} "
                                   f"slices, the scenario has {scenario.n_slices}")
+        agents[cid] = agent
+    return agents
+
+
+def load_pretrained(
+    artifacts: str | Path, scenario: ScenarioConfig, seed: int
+) -> dict[int, Td3Agent]:
+    """``load_checkpoints`` with each agent's buffer, which samples like a
+    fresh agent's.
+
+    A cell without a buffer file keeps an empty buffer. A buffer whose rows
+    are not as wide as its agent's (``ReplayBuffer.load``) raises
+    ``DimensionError``; one owned by another cell raises ``DependencyError``
+    naming the file.
+    """
+
+    agents = load_checkpoints(artifacts, scenario, seed)
+    for cid, agent in agents.items():
+        buf = _buffer_file(artifacts, cid)
         if buf.exists():
             agent.buffer = ReplayBuffer.load(
                 buf, agent.config.buffer_capacity, seed=agent.buffer.seed,
@@ -384,12 +372,19 @@ def load_pretrained(
             if agent.buffer.owner != cid:
                 raise DependencyError(
                     f"{buf} holds the buffer of cell {agent.buffer.owner}")
-        agents[cid] = agent
     return agents
 
 
-def _buffer_file(artifacts: str | Path, cell_id: int) -> Path:
-    return Path(artifacts) / "buffers" / f"cell_{cell_id}.npz"
+def _checkpoint_file(run_dir: str | Path, cell_id: int) -> Path:
+    return Path(run_dir) / "checkpoints" / f"cell_{cell_id}.npz"
+
+
+def _buffer_file(run_dir: str | Path, cell_id: int) -> Path:
+    return Path(run_dir) / "buffers" / f"cell_{cell_id}.npz"
+
+
+def _trace_file(run_dir: str | Path) -> Path:
+    return Path(run_dir) / "default_trace.npz"
 
 
 def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
@@ -416,9 +411,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     selected_distance = None
     if source_id is None:
         sim_cfg = cfg
-        if (artifacts / "default_trace.npz").exists():
+        if _trace_file(artifacts).exists():
             sim_cfg = replace(cfg, similarity=replace(
-                cfg.similarity, trace=str(artifacts / "default_trace.npz")))
+                cfg.similarity, trace=str(_trace_file(artifacts))))
         distances, source_id = run_similarity(sim_cfg, seed, out / "similarity")
         selected_distance = distances.entries[source_id]
 
@@ -429,34 +424,32 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
             f"transitions, but its buffer {source_buffer} does not exist")
 
     steps = cfg.phases.tl_training
-    peers = {i: greedy_policy(a) for i, a in pretrained.items() if i != target_id}
+    peers = {i: a for i, a in pretrained.items() if i != target_id}
 
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
     apply_transfer(pretrained[source_id], tl_agent, cfg.transfer, seed)
-    tl_agent, tl_trace, tl_slots = fine_tune(tl_agent, scenario, peers, steps, seed)
+    tl_trace, tl_slots = fine_tune(tl_agent, scenario, peers, steps, seed)
     tl_records = [record_step(scenario, slot) for slot in tl_slots]
 
     # Paired-seed scratch reference: identical environment randomness,
     # fresh agent with a different init stream.
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
-    scratch_agent, scratch_trace, _ = fine_tune(scratch_agent, scenario, peers, steps,
-                                                seed)
+    scratch_trace, _ = fine_tune(scratch_agent, scenario, peers, steps, seed)
 
     write_csv(out / "gain.csv", ("t", "reward_tl", "reward_scratch", "gain"),
               [(np.arange(1, tl_trace.size + 1), tl_trace, scratch_trace,
                 tl_trace - scratch_trace)])
-    checkpoints = out / "checkpoints"
-    checkpoints.mkdir(exist_ok=True)
-    save_agent(tl_agent, checkpoints / f"cell_{target_id}.npz")
+    tl_ckpt = _checkpoint_file(out, target_id)
+    tl_ckpt.parent.mkdir(exist_ok=True)
+    save_agent(tl_agent, tl_ckpt)
     for cid in peers:
-        copy_file(artifacts / "checkpoints" / f"cell_{cid}.npz",
-                  checkpoints / f"cell_{cid}.npz")
+        copy_file(_checkpoint_file(artifacts, cid), _checkpoint_file(out, cid))
 
     agents = {**pretrained, target_id: tl_agent}
     summary = _evaluate_and_write(
-        cfg, seed, out, tl_records, greedy_act(scenario, agents), seed + 1,
+        cfg, seed, out, tl_records, agents_act(scenario, agents), seed + 1,
         method="tl", source=source_id, target=target_id,
         diverged={run: a.diverged for run, a in (("tl", tl_agent),
                                                  ("scratch", scratch_agent))
@@ -467,14 +460,15 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
 
 
 def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
-    """Frozen-policy evaluation of the agents in ``evaluate.checkpoints``."""
+    """Frozen-policy evaluation of the agents in ``evaluate.checkpoints``;
+    it reads their checkpoints only, not their buffers."""
 
     if cfg.evaluate.checkpoints is None:
         raise DependencyError("evaluate requires 'evaluate.checkpoints' pointing "
                               "at a train or transfer run")
     out = _prepare_out(out)
-    agents = load_pretrained(cfg.evaluate.checkpoints, cfg.scenario, seed)
-    summary = _evaluate_and_write(cfg, seed, out, [], greedy_act(cfg.scenario, agents),
+    agents = load_checkpoints(cfg.evaluate.checkpoints, cfg.scenario, seed)
+    summary = _evaluate_and_write(cfg, seed, out, [], agents_act(cfg.scenario, agents),
                                   seed, method="evaluate")
     return RunResult(summary, [], agents)
 

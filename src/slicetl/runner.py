@@ -1,29 +1,27 @@
 """The one slot loop of every run, with state assembly, slot records and
 the learners' store-and-train step.
 
-A run (rollout, MADRL training, fine-tuning) is an ``act`` and an
-``observe`` hook over ``run_slots``. Everything per slot is an array over
-the K cells in scenario order: states (K, 4N), shares (K, N), rewards (K,).
+A run (rollout, MADRL training, fine-tuning) is a for-loop over the slots
+that ``run_slots`` yields under one ``act`` hook. Everything per slot is an
+array over the K cells in scenario order: states (K, 4N), shares (K, N),
+rewards (K,).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import env as envm
-from .agent import Td3Agent, assemble_states, neighbor_means, train_step
+from .agent import Td3Agent, assemble_states, neighbor_means, select_action, train_step
 from .env import NetworkState, ScenarioConfig
 from .errors import ConfigurationError, SliceTlError
 
-Policy = Callable[[np.ndarray], np.ndarray]  # state row (4N,) -> share row (N,)
-
-
 @dataclass(frozen=True)
 class Slot:
-    """What one slot of the network produced, as handed to ``observe``."""
+    """What one slot of the network produced, as ``run_slots`` yields it."""
 
     t: int
     states: np.ndarray  # (K, 4N) the assembled states the cells acted on
@@ -35,7 +33,6 @@ class Slot:
 
 # (t, network before the step, states (K, 4N)) -> shares (K, N)
 Act = Callable[[int, NetworkState, np.ndarray], np.ndarray]
-Observe = Callable[[Slot], None]
 
 
 class SlotRecord(NamedTuple):
@@ -91,12 +88,13 @@ def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np
 
 
 def run_slots(
-    scenario: ScenarioConfig, seed: int, steps: int, act: Act, observe: Observe
-) -> None:
+    scenario: ScenarioConfig, seed: int, steps: int, act: Act
+) -> Iterator[Slot]:
     """Step the network ``steps`` slots from ``init_network(scenario, seed)``.
 
-    Every cell acts before the step; ``observe`` sees each slot once, after
-    the next states are assembled.
+    Every cell acts before the step; each slot is yielded once, after the
+    next states are assembled, and the next slot acts when the caller asks
+    for it.
     """
 
     net_state = envm.init_network(scenario, seed)
@@ -105,20 +103,27 @@ def run_slots(
         actions = np.asarray(act(t, net_state, states), dtype=np.float64)
         net_state, rewards = envm.step(net_state, actions, scenario)
         next_states = assemble_all_states(scenario, net_state)
-        observe(Slot(t, states, actions, net_state, rewards, next_states))
+        yield Slot(t, states, actions, net_state, rewards, next_states)
         states = next_states
 
 
-def follow(scenario: ScenarioConfig, policies: dict[int, Policy]) -> Act:
-    """Act hook in which every cell follows its own policy; ``policies``
-    must hold exactly the scenario's cells (``ConfigurationError``)."""
+def agents_act(
+    scenario: ScenarioConfig,
+    agents: dict[int, Td3Agent],
+    noise: dict[int, float] | None = None,
+) -> Act:
+    """Act hook in which every cell's agent picks its shares from its own
+    state row, with the logit-noise std ``noise`` holds for its cell, else
+    greedily. ``agents`` must hold exactly the scenario's cells
+    (``ConfigurationError``)."""
 
-    if set(policies) != set(scenario.cell_ids):
+    if set(agents) != set(scenario.cell_ids):
         raise ConfigurationError(
-            f"policies for cells {sorted(policies)}, expected {list(scenario.cell_ids)}")
-    ordered = [policies[cid] for cid in scenario.cell_ids]
+            f"agents for cells {sorted(agents)}, expected {list(scenario.cell_ids)}")
+    noise = noise or {}
+    ordered = [(agents[cid], noise.get(cid)) for cid in scenario.cell_ids]
     return lambda t, net_state, states: np.stack(
-        [policy(s) for policy, s in zip(ordered, states)])
+        [select_action(agent, s, scale) for (agent, scale), s in zip(ordered, states)])
 
 
 def record_step(scenario: ScenarioConfig, slot: Slot) -> SlotRecord:

@@ -116,6 +116,9 @@ class ExperimentConfig:
         if self.similarity_target in candidates:
             raise ConfigurationError(
                 f"similarity target {self.similarity_target} is also a candidate")
+        if sim.candidates is not None and not sim.candidates:
+            raise ConfigurationError(
+                "similarity.candidates is empty; leave it unset for every other cell")
         if len(set(candidates)) != len(candidates):
             raise ConfigurationError(f"similarity candidates {list(candidates)} repeat")
         if tr.source == self.similarity_target:

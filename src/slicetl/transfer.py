@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import env as envm
-from .agent import NETWORKS, ReplayBuffer, Td3Agent, select_action
+from .agent import NETWORKS, ReplayBuffer, Td3Agent
 from .errors import DomainError, IncompatibleArchitectureError
-from .runner import Policy, Slot, follow, learn, run_slots
+from .runner import Slot, agents_act, learn, run_slots
 
 if TYPE_CHECKING:
     from .scenario import TransferParams
@@ -121,30 +121,25 @@ def apply_transfer(
 def fine_tune(
     target: Td3Agent,
     scenario: envm.ScenarioConfig,
-    peers: dict[int, Policy],
+    peers: dict[int, Td3Agent],
     steps: int,
     seed: int,
-):
-    """Train the target agent in the live network without an exploration phase.
+) -> tuple[np.ndarray, list[Slot]]:
+    """Train the target agent in place in the live network without an
+    exploration phase.
 
-    Non-target cells act through the given peer policies. Returns
-    ``(target, reward_trace, slots)``: the target's reward in each slot,
-    and every slot the network ran, from which ``record_step`` builds the
-    records of all cells. If the target's training diverges, it stops
-    training and records the error in ``target.diverged``.
+    The peers act greedily in the other cells. Returns ``(reward_trace,
+    slots)``: the target's reward in each slot, and every slot the network
+    ran, from which ``record_step`` builds the records of all cells. If the
+    target's training diverges, it stops training and records the error in
+    ``target.diverged``.
     """
 
     idx = scenario.cell_ids.index(target.cell_id)
-    trace = np.zeros(steps)
+    act = agents_act(scenario, {**peers, target.cell_id: target},
+                     {target.cell_id: FINE_TUNE_NOISE})
     slots: list[Slot] = []
-
-    act = follow(scenario, {**peers, target.cell_id: lambda s: select_action(
-        target, s, FINE_TUNE_NOISE)})
-
-    def observe(slot):
+    for slot in run_slots(scenario, seed, steps, act):
         learn(target, slot, idx)
-        trace[slot.t - 1] = slot.rewards[idx]
         slots.append(slot)
-
-    run_slots(scenario, seed, steps, act, observe)
-    return target, trace, slots
+    return np.array([slot.rewards[idx] for slot in slots]), slots

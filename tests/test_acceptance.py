@@ -22,8 +22,8 @@ from slicetl.env import (
     equal_partition,
     slice_rewards,
 )
-from slicetl.harness import greedy_policy, rollout
-from slicetl.runner import Trace, follow
+from slicetl.harness import rollout
+from slicetl.runner import Trace
 from slicetl.transfer import fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
 
@@ -162,13 +162,11 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     sc = full_cfg.scenario
     group_a = {1, 2, 3, 7, 8, 9}
     a_prime = equal_partition(sc.n_slices)
+    equal = np.tile(a_prime, (sc.n_cells, 1))
     sim = full_cfg.similarity
     for seed in (0, 1, 2):
-        trace = Trace.of(rollout(
-            sc,
-            follow(sc, {c.cell_id: lambda state: a_prime for c in sc.cells}),
-            sim.steps, seed,
-        ))
+        trace = Trace.of(rollout(sc, lambda t, net_state, states: equal,
+                                 sim.steps, seed))
         samples = {
             c.cell_id: simm.collect_default_samples(trace, a_prime,
                                                     agent=c.cell_id)
@@ -202,12 +200,10 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     sc = smoke_cfg.scenario
     sim = smoke_cfg.similarity
     a_prime = equal_partition(sc.n_slices)
+    equal = np.tile(a_prime, (sc.n_cells, 1))
     for seed in (0, 1, 2):
-        trace = Trace.of(rollout(
-            sc,
-            follow(sc, {c.cell_id: lambda state: a_prime for c in sc.cells}),
-            sim.steps, seed,
-        ))
+        trace = Trace.of(rollout(sc, lambda t, net_state, states: equal,
+                                 sim.steps, seed))
         samples = {
             c.cell_id: simm.collect_default_samples(trace, a_prime,
                                                     agent=c.cell_id)
@@ -228,16 +224,15 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
     sc = cfg.scenario
     target_id = 3
     pretrained = harness.load_pretrained(pipeline["root"] / "train", sc, seed)
-    peers = {i: greedy_policy(pretrained[i]) for i in sc.cell_ids
-             if i != target_id}
+    peers = {i: a for i, a in pretrained.items() if i != target_id}
     tl = Td3Agent(target_id, sc.n_slices, cfg.td3,
                   harness._agent_seed(seed, target_id))
     integrated_transfer(pretrained[source_id], tl, cfg.transfer.instance_fraction,
                         seed)
-    _, tl_trace, _ = fine_tune(tl, sc, peers, steps, seed)
+    tl_trace, _ = fine_tune(tl, sc, peers, steps, seed)
     scratch = Td3Agent(target_id, sc.n_slices, cfg.td3,
                        harness._agent_seed(seed + 1, target_id))
-    _, scratch_trace, _ = fine_tune(scratch, sc, peers, steps, seed)
+    scratch_trace, _ = fine_tune(scratch, sc, peers, steps, seed)
     return tl_trace, scratch_trace
 
 

@@ -48,7 +48,7 @@ from slicetl.harness import (
     write_cdf_csv,
     write_metrics_csv,
 )
-from slicetl.runner import Trace, follow
+from slicetl.runner import Trace, agents_act
 from slicetl.transfer import INSTANCE_STRATEGIES, STRATEGIES
 from slicetl.scenario import (
     EvaluateParams,
@@ -254,10 +254,10 @@ def test_cdf_csv_round_trip(tmp_path):
 
 
 def _equal_split(scenario):
-    """Act hook in which every cell follows a constant equal-split policy."""
+    """Act hook in which every cell holds the equal split."""
 
-    equal = equal_partition(scenario.n_slices)
-    return follow(scenario, {cid: lambda state: equal for cid in scenario.cell_ids})
+    equal = np.tile(equal_partition(scenario.n_slices), (scenario.n_cells, 1))
+    return lambda t, net_state, states: equal
 
 
 def test_metrics_csv_schema_and_float_round_trip(tmp_path):
@@ -695,7 +695,8 @@ def test_load_pretrained_rejects_mislabelled_artifacts(tmp_path, tiny_cfg,
                                                        tiny_artifacts, capsys, kind):
     """Cell 1's checkpoint or buffer copied over cell 2's, or a checkpoint
     of another slice count, fails at load naming the file, and the CLI
-    exits with the artifact error's code."""
+    exits with the artifact error's code: ``evaluate`` for a checkpoint,
+    ``transfer`` for a buffer, which ``evaluate`` does not read."""
 
     artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
     folder = "buffers" if kind == "buffer" else "checkpoints"
@@ -706,8 +707,53 @@ def test_load_pretrained_rejects_mislabelled_artifacts(tmp_path, tiny_cfg,
         shutil.copyfile(artifacts / folder / "cell_1.npz", path)
     with pytest.raises(DependencyError, match=re.escape(str(path))):
         harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0)
-    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code == 11
+    if kind == "buffer":
+        cfg_path = tmp_path / "tl.yaml"
+        save_config(_transfer_cfg(tiny_cfg, artifacts), cfg_path)
+        code = main(["transfer", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    else:
+        code = _evaluate_code(tmp_path, tiny_cfg)
+    assert code == DependencyError.exit_code == 11
     assert str(path) in capsys.readouterr().err
+
+
+def test_evaluate_reads_only_checkpoints(tmp_path, tiny_cfg, tiny_artifacts,
+                                         monkeypatch):
+    """A frozen evaluation needs the actors only: with no buffer loadable it
+    writes the metrics of the agents loaded with their buffers."""
+
+    scenario = tiny_cfg.scenario
+    agents = harness.load_pretrained(tiny_artifacts, scenario, seed=4)
+    summary = evaluate_policies(scenario, agents_act(scenario, agents),
+                                tiny_cfg.phases.evaluation, seed=4)
+    write_metrics_csv(tmp_path / "expected.csv", summary.records)
+
+    def must_not_load(*args, **kwargs):
+        raise AssertionError("a buffer was loaded")
+
+    monkeypatch.setattr(ReplayBuffer, "load", must_not_load)
+    result = run_evaluate(dataclasses.replace(
+        tiny_cfg, evaluate=EvaluateParams(str(tiny_artifacts))), seed=4,
+        out=tmp_path / "eval")
+    assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+    assert all(len(agent.buffer) == 0 for agent in result.agents.values())
+
+
+def test_run_transfer_explores_only_the_learner(tmp_path, tiny_cfg, tiny_artifacts):
+    """The pretrained peers act greedily through both fine-tunings and the
+    evaluation: their exploration streams stay where a fresh agent's start.
+    The transferred learner's moves."""
+
+    result = harness.run_transfer(_transfer_cfg(tiny_cfg, tiny_artifacts), seed=0,
+                                  out=tmp_path)
+    for cid, agent in result.agents.items():
+        fresh = Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3,
+                         harness._agent_seed(0, cid))
+        untouched = (agent.explore_rng.bit_generator.state
+                     == fresh.explore_rng.bit_generator.state)
+        assert untouched == (cid != tiny_cfg.similarity_target)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -839,6 +885,30 @@ def test_cli_malformed_yaml_exit_code(tmp_path, capsys):
     code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == ConfigurationError.exit_code
     assert "ConfigurationError" in capsys.readouterr().err
+
+
+def test_cli_rejects_empty_similarity_candidates(tmp_path, tiny_cfg, monkeypatch,
+                                                capsys):
+    """An explicit empty candidate list fails at load, before any slot runs;
+    an unset list means every other cell."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(harness, "run_slots", must_not_run)
+    d = config_to_dict(tiny_cfg)
+    d["similarity"]["candidates"] = []
+    path = tmp_path / "empty.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(ConfigurationError, match="candidates is empty"):
+        load_config(path)
+    code = main(["similarity", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == ConfigurationError.exit_code == 2
+    assert "similarity.candidates is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    d["similarity"]["candidates"] = None
+    path.write_text(yaml.safe_dump(d))
+    assert load_config(path).similarity_candidates == (1, 2)
 
 
 def test_cli_rejects_a_saved_transfer_target(tmp_path, tiny_cfg, capsys):

@@ -14,13 +14,12 @@ from slicetl.agent import (
     select_action,
     train_step,
 )
-from slicetl.env import equal_partition
 from slicetl.errors import (
     ConfigurationError,
     DomainError,
     IncompatibleArchitectureError,
 )
-from slicetl.runner import record_step
+from slicetl.runner import agents_act, record_step
 from slicetl.scenario import TransferParams, smoke_scenario
 from slicetl.transfer import (
     apply_transfer,
@@ -324,35 +323,66 @@ def test_apply_transfer_dispatch():
 # ---------------------------------------------------------------------------
 
 
+def _peers(scenario, target_id, cfg, seed):
+    """Fresh agents of the scenario's other cells, with their seeds."""
+
+    return {cid: Td3Agent(cid, scenario.n_slices, cfg, seed=seed + cid)
+            for cid in scenario.cell_ids if cid != target_id}
+
+
 def test_fine_tune_runs_and_traces_rewards():
     scenario = smoke_scenario()
-    n = scenario.n_slices
     cfg = Td3Config(batch_size=8, updates_per_step=1)
-    target = Td3Agent(3, n, cfg, seed=0)
-    equal = equal_partition(n)
-    peers = {1: lambda state: equal, 2: lambda state: equal}
-    target, trace, _ = fine_tune(target, scenario, peers, steps=30, seed=0)
+    target = Td3Agent(3, scenario.n_slices, cfg, seed=0)
+    trace, slots = fine_tune(target, scenario, _peers(scenario, 3, cfg, 10),
+                             steps=30, seed=0)
     assert trace.shape == (30,)
     assert np.all((trace >= 0.0) & (trace <= 1.0))
+    assert np.array_equal(trace, [slot.rewards[2] for slot in slots])
     assert target.step_count == 30
     assert len(target.buffer) == 30
 
 
 def test_fine_tune_collects_all_cell_records():
     scenario = smoke_scenario()
-    n = scenario.n_slices
-    target = Td3Agent(3, n, Td3Config(batch_size=8, updates_per_step=1), seed=1)
-    equal = equal_partition(n)
-    peers = {1: lambda state: equal, 2: lambda state: equal}
-    _, _, slots = fine_tune(target, scenario, peers, steps=5, seed=0)
+    cfg = Td3Config(batch_size=8, updates_per_step=1)
+    target = Td3Agent(3, scenario.n_slices, cfg, seed=1)
+    _, slots = fine_tune(target, scenario, _peers(scenario, 3, cfg, 10),
+                         steps=5, seed=0)
     records = [record_step(scenario, slot) for slot in slots]
     assert [r.t for r in records] == [1, 2, 3, 4, 5]
     assert all(np.array_equal(r.cells, scenario.cell_ids) for r in records)
 
 
-def test_fine_tune_requires_all_peer_policies():
+def test_fine_tune_explores_only_the_learner():
+    """The peers act greedily: their exploration streams stay where a fresh
+    agent's start, while the learner's moves."""
+
     scenario = smoke_scenario()
-    target = Td3Agent(3, scenario.n_slices, Td3Config(), seed=0)
+    cfg = Td3Config(batch_size=8, updates_per_step=1)
+    target = Td3Agent(3, scenario.n_slices, cfg, seed=1)
+    peers = _peers(scenario, 3, cfg, 10)
+    fine_tune(target, scenario, peers, steps=5, seed=0)
+    def stream(agent):
+        return agent.explore_rng.bit_generator.state
+
+    for cid, peer in peers.items():
+        assert stream(peer) == stream(Td3Agent(cid, scenario.n_slices, cfg, seed=10 + cid))
+    assert stream(target) != stream(Td3Agent(3, scenario.n_slices, cfg, seed=1))
+
+
+def test_fine_tune_requires_all_peer_policies():
+    """``agents_act`` needs exactly the scenario's cells: fine-tuning with a
+    peer missing fails before any slot, and so does an act hook over a cell
+    missing or one too many."""
+
+    scenario = smoke_scenario()
+    cfg = Td3Config()
+    target = Td3Agent(3, scenario.n_slices, cfg, seed=0)
     with pytest.raises(ConfigurationError):
-        equal = equal_partition(scenario.n_slices)
-        fine_tune(target, scenario, {1: lambda state: equal}, steps=5, seed=0)
+        fine_tune(target, scenario, {1: _agent(0, scenario.n_slices, 1, cfg)},
+                  steps=5, seed=0)
+    for cells in ([1, 3], [1, 2, 3, 4]):
+        agents = {cid: _agent(cid, scenario.n_slices, cid, cfg) for cid in cells}
+        with pytest.raises(ConfigurationError):
+            agents_act(scenario, agents)
