@@ -229,6 +229,9 @@ class ScenarioArrays:
     delay_target: np.ndarray  # (K, N)
     throughput_scale: np.ndarray  # (K, 1) max throughput target, the state normaliser
     neighbor_groups: tuple[NeighborGroup, ...]
+    # The only group when every cell has the same neighbour count; its rows
+    # are then all cells in order, so its results need no scatter.
+    single_group: NeighborGroup | None
     delay: DelayModel
 
     @classmethod
@@ -269,6 +272,7 @@ class ScenarioArrays:
                 [[r.delay_target for r in c.requirements] for c in cells]),
             throughput_scale=array([[c.max_throughput_target] for c in cells]),
             neighbor_groups=groups,
+            single_group=groups[0] if len(groups) == 1 else None,
             delay=scenario.delay,
         )
 
@@ -288,13 +292,16 @@ def check_shares(shares, shape: tuple[int, ...]) -> np.ndarray:
         raise ActionError(f"shares must be numeric: {exc}") from exc
     if shares.shape != shape:
         raise ActionError(f"expected shares of shape {shape}, got {shares.shape}")
-    # NaN fails both comparisons, so one range test also rejects it.
-    if not (shares.min(initial=0.0) >= 0.0 and shares.max(initial=1.0) <= 1.0):
+    # NaN fails both comparisons, so one range test also rejects it. The
+    # ufunc reductions are what ndarray.min/max/sum call, minus the wrapper.
+    if not (np.minimum.reduce(shares, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(shares, axis=None, initial=1.0) <= 1.0):
         if not np.all(np.isfinite(shares)):
             raise ActionError("shares must be finite")
         raise ActionError(f"shares must lie in [0, 1], got {shares}")
-    sums = shares.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+    # Finite from here on, so the largest deviation decides.
+    sums = np.add.reduce(shares, axis=-1)
+    if np.maximum.reduce(np.abs(sums - 1.0), axis=None, initial=0.0) > SIMPLEX_TOL:
         raise ActionError(f"shares must sum to 1, got {sums!r}")
     return shares
 
@@ -358,7 +365,11 @@ def mask_values(
     sin = np.fromiter(map(math.sin, arg.ravel().tolist()), np.float64, arg.size)
     value = masks.offset + masks.amplitude * sin.reshape(arg.shape)
     if rng is not None and masks.noise_std.size:
-        value[masks.noisy] += masks.noise_std * rng.standard_normal(masks.noise_std.size)
+        noise = masks.noise_std * rng.standard_normal(masks.noise_std.size)
+        if noise.size == value.size:  # every entry noisy: no mask to write through
+            value += noise.reshape(value.shape)
+        else:
+            value[masks.noisy] += noise
     return np.minimum(1.0, np.maximum(0.0, value))
 
 
@@ -393,16 +404,18 @@ def slice_metrics(
     with no capacity but positive demand is fully congested by definition.
     """
 
-    if np.any(eff <= 0):
+    if np.logical_or.reduce(eff <= 0, axis=None):
         raise DomainError(f"efficiency must be positive, got {eff}")
     capacity = shares * bandwidth * eff[:, None]
-    congested = (capacity <= CAPACITY_EPS) & (demands > 0)
     load = np.minimum(1.0, demands / np.maximum(capacity, CAPACITY_EPS))
     throughput = np.minimum(demands, capacity) / np.maximum(ues, 1)
     delay = delay_model.delay(load)
-    throughput[congested] = 0.0
-    delay[congested] = delay_model.d_max
-    load[congested] = 1.0
+    starved = capacity <= CAPACITY_EPS
+    if np.logical_or.reduce(starved, axis=None):  # no slice congested otherwise
+        congested = starved & (demands > 0)
+        throughput[congested] = 0.0
+        delay[congested] = delay_model.d_max
+        load[congested] = 1.0
     return throughput, delay, load
 
 
@@ -419,9 +432,12 @@ def slice_rewards(
     satisfied rather than a division fault.
     """
 
-    delay_term = delay_target / np.where(delay > 0, delay, delay_target)  # 0 delay: 1
-    worst = np.minimum(throughput / throughput_target, delay_term).min(
-        axis=1, initial=1.0)
+    if np.minimum.reduce(delay, axis=None) > 0:  # as every DelayModel delay is
+        delay_term = delay_target / delay
+    else:
+        delay_term = delay_target / np.where(delay > 0, delay, delay_target)  # 0 delay: 1
+    worst = np.minimum.reduce(np.minimum(throughput / throughput_target, delay_term),
+                              axis=1, initial=1.0)
     return np.maximum(0.0, worst)
 
 
@@ -429,7 +445,9 @@ def baseline_shares(demands: np.ndarray) -> np.ndarray:
     """Traffic-aware baseline: each row's shares proportional to its
     demands, the equal split where a row demands nothing."""
 
-    total = demands.sum(axis=1, keepdims=True)
+    total = np.add.reduce(demands, axis=1, keepdims=True)
+    if np.minimum.reduce(total, axis=None) > 0:  # no row needs the equal split
+        return demands / total
     return np.divide(demands, total, out=np.full(demands.shape, 1.0 / demands.shape[1]),
                      where=total > 0)
 
@@ -439,15 +457,11 @@ def baseline_shares(demands: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Any fixed seed: a generator built from it is repositioned at once, and
-# seeding skips the entropy read of an unseeded generator.
-_SCRATCH_SEED = np.random.SeedSequence(0)
-
-
-def _generator(state: dict) -> np.random.Generator:
-    rng = np.random.Generator(np.random.PCG64(_SCRATCH_SEED))
-    rng.bit_generator.state = state
-    return rng
+# The one generator ``step`` draws from: repositioned from the state's RNG
+# state at every step, which costs a fraction of building a PCG64, and read
+# back before the step returns, so no draw depends on an earlier step's
+# use. Its seed is never used. Two threads must not step at once.
+_SCRATCH = np.random.Generator(np.random.PCG64(0))
 
 
 def _traffic(
@@ -455,8 +469,10 @@ def _traffic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """UE counts and demands (K, N) at step t; draws the mask noise."""
 
-    ues = np.rint(arrays.max_ues * mask_values(t, arrays.masks, rng)).astype(np.int64)
-    return ues, ues * arrays.ue_rates
+    # The rounded counts are whole floats, so scaling them gives the bits of
+    # scaling the int64 counts, without the int-to-float cast.
+    counts = np.rint(arrays.max_ues * mask_values(t, arrays.masks, rng))
+    return counts.astype(np.int64), counts * arrays.ue_rates
 
 
 def _metrics(
@@ -468,9 +484,14 @@ def _metrics(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice metrics under interference from the neighbours' previous loads."""
 
-    inter = np.zeros(len(prev_total_loads))
-    for group in arrays.neighbor_groups:
-        inter[group.rows] = interference(group.gains, prev_total_loads[group.neighbors])
+    group = arrays.single_group
+    if group is not None:
+        inter = interference(group.gains, prev_total_loads[group.neighbors])
+    else:
+        inter = np.zeros(len(prev_total_loads))
+        for group in arrays.neighbor_groups:
+            inter[group.rows] = interference(group.gains,
+                                             prev_total_loads[group.neighbors])
     eff = efficiency(arrays.snr_linear, inter)
     return slice_metrics(shares, arrays.bandwidth, eff, demands, ues, arrays.delay)
 
@@ -511,7 +532,8 @@ def step(
     tp, delay, load = _metrics(arrays, shares, state.total_loads(),
                                state.next_demands, state.next_ues)
     rewards = slice_rewards(tp, delay, arrays.throughput_target, arrays.delay_target)
-    rng = _generator(state.rng_state)
-    return NetworkState(state.step + 1, tp, delay, load, state.next_ues,
-                        *_traffic(arrays, state.step + 2, rng),
-                        rng.bit_generator.state), rewards
+    bits = _SCRATCH.bit_generator
+    bits.state = state.rng_state
+    ues, demands = _traffic(arrays, state.step + 2, _SCRATCH)
+    return NetworkState(state.step + 1, tp, delay, load, state.next_ues, ues, demands,
+                        bits.state), rewards

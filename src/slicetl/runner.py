@@ -9,7 +9,6 @@ rewards (K,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -19,8 +18,8 @@ from .agent import Td3Agent, assemble_states, neighbor_means, select_action, tra
 from .env import NetworkState, ScenarioConfig
 from .errors import ConfigurationError, SliceTlError
 
-@dataclass(frozen=True)
-class Slot:
+
+class Slot(NamedTuple):
     """What one slot of the network produced, as ``run_slots`` yields it."""
 
     t: int
@@ -79,10 +78,15 @@ def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np
     """
 
     arrays = scenario.arrays
-    neighbor_load = np.zeros_like(net_state.load)
-    for group in arrays.neighbor_groups:
-        if group.neighbors.shape[1]:
-            neighbor_load[group.rows] = neighbor_means(net_state.load, group.neighbors)
+    group = arrays.single_group
+    if group is not None and group.neighbors.shape[1]:
+        neighbor_load = neighbor_means(net_state.load, group.neighbors)
+    else:
+        neighbor_load = np.zeros_like(net_state.load)
+        for group in arrays.neighbor_groups:
+            if group.neighbors.shape[1]:
+                neighbor_load[group.rows] = neighbor_means(net_state.load,
+                                                           group.neighbors)
     return assemble_states(net_state.throughput, net_state.load, net_state.ues,
                            neighbor_load, arrays.throughput_scale, arrays.max_ues)
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .agent import Td3Config
 from .codec import atomic_open, from_plain, to_plain
 from .env import (
@@ -235,6 +233,8 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
     path = Path(path_or_name)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
+    import yaml  # only config files need it; a builtin run skips its import
+
     try:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
@@ -243,5 +243,7 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
+    import yaml
+
     with atomic_open(path) as fh:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)

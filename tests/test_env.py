@@ -20,7 +20,7 @@ from slicetl.env import (
     equal_partition,
 )
 from slicetl.errors import ActionError, ConfigurationError, DomainError
-from slicetl.scenario import smoke_scenario
+from slicetl.scenario import full_scenario, smoke_scenario
 
 
 def _cell(n_slices=2, neighbors=(), gains=None, snr_db=10.0, bandwidth=10.0):
@@ -511,9 +511,10 @@ def _shares(draw, k, n):
     return np.stack(rows)
 
 
-@settings(max_examples=80, deadline=None)
-@given(scenario=_scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
+def _check_slot_path(scenario, seed, share_rows):
+    """Step the array path under each (K, N) share matrix of ``share_rows``
+    and compare every state, reward and assembled state with the reference."""
+
     k, n = scenario.n_cells, scenario.n_slices
     rng = np.random.default_rng(seed)
     equal = np.full((k, n), 1.0 / n)
@@ -523,14 +524,13 @@ def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
     _check_next_traffic(scenario, state, 1, rng)
     assert _same_bits(assemble_all_states(scenario, state),
                       _ref_states(scenario, metrics))
-    for t in range(1, data.draw(st.integers(1, 4)) + 1):
+    for t, shares in enumerate(share_rows, start=1):
         peek_rng = copy.deepcopy(rng)
         peeked = np.stack([d for _, d in _ref_traffic(scenario, t, peek_rng)])
         assert _same_bits(env.peek_demands(state), peeked)
         assert _same_bits(env.baseline_shares(peeked), np.stack(
             [peeked[i] / peeked[i].sum() if peeked[i].sum() > 0 else np.full(n, 1.0 / n)
              for i in range(k)]))
-        shares = data.draw(_shares(k, n))
         prev = [[m[2] for m in cell] for cell in metrics]
         metrics, rewards = _ref_slot(scenario, t, rng, shares, prev)
         state, got = env.step(state, shares, scenario)
@@ -540,6 +540,94 @@ def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
         _check_next_traffic(scenario, state, t + 1, rng)
         assert _same_bits(assemble_all_states(scenario, state),
                           _ref_states(scenario, metrics))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenario=_scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
+    k, n = scenario.n_cells, scenario.n_slices
+    _check_slot_path(scenario, seed,
+                     data.draw(st.lists(_shares(k, n), min_size=1, max_size=4)))
+
+
+def _graph_scenario(k, edges, noisy):
+    """K cells of three slices on an undirected graph; each cell lists its
+    neighbours in descending order, and ``noisy(i, n)`` says which masks
+    draw noise."""
+
+    cells = []
+    for i in range(k):
+        neighbors = sorted((j for a, b in edges for j in (a, b) if i in (a, b) and j != i),
+                           reverse=True)
+        cells.append(env.CellConfig(
+            cell_id=20 + i,
+            bandwidth=5.0 + i,
+            requirements=tuple(env.SliceRequirement(1.0 + n, 0.5 + n) for n in range(3)),
+            neighbor_ids=tuple(20 + j for j in neighbors),
+            max_ues_per_slice=6 + i,
+            base_snr_db=8.0 + 2.0 * i,
+            interference_gains=tuple(0.4 + 0.3 * j + 0.1 * i for j in neighbors),
+            ue_rates=(0.0, 1.5, 2.5 + i),
+            masks=tuple(env.TrafficMaskParams(
+                period=30 + 7 * n, amplitude=0.5, offset=0.6, phase=1.3 * i + n,
+                noise_std=0.2 if noisy(i, n) else 0.0) for n in range(3)),
+        ))
+    return env.ScenarioConfig(cells=tuple(cells))
+
+
+@pytest.mark.parametrize("scenario, single_group", [
+    # One cell with no neighbours: one group of degree 0, no noise.
+    (_graph_scenario(1, [], lambda i, n: False), True),
+    # A ring: every cell has two neighbours, so one group covers all cells;
+    # every mask is noisy.
+    (_graph_scenario(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], lambda i, n: True),
+     True),
+    # Degrees 1, 3, 1, 2, 1 and 0: four groups scattered into place; some noise.
+    (_graph_scenario(6, [(0, 1), (1, 2), (1, 3), (3, 4)],
+                     lambda i, n: (i + n) % 2 == 0), False),
+], ids=["lone-cell", "ring", "mixed-degree"])
+def test_array_slot_path_matches_reference_on_fixed_graphs(scenario, single_group):
+    """Both neighbour paths, the single group and the scatter, on every run;
+    the first slot starves one slice that has demand."""
+
+    assert (scenario.arrays.single_group is not None) == single_group
+    k, n = scenario.n_cells, scenario.n_slices
+    rng = np.random.default_rng(3)
+    share_rows = []
+    for t in range(6):
+        weights = rng.uniform(0.0, 1.0, (k, n))
+        weights[:, 2] = np.maximum(weights[:, 2], 0.1)  # rows never all zero
+        if t == 0:
+            weights[:, 1] = 0.0  # slice 1 (rate 1.5) has demand wherever it has users
+        share_rows.append(weights / weights.sum(axis=1, keepdims=True))
+    _check_slot_path(scenario, 11, share_rows)
+
+
+def test_interleaved_networks_step_as_if_alone():
+    """``step`` draws from one scratch generator: two networks stepped in
+    turn each see the states (RNG state included), rewards and next-slot
+    traffic they see when stepped alone."""
+
+    runs = ((smoke_scenario(), 5), (full_scenario(), 6))
+
+    def step_baseline(state, scenario):
+        return env.step(state, env.baseline_shares(env.peek_demands(state)), scenario)
+
+    alone = []
+    for scenario, seed in runs:
+        state, slots = env.init_network(scenario, seed), []
+        for _ in range(20):
+            state, rewards = step_baseline(state, scenario)
+            slots.append((state, rewards))
+        alone.append(slots)
+    states = [env.init_network(scenario, seed) for scenario, seed in runs]
+    for t in range(20):
+        for i, (scenario, _) in enumerate(runs):
+            states[i], rewards = step_baseline(states[i], scenario)
+            want, want_rewards = alone[i][t]
+            assert states[i] == want  # rng_state and the next slot's traffic too
+            assert _same_bits(states[i].next_demands, want.next_demands)
+            assert _same_bits(rewards, want_rewards)
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,6 +35,15 @@ GOLDEN = {
     },
 }
 
+# A 600-slot full12 baseline at seed 1, the run of the baseline_full12
+# benchmark workload, recorded before the slot path was cut to fewer numpy
+# calls: 7200 cell-slots, so that a rounding change in any one would show.
+LONG_BASELINE = {
+    "metrics.csv": "bb78da82a5b3d8da321541d3ec62e080245570a08191b2d742f1fdedbc450ce5",
+    "cdf_throughput.csv": "55a0cd43a428013ce94baf511a3a83ae1264d469a1dec809241644a599311049",
+    "cdf_delay.csv": "4696458fc178460709b92f90c8d02e73d670886eff5d2b1772e60065883687c9",
+}
+
 CHECKPOINT_SHA256 = "9317c150b72cc2d87d6e22315e7186a400a54e8718fecd04a217addbdbe250a0"
 
 
@@ -49,6 +58,14 @@ def test_baseline_and_default_trace_bytes(name, tmp_path):
     digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in GOLDEN[name]}
     assert digests == GOLDEN[name]
+
+
+def test_long_full12_baseline_bytes(tmp_path):
+    cfg = load_config("full12")
+    cfg = dataclasses.replace(cfg, phases=dataclasses.replace(cfg.phases, evaluation=600))
+    harness.run_baseline(cfg, 1, tmp_path)
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in LONG_BASELINE} == LONG_BASELINE
 
 
 def _checkpoint_agent():

@@ -6,6 +6,8 @@ import io
 import json
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -93,6 +95,20 @@ def test_config_yaml_round_trip(tmp_path, smoke_cfg, full_cfg):
         loaded = load_config(path)
         assert loaded == cfg
         assert config_to_dict(loaded) == config_to_dict(cfg)
+
+
+def test_builtin_config_does_not_import_yaml():
+    """Only config files need YAML: a fresh interpreter that loads the
+    harness and a builtin config leaves ``yaml`` unimported."""
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import slicetl.harness; "
+            "from slicetl.scenario import load_config; load_config('full12'); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))")
+    result = subprocess.run([sys.executable, "-c", code, str(src)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cell_without_neighbors_loads(tmp_path, smoke_cfg):
