@@ -28,9 +28,9 @@ cfg = dataclasses.replace(
 
 print("training 3 agents (reduced budget)...")
 result = harness.run_madrl(cfg, seed=1, out=OUT)
-summary = result.summary
-print(f"  eval mean satisfaction: {summary.mean_satisfaction:.3f}")
-print(f"  eval mean worst-slice delay: {summary.mean_max_delay:.2f} ms")
+evaluation = result.evaluation
+print(f"  eval mean satisfaction: {evaluation.rewards.mean():.3f}")
+print(f"  eval mean worst-slice delay: {evaluation.delay.max(axis=-1).mean():.2f} ms")
 
 print("\nsimilarity analysis (shared default-action trace + pooled VAE):")
 sim_cfg = dataclasses.replace(cfg, similarity=dataclasses.replace(

@@ -45,4 +45,4 @@ for lo, hi in [(0, 100), (100, 200), (200, 400)]:
 print(f"\noverall gain: {np.mean(tl_trace - scratch_trace):+.3f} "
       "(positive = transfer helps)")
 print(f"eval mean satisfaction after transfer: "
-      f"{result.summary.mean_satisfaction:.3f}")
+      f"{result.evaluation.rewards.mean():.3f}")

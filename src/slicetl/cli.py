@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
             harness.run_transfer(cfg, seed, args.out)
         else:
             result = harness.run_evaluate(cfg, seed, args.out)
-            print(f"mean satisfaction: {result.summary.mean_satisfaction:.4f}")
+            print(f"mean satisfaction: {result.evaluation.rewards.mean():.4f}")
     except SliceTlError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,7 +21,7 @@ from .codec import atomic_open, copy_file, read_npz, write_npz
 from .csvio import write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
 from .errors import DependencyError
-from .runner import Act, SlotRecord, Trace, agents_act, learn, record_step, run_slots
+from .runner import Act, RunLog, Trace, agents_act, learn, record_step, run_slots
 from .scenario import ExperimentConfig, config_to_dict
 from .transfer import INSTANCE_STRATEGIES, apply_transfer, fine_tune
 
@@ -36,40 +36,36 @@ BLOCK_SLOTS = 64  # slots of metrics.csv formatted at a time
 # ---------------------------------------------------------------------------
 
 
-def _metrics_blocks(records: Sequence[SlotRecord]) -> Iterator[tuple]:
-    """The columns of ``metrics.csv``, ``BLOCK_SLOTS`` slots at a time, in
-    (slot, cell, slice) row order; the ``t,cell,slice`` text is one column."""
+def _metrics_blocks(logs: Sequence[RunLog]) -> Iterator[tuple]:
+    """The columns of ``metrics.csv``, ``BLOCK_SLOTS`` slots of each log at
+    a time, in (slot, cell, slice) row order; the ``t,cell,slice`` text is
+    one column."""
 
-    if not records:
-        return
-    n = records[0].actions.shape[1]
-    cell_slice = np.array([f",{c},{j}" for c in records[0].cells.tolist()
-                           for j in range(n)], dtype=object)
-    for start in range(0, len(records), BLOCK_SLOTS):
-        block = records[start:start + BLOCK_SLOTS]
-        t = np.array([str(r.t) for r in block], dtype=object)
-
-        def flat(field: str) -> np.ndarray:
-            return np.concatenate([getattr(r, field) for r in block], axis=None)
-
-        yield (
-            (t[:, None] + cell_slice).ravel().tolist(), flat("throughput"),
-            flat("delay"), flat("load"), flat("ues"), flat("actions"),
-            np.repeat(flat("rewards"), n),
-        )
+    for log in logs:
+        n = log.actions.shape[-1]
+        cell_slice = np.array([f",{c},{j}" for c in log.cells.tolist()
+                               for j in range(n)], dtype=object)
+        for start in range(0, log.t.size, BLOCK_SLOTS):
+            rows = slice(start, start + BLOCK_SLOTS)
+            t = np.array(list(map(str, log.t[rows].tolist())), dtype=object)
+            yield (
+                (t[:, None] + cell_slice).ravel().tolist(), log.throughput[rows].ravel(),
+                log.delay[rows].ravel(), log.load[rows].ravel(), log.ues[rows].ravel(),
+                log.actions[rows].ravel(), np.repeat(log.rewards[rows].ravel(), n),
+            )
 
 
-def write_metrics_csv(path, records: Sequence[SlotRecord]) -> None:
-    """One row per (step, cell, slice) of the slot records of one scenario;
-    floats in their shortest round-trip ``repr``."""
+def write_metrics_csv(path, logs: Sequence[RunLog]) -> None:
+    """One row per (step, cell, slice) of each run log in turn; floats in
+    their shortest round-trip ``repr``."""
 
-    write_csv(path, METRICS_HEADER, _metrics_blocks(records))
+    write_csv(path, METRICS_HEADER, _metrics_blocks(logs))
 
 
 def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted sample values and their empirical CDF levels."""
+    """Sorted sample values, of any shape, and their empirical CDF levels."""
 
-    values = np.sort(np.asarray(values, dtype=np.float64))
+    values = np.sort(np.asarray(values, dtype=np.float64), axis=None)
     levels = np.arange(1, values.size + 1) / values.size
     return values, levels
 
@@ -123,12 +119,13 @@ def baseline_act(t: int, net_state: NetworkState, states: np.ndarray) -> np.ndar
     return envm.baseline_shares(envm.peek_demands(net_state))
 
 
-def rollout(
-    scenario: ScenarioConfig, act: Act, steps: int, seed: int
-) -> list[SlotRecord]:
+def rollout(scenario: ScenarioConfig, act: Act, steps: int, seed: int) -> RunLog:
     """Run fixed policies for ``steps`` slots and log every cell's metrics."""
 
-    return [record_step(scenario, s) for s in run_slots(scenario, seed, steps, act)]
+    log = RunLog(scenario, steps)
+    for slot in run_slots(scenario, seed, steps, act):
+        record_step(log, slot)
+    return log
 
 
 def default_action_trace(
@@ -139,8 +136,7 @@ def default_action_trace(
 
     n = scenario.n_slices
     equal = np.full((scenario.n_cells, n), 1.0 / n)
-    equal.flags.writeable = False  # every slot's record shares it
-    trace = Trace.of(rollout(scenario, lambda t, net_state, states: equal, steps, seed))
+    trace = rollout(scenario, lambda t, net_state, states: equal, steps, seed).trace()
     save_trace(_trace_file(out), trace)
     return trace
 
@@ -150,39 +146,21 @@ def default_action_trace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalSummary:
-    satisfaction: np.ndarray  # per (step, cell) min-slice satisfaction
-    max_delay: np.ndarray  # per (step, cell) max slice delay, ms
-    records: list[SlotRecord]
-
-    @property
-    def mean_satisfaction(self) -> float:
-        return float(self.satisfaction.mean())
-
-    @property
-    def mean_max_delay(self) -> float:
-        return float(self.max_delay.mean())
-
-
 def evaluate_policies(
     scenario: ScenarioConfig, act: Act, steps: int, seed: int
-) -> EvalSummary:
-    """Frozen-policy run emitting satisfaction and max-delay distributions."""
+) -> RunLog:
+    """Frozen-policy run; its log's rewards are each (slot, cell)'s
+    min-slice satisfaction."""
 
-    records = rollout(scenario, act, steps, seed)
-    shape = (steps, scenario.n_cells, scenario.n_slices)
-    satisfaction = np.array([r.rewards for r in records]).reshape(-1)
-    max_delay = np.array([r.delay for r in records]).reshape(shape).max(axis=-1)
-    return EvalSummary(satisfaction, max_delay.reshape(-1), records)
+    return rollout(scenario, act, steps, seed)
 
 
 @dataclass
 class RunResult:
     """What an evaluating run produced, for the steps that read it after."""
 
-    summary: EvalSummary  # the evaluation; its records end ``metrics.csv``
-    records: list[SlotRecord]  # the learning slots before them, if any
+    evaluation: RunLog  # the evaluation's slots; they end ``metrics.csv``
+    learning: RunLog | None = None  # the learning slots before them, if any
     agents: dict[int, Td3Agent] = field(default_factory=dict)  # the evaluated learners
     source: int | None = None  # a transfer run's source cell
     tl_trace: np.ndarray | None = None  # the target's reward per fine-tuning slot
@@ -190,21 +168,25 @@ class RunResult:
 
 
 def _evaluate_and_write(
-    cfg: ExperimentConfig, seed: int, out: Path, records: list[SlotRecord],
-    act: Act, eval_seed: int, **meta,
-) -> EvalSummary:
+    cfg: ExperimentConfig, seed: int, out: Path, act: Act, eval_seed: int,
+    learning: RunLog | None = None, **meta,
+) -> RunLog:
     """The tail every evaluating run shares: evaluate ``act``, write
-    ``metrics.csv`` (``records``, then the evaluation's), both CDFs, and
-    ``run_meta.json`` last, with ``meta`` added to its common keys."""
+    ``metrics.csv`` (``learning``, then the evaluation's slots), the CDFs
+    of each evaluated (slot, cell)'s satisfaction and worst slice delay, and
+    ``run_meta.json`` last, with their means and ``meta`` added to its
+    common keys."""
 
-    summary = evaluate_policies(cfg.scenario, act, cfg.phases.evaluation, eval_seed)
-    write_metrics_csv(out / "metrics.csv", records + summary.records)
-    write_cdf_csv(out / "cdf_throughput.csv", summary.satisfaction, "satisfaction")
-    write_cdf_csv(out / "cdf_delay.csv", summary.max_delay, "max_delay_ms")
+    evaluation = evaluate_policies(cfg.scenario, act, cfg.phases.evaluation, eval_seed)
+    write_metrics_csv(out / "metrics.csv",
+                      [evaluation] if learning is None else [learning, evaluation])
+    max_delay = evaluation.delay.max(axis=-1)
+    write_cdf_csv(out / "cdf_throughput.csv", evaluation.rewards, "satisfaction")
+    write_cdf_csv(out / "cdf_delay.csv", max_delay, "max_delay_ms")
     write_run_meta(out, cfg, seed, **meta, eval_seed=eval_seed,
-                   mean_satisfaction=summary.mean_satisfaction,
-                   mean_max_delay=summary.mean_max_delay)
-    return summary
+                   mean_satisfaction=float(evaluation.rewards.mean()),
+                   mean_max_delay=float(max_delay.mean()))
+    return evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +197,8 @@ def _evaluate_and_write(
 def run_baseline(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     """Traffic-aware baseline with perfect demand knowledge; no learning."""
 
-    summary = _evaluate_and_write(cfg, seed, _prepare_out(out), [],
-                                  baseline_act, seed, method="baseline")
-    return RunResult(summary, [])
+    return RunResult(_evaluate_and_write(cfg, seed, _prepare_out(out), baseline_act,
+                                         seed, method="baseline"))
 
 
 def _agent_seed(seed: int, cell_id: int) -> int:
@@ -260,11 +241,11 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
             select_action(agent, s, noise)
             for agent, s in zip(ordered, states)])
 
-    records: list[SlotRecord] = []
+    learning = RunLog(scenario, explore + training)
     for slot in run_slots(scenario, seed, explore + training, act):
         for i, agent in enumerate(ordered):
             learn(agent, slot, i, train=slot.t > explore)
-        records.append(record_step(scenario, slot))
+        record_step(learning, slot)
 
     for cid, agent in agents.items():
         ckpt, buf = _checkpoint_file(out, cid), _buffer_file(out, cid)
@@ -274,9 +255,9 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
         agent.buffer.export(buf)
 
     diverged = {cid: a.diverged for cid, a in agents.items() if a.diverged is not None}
-    summary = _evaluate_and_write(cfg, seed, out, records, agents_act(scenario, agents),
-                                  seed + 1, method="madrl", diverged=diverged)
-    return RunResult(summary, records, agents)
+    evaluation = _evaluate_and_write(cfg, seed, out, agents_act(scenario, agents),
+                                     seed + 1, learning, method="madrl", diverged=diverged)
+    return RunResult(evaluation, learning, agents)
 
 
 def run_similarity(
@@ -429,14 +410,14 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
     apply_transfer(pretrained[source_id], tl_agent, cfg.transfer, seed)
-    tl_trace, tl_slots = fine_tune(tl_agent, scenario, peers, steps, seed)
-    tl_records = [record_step(scenario, slot) for slot in tl_slots]
+    learning = RunLog(scenario, steps)
+    tl_trace = fine_tune(tl_agent, scenario, peers, steps, seed, learning)
 
     # Paired-seed scratch reference: identical environment randomness,
     # fresh agent with a different init stream.
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
-    scratch_trace, _ = fine_tune(scratch_agent, scenario, peers, steps, seed)
+    scratch_trace = fine_tune(scratch_agent, scenario, peers, steps, seed)
 
     write_csv(out / "gain.csv", ("t", "reward_tl", "reward_scratch", "gain"),
               [(np.arange(1, tl_trace.size + 1), tl_trace, scratch_trace,
@@ -448,15 +429,15 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
         copy_file(_checkpoint_file(artifacts, cid), _checkpoint_file(out, cid))
 
     agents = {**pretrained, target_id: tl_agent}
-    summary = _evaluate_and_write(
-        cfg, seed, out, tl_records, agents_act(scenario, agents), seed + 1,
+    evaluation = _evaluate_and_write(
+        cfg, seed, out, agents_act(scenario, agents), seed + 1, learning,
         method="tl", source=source_id, target=target_id,
         diverged={run: a.diverged for run, a in (("tl", tl_agent),
                                                  ("scratch", scratch_agent))
                   if a.diverged is not None},
         selected_distance=selected_distance,
     )
-    return RunResult(summary, tl_records, agents, source_id, tl_trace, scratch_trace)
+    return RunResult(evaluation, learning, agents, source_id, tl_trace, scratch_trace)
 
 
 def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
@@ -468,9 +449,9 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
                               "at a train or transfer run")
     out = _prepare_out(out)
     agents = load_checkpoints(cfg.evaluate.checkpoints, cfg.scenario, seed)
-    summary = _evaluate_and_write(cfg, seed, out, [], agents_act(cfg.scenario, agents),
-                                  seed, method="evaluate")
-    return RunResult(summary, [], agents)
+    evaluation = _evaluate_and_write(cfg, seed, out, agents_act(cfg.scenario, agents),
+                                     seed, method="evaluate")
+    return RunResult(evaluation, agents=agents)
 
 
 def _prepare_out(out: str | Path) -> Path:

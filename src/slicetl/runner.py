@@ -1,15 +1,15 @@
-"""The one slot loop of every run, with state assembly, slot records and
+"""The one slot loop of every run, with state assembly, the run log and
 the learners' store-and-train step.
 
 A run (rollout, MADRL training, fine-tuning) is a for-loop over the slots
 that ``run_slots`` yields under one ``act`` hook. Everything per slot is an
 array over the K cells in scenario order: states (K, 4N), shares (K, N),
-rewards (K,).
+rewards (K,). A ``RunLog`` holds the logged slots as (T, K, ...) columns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,21 +34,6 @@ class Slot(NamedTuple):
 Act = Callable[[int, NetworkState, np.ndarray], np.ndarray]
 
 
-class SlotRecord(NamedTuple):
-    """One slot of a run as logged by every experiment run: the slot's own
-    (K, ...) arrays over the cells in scenario order, not copies."""
-
-    t: int
-    cells: np.ndarray  # (K,) cell ids
-    states: np.ndarray  # (K, 4N) the assembled states the cells acted on
-    actions: np.ndarray  # (K, N)
-    rewards: np.ndarray  # (K,)
-    throughput: np.ndarray  # (K, N) Mbit/s per user
-    delay: np.ndarray  # (K, N) ms
-    load: np.ndarray  # (K, N)
-    ues: np.ndarray  # (K, N) int64
-
-
 class Trace(NamedTuple):
     """What a trace file holds: one row per (slot, cell), slot-major, as
     flat columns."""
@@ -59,15 +44,32 @@ class Trace(NamedTuple):
     actions: np.ndarray  # (R, N)
     rewards: np.ndarray  # (R,)
 
-    @classmethod
-    def of(cls, records: Sequence[SlotRecord]) -> "Trace":
-        return cls(
-            np.concatenate([np.full(r.cells.shape, r.t) for r in records]),
-            np.concatenate([r.cells for r in records]),
-            np.concatenate([r.states for r in records]),
-            np.concatenate([r.actions for r in records]),
-            np.concatenate([r.rewards for r in records]),
-        )
+
+class RunLog:
+    """The logged slots of one run as preallocated (T, K, ...) columns over
+    the cells in scenario order; ``record_step`` copies slot t into row
+    t - 1."""
+
+    def __init__(self, scenario: ScenarioConfig, slots: int) -> None:
+        k, n = scenario.n_cells, scenario.n_slices
+        self.cells = scenario.arrays.cell_ids  # (K,) int64
+        self.t = np.zeros(slots, dtype=np.int64)
+        self.states = np.zeros((slots, k, 4 * n))  # the states the cells acted on
+        self.actions = np.zeros((slots, k, n))
+        self.rewards = np.zeros((slots, k))
+        self.throughput = np.zeros((slots, k, n))  # Mbit/s per user
+        self.delay = np.zeros((slots, k, n))  # ms
+        self.load = np.zeros((slots, k, n))
+        self.ues = np.zeros((slots, k, n), dtype=np.int64)
+
+    def trace(self) -> Trace:
+        """The log as trace columns; states, actions and rewards are views."""
+
+        slots, k = self.rewards.shape
+        return Trace(np.repeat(self.t, k), np.tile(self.cells, slots),
+                     self.states.reshape(-1, self.states.shape[-1]),
+                     self.actions.reshape(-1, self.actions.shape[-1]),
+                     self.rewards.reshape(-1))
 
 
 def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:
@@ -130,10 +132,18 @@ def agents_act(
         [select_action(agent, s, scale) for (agent, scale), s in zip(ordered, states)])
 
 
-def record_step(scenario: ScenarioConfig, slot: Slot) -> SlotRecord:
-    net = slot.net_state
-    return SlotRecord(slot.t, scenario.arrays.cell_ids, slot.states, slot.actions,
-                      slot.rewards, net.throughput, net.delay, net.load, net.ues)
+def record_step(log: RunLog, slot: Slot) -> None:
+    """Copy ``slot`` into row ``slot.t - 1`` of ``log``."""
+
+    row, net = slot.t - 1, slot.net_state
+    log.t[row] = slot.t
+    log.states[row] = slot.states
+    log.actions[row] = slot.actions
+    log.rewards[row] = slot.rewards
+    log.throughput[row] = net.throughput
+    log.delay[row] = net.delay
+    log.load[row] = net.load
+    log.ues[row] = net.ues
 
 
 def learn(agent: Td3Agent, slot: Slot, index: int, train: bool = True) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import env as envm
 from .agent import NETWORKS, ReplayBuffer, Td3Agent
 from .errors import DomainError, IncompatibleArchitectureError
-from .runner import Slot, agents_act, learn, run_slots
+from .runner import RunLog, agents_act, learn, record_step, run_slots
 
 if TYPE_CHECKING:
     from .scenario import TransferParams
@@ -124,13 +124,13 @@ def fine_tune(
     peers: dict[int, Td3Agent],
     steps: int,
     seed: int,
-) -> tuple[np.ndarray, list[Slot]]:
+    log: RunLog | None = None,
+) -> np.ndarray:
     """Train the target agent in place in the live network without an
     exploration phase.
 
-    The peers act greedily in the other cells. Returns ``(reward_trace,
-    slots)``: the target's reward in each slot, and every slot the network
-    ran, from which ``record_step`` builds the records of all cells. If the
+    The peers act greedily in the other cells. Returns the target's reward
+    in each slot; ``log``, if given, records every slot of all cells. If the
     target's training diverges, it stops training and records the error in
     ``target.diverged``.
     """
@@ -138,8 +138,10 @@ def fine_tune(
     idx = scenario.cell_ids.index(target.cell_id)
     act = agents_act(scenario, {**peers, target.cell_id: target},
                      {target.cell_id: FINE_TUNE_NOISE})
-    slots: list[Slot] = []
+    rewards = np.zeros(steps)
     for slot in run_slots(scenario, seed, steps, act):
         learn(target, slot, idx)
-        slots.append(slot)
-    return np.array([slot.rewards[idx] for slot in slots]), slots
+        rewards[slot.t - 1] = slot.rewards[idx]
+        if log is not None:
+            record_step(log, slot)
+    return rewards

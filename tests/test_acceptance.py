@@ -23,7 +23,6 @@ from slicetl.env import (
     slice_rewards,
 )
 from slicetl.harness import rollout
-from slicetl.runner import Trace
 from slicetl.transfer import fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
 
@@ -165,8 +164,8 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     equal = np.tile(a_prime, (sc.n_cells, 1))
     sim = full_cfg.similarity
     for seed in (0, 1, 2):
-        trace = Trace.of(rollout(sc, lambda t, net_state, states: equal,
-                                 sim.steps, seed))
+        trace = rollout(sc, lambda t, net_state, states: equal, sim.steps,
+                        seed).trace()
         samples = {
             c.cell_id: simm.collect_default_samples(trace, a_prime,
                                                     agent=c.cell_id)
@@ -202,8 +201,8 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     a_prime = equal_partition(sc.n_slices)
     equal = np.tile(a_prime, (sc.n_cells, 1))
     for seed in (0, 1, 2):
-        trace = Trace.of(rollout(sc, lambda t, net_state, states: equal,
-                                 sim.steps, seed))
+        trace = rollout(sc, lambda t, net_state, states: equal, sim.steps,
+                        seed).trace()
         samples = {
             c.cell_id: simm.collect_default_samples(trace, a_prime,
                                                     agent=c.cell_id)
@@ -229,10 +228,10 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
                   harness._agent_seed(seed, target_id))
     integrated_transfer(pretrained[source_id], tl, cfg.transfer.instance_fraction,
                         seed)
-    tl_trace, _ = fine_tune(tl, sc, peers, steps, seed)
+    tl_trace = fine_tune(tl, sc, peers, steps, seed)
     scratch = Td3Agent(target_id, sc.n_slices, cfg.td3,
                        harness._agent_seed(seed + 1, target_id))
-    scratch_trace, _ = fine_tune(scratch, sc, peers, steps, seed)
+    scratch_trace = fine_tune(scratch, sc, peers, steps, seed)
     return tl_trace, scratch_trace
 
 
@@ -271,9 +270,9 @@ def test_criterion_10_method_ordering_after_convergence(pipeline):
     under full training budgets, with TL strictly above the baseline,
     <= 30 min wall clock for the whole pipeline."""
 
-    baseline = pipeline["baseline"].summary.mean_satisfaction
-    madrl = pipeline["train"].summary.mean_satisfaction
-    tl = pipeline["transfer"].summary.mean_satisfaction
+    baseline = pipeline["baseline"].evaluation.rewards.mean()
+    madrl = pipeline["train"].evaluation.rewards.mean()
+    tl = pipeline["transfer"].evaluation.rewards.mean()
     assert tl >= madrl >= baseline
     assert tl > baseline
     assert pipeline["elapsed"] < 30 * 60

@@ -30,7 +30,7 @@ from slicetl.agent import (
 )
 from slicetl.cli import main
 from slicetl.csvio import write_csv
-from slicetl.env import equal_partition
+from slicetl.env import METRICS, equal_partition
 from slicetl.errors import (
     ConfigurationError,
     DependencyError,
@@ -50,10 +50,11 @@ from slicetl.harness import (
     write_cdf_csv,
     write_metrics_csv,
 )
-from slicetl.runner import Trace, agents_act
+from slicetl.runner import RunLog, Trace, agents_act, record_step, run_slots
 from slicetl.transfer import INSTANCE_STRATEGIES, STRATEGIES
 from slicetl.scenario import (
     EvaluateParams,
+    Phases,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -278,21 +279,20 @@ def _equal_split(scenario):
 
 def test_metrics_csv_schema_and_float_round_trip(tmp_path):
     scenario = smoke_scenario()
-    records = rollout(scenario, _equal_split(scenario), steps=3, seed=0)
+    log = rollout(scenario, _equal_split(scenario), steps=3, seed=0)
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, records)
+    write_metrics_csv(path, [log])
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3 * scenario.n_cells * scenario.n_slices
     assert set(rows[0]) == {"t", "cell", "slice", "throughput", "delay",
                             "load", "ues", "share", "reward"}
     # repr() serialization must survive a float() round trip bit-exactly.
-    first = records[0]
-    assert float(rows[0]["reward"]) == first.rewards[0]
-    assert float(rows[0]["throughput"]) == first.throughput[0, 0]
-    assert float(rows[0]["delay"]) == first.delay[0, 0]
-    assert float(rows[0]["load"]) == first.load[0, 0]
-    assert float(rows[0]["share"]) == first.actions[0, 0]
+    assert float(rows[0]["reward"]) == log.rewards[0, 0]
+    assert float(rows[0]["throughput"]) == log.throughput[0, 0, 0]
+    assert float(rows[0]["delay"]) == log.delay[0, 0, 0]
+    assert float(rows[0]["load"]) == log.load[0, 0, 0]
+    assert float(rows[0]["share"]) == log.actions[0, 0, 0]
     assert all(np.isfinite(float(row[column])) for row in rows
                for column in ("throughput", "delay", "load", "share", "reward"))
 
@@ -308,13 +308,14 @@ def _reference_csv(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def _reference_metrics_csv(records) -> bytes:
+def _reference_metrics_csv(logs) -> bytes:
     rows = [
-        [r.t, cell, n, float(r.throughput[k, n]), float(r.delay[k, n]),
-         float(r.load[k, n]), int(r.ues[k, n]), float(r.actions[k, n]),
-         float(r.rewards[k])]
-        for r in records for k, cell in enumerate(r.cells.tolist())
-        for n in range(r.actions.shape[1])
+        [int(log.t[i]), cell, n, float(log.throughput[i, k, n]),
+         float(log.delay[i, k, n]), float(log.load[i, k, n]), int(log.ues[i, k, n]),
+         float(log.actions[i, k, n]), float(log.rewards[i, k])]
+        for log in logs for i in range(log.t.size)
+        for k, cell in enumerate(log.cells.tolist())
+        for n in range(log.actions.shape[2])
     ]
     return _reference_csv(harness.METRICS_HEADER, rows)
 
@@ -382,9 +383,9 @@ def test_write_csv_failing_midway_leaves_no_file(tmp_path, existing):
 
 def test_trace_round_trip(tmp_path):
     scenario = smoke_scenario()
-    records = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
+    log = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
     path = tmp_path / "trace.npz"
-    trace = Trace.of(records)
+    trace = log.trace()
     save_trace(path, trace)
     loaded = load_trace(path)
     k = scenario.n_cells
@@ -392,10 +393,10 @@ def test_trace_round_trip(tmp_path):
     assert np.array_equal(loaded.cell, np.tile(scenario.cell_ids, 4))
     for name in Trace._fields:
         assert np.array_equal(getattr(loaded, name), getattr(trace, name))
-    for i, record in enumerate(records):
-        assert np.array_equal(loaded.states[i * k:(i + 1) * k], record.states)
-        assert np.array_equal(loaded.actions[i * k:(i + 1) * k], record.actions)
-        assert np.array_equal(loaded.rewards[i * k:(i + 1) * k], record.rewards)
+    for i in range(4):
+        assert np.array_equal(loaded.states[i * k:(i + 1) * k], log.states[i])
+        assert np.array_equal(loaded.actions[i * k:(i + 1) * k], log.actions[i])
+        assert np.array_equal(loaded.rewards[i * k:(i + 1) * k], log.rewards[i])
 
 
 def test_load_trace_missing_file(tmp_path):
@@ -413,22 +414,40 @@ def test_rollout_is_deterministic():
     act = _equal_split(scenario)
     a = rollout(scenario, act, steps=10, seed=5)
     b = rollout(scenario, act, steps=10, seed=5)
-    assert all(
-        np.array_equal(x.rewards, y.rewards) and np.array_equal(x.states, y.states)
-        for x, y in zip(a, b)
-    )
+    assert np.array_equal(a.rewards, b.rewards) and np.array_equal(a.states, b.states)
     c = rollout(scenario, act, steps=10, seed=6)
-    assert any(not np.array_equal(x.rewards, y.rewards) for x, y in zip(a, c))
+    assert not np.array_equal(a.rewards, c.rewards)
+
+
+def test_record_step_copies_the_slot():
+    """The log holds copies: overwriting every yielded slot's arrays after
+    ``record_step`` leaves the log and its trace as they were."""
+
+    scenario = smoke_scenario()
+    expected = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
+    log, slots = RunLog(scenario, 4), []
+    for slot in run_slots(scenario, 1, 4, _equal_split(scenario)):
+        record_step(log, slot)
+        slots.append(slot)
+    trace = log.trace()
+    for slot in slots:
+        for array in (slot.states, slot.actions, slot.rewards, slot.next_states,
+                      *(getattr(slot.net_state, name) for name in METRICS)):
+            array[...] = -1
+    for name in ("t", "states", "actions", "rewards", *METRICS):
+        assert np.array_equal(getattr(log, name), getattr(expected, name)), name
+    for name, column in zip(Trace._fields, expected.trace()):
+        assert np.array_equal(getattr(trace, name), column), name
 
 
 def test_evaluate_policies_summary_shapes():
     scenario = smoke_scenario()
     act = _equal_split(scenario)
-    summary = evaluate_policies(scenario, act, steps=8, seed=0)
-    assert summary.satisfaction.shape == (8 * scenario.n_cells,)
-    assert summary.max_delay.shape == (8 * scenario.n_cells,)
-    assert 0.0 <= summary.mean_satisfaction <= 1.0
-    assert summary.mean_max_delay >= 0.5
+    log = evaluate_policies(scenario, act, steps=8, seed=0)
+    assert log.rewards.shape == (8, scenario.n_cells)
+    assert log.delay.shape == (8, scenario.n_cells, scenario.n_slices)
+    assert 0.0 <= log.rewards.mean() <= 1.0
+    assert log.delay.max(axis=-1).mean() >= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +472,7 @@ RUNS = {
 def test_run_baseline_artifacts(tmp_path, tiny_cfg, tiny_artifacts, run, method):
     """Every evaluating run ends with the same tail: metrics.csv, both
     CDFs, and run_meta.json written last. metrics.csv matches csv.writer
-    over the slot records, also where the actors' shares are distinct
+    over the run logs, also where the actors' shares are distinct
     values in every row, unlike the baseline's."""
 
     out = tmp_path / run
@@ -470,12 +489,13 @@ def test_run_baseline_artifacts(tmp_path, tiny_cfg, tiny_artifacts, run, method)
     # and a train run at seed s evaluate on the same slots.
     assert meta["eval_seed"] == (1 if run in ("train", "transfer") else 0)
     assert 0.0 <= meta["mean_satisfaction"] <= 1.0
-    assert meta["mean_max_delay"] == result.summary.mean_max_delay
+    assert meta["mean_max_delay"] == result.evaluation.delay.max(axis=-1).mean()
     assert ("diverged" in meta) == (run in ("train", "transfer"))
-    # The evaluation's records end metrics.csv, after the learning slots.
-    assert len(result.summary.records) == tiny_cfg.phases.evaluation
-    assert ((out / "metrics.csv").read_bytes()
-            == _reference_metrics_csv(result.records + result.summary.records))
+    # The evaluation's slots end metrics.csv, after the learning slots.
+    assert result.evaluation.t.tolist() == list(range(1, tiny_cfg.phases.evaluation + 1))
+    assert (result.learning is not None) == (run in ("train", "transfer"))
+    logs = [log for log in (result.learning, result.evaluation) if log is not None]
+    assert (out / "metrics.csv").read_bytes() == _reference_metrics_csv(logs)
 
 
 def test_baseline_shares_follow_the_slot_demands(tmp_path, tiny_cfg):
@@ -542,7 +562,7 @@ def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
         assert (train_out / "buffers" / f"cell_{cid}.npz").exists()
     assert (train_out / "default_trace.npz").exists()
     assert json.loads((train_out / "run_meta.json").read_text())["diverged"] == {}
-    assert result.summary.satisfaction.size > 0
+    assert result.evaluation.rewards.size > 0
 
     cfg_tl = dataclasses.replace(
         tiny_cfg,
@@ -566,7 +586,25 @@ def test_run_madrl_then_transfer_and_evaluate(tmp_path, tiny_cfg):
         evaluate=dataclasses.replace(cfg_tl.evaluate, checkpoints=str(train_out)),
     )
     result = run_evaluate(eval_cfg, seed=0, out=tmp_path / "eval")
-    assert 0.0 <= result.summary.mean_satisfaction <= 1.0
+    assert 0.0 <= result.evaluation.rewards.mean() <= 1.0
+
+
+def test_zero_length_learning_phases_write_only_the_evaluation(tmp_path, tiny_cfg):
+    """A train run without exploration or training and a transfer without
+    fine-tuning slots write the evaluation's rows alone, and the transfer's
+    gain.csv holds only its header."""
+
+    cfg = dataclasses.replace(tiny_cfg, phases=Phases(
+        exploration=0, training=0, evaluation=5, tl_training=0))
+    harness.run_madrl(cfg, seed=0, out=tmp_path / "train")
+    harness.run_transfer(_transfer_cfg(cfg, tmp_path / "train"), seed=0,
+                         out=tmp_path / "tl")
+    for run in ("train", "tl"):
+        lines = (tmp_path / run / "metrics.csv").read_bytes().splitlines()
+        assert len(lines) == 61  # 5 slots x 3 cells x 4 slices, and the header
+        assert lines[1].startswith(b"1,1,0,") and lines[-1].startswith(b"5,3,3,")
+    assert (tmp_path / "tl" / "gain.csv").read_bytes() == (
+        b"t,reward_tl,reward_scratch,gain\r\n")
 
 
 @pytest.fixture(scope="module")
@@ -741,9 +779,9 @@ def test_evaluate_reads_only_checkpoints(tmp_path, tiny_cfg, tiny_artifacts,
 
     scenario = tiny_cfg.scenario
     agents = harness.load_pretrained(tiny_artifacts, scenario, seed=4)
-    summary = evaluate_policies(scenario, agents_act(scenario, agents),
-                                tiny_cfg.phases.evaluation, seed=4)
-    write_metrics_csv(tmp_path / "expected.csv", summary.records)
+    evaluation = evaluate_policies(scenario, agents_act(scenario, agents),
+                                   tiny_cfg.phases.evaluation, seed=4)
+    write_metrics_csv(tmp_path / "expected.csv", [evaluation])
 
     def must_not_load(*args, **kwargs):
         raise AssertionError("a buffer was loaded")
@@ -806,7 +844,7 @@ def test_peers_without_buffers_still_transfer_and_evaluate(tmp_path, tiny_cfg,
     result = run_evaluate(dataclasses.replace(
         tiny_cfg, evaluate=EvaluateParams(str(artifacts))), seed=0,
         out=tmp_path / "eval")
-    assert 0.0 <= result.summary.mean_satisfaction <= 1.0
+    assert 0.0 <= result.evaluation.rewards.mean() <= 1.0
 
 
 def test_run_transfer_requires_artifacts(tmp_path, tiny_cfg):

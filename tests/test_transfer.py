@@ -19,7 +19,7 @@ from slicetl.errors import (
     DomainError,
     IncompatibleArchitectureError,
 )
-from slicetl.runner import agents_act, record_step
+from slicetl.runner import RunLog, agents_act
 from slicetl.scenario import TransferParams, smoke_scenario
 from slicetl.transfer import (
     apply_transfer,
@@ -334,11 +334,12 @@ def test_fine_tune_runs_and_traces_rewards():
     scenario = smoke_scenario()
     cfg = Td3Config(batch_size=8, updates_per_step=1)
     target = Td3Agent(3, scenario.n_slices, cfg, seed=0)
-    trace, slots = fine_tune(target, scenario, _peers(scenario, 3, cfg, 10),
-                             steps=30, seed=0)
+    log = RunLog(scenario, 30)
+    trace = fine_tune(target, scenario, _peers(scenario, 3, cfg, 10),
+                      steps=30, seed=0, log=log)
     assert trace.shape == (30,)
     assert np.all((trace >= 0.0) & (trace <= 1.0))
-    assert np.array_equal(trace, [slot.rewards[2] for slot in slots])
+    assert np.array_equal(trace, log.rewards[:, 2])
     assert target.step_count == 30
     assert len(target.buffer) == 30
 
@@ -347,11 +348,11 @@ def test_fine_tune_collects_all_cell_records():
     scenario = smoke_scenario()
     cfg = Td3Config(batch_size=8, updates_per_step=1)
     target = Td3Agent(3, scenario.n_slices, cfg, seed=1)
-    _, slots = fine_tune(target, scenario, _peers(scenario, 3, cfg, 10),
-                         steps=5, seed=0)
-    records = [record_step(scenario, slot) for slot in slots]
-    assert [r.t for r in records] == [1, 2, 3, 4, 5]
-    assert all(np.array_equal(r.cells, scenario.cell_ids) for r in records)
+    log = RunLog(scenario, 5)
+    fine_tune(target, scenario, _peers(scenario, 3, cfg, 10), steps=5, seed=0,
+              log=log)
+    assert log.t.tolist() == [1, 2, 3, 4, 5]
+    assert np.array_equal(log.trace().cell, np.tile(scenario.cell_ids, 5))
 
 
 def test_fine_tune_explores_only_the_learner():
