@@ -1,4 +1,4 @@
-"""Per-cell TD3 agent with replay buffer and neighbor-load coordination.
+"""Per-cell TD3 agent with replay buffer.
 
 Each agent owns six networks (actor, twin critics, and their targets).
 Actions live on the probability simplex; exploration and target-policy
@@ -31,28 +31,6 @@ BUFFER_VERSION = 1
 # Each column of a buffer file and its rank.
 _BUFFER_COLUMNS = {"states": 2, "actions": 2, "rewards": 1, "next_states": 2,
                    "origins": 1}
-
-
-def neighbor_means(load: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Mean per-slice load of each row's neighbours: ``neighbors`` (k, d),
-    d >= 1, indexes rows of ``load`` (K, N); returns (k, N)."""
-
-    return np.add.reduce(load[neighbors], axis=1) / neighbors.shape[1]
-
-
-def assemble_states(
-    throughput: np.ndarray,
-    load: np.ndarray,
-    ues: np.ndarray,
-    neighbor_load: np.ndarray,
-    throughput_scale,
-    max_ues,
-) -> np.ndarray:
-    """Agent states [throughput, load, ues | mean neighbor load], one row of
-    4N per cell, from (K, N) metrics and per-cell scales."""
-
-    return np.concatenate(
-        [throughput / throughput_scale, load, ues / max_ues, neighbor_load], axis=1)
 
 
 class Batch(NamedTuple):

@@ -8,6 +8,14 @@ import sys
 from .errors import SliceTlError
 
 
+def _seed(text: str) -> int:
+    """An integer >= 0, as ``numpy.random.default_rng`` takes it."""
+
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicetl",
@@ -27,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="experiment YAML file or builtin name "
                             "(smoke3, full12)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's seed")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="run seed, an integer >= 0 (default 0)")
         p.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -40,18 +48,17 @@ def main(argv: list[str] | None = None) -> int:
         from .scenario import load_config
 
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.seed
         if args.command == "baseline":
-            harness.run_baseline(cfg, seed, args.out)
+            harness.run_baseline(cfg, args.seed, args.out)
         elif args.command == "train":
-            harness.run_madrl(cfg, seed, args.out)
+            harness.run_madrl(cfg, args.seed, args.out)
         elif args.command == "similarity":
-            _, source = harness.run_similarity(cfg, seed, args.out)
+            _, source = harness.run_similarity(cfg, args.seed, args.out)
             print(f"selected source agent: {source}")
         elif args.command == "transfer":
-            harness.run_transfer(cfg, seed, args.out)
+            harness.run_transfer(cfg, args.seed, args.out)
         else:
-            result = harness.run_evaluate(cfg, seed, args.out)
+            result = harness.run_evaluate(cfg, args.seed, args.out)
             print(f"mean satisfaction: {result.evaluation.rewards.mean():.4f}")
     except SliceTlError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,9 +229,6 @@ class ScenarioArrays:
     delay_target: np.ndarray  # (K, N)
     throughput_scale: np.ndarray  # (K, 1) max throughput target, the state normaliser
     neighbor_groups: tuple[NeighborGroup, ...]
-    # The only group when every cell has the same neighbour count; its rows
-    # are then all cells in order, so its results need no scatter.
-    single_group: NeighborGroup | None
     delay: DelayModel
 
     @classmethod
@@ -272,9 +269,23 @@ class ScenarioArrays:
                 [[r.delay_target for r in c.requirements] for c in cells]),
             throughput_scale=array([[c.max_throughput_target] for c in cells]),
             neighbor_groups=groups,
-            single_group=groups[0] if len(groups) == 1 else None,
             delay=scenario.delay,
         )
+
+    def over_neighbors(self, values: np.ndarray, reduce: Callable) -> np.ndarray:
+        """``reduce(gains, values[neighbors])`` of each neighbour group, (k, d)
+        and (k, d, ...) -> (k, ...), in the group's rows of an array shaped
+        like ``values`` (K, ...); zeros for cells without neighbours."""
+
+        groups = self.neighbor_groups
+        if len(groups) == 1 and groups[0].neighbors.shape[1]:
+            # The one group's rows are all cells in order: no scatter.
+            return reduce(groups[0].gains, values[groups[0].neighbors])
+        out = np.zeros_like(values)
+        for group in groups:
+            if group.neighbors.shape[1]:
+                out[group.rows] = reduce(group.gains, values[group.neighbors])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +495,8 @@ def _metrics(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice metrics under interference from the neighbours' previous loads."""
 
-    group = arrays.single_group
-    if group is not None:
-        inter = interference(group.gains, prev_total_loads[group.neighbors])
-    else:
-        inter = np.zeros(len(prev_total_loads))
-        for group in arrays.neighbor_groups:
-            inter[group.rows] = interference(group.gains,
-                                             prev_total_loads[group.neighbors])
-    eff = efficiency(arrays.snr_linear, inter)
+    eff = efficiency(arrays.snr_linear,
+                     arrays.over_neighbors(prev_total_loads, interference))
     return slice_metrics(shares, arrays.bandwidth, eff, demands, ues, arrays.delay)
 
 

@@ -94,13 +94,18 @@ def save_trace(path, trace: Trace) -> None:
 _TRACE_COLUMNS = {"t": 1, "cell": 1, "states": 2, "actions": 2, "rewards": 1}
 
 
-def load_trace(path) -> Trace:
-    """The trace at ``path``; a file that ``codec.read_npz`` rejects, or whose
-    columns are not numeric arrays of their ranks and of one row count,
-    raises ``DependencyError``."""
+def load_trace(path, n_slices: int) -> Trace:
+    """The trace at ``path`` of a scenario of ``n_slices`` slices; a file
+    that ``codec.read_npz`` rejects, whose columns are not numeric arrays of
+    their ranks and of one row count, or whose states are not 4N and actions
+    not N wide, raises ``DependencyError``."""
 
     data = read_npz(path, TRACE_VERSION)
     data.columns(_TRACE_COLUMNS)
+    widths = (data["states"].shape[1], data["actions"].shape[1])
+    if widths != (4 * n_slices, n_slices):
+        raise DependencyError(f"{path} holds (state, action) rows of widths "
+                              f"{widths}, expected {(4 * n_slices, n_slices)}")
     return Trace(*(data[name] for name in Trace._fields))
 
 
@@ -274,7 +279,7 @@ def run_similarity(
     target, candidates = cfg.similarity_target, cfg.similarity_candidates
     agents = [target, *candidates]
     if sim.trace is not None:
-        trace = load_trace(sim.trace)
+        trace = load_trace(sim.trace, cfg.scenario.n_slices)
     else:
         # Each slot of a fresh rollout gives every agent one sample.
         simm.require_samples({i: sim.steps for i in agents}, sim.min_samples)

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import env as envm
-from .agent import Td3Agent, assemble_states, neighbor_means, select_action, train_step
+from .agent import Td3Agent, select_action, train_step
 from .env import NetworkState, ScenarioConfig
 from .errors import ConfigurationError, SliceTlError
 
@@ -73,24 +73,20 @@ class RunLog:
 
 
 def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:
-    """Agent states (K, 4N) from one network snapshot.
+    """Agent states [throughput / scale, load, ues / max_ues | neighbour
+    load], one row of 4N per cell (K, 4N), from one network snapshot.
 
-    Each cell's neighbour feature is the mean of its neighbours' slice loads
-    in the same snapshot, as in the step-barrier message exchange.
+    Each cell's neighbour load is the mean of its neighbours' slice loads
+    in the same snapshot, as in the step-barrier message exchange; zeros
+    for a cell without neighbours.
     """
 
     arrays = scenario.arrays
-    group = arrays.single_group
-    if group is not None and group.neighbors.shape[1]:
-        neighbor_load = neighbor_means(net_state.load, group.neighbors)
-    else:
-        neighbor_load = np.zeros_like(net_state.load)
-        for group in arrays.neighbor_groups:
-            if group.neighbors.shape[1]:
-                neighbor_load[group.rows] = neighbor_means(net_state.load,
-                                                           group.neighbors)
-    return assemble_states(net_state.throughput, net_state.load, net_state.ues,
-                           neighbor_load, arrays.throughput_scale, arrays.max_ues)
+    load = net_state.load
+    neighbor_load = arrays.over_neighbors(
+        load, lambda gains, loads: np.add.reduce(loads, axis=1) / loads.shape[1])
+    return np.concatenate([net_state.throughput / arrays.throughput_scale, load,
+                           net_state.ues / arrays.max_ues, neighbor_load], axis=1)
 
 
 def run_slots(

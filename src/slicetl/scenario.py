@@ -100,7 +100,6 @@ class ExperimentConfig:
     similarity: SimilarityParams = field(default_factory=SimilarityParams)
     transfer: TransferParams = field(default_factory=TransferParams)
     evaluate: EvaluateParams = field(default_factory=EvaluateParams)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         sim, tr = self.similarity, self.transfer

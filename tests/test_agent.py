@@ -15,9 +15,7 @@ from slicetl.agent import (
     ReplayBuffer,
     Td3Agent,
     Td3Config,
-    assemble_states,
     load_agent,
-    neighbor_means,
     save_agent,
     select_action,
     soft_update,
@@ -80,9 +78,34 @@ def _assert_batch_rows(batch, expected):
 # ---------------------------------------------------------------------------
 
 
+def _two_slice_cells(neighbors: dict[int, tuple[int, ...]]) -> env.ScenarioConfig:
+    """Cells with the neighbour lists ``neighbors``, each of two slices with
+    throughput targets of at most 4 Mbit/s and 8 users per slice."""
+
+    return env.ScenarioConfig(cells=tuple(env.CellConfig(
+        cell_id=cid, bandwidth=10.0,
+        requirements=(env.SliceRequirement(2.0, 1.0), env.SliceRequirement(4.0, 1.0)),
+        neighbor_ids=ids, max_ues_per_slice=8, base_snr_db=10.0,
+        interference_gains=(1.0,) * len(ids), ue_rates=(1.0, 1.0),
+        masks=(env.TrafficMaskParams(),) * 2) for cid, ids in neighbors.items()))
+
+
+def _snapshot(throughput, load, ues) -> env.NetworkState:
+    """A network state holding the given (K, N) metrics."""
+
+    load = np.array(load, dtype=np.float64)
+    zeros = np.zeros_like(load)
+    ues = np.array(ues, dtype=np.int64)
+    return env.NetworkState(0, np.array(throughput, dtype=np.float64), zeros, load,
+                            ues, ues, zeros, {})
+
+
 def test_neighbor_features_are_mean_loads():
     loads = np.array([[0.2, 0.4], [0.6, 0.0]])  # two neighbours' slice loads
-    assert np.allclose(neighbor_means(loads, np.array([[0, 1]]))[0], [0.4, 0.2])
+    scenario = _two_slice_cells({1: (2, 3), 2: (1,), 3: (1,)})
+    states = assemble_all_states(scenario, _snapshot(
+        np.zeros((3, 2)), np.vstack([np.zeros(2), loads]), np.zeros((3, 2))))
+    assert np.allclose(states[0, 6:], [0.4, 0.2])
 
 
 def test_neighbor_features_empty_is_zero():
@@ -97,9 +120,9 @@ def test_neighbor_features_empty_is_zero():
 
 
 def test_assemble_state_layout():
-    state = assemble_states(
-        np.array([[1.0, 2.0]]), np.array([[0.3, 0.6]]), np.array([[4, 8]]),
-        np.array([[0.1, 0.2]]), throughput_scale=4.0, max_ues=8)[0]
+    scenario = _two_slice_cells({1: (2,), 2: (1,)})
+    state = assemble_all_states(scenario, _snapshot(
+        [[1.0, 2.0], [0.0, 0.0]], [[0.3, 0.6], [0.1, 0.2]], [[4, 8], [0, 0]]))[0]
     expected = [1 / 4, 2 / 4, 0.3, 0.6, 4 / 8, 8 / 8, 0.1, 0.2]
     assert np.allclose(state, expected)
 

@@ -575,22 +575,26 @@ def _graph_scenario(k, edges, noisy):
     return env.ScenarioConfig(cells=tuple(cells))
 
 
-@pytest.mark.parametrize("scenario, single_group", [
+# Degrees 1, 3, 1, 2, 1 and 0: four neighbour groups; some masks noisy.
+MIXED_DEGREE = _graph_scenario(6, [(0, 1), (1, 2), (1, 3), (3, 4)],
+                               lambda i, n: (i + n) % 2 == 0)
+
+
+@pytest.mark.parametrize("scenario, one_group", [
     # One cell with no neighbours: one group of degree 0, no noise.
     (_graph_scenario(1, [], lambda i, n: False), True),
     # A ring: every cell has two neighbours, so one group covers all cells;
     # every mask is noisy.
     (_graph_scenario(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], lambda i, n: True),
      True),
-    # Degrees 1, 3, 1, 2, 1 and 0: four groups scattered into place; some noise.
-    (_graph_scenario(6, [(0, 1), (1, 2), (1, 3), (3, 4)],
-                     lambda i, n: (i + n) % 2 == 0), False),
+    # Four groups scattered into place.
+    (MIXED_DEGREE, False),
 ], ids=["lone-cell", "ring", "mixed-degree"])
-def test_array_slot_path_matches_reference_on_fixed_graphs(scenario, single_group):
+def test_array_slot_path_matches_reference_on_fixed_graphs(scenario, one_group):
     """Both neighbour paths, the single group and the scatter, on every run;
     the first slot starves one slice that has demand."""
 
-    assert (scenario.arrays.single_group is not None) == single_group
+    assert (len(scenario.arrays.neighbor_groups) == 1) == one_group
     k, n = scenario.n_cells, scenario.n_slices
     rng = np.random.default_rng(3)
     share_rows = []

@@ -15,7 +15,9 @@ import pytest
 
 from slicetl import harness
 from slicetl.agent import OPTIMIZED, Td3Agent, Td3Config, load_agent, save_agent
-from slicetl.scenario import load_config
+from slicetl.scenario import ExperimentConfig, Phases, load_config
+
+from .test_env import MIXED_DEGREE
 
 SEED = 7
 BUDGETS = {"smoke3": (60, 40), "full12": (25, 30)}  # evaluation slots, trace slots
@@ -44,6 +46,17 @@ LONG_BASELINE = {
     "cdf_delay.csv": "4696458fc178460709b92f90c8d02e73d670886eff5d2b1772e60065883687c9",
 }
 
+# The mixed-degree graph of the slot-path reference checks at seed 7: a
+# 300-slot baseline and a 200-slot default-action trace. The builtins give
+# every cell two neighbours, so only this run scatters neighbour groups.
+MIXED_DEGREE_BUDGETS = (300, 200)  # evaluation slots, trace slots
+MIXED_DEGREE_GOLDEN = {
+    "metrics.csv": "0e02b5d562a886a0ef2b9326e4ed5674dcdc7f360891d02b0b6305f5448eb40a",
+    "cdf_throughput.csv": "842f0deb042f6d807c44af3201ad2bff9717fd94fa2cc5210e95068a2e500a1d",
+    "cdf_delay.csv": "7144bae7b0ffffe2781e4425f28c56a6273983a21fd7a762d776ff3629849f73",
+    "default_trace.npz": "155b1741ab68a92797db9479d10f1fb0bd56a6130be2ab50934c7658c2518c31",
+}
+
 CHECKPOINT_SHA256 = "9317c150b72cc2d87d6e22315e7186a400a54e8718fecd04a217addbdbe250a0"
 
 
@@ -66,6 +79,15 @@ def test_long_full12_baseline_bytes(tmp_path):
     harness.run_baseline(cfg, 1, tmp_path)
     assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
             for f in LONG_BASELINE} == LONG_BASELINE
+
+
+def test_mixed_degree_baseline_and_default_trace_bytes(tmp_path):
+    evaluation, trace_steps = MIXED_DEGREE_BUDGETS
+    cfg = ExperimentConfig(MIXED_DEGREE, phases=Phases(evaluation=evaluation))
+    harness.run_baseline(cfg, SEED, tmp_path)
+    harness.default_action_trace(MIXED_DEGREE, trace_steps, SEED, tmp_path)
+    assert {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in MIXED_DEGREE_GOLDEN} == MIXED_DEGREE_GOLDEN
 
 
 def _checkpoint_agent():

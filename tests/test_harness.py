@@ -144,7 +144,7 @@ def test_load_config_rejects_non_mapping(tmp_path):
 
 def test_config_rejects_missing_scenario():
     with pytest.raises(ConfigurationError):
-        config_from_dict({"seed": 3})
+        config_from_dict({})
 
 
 @pytest.mark.parametrize("keys, value, match", [
@@ -160,7 +160,9 @@ def test_config_rejects_missing_scenario():
     (("scenario", "dleay"), {"d_min": 1.0}, "dleay"),
     (("scenario", "cells", 0, "neighbour_ids"), [2, 3], "neighbour_ids"),
     (("scenario", "cells", 1, "requirements", 0, "delay_taget"), 2.0, "delay_taget"),
-    (("scenario", "seed"), 0, "seed"),  # run seeds are the top-level seed
+    # The run seed is --seed alone; neither the scenario nor the config has one.
+    (("scenario", "seed"), 0, "seed"),
+    (("seed",), 3, r"unknown key\(s\) \['seed'\] in the config"),
     # Values whose type differs from the field's name the field. PyYAML
     # reads an exponent without a dot, 5e-4, as the string '5e-4'.
     (("td3", "actor_lr"), yaml.safe_load("5e-4"), r"td3\.actor_lr"),
@@ -203,9 +205,9 @@ def test_config_rejects_missing_scenario():
      r"transfer\.frozen_layers"),
 ], ids=["strategy", "mode", "target", "candidates", "transfer-target",
         "top-level-key", "scenario-key", "cell-key", "requirement-key",
-        "scenario-seed", "yaml-exponent", "float-for-int", "bool-for-int",
-        "int-for-list", "short-tuple", "str-for-int", "evaluation-slots",
-        "batch-size",
+        "scenario-seed", "top-level-seed", "yaml-exponent", "float-for-int",
+        "bool-for-int", "int-for-list", "short-tuple", "str-for-int",
+        "evaluation-slots", "batch-size",
         "policy-delay", "buffer-capacity", "updates-per-step", "tau-high",
         "tau-low", "gamma-one", "gamma-negative", "actor-lr", "critic-lr",
         "target-noise", "noise-clip", "explore-noise", "explore-noise-final",
@@ -387,7 +389,7 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.npz"
     trace = log.trace()
     save_trace(path, trace)
-    loaded = load_trace(path)
+    loaded = load_trace(path, scenario.n_slices)
     k = scenario.n_cells
     assert np.array_equal(loaded.t, np.repeat(np.arange(1, 5), k))
     assert np.array_equal(loaded.cell, np.tile(scenario.cell_ids, 4))
@@ -401,7 +403,7 @@ def test_trace_round_trip(tmp_path):
 
 def test_load_trace_missing_file(tmp_path):
     with pytest.raises(DependencyError):
-        load_trace(tmp_path / "nope.npz")
+        load_trace(tmp_path / "nope.npz", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +926,21 @@ def test_cli_seed_override(tmp_path, tiny_cfg):
     out = tmp_path / "out"
     main(["baseline", "--config", str(cfg_path), "--seed", "77",
           "--out", str(out)])
-    assert json.loads((out / "run_meta.json").read_text())["seed"] == 77
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["seed"] == 77 and "seed" not in meta["config"]
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_cli_rejects_a_bad_seed(tmp_path, capsys, value):
+    """A negative or non-integer --seed fails when the arguments are parsed."""
+
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--config", "smoke3", "--seed", value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument --seed: expected an integer >= 0, got '{value}'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):
@@ -977,6 +993,25 @@ def test_cli_rejects_a_saved_transfer_target(tmp_path, tiny_cfg, capsys):
     assert "unknown key(s) ['target'] in transfer" in capsys.readouterr().err
 
 
+def test_cli_similarity_rejects_a_trace_of_another_slice_count(
+        tmp_path, tiny_cfg, capsys):
+    """A trace of 3-slice rows fails a 4-slice similarity run as an artifact
+    fault naming the file, before any sample is read."""
+
+    trace = tmp_path / "trace3.npz"
+    rows = 2 * tiny_cfg.scenario.n_cells
+    save_trace(trace, Trace(np.ones(rows, dtype=np.int64),
+                            np.tile(tiny_cfg.scenario.cell_ids, 2), np.zeros((rows, 12)),
+                            np.full((rows, 3), 1 / 3), np.zeros(rows)))
+    cfg = dataclasses.replace(tiny_cfg, similarity=dataclasses.replace(
+        tiny_cfg.similarity, trace=str(trace), min_samples=1))
+    code = main(["similarity", "--config", str(_write_tiny_yaml(tmp_path, cfg)),
+                 "--out", str(tmp_path / "out")])
+    assert code == DependencyError.exit_code == 11
+    assert f"{trace} holds (state, action) rows of widths (12, 3), expected (16, 4)" \
+        in capsys.readouterr().err
+
+
 def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
     cfg_path = _write_tiny_yaml(tmp_path, tiny_cfg)
     code = main(["transfer", "--config", str(cfg_path),
@@ -989,7 +1024,8 @@ def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
 NPZ_READERS = {
     "trace": (lambda path: save_trace(path, Trace(
         np.arange(2), np.ones(2, dtype=np.int64), np.zeros((2, 8)),
-        np.full((2, 2), 0.5), np.zeros(2))), load_trace, "states", TRACE_VERSION),
+        np.full((2, 2), 0.5), np.zeros(2))), lambda path: load_trace(path, 2), "states",
+        TRACE_VERSION),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_agent, "actor", CHECKPOINT_VERSION),
     "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1, dims=(8, 2)).export(path),
@@ -1058,7 +1094,7 @@ ARTIFACT_READERS = {
                lambda path: ReplayBuffer.load(path, capacity=4, seed=0, dims=(8, 2))),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_agent),
-    "trace": (NPZ_READERS["trace"][0], load_trace),
+    "trace": NPZ_READERS["trace"][:2],
 }
 
 # One malformed member each: the artifact it is in and how it is rewritten.
@@ -1088,6 +1124,7 @@ MALFORMED_MEMBERS = {
     "text-m": ("checkpoint", lambda m: m.update({"q2.m": m["q2.m"].astype(str)})),
     "2-d-trace-rewards": ("trace", lambda m: m.update(rewards=m["rewards"][:, None])),
     "short-trace-states": ("trace", lambda m: m.update(states=m["states"][:-1])),
+    "narrow-trace-actions": ("trace", lambda m: m.update(actions=m["actions"][:, :1])),
 }
 
 
