@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
-from .codec import atomic_open, copy_file, read_npz, write_npz
+from .codec import atomic_open, copy_file, read_npz, to_plain, write_npz
 from .csvio import write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
-from .errors import DependencyError
-from .runner import Act, RunLog, Trace, agents_act, learn, record_step, run_slots
-from .scenario import ExperimentConfig, config_to_dict
+from .errors import DependencyError, EmptySetError
+from .runner import Act, RunLog, agents_act, learn, record_step, run_slots
+from .scenario import ExperimentConfig
 from .transfer import INSTANCE_STRATEGIES, apply_transfer, fine_tune
 
 TRACE_VERSION = 1
@@ -79,34 +79,57 @@ def write_run_meta(out: Path, cfg: ExperimentConfig, seed: int, **extra) -> None
         "slicetl_version": __version__,
         "numpy_version": np.__version__,
         "seed": seed,
-        "config": config_to_dict(cfg),
+        "config": to_plain(cfg),
     }
     meta.update(extra)
     with atomic_open(out / "run_meta.json") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def save_trace(path, trace: Trace) -> None:
-    write_npz(path, TRACE_VERSION, trace._asdict())
+def save_trace(path, log: RunLog) -> None:
+    """Write ``log``'s states, actions and rewards as a trace file: flat
+    columns ``t``, ``cell``, ``states``, ``actions`` and ``rewards`` with one
+    row per (slot, cell), slot-major."""
+
+    slots, k, n = log.actions.shape
+    write_npz(path, TRACE_VERSION, {
+        "t": np.repeat(log.t, k), "cell": np.tile(log.cells, slots),
+        "states": log.states.reshape(slots * k, 4 * n),
+        "actions": log.actions.reshape(slots * k, n),
+        "rewards": log.rewards.reshape(slots * k),
+    })
 
 
 # Each column of a trace file and its rank.
 _TRACE_COLUMNS = {"t": 1, "cell": 1, "states": 2, "actions": 2, "rewards": 1}
 
 
-def load_trace(path, n_slices: int) -> Trace:
-    """The trace at ``path`` of a scenario of ``n_slices`` slices; a file
-    that ``codec.read_npz`` rejects, whose columns are not numeric arrays of
-    their ranks and of one row count, or whose states are not 4N and actions
-    not N wide, raises ``DependencyError``."""
+def load_trace(
+    path, scenario: ScenarioConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states (T, K, 4N), actions (T, K, N) and rewards (T, K) of the
+    trace at ``path``, over the cells of ``scenario`` in its order.
+
+    A file that ``codec.read_npz`` rejects, whose columns are not numeric
+    arrays of their ranks and of one row count, whose states are not 4N and
+    actions not N wide, or whose rows are not slot-major over exactly the
+    scenario's cells raises ``DependencyError`` naming the file.
+    """
 
     data = read_npz(path, TRACE_VERSION)
-    data.columns(_TRACE_COLUMNS)
+    rows = data.columns(_TRACE_COLUMNS)
+    cells, n = scenario.arrays.cell_ids, scenario.n_slices
     widths = (data["states"].shape[1], data["actions"].shape[1])
-    if widths != (4 * n_slices, n_slices):
+    if widths != (4 * n, n):
         raise DependencyError(f"{path} holds (state, action) rows of widths "
-                              f"{widths}, expected {(4 * n_slices, n_slices)}")
-    return Trace(*(data[name] for name in Trace._fields))
+                              f"{widths}, expected {(4 * n, n)}")
+    k = cells.size
+    slots = rows // k
+    if rows % k or not np.array_equal(data["cell"], np.tile(cells, slots)):
+        raise DependencyError(f"{path} does not hold slot-major rows over the "
+                              f"scenario's cells {cells.tolist()}")
+    return (data["states"].reshape(slots, k, 4 * n),
+            data["actions"].reshape(slots, k, n), data["rewards"].reshape(slots, k))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +158,16 @@ def rollout(scenario: ScenarioConfig, act: Act, steps: int, seed: int) -> RunLog
 
 def default_action_trace(
     scenario: ScenarioConfig, steps: int, seed: int, out: Path
-) -> Trace:
+) -> RunLog:
     """Rollout in which every cell holds the equal split, so that the
-    similarity pipeline has comparable samples from all agents."""
+    similarity pipeline has comparable samples from all agents; its log is
+    saved as ``out``'s trace file."""
 
     n = scenario.n_slices
     equal = np.full((scenario.n_cells, n), 1.0 / n)
-    trace = rollout(scenario, lambda t, net_state, states: equal, steps, seed).trace()
-    save_trace(_trace_file(out), trace)
-    return trace
+    log = rollout(scenario, lambda t, net_state, states: equal, steps, seed)
+    save_trace(_trace_file(out), log)
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +289,51 @@ def run_madrl(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
     return RunResult(evaluation, learning, agents)
 
 
+def _require_samples(counts: dict[int, int], min_samples: int) -> None:
+    """Raise ``EmptySetError`` naming the first agent of ``counts`` (agent
+    id -> sample count) with fewer than ``min_samples`` samples."""
+
+    for i, n in counts.items():
+        if n < min_samples:
+            raise EmptySetError(
+                f"agent {i} has fewer than {min_samples} default-action samples")
+
+
 def run_similarity(
     cfg: ExperimentConfig, seed: int, out: str | Path
 ) -> tuple[simm.DistanceMatrix, int]:
     """Pooled VAE + latent KL distances + source selection for one target.
 
     The default-action trace is the file ``similarity.trace``, else a fresh
-    rollout.
+    rollout. Every agent needs ``similarity.min_samples`` default-action
+    samples (``EmptySetError`` naming the first that lacks them): checked
+    before a fresh rollout runs, and before the VAE trains.
     """
 
     out = _prepare_out(out)
-    sim = cfg.similarity
+    sim, scenario = cfg.similarity, cfg.scenario
     target, candidates = cfg.similarity_target, cfg.similarity_candidates
     agents = [target, *candidates]
     if sim.trace is not None:
-        trace = load_trace(sim.trace, cfg.scenario.n_slices)
+        states, actions, rewards = load_trace(sim.trace, scenario)
     else:
         # Each slot of a fresh rollout gives every agent one sample.
-        simm.require_samples({i: sim.steps for i in agents}, sim.min_samples)
-        trace = default_action_trace(cfg.scenario, sim.steps, seed, out)
+        _require_samples({i: sim.steps for i in agents}, sim.min_samples)
+        log = default_action_trace(scenario, sim.steps, seed, out)
+        states, actions, rewards = log.states, log.actions, log.rewards
+        del log  # its metric columns are not needed while the VAE trains
 
-    equal = equal_partition(cfg.scenario.n_slices)
-    samples = [simm.collect_default_samples(trace, equal, i) for i in agents]
-    # Every agent needs enough samples for its distance; check before the
-    # VAE trains, not after.
-    simm.require_samples({i: len(x) for i, x in zip(agents, samples)},
-                         sim.min_samples)
+    equal = equal_partition(scenario.n_slices)
+    columns = [scenario.cell_ids.index(i) for i in agents]
+    samples = [simm.collect_default_samples(states[:, k], actions[:, k], rewards[:, k],
+                                            equal) for k in columns]
+    _require_samples({i: len(x) for i, x in zip(agents, samples)}, sim.min_samples)
     model = simm.vae_train(
         np.concatenate(samples), kl_weight=sim.kl_weight, epochs=sim.epochs,
         seed=seed, latent_dim=sim.latent_dim, batch_size=sim.batch_size, lr=sim.lr,
-        min_samples=sim.min_samples,
     )
     latents = {i: simm.encode_samples(model, x) for i, x in zip(agents, samples)}
-    distances = simm.compute_distance_matrix(latents, target, candidates,
-                                             min_samples=sim.min_samples)
+    distances = simm.compute_distance_matrix(latents, target, candidates)
     source = simm.select_source(distances)
     simm.write_distances_csv(out / "distances.csv", distances)
     simm.write_latents_csv(out / "latents.csv", latents)

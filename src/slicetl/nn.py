@@ -138,7 +138,6 @@ class ForwardCache:
     params: Mlp
     inputs: list[np.ndarray]  # activation entering each layer
     output: np.ndarray
-    was_1d: bool
 
 
 def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -167,7 +166,7 @@ def mlp_forward(params: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     h += b
     if params.head == "softmax":
         h = softmax(h)
-    cache = ForwardCache(params, inputs, h, was_1d)
+    cache = ForwardCache(params, inputs, h)
     return (h[0] if was_1d else h), cache
 
 

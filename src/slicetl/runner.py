@@ -34,17 +34,6 @@ class Slot(NamedTuple):
 Act = Callable[[int, NetworkState, np.ndarray], np.ndarray]
 
 
-class Trace(NamedTuple):
-    """What a trace file holds: one row per (slot, cell), slot-major, as
-    flat columns."""
-
-    t: np.ndarray  # (R,) int64
-    cell: np.ndarray  # (R,) int64
-    states: np.ndarray  # (R, 4N)
-    actions: np.ndarray  # (R, N)
-    rewards: np.ndarray  # (R,)
-
-
 class RunLog:
     """The logged slots of one run as preallocated (T, K, ...) columns over
     the cells in scenario order; ``record_step`` copies slot t into row
@@ -61,15 +50,6 @@ class RunLog:
         self.delay = np.zeros((slots, k, n))  # ms
         self.load = np.zeros((slots, k, n))
         self.ues = np.zeros((slots, k, n), dtype=np.int64)
-
-    def trace(self) -> Trace:
-        """The log as trace columns; states, actions and rewards are views."""
-
-        slots, k = self.rewards.shape
-        return Trace(np.repeat(self.t, k), np.tile(self.cells, slots),
-                     self.states.reshape(-1, self.states.shape[-1]),
-                     self.actions.reshape(-1, self.actions.shape[-1]),
-                     self.rewards.reshape(-1))
 
 
 def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:

@@ -23,7 +23,6 @@ from .env import (
     TrafficMaskParams,
 )
 from .errors import ConfigurationError
-from .similarity import DEFAULT_MIN_SAMPLES
 from .transfer import STRATEGIES
 
 # Per-slice (throughput Mbit/s, delay ms) targets of the two cell groups.
@@ -50,7 +49,7 @@ class Phases:
 @dataclass(frozen=True)
 class SimilarityParams:
     steps: int = 300  # default-action rollout length
-    min_samples: int = DEFAULT_MIN_SAMPLES
+    min_samples: int = 50  # default-action samples each agent needs
     latent_dim: int = 4
     kl_weight: float = 1e-3
     epochs: int = 200
@@ -212,14 +211,6 @@ def full_scenario() -> ScenarioConfig:
 BUILTIN_SCENARIOS = {"smoke3": smoke_scenario, "full12": full_scenario}
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    return from_plain(ExperimentConfig, d)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return to_plain(cfg)
-
-
 def load_config(path_or_name: str | Path) -> ExperimentConfig:
     """Load an experiment config from a YAML file or a builtin name."""
 
@@ -238,11 +229,11 @@ def load_config(path_or_name: str | Path) -> ExperimentConfig:
         data = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config {name} is not valid YAML: {exc}") from exc
-    return config_from_dict(data)
+    return from_plain(ExperimentConfig, data)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     import yaml
 
     with atomic_open(path) as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
+        yaml.safe_dump(to_plain(cfg), fh, sort_keys=False)

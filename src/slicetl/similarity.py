@@ -26,7 +26,6 @@ from .errors import (
     SingularityError,
 )
 
-DEFAULT_MIN_SAMPLES = 50
 ACTION_MATCH_TOL = 1e-9
 
 
@@ -67,21 +66,15 @@ class VaeModel:
 
 
 def collect_default_samples(
-    trace, default_shares: np.ndarray, agent: int
+    states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+    default_shares: np.ndarray,
 ) -> np.ndarray:
-    """The (n, 4N+1) sample matrix of ``agent``: one [state, reward] row per
-    step the agent executed under the default share row ``default_shares``.
+    """The (n, 4N+1) sample matrix of one agent: one [state, reward] row per
+    step in which it took the default share row ``default_shares``, from its
+    states (T, 4N), actions (T, N) and rewards (T,); n may be 0."""
 
-    ``trace`` holds one row per (step, cell) in the columns ``cell``,
-    ``states``, ``actions`` and ``rewards`` (see
-    :class:`slicetl.runner.Trace`).
-    """
-
-    rows = np.max(np.abs(trace.actions - default_shares), axis=1) <= ACTION_MATCH_TOL
-    rows &= trace.cell == agent
-    if not rows.any():
-        raise EmptySetError(f"no steps under the default action for agent {agent}")
-    return np.hstack([trace.states[rows], trace.rewards[rows, None]])
+    rows = np.max(np.abs(actions - default_shares), axis=1) <= ACTION_MATCH_TOL
+    return np.hstack([states[rows], rewards[rows, None]])
 
 
 def _standardize_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +93,6 @@ def vae_train(
     hidden: tuple[int, int] = (64, 24),
     batch_size: int = 32,
     lr: float = 1e-3,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> VaeModel:
     """Train one VAE on the pooled (m, D) sample matrix ``x`` of all agents.
 
@@ -117,10 +109,8 @@ def vae_train(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"samples must be an (m, D) matrix, got shape {x.shape}")
-    if x.shape[0] < min_samples:
-        raise EmptySetError(
-            f"need at least {min_samples} pooled samples, got {x.shape[0]}"
-        )
+    if not len(x):
+        raise EmptySetError("no samples to train the VAE on")
     mean, std = _standardize_stats(x)
     xs = (x - mean) / std
     d = xs.shape[1]
@@ -301,22 +291,10 @@ class DistanceMatrix:
                 raise DomainError(f"negative distance for source {i}")
 
 
-def require_samples(counts: dict[int, int], min_samples: int) -> None:
-    """Raise ``EmptySetError`` naming the first agent of ``counts`` (agent
-    id -> sample count) with fewer than ``min_samples`` samples."""
-
-    for i, n in counts.items():
-        if n < min_samples:
-            raise EmptySetError(
-                f"agent {i} has fewer than {min_samples} default-action samples"
-            )
-
-
 def compute_distance_matrix(
     latents_by_agent: dict[int, LatentStats],
     target: int,
     candidates: Sequence[int],
-    min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> DistanceMatrix:
     """Distance from each candidate's posterior set to the target's."""
 
@@ -326,9 +304,10 @@ def compute_distance_matrix(
         raise EmptySetError("no candidate source agents")
     if target in candidates:
         raise DomainError(f"target agent {target} is among the candidate sources")
-    counts = {i: len(latents_by_agent[i].mu) if i in latents_by_agent else 0
-              for i in [target, *candidates]}
-    require_samples(counts, min_samples)
+    for i in candidates:
+        if i not in latents_by_agent:
+            raise EmptySetError(f"no latent samples for candidate agent {i}")
+    counts = {i: len(latents_by_agent[i].mu) for i in [target, *candidates]}
     entries = {i: kl_distance(latents_by_agent[i], latents_by_agent[target])
                for i in candidates}
     return DistanceMatrix(target, entries, counts)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import env as envm
-from .agent import NETWORKS, ReplayBuffer, Td3Agent
+from .agent import ReplayBuffer, Td3Agent
 from .errors import DomainError, IncompatibleArchitectureError
 from .runner import RunLog, agents_act, learn, record_step, run_slots
 
@@ -36,11 +36,12 @@ def _check_shapes(source: Td3Agent, target: Td3Agent) -> None:
 
 
 def model_transfer(source: Td3Agent, target: Td3Agent) -> Td3Agent:
-    """Copy all six networks from source to target; optimizer state resets."""
+    """Copy all six networks' parameters from source to target, in place;
+    optimizer state resets."""
 
     _check_shapes(source, target)
-    for name in NETWORKS:
-        setattr(target, name, getattr(source, name).copy())
+    for dst, src in zip(target.networks().values(), source.networks().values()):
+        dst.flat[:] = src.flat
     for adam in target.adams().values():
         adam.reset()
     target.step_count = 0

@@ -164,12 +164,11 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     equal = np.tile(a_prime, (sc.n_cells, 1))
     sim = full_cfg.similarity
     for seed in (0, 1, 2):
-        trace = rollout(sc, lambda t, net_state, states: equal, sim.steps,
-                        seed).trace()
+        log = rollout(sc, lambda t, net_state, states: equal, sim.steps, seed)
         samples = {
-            c.cell_id: simm.collect_default_samples(trace, a_prime,
-                                                    agent=c.cell_id)
-            for c in sc.cells
+            c.cell_id: simm.collect_default_samples(
+                log.states[:, k], log.actions[:, k], log.rewards[:, k], a_prime)
+            for k, c in enumerate(sc.cells)
         }
         pooled = np.concatenate(list(samples.values()))
         model = simm.vae_train(pooled, kl_weight=sim.kl_weight,
@@ -201,12 +200,11 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     a_prime = equal_partition(sc.n_slices)
     equal = np.tile(a_prime, (sc.n_cells, 1))
     for seed in (0, 1, 2):
-        trace = rollout(sc, lambda t, net_state, states: equal, sim.steps,
-                        seed).trace()
+        log = rollout(sc, lambda t, net_state, states: equal, sim.steps, seed)
         samples = {
-            c.cell_id: simm.collect_default_samples(trace, a_prime,
-                                                    agent=c.cell_id)
-            for c in sc.cells
+            c.cell_id: simm.collect_default_samples(
+                log.states[:, k], log.actions[:, k], log.rewards[:, k], a_prime)
+            for k, c in enumerate(sc.cells)
         }
         pooled = np.concatenate(list(samples.values()))
         model = simm.vae_train(pooled, kl_weight=sim.kl_weight,

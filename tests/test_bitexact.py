@@ -153,7 +153,7 @@ def test_vae_three_epochs_bit_for_bit(rows, settings):
     x = rng.standard_normal((rows, 17)) * rng.uniform(0.5, 3.0, 17)
     x += rng.uniform(-1.0, 1.0, 17)
     kwargs = dict(epochs=3, seed=8, lr=1e-3, **settings)
-    model = vae_train(x, min_samples=50, **kwargs)
+    model = vae_train(x, **kwargs)
     encoder, decoder, history = ref.vae_train(
         (x - model.feature_mean) / model.feature_std, **kwargs)
     assert model.encoder.flat.tobytes() == encoder.flat.tobytes()

@@ -29,6 +29,7 @@ from slicetl.agent import (
     train_step,
 )
 from slicetl.cli import main
+from slicetl.codec import from_plain, to_plain, write_npz
 from slicetl.csvio import write_csv
 from slicetl.env import METRICS, equal_partition
 from slicetl.errors import (
@@ -50,13 +51,12 @@ from slicetl.harness import (
     write_cdf_csv,
     write_metrics_csv,
 )
-from slicetl.runner import RunLog, Trace, agents_act, record_step, run_slots
+from slicetl.runner import RunLog, agents_act, record_step, run_slots
 from slicetl.transfer import INSTANCE_STRATEGIES, STRATEGIES
 from slicetl.scenario import (
     EvaluateParams,
+    ExperimentConfig,
     Phases,
-    config_from_dict,
-    config_to_dict,
     load_config,
     full_scenario,
     save_config,
@@ -95,7 +95,7 @@ def test_config_yaml_round_trip(tmp_path, smoke_cfg, full_cfg):
         save_config(cfg, path)
         loaded = load_config(path)
         assert loaded == cfg
-        assert config_to_dict(loaded) == config_to_dict(cfg)
+        assert to_plain(loaded) == to_plain(cfg)
 
 
 def test_builtin_config_does_not_import_yaml():
@@ -113,7 +113,7 @@ def test_builtin_config_does_not_import_yaml():
 
 
 def test_cell_without_neighbors_loads(tmp_path, smoke_cfg):
-    d = config_to_dict(smoke_cfg)
+    d = to_plain(smoke_cfg)
     lone = d["scenario"]["cells"][0]
     del lone["neighbor_ids"], lone["interference_gains"]
     d["scenario"]["cells"] = [lone]
@@ -127,7 +127,7 @@ def test_cell_without_neighbors_loads(tmp_path, smoke_cfg):
 
 
 def test_config_dict_round_trip(smoke_cfg):
-    assert config_from_dict(config_to_dict(smoke_cfg)) == smoke_cfg
+    assert from_plain(ExperimentConfig, to_plain(smoke_cfg)) == smoke_cfg
 
 
 def test_load_config_missing_file():
@@ -144,7 +144,7 @@ def test_load_config_rejects_non_mapping(tmp_path):
 
 def test_config_rejects_missing_scenario():
     with pytest.raises(ConfigurationError):
-        config_from_dict({})
+        from_plain(ExperimentConfig, {})
 
 
 @pytest.mark.parametrize("keys, value, match", [
@@ -216,7 +216,7 @@ def test_config_rejects_missing_scenario():
         "kl-weight", "fraction-high", "fraction-low", "frozen-layers-low",
         "frozen-layers-high"])
 def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match):
-    d = config_to_dict(smoke_cfg)
+    d = to_plain(smoke_cfg)
     section = d
     for key in keys[:-1]:
         section = section[key]
@@ -237,18 +237,18 @@ def test_load_config_rejects_bad_choices(tmp_path, smoke_cfg, keys, value, match
 ], ids=["source-unknown", "source-is-default-target", "source-is-target",
         "candidate-is-default-target", "candidate-is-target", "candidate-repeats"])
 def test_config_rejects_bad_source_and_candidates(smoke_cfg, sections):
-    d = config_to_dict(smoke_cfg)
+    d = to_plain(smoke_cfg)
     for name, values in sections.items():
         d[name].update(values)
     with pytest.raises(ConfigurationError):
-        config_from_dict(d)
+        from_plain(ExperimentConfig, d)
 
 
 def test_config_rejects_unknown_td3_key(smoke_cfg):
-    d = config_to_dict(smoke_cfg)
+    d = to_plain(smoke_cfg)
     d["td3"]["warp_speed"] = 9
     with pytest.raises(ConfigurationError):
-        config_from_dict(d)
+        from_plain(ExperimentConfig, d)
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +384,29 @@ def test_write_csv_failing_midway_leaves_no_file(tmp_path, existing):
 
 
 def test_trace_round_trip(tmp_path):
+    """The file holds one flat row per (slot, cell), slot-major; it loads
+    back as the log's (T, K, ...) columns."""
+
     scenario = smoke_scenario()
     log = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
     path = tmp_path / "trace.npz"
-    trace = log.trace()
-    save_trace(path, trace)
-    loaded = load_trace(path, scenario.n_slices)
+    save_trace(path, log)
     k = scenario.n_cells
-    assert np.array_equal(loaded.t, np.repeat(np.arange(1, 5), k))
-    assert np.array_equal(loaded.cell, np.tile(scenario.cell_ids, 4))
-    for name in Trace._fields:
-        assert np.array_equal(getattr(loaded, name), getattr(trace, name))
-    for i in range(4):
-        assert np.array_equal(loaded.states[i * k:(i + 1) * k], log.states[i])
-        assert np.array_equal(loaded.actions[i * k:(i + 1) * k], log.actions[i])
-        assert np.array_equal(loaded.rewards[i * k:(i + 1) * k], log.rewards[i])
+    with np.load(path) as data:
+        assert np.array_equal(data["t"], np.repeat(np.arange(1, 5), k))
+        assert np.array_equal(data["cell"], np.tile(scenario.cell_ids, 4))
+        for i in range(4):
+            assert np.array_equal(data["states"][i * k:(i + 1) * k], log.states[i])
+            assert np.array_equal(data["actions"][i * k:(i + 1) * k], log.actions[i])
+            assert np.array_equal(data["rewards"][i * k:(i + 1) * k], log.rewards[i])
+    loaded = load_trace(path, scenario)
+    for name, column in zip(("states", "actions", "rewards"), loaded):
+        assert np.array_equal(column, getattr(log, name)), name
 
 
 def test_load_trace_missing_file(tmp_path):
     with pytest.raises(DependencyError):
-        load_trace(tmp_path / "nope.npz", 2)
+        load_trace(tmp_path / "nope.npz", smoke_scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +426,7 @@ def test_rollout_is_deterministic():
 
 def test_record_step_copies_the_slot():
     """The log holds copies: overwriting every yielded slot's arrays after
-    ``record_step`` leaves the log and its trace as they were."""
+    ``record_step`` leaves the log as it was."""
 
     scenario = smoke_scenario()
     expected = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
@@ -431,15 +434,12 @@ def test_record_step_copies_the_slot():
     for slot in run_slots(scenario, 1, 4, _equal_split(scenario)):
         record_step(log, slot)
         slots.append(slot)
-    trace = log.trace()
     for slot in slots:
         for array in (slot.states, slot.actions, slot.rewards, slot.next_states,
                       *(getattr(slot.net_state, name) for name in METRICS)):
             array[...] = -1
     for name in ("t", "states", "actions", "rewards", *METRICS):
         assert np.array_equal(getattr(log, name), getattr(expected, name)), name
-    for name, column in zip(Trace._fields, expected.trace()):
-        assert np.array_equal(getattr(trace, name), column), name
 
 
 def test_evaluate_policies_summary_shapes():
@@ -902,6 +902,29 @@ def test_run_similarity_checks_steps_before_the_rollout(tmp_path, tiny_cfg,
     assert not (tmp_path / "sim" / "default_trace.npz").exists()
 
 
+def test_cli_similarity_without_default_steps_of_an_agent_exit_code(
+        tmp_path, tiny_cfg, capsys, monkeypatch):
+    """A trace in which cell 1 never takes the default action gives it no
+    samples: exit 9 naming the agent, before the VAE trains."""
+
+    scenario = tiny_cfg.scenario
+    shares = np.tile(equal_partition(scenario.n_slices), (scenario.n_cells, 1))
+    shares[0] = [0.7, 0.1, 0.1, 0.1]
+    harness.save_trace(tmp_path / "trace.npz",
+                       rollout(scenario, lambda t, net_state, states: shares, 60, 0))
+    cfg = dataclasses.replace(tiny_cfg, similarity=dataclasses.replace(
+        tiny_cfg.similarity, trace=str(tmp_path / "trace.npz"), min_samples=1))
+
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("vae_train ran although an agent has no samples")
+
+    monkeypatch.setattr(harness.simm, "vae_train", must_not_train)
+    code = main(["similarity", "--config", str(_write_tiny_yaml(tmp_path, cfg)),
+                 "--out", str(tmp_path / "out")])
+    assert code == EmptySetError.exit_code == 9
+    assert "agent 1 has fewer than 1 default-action samples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -966,7 +989,7 @@ def test_cli_rejects_empty_similarity_candidates(tmp_path, tiny_cfg, monkeypatch
         raise AssertionError("a slot ran")
 
     monkeypatch.setattr(harness, "run_slots", must_not_run)
-    d = config_to_dict(tiny_cfg)
+    d = to_plain(tiny_cfg)
     d["similarity"]["candidates"] = []
     path = tmp_path / "empty.yaml"
     path.write_text(yaml.safe_dump(d))
@@ -984,7 +1007,7 @@ def test_cli_rejects_empty_similarity_candidates(tmp_path, tiny_cfg, monkeypatch
 def test_cli_rejects_a_saved_transfer_target(tmp_path, tiny_cfg, capsys):
     """A config saved when transfer had its own target fails at load."""
 
-    d = config_to_dict(tiny_cfg)
+    d = to_plain(tiny_cfg)
     d["transfer"]["target"] = 3
     path = tmp_path / "old.yaml"
     path.write_text(yaml.safe_dump(d))
@@ -1000,9 +1023,10 @@ def test_cli_similarity_rejects_a_trace_of_another_slice_count(
 
     trace = tmp_path / "trace3.npz"
     rows = 2 * tiny_cfg.scenario.n_cells
-    save_trace(trace, Trace(np.ones(rows, dtype=np.int64),
-                            np.tile(tiny_cfg.scenario.cell_ids, 2), np.zeros((rows, 12)),
-                            np.full((rows, 3), 1 / 3), np.zeros(rows)))
+    write_npz(trace, TRACE_VERSION, {
+        "t": np.repeat([1, 2], tiny_cfg.scenario.n_cells),
+        "cell": np.tile(tiny_cfg.scenario.cell_ids, 2), "states": np.zeros((rows, 12)),
+        "actions": np.full((rows, 3), 1 / 3), "rewards": np.zeros(rows)})
     cfg = dataclasses.replace(tiny_cfg, similarity=dataclasses.replace(
         tiny_cfg.similarity, trace=str(trace), min_samples=1))
     code = main(["similarity", "--config", str(_write_tiny_yaml(tmp_path, cfg)),
@@ -1010,6 +1034,28 @@ def test_cli_similarity_rejects_a_trace_of_another_slice_count(
     assert code == DependencyError.exit_code == 11
     assert f"{trace} holds (state, action) rows of widths (12, 3), expected (16, 4)" \
         in capsys.readouterr().err
+
+
+def test_cli_similarity_rejects_a_trace_of_another_scenario(
+        tmp_path, tiny_cfg, full_cfg, capsys, monkeypatch):
+    """A full12 default-action trace has smoke3's widths but not its cells:
+    a smoke3 similarity run fails as an artifact fault naming the file,
+    before the VAE trains."""
+
+    harness.default_action_trace(full_cfg.scenario, 60, 3, tmp_path)
+    trace = tmp_path / "default_trace.npz"
+    cfg = dataclasses.replace(tiny_cfg, similarity=dataclasses.replace(
+        tiny_cfg.similarity, trace=str(trace)))
+
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("vae_train ran on another scenario's trace")
+
+    monkeypatch.setattr(harness.simm, "vae_train", must_not_train)
+    code = main(["similarity", "--config", str(_write_tiny_yaml(tmp_path, cfg)),
+                 "--out", str(tmp_path / "out")])
+    assert code == DependencyError.exit_code == 11
+    assert (f"{trace} does not hold slot-major rows over the scenario's cells "
+            f"[1, 2, 3]") in capsys.readouterr().err
 
 
 def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
@@ -1022,10 +1068,9 @@ def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
 # What each npz reader needs: a valid file to write, the reader, a member it
 # cannot do without, and the version it reads.
 NPZ_READERS = {
-    "trace": (lambda path: save_trace(path, Trace(
-        np.arange(2), np.ones(2, dtype=np.int64), np.zeros((2, 8)),
-        np.full((2, 2), 0.5), np.zeros(2))), lambda path: load_trace(path, 2), "states",
-        TRACE_VERSION),
+    "trace": (lambda path: save_trace(path, rollout(
+        smoke_scenario(), _equal_split(smoke_scenario()), steps=2, seed=0)),
+        lambda path: load_trace(path, smoke_scenario()), "states", TRACE_VERSION),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_agent, "actor", CHECKPOINT_VERSION),
     "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1, dims=(8, 2)).export(path),
@@ -1125,6 +1170,9 @@ MALFORMED_MEMBERS = {
     "2-d-trace-rewards": ("trace", lambda m: m.update(rewards=m["rewards"][:, None])),
     "short-trace-states": ("trace", lambda m: m.update(states=m["states"][:-1])),
     "narrow-trace-actions": ("trace", lambda m: m.update(actions=m["actions"][:, :1])),
+    "cell-major-trace": ("trace", lambda m: m.update(cell=np.sort(m["cell"]))),
+    "short-trace": ("trace", lambda m: m.update(
+        {k: m[k][:-1] for k in ("t", "cell", "states", "actions", "rewards")})),
 }
 
 

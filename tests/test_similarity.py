@@ -13,7 +13,6 @@ from slicetl.errors import (
     EmptySetError,
     SingularityError,
 )
-from slicetl.runner import Trace
 from slicetl.similarity import (
     DistanceMatrix,
     LatentStats,
@@ -133,27 +132,29 @@ def test_distance_rejects_empty_sets():
 # ---------------------------------------------------------------------------
 
 
-def _trace(cells, actions, reward=0.5, n=2):
-    rows = len(cells)
-    return Trace(np.ones(rows, dtype=np.int64), np.array(cells),
-                 np.full((rows, 4 * n), 0.1), np.array(actions, dtype=np.float64),
-                 np.full(rows, reward))
+def _columns(actions, n=2):
+    """One agent's states (T, 4N), actions (T, N) and rewards (T,): state
+    row t is all t, reward t is t / 10."""
+
+    t = np.arange(len(actions), dtype=np.float64)
+    return (np.repeat(t[:, None], 4 * n, axis=1), np.array(actions, dtype=np.float64),
+            t / 10)
 
 
 def test_collect_default_samples_filters_on_action():
-    default = equal_partition(2)
-    records = _trace([1, 1, 2], [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])
-    samples = collect_default_samples(records, default, agent=1)
-    assert samples.shape == (1, 9)  # cell 1's non-default step is dropped
-    assert samples[0, -1] == 0.5  # reward appended as the last feature
-    only_two = collect_default_samples(records, default, agent=2)
-    assert only_two.shape == (1, 9)
+    states, actions, rewards = _columns([[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])
+    samples = collect_default_samples(states, actions, rewards, equal_partition(2))
+    assert samples.shape == (2, 9)  # the non-default step 1 is dropped
+    assert np.array_equal(samples[:, :-1], states[[0, 2]])
+    assert np.array_equal(samples[:, -1], rewards[[0, 2]])  # reward is the last feature
 
 
-def test_collect_default_samples_empty_raises_with_agent():
-    records = _trace([1], [[0.9, 0.1]])
-    with pytest.raises(EmptySetError, match="1"):
-        collect_default_samples(records, equal_partition(2), agent=1)
+def test_collect_default_samples_without_default_steps_is_empty():
+    """No default-action step gives an empty matrix; run_similarity's sample
+    rule rejects it, naming the agent."""
+
+    samples = collect_default_samples(*_columns([[0.9, 0.1]]), equal_partition(2))
+    assert samples.shape == (0, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +189,9 @@ def test_vae_loss_decreases_and_reconstructs():
     assert err < 0.1
 
 
-def test_vae_requires_min_samples():
-    rng = np.random.default_rng(6)
-    samples = _synthetic_samples(rng, n_per=10)
+def test_vae_rejects_an_empty_input():
     with pytest.raises(EmptySetError):
-        vae_train(samples, min_samples=50)
+        vae_train(np.zeros((0, 9)))
 
 
 def test_encode_shapes_and_latent_clusters():
@@ -257,12 +256,14 @@ def test_distance_matrix_and_selection_prefer_nearby_cluster():
         compute_distance_matrix(latents, target=3, candidates=[1, 3])
 
 
-def test_distance_matrix_enforces_min_samples():
+@pytest.mark.parametrize("target, candidates", [(3, [1]), (2, [1, 3])],
+                         ids=["target", "candidate"])
+def test_distance_matrix_rejects_a_missing_agent(target, candidates):
     rng = np.random.default_rng(10)
-    latents = {1: _cluster_latents(rng, np.zeros(2), n=10),
+    latents = {1: _cluster_latents(rng, np.zeros(2)),
                2: _cluster_latents(rng, np.zeros(2))}
-    with pytest.raises(EmptySetError):
-        compute_distance_matrix(latents, target=2, candidates=[1], min_samples=50)
+    with pytest.raises(EmptySetError, match="no latent samples for .*agent 3"):
+        compute_distance_matrix(latents, target=target, candidates=candidates)
 
 
 def test_select_source_tie_breaks_to_lowest_id():

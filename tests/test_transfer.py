@@ -113,6 +113,22 @@ def test_model_transfer_is_a_copy_not_a_view():
     assert not np.array_equal(source.actor.weights[0], target.actor.weights[0])
 
 
+def test_model_transfer_writes_the_target_networks_in_place():
+    """The target keeps its network objects, their parameter vectors and
+    their gradient workspaces; only the parameter values change, to the
+    source's."""
+
+    source, target = _trained(5), _agent(95)
+    before = {name: (net, net.flat, net.grads) for name, net in target.networks().items()}
+    model_transfer(source, target)
+    for name, net in target.networks().items():
+        obj, flat, grads = before[name]
+        assert net is obj and net.flat is flat and net.grads is grads, name
+        assert np.array_equal(net.flat, source.networks()[name].flat), name
+    assert all(target.networks()[name].grads is not None
+               for name in ("actor", "q1", "q2"))
+
+
 def test_model_transfer_resets_optimizer_and_step_count():
     source = _trained(3)
     target = _agent(97)
@@ -352,7 +368,9 @@ def test_fine_tune_collects_all_cell_records():
     fine_tune(target, scenario, _peers(scenario, 3, cfg, 10), steps=5, seed=0,
               log=log)
     assert log.t.tolist() == [1, 2, 3, 4, 5]
-    assert np.array_equal(log.trace().cell, np.tile(scenario.cell_ids, 5))
+    assert log.cells.tolist() == list(scenario.cell_ids)
+    # Every cell's share row of every slot is recorded.
+    assert np.allclose(log.actions.sum(axis=-1), 1.0)
 
 
 def test_fine_tune_explores_only_the_learner():
