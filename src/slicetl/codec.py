@@ -181,6 +181,8 @@ def read_npz(path, version: int) -> NpzMembers:
             raise DependencyError(f"{path} is not an npz archive")
         with data:
             members = NpzMembers(path, {name: data[name] for name in data.files})
+    except FileNotFoundError as exc:
+        raise DependencyError(f"missing {path}") from exc
     except _UNREADABLE as exc:
         raise DependencyError(f"{path} is not a readable npz archive: {exc}") from exc
     found = members["version"]

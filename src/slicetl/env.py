@@ -336,8 +336,8 @@ class NetworkState:
     throughput: np.ndarray  # Mbit/s per user
     delay: np.ndarray  # ms
     load: np.ndarray  # in [0, 1]
-    ues: np.ndarray  # int64 user counts
-    next_ues: np.ndarray  # int64 user counts at step + 1
+    ues: np.ndarray  # user counts, whole floats
+    next_ues: np.ndarray  # user counts at step + 1
     next_demands: np.ndarray  # Mbit/s at step + 1
     rng_state: dict
 
@@ -480,10 +480,8 @@ def _traffic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """UE counts and demands (K, N) at step t; draws the mask noise."""
 
-    # The rounded counts are whole floats, so scaling them gives the bits of
-    # scaling the int64 counts, without the int-to-float cast.
     counts = np.rint(arrays.max_ues * mask_values(t, arrays.masks, rng))
-    return counts.astype(np.int64), counts * arrays.ue_rates
+    return counts, counts * arrays.ue_rates
 
 
 def _metrics(

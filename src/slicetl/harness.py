@@ -16,11 +16,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import __version__, env as envm, similarity as simm
-from .agent import Td3Agent, load_agent, ReplayBuffer, save_agent, select_action
+from .agent import Td3Agent, load_agent, save_agent, select_action
 from .codec import atomic_open, copy_file, read_npz, to_plain, write_npz
 from .csvio import write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
-from .errors import DependencyError, EmptySetError
+from .errors import ConfigurationError, DependencyError, EmptySetError
 from .runner import Act, RunLog, agents_act, learn, record_step, run_slots
 from .scenario import ExperimentConfig
 from .transfer import INSTANCE_STRATEGIES, apply_transfer, fine_tune
@@ -358,8 +358,6 @@ def load_checkpoints(
     agents = {}
     for cid in scenario.cell_ids:
         ckpt = _checkpoint_file(artifacts, cid)
-        if not ckpt.exists():
-            raise DependencyError(f"missing checkpoint {ckpt}")
         agent = load_agent(ckpt, _agent_seed(seed, cid))
         if agent.cell_id != cid:
             raise DependencyError(f"{ckpt} holds the agent of cell {agent.cell_id}")
@@ -373,26 +371,20 @@ def load_checkpoints(
 def load_pretrained(
     artifacts: str | Path, scenario: ScenarioConfig, seed: int
 ) -> dict[int, Td3Agent]:
-    """``load_checkpoints`` with each agent's buffer, which samples like a
-    fresh agent's.
+    """``load_checkpoints`` with each agent's buffer file loaded into the
+    agent's own fresh buffer, which samples like a fresh agent's.
 
-    A cell without a buffer file keeps an empty buffer. A buffer whose rows
-    are not as wide as its agent's (``ReplayBuffer.load``) raises
-    ``DimensionError``; one owned by another cell raises ``DependencyError``
-    naming the file.
+    A cell without a buffer file keeps an empty buffer. A buffer file that
+    the buffer's ``load`` rejects raises its error: ``DimensionError`` for
+    rows not as wide as the agent's, ``DependencyError`` naming the file for
+    one owned by another cell.
     """
 
     agents = load_checkpoints(artifacts, scenario, seed)
     for cid, agent in agents.items():
         buf = _buffer_file(artifacts, cid)
         if buf.exists():
-            agent.buffer = ReplayBuffer.load(
-                buf, agent.config.buffer_capacity, seed=agent.buffer.seed,
-                dims=agent.buffer.dims, evict_threshold=agent.config.batch_size,
-            )
-            if agent.buffer.owner != cid:
-                raise DependencyError(
-                    f"{buf} holds the buffer of cell {agent.buffer.owner}")
+            agent.buffer.load(buf)
     return agents
 
 
@@ -495,6 +487,13 @@ def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
 
 
 def _prepare_out(out: str | Path) -> Path:
+    """The directory ``out``, made if missing; a file in its way raises
+    ``ConfigurationError``."""
+
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigurationError(
+            f"cannot make the output directory {out}: {exc.strerror}") from exc
     return out

@@ -49,7 +49,7 @@ class RunLog:
         self.throughput = np.zeros((slots, k, n))  # Mbit/s per user
         self.delay = np.zeros((slots, k, n))  # ms
         self.load = np.zeros((slots, k, n))
-        self.ues = np.zeros((slots, k, n), dtype=np.int64)
+        self.ues = np.zeros((slots, k, n), dtype=np.int64)  # ints in metrics.csv
 
 
 def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:

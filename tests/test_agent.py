@@ -1,6 +1,7 @@
 """Agent tests: coordination features, replay buffer, TD3 updates."""
 
 import dataclasses
+import re
 from collections import Counter
 from typing import NamedTuple
 
@@ -95,7 +96,7 @@ def _snapshot(throughput, load, ues) -> env.NetworkState:
 
     load = np.array(load, dtype=np.float64)
     zeros = np.zeros_like(load)
-    ues = np.array(ues, dtype=np.int64)
+    ues = np.array(ues, dtype=np.float64)
     return env.NetworkState(0, np.array(throughput, dtype=np.float64), zeros, load,
                             ues, ues, zeros, {})
 
@@ -185,21 +186,52 @@ def test_buffer_sample_empty_raises():
         ReplayBuffer(capacity=2, seed=0, owner=0, dims=DIMS).sample(1)
 
 
+def _assert_same_buffer(loaded, original):
+    """``loaded`` holds ``original``'s transitions, every column, with their
+    origins in the same order."""
+
+    n = len(original)
+    assert len(loaded) == n
+    assert np.array_equal(loaded._origins[:n], original._origins[:n])
+    for a, b in zip(loaded.rows(np.arange(n)), original.rows(np.arange(n))):
+        assert np.array_equal(a, b)
+
+
 def test_buffer_export_load_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     buf = ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS)
-    for origin in (3, 3, 7):
+    for origin in (3, 7, 3):
         buf.add(*_transition(rng, origin=origin))
     path = tmp_path / "buf.npz"
     buf.export(path)
-    loaded = ReplayBuffer.load(path, capacity=10, seed=0, dims=DIMS)
-    assert len(loaded) == 3
-    assert loaded.owner == 3
+    loaded = ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS)
+    loaded.load(path)
     assert loaded.origin_counts() == {3: 2, 7: 1}
-    a, b = buf.rows(np.arange(3)), loaded.rows(np.arange(3))
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.actions, b.actions)
-    assert np.array_equal(a.rewards, b.rewards)
+    _assert_same_buffer(loaded, buf)
+
+
+def test_buffer_loaded_at_capacity_evicts_as_the_original(tmp_path):
+    """A full buffer with foreign rows, exported and loaded, evicts the same
+    row on its next own ``add``: the first foreign one once the owner has
+    its threshold of own rows, else the oldest."""
+
+    rng = np.random.default_rng(14)
+    # With 3 own rows stored, the victim is the first foreign row, then the oldest.
+    for threshold, after in ((3, {3: 4, 7: 1}), (4, {3: 3, 7: 2})):
+        buf = ReplayBuffer(capacity=5, seed=0, owner=3, dims=DIMS,
+                           evict_threshold=threshold)
+        for origin in (3, 7, 3, 7, 3):
+            buf.add(*_transition(rng, origin=origin))
+        path = tmp_path / "buf.npz"
+        buf.export(path)
+        loaded = ReplayBuffer(capacity=5, seed=0, owner=3, dims=DIMS,
+                              evict_threshold=threshold)
+        loaded.load(path)
+        new = _transition(rng, origin=3)
+        buf.add(*new)
+        loaded.add(*new)
+        assert loaded.origin_counts() == after
+        _assert_same_buffer(loaded, buf)
 
 
 def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
@@ -209,9 +241,31 @@ def test_buffer_load_rejects_more_transitions_than_capacity(tmp_path):
         buf.add(*_transition(rng, origin=3))
     path = tmp_path / "buf.npz"
     buf.export(path)
-    assert len(ReplayBuffer.load(path, capacity=5, seed=0, dims=DIMS)) == 5
+    exact = ReplayBuffer(capacity=5, seed=0, owner=3, dims=DIMS)
+    exact.load(path)
+    assert len(exact) == 5
     with pytest.raises(DomainError):
-        ReplayBuffer.load(path, capacity=4, seed=0, dims=DIMS)
+        ReplayBuffer(capacity=4, seed=0, owner=3, dims=DIMS).load(path)
+
+
+def test_buffer_load_checks_the_owner_last(tmp_path):
+    """A file of another owner fails naming it and leaves the buffer empty;
+    one that is also of other widths fails on its widths: the owner is
+    checked last."""
+
+    rng = np.random.default_rng(15)
+    buf = ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS)
+    for _ in range(2):
+        buf.add(*_transition(rng, origin=3))
+    path = tmp_path / "buf.npz"
+    buf.export(path)
+    other = ReplayBuffer(capacity=10, seed=0, owner=4, dims=DIMS)
+    with pytest.raises(DependencyError,
+                       match=re.escape(f"{path} holds the buffer of cell 3")):
+        other.load(path)
+    assert len(other) == 0
+    with pytest.raises(DimensionError):
+        ReplayBuffer(capacity=10, seed=0, owner=4, dims=(12, 3)).load(path)
 
 
 def test_buffer_load_rejects_columns_of_unequal_length(tmp_path):
@@ -229,7 +283,7 @@ def test_buffer_load_rejects_columns_of_unequal_length(tmp_path):
     members["rewards"] = members["rewards"][:3]
     np.savez(path, **members)
     with pytest.raises(DependencyError) as err:
-        ReplayBuffer.load(path, capacity=10, seed=0, dims=DIMS)
+        ReplayBuffer(capacity=10, seed=0, owner=3, dims=DIMS).load(path)
     assert str(path) in str(err.value)
     assert "'states': 5" in str(err.value) and "'rewards': 3" in str(err.value)
 

@@ -1074,7 +1074,7 @@ NPZ_READERS = {
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_agent, "actor", CHECKPOINT_VERSION),
     "buffer": (lambda path: ReplayBuffer(4, seed=0, owner=1, dims=(8, 2)).export(path),
-               lambda path: ReplayBuffer.load(path, capacity=4, seed=0, dims=(8, 2)),
+               lambda path: ReplayBuffer(4, seed=0, owner=1, dims=(8, 2)).load(path),
                "rewards", BUFFER_VERSION),
 }
 
@@ -1090,13 +1090,17 @@ def _rewrite_npz(path, version, drop=None) -> None:
 
 @pytest.mark.parametrize(
     "defect",
-    ["missing-member", "not-an-npz", "corrupt-member", "version-999", "float-version"])
+    ["missing-file", "missing-member", "not-an-npz", "corrupt-member", "version-999",
+     "float-version"])
 @pytest.mark.parametrize("reader", sorted(NPZ_READERS))
 def test_malformed_artifact_raises_dependency_error(tmp_path, reader, defect):
     write, read, member, version = NPZ_READERS[reader]
     path = tmp_path / "artifact.npz"
     write(path)
-    if defect == "missing-member":
+    if defect == "missing-file":
+        path.unlink()
+        match = rf"missing {re.escape(str(path))}$"
+    elif defect == "missing-member":
         _rewrite_npz(path, np.array(version), drop=member)
         match = rf"{re.escape(str(path))} has no member '{member}'"
     elif defect == "not-an-npz":
@@ -1135,8 +1139,7 @@ def _edit_meta(edit):
 
 # Readers of each artifact kind: they must raise DependencyError.
 ARTIFACT_READERS = {
-    "buffer": (_write_buffer,
-               lambda path: ReplayBuffer.load(path, capacity=4, seed=0, dims=(8, 2))),
+    "buffer": (_write_buffer, NPZ_READERS["buffer"][1]),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_agent),
     "trace": NPZ_READERS["trace"][:2],
@@ -1258,6 +1261,36 @@ def test_cli_evaluate_with_a_v1_checkpoint_exit_code(tmp_path, tiny_cfg, capsys)
     _rewrite_npz(checkpoints / "cell_1.npz", np.array(1))
     assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code == 11
     assert "cell_1.npz is version 1, expected version 2" in capsys.readouterr().err
+
+
+def test_cli_evaluate_with_a_missing_checkpoint_exit_code(tmp_path, tiny_cfg, capsys):
+    """A deleted checkpoint is reported by ``codec.read_npz`` like any
+    missing artifact: exit 11, naming the file."""
+
+    path = _write_checkpoints(tmp_path, tiny_cfg) / "cell_2.npz"
+    path.unlink()
+    assert _evaluate_code(tmp_path, tiny_cfg) == DependencyError.exit_code == 11
+    assert f"missing {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_rejects_an_out_that_is_not_a_directory(tmp_path, tiny_cfg, monkeypatch,
+                                                    capsys, below):
+    """An ``--out`` that is a file, or lies below one, fails with exit 2
+    naming the path, before any slot runs."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(harness, "run_slots", must_not_run)
+    cfg_path = _write_tiny_yaml(tmp_path, tiny_cfg)
+    out = tmp_path / "file"
+    out.write_text("not a directory\n")
+    if below:
+        out = out / "sub"
+    code = main(["baseline", "--config", str(cfg_path), "--out", str(out)])
+    assert code == ConfigurationError.exit_code == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_cli_requires_subcommand():
