@@ -255,61 +255,34 @@ NETWORKS = ("actor", "q1", "q2", "target_actor", "target_q1", "target_q2")
 OPTIMIZED = ("actor", "q1", "q2")  # the networks with an Adam state
 
 
-def network_shapes(
-    n_slices: int, config: Td3Config
-) -> dict[str, tuple[tuple[int, ...], str]]:
-    """Layer sizes and head of each network in ``NETWORKS`` of an agent for
-    ``n_slices`` slices; a target network has its online network's."""
-
-    state_dim = 4 * n_slices
-    actor = ((state_dim, *config.actor_hidden, n_slices), "softmax")
-    critic = ((state_dim + n_slices, *config.critic_hidden, 1), "identity")
-    shapes = {"actor": actor, "q1": critic, "q2": critic}
-    return {name: shapes[name.removeprefix("target_")] for name in NETWORKS}
-
-
 class Td3Agent:
     """TD3 learner for one cell's resource partitioning.
 
     ``seed`` spawns three streams: network initialisation, exploration and
-    the replay buffer's sampling seed. An agent built around given
-    ``networks`` (all six, by name) and ``adams`` (one per optimized
-    network) draws no initialisation but keeps the other two streams.
+    the replay buffer's sampling seed. A target network starts as a copy of
+    its online network.
     """
 
-    def __init__(
-        self,
-        cell_id: int,
-        n_slices: int,
-        config: Td3Config,
-        seed: int,
-        networks: dict[str, nn.Mlp] | None = None,
-        adams: dict[str, nn.AdamState] | None = None,
-    ):
+    def __init__(self, cell_id: int, n_slices: int, config: Td3Config, seed: int):
         self.cell_id = cell_id
         self.n_slices = n_slices
         self.config = config
         init_seq, explore_seq, buffer_seq = np.random.SeedSequence(seed).spawn(3)
         self.explore_rng = np.random.default_rng(explore_seq)
-        shapes = network_shapes(n_slices, config)
-        if networks is None:
-            init_rng = np.random.default_rng(init_seq)
-            networks = {name: nn.init_mlp(*shapes[name], init_rng) for name in OPTIMIZED}
-            networks.update({f"target_{name}": networks[name].copy() for name in OPTIMIZED})
-        for name in NETWORKS:
-            expected = shapes[name][0]
-            if networks[name].sizes != expected:
-                raise DimensionError(
-                    f"{name} has layer sizes {networks[name].sizes}, the config "
-                    f"asks for {expected}")
-        (self.actor, self.q1, self.q2, self.target_actor, self.target_q1,
-         self.target_q2) = (networks[name] for name in NETWORKS)
-        if adams is None:
-            adams = {name: nn.AdamState.for_params(networks[name]) for name in OPTIMIZED}
-        self.actor_adam, self.q1_adam, self.q2_adam = (adams[name] for name in OPTIMIZED)
+        init_rng = np.random.default_rng(init_seq)
+        state_dim = 4 * n_slices
+        self.actor = nn.init_mlp([state_dim, *config.actor_hidden, n_slices],
+                                 "softmax", init_rng)
+        critic = [state_dim + n_slices, *config.critic_hidden, 1]
+        self.q1 = nn.init_mlp(critic, "identity", init_rng)
+        self.q2 = nn.init_mlp(critic, "identity", init_rng)
+        online = (self.actor, self.q1, self.q2)
+        self.target_actor, self.target_q1, self.target_q2 = (net.copy() for net in online)
+        self.actor_adam, self.q1_adam, self.q2_adam = (
+            nn.AdamState.for_params(net) for net in online)
         self.buffer = ReplayBuffer(
             config.buffer_capacity, int(buffer_seq.generate_state(1)[0]),
-            owner=cell_id, dims=(4 * n_slices, n_slices),
+            owner=cell_id, dims=(state_dim, n_slices),
             evict_threshold=config.batch_size,
         )
         self.step_count = 0
@@ -468,15 +441,16 @@ def save_agent(agent: Td3Agent, path) -> None:
 
 
 def load_agent(path, seed: int = 0) -> Td3Agent:
-    """The agent of a ``save_agent`` checkpoint, built around its vectors
-    with the random streams of a fresh agent seeded with ``seed``.
+    """The agent of a ``save_agent`` checkpoint: a fresh agent seeded with
+    ``seed`` for the meta's cell, slice count and TD3 config, whose vectors,
+    Adam step counts, step count and frozen actor layers are then
+    overwritten in place from the file.
 
-    Every vector's length follows from the meta's slice count and TD3
-    config. A file that ``codec.read_npz`` rejects (missing, not an npz
-    archive, an unreadable or missing member, another version), a meta that
-    is not JSON, lacks a field or holds one of another type or out of range,
-    and a vector of another length or not of floats raise
-    ``DependencyError``.
+    Every vector's length is the fresh agent's. A file that
+    ``codec.read_npz`` rejects (missing, not an npz archive, an unreadable
+    or missing member, another version), a meta that is not JSON, lacks a
+    field or holds one of another type or out of range, and a vector of
+    another length or not of floats raise ``DependencyError``.
     """
 
     data = read_npz(path, CHECKPOINT_VERSION)
@@ -488,18 +462,13 @@ def load_agent(path, seed: int = 0) -> Td3Agent:
         meta = from_plain(CheckpointMeta, plain, f"{path} meta")
     except ConfigurationError as exc:
         raise DependencyError(str(exc)) from exc
-    networks = {name: nn.Mlp(*shape)
-                for name, shape in network_shapes(meta.n_slices, meta.config).items()}
-    for name, net in networks.items():
+    agent = Td3Agent(meta.cell_id, meta.n_slices, meta.config, seed)
+    for name, net in agent.networks().items():
         net.flat[...] = data.array(name, net.flat.shape, "f")
-    adams = {}
-    for name, t in zip(OPTIMIZED, meta.adam_steps):
-        shape = networks[name].flat.shape
-        m, v = (np.asarray(data.array(f"{name}.{moment}", shape, "f"), dtype=np.float64)
-                for moment in "mv")
-        adams[name] = nn.AdamState(m, v, t)
-    agent = Td3Agent(meta.cell_id, meta.n_slices, meta.config, seed,
-                     networks=networks, adams=adams)
+    for (name, adam), t in zip(agent.adams().items(), meta.adam_steps):
+        adam.m[...] = data.array(f"{name}.m", adam.m.shape, "f")
+        adam.v[...] = data.array(f"{name}.v", adam.v.shape, "f")
+        adam.t = t
     agent.step_count = meta.step_count
     agent.frozen_actor_layers = meta.frozen_actor_layers
     return agent

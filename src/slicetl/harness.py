@@ -408,6 +408,8 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     ``instance`` or ``integrated`` transfer whose source has no buffer file
     raises ``DependencyError`` before any transfer runs. ``checkpoints/``
     gets the target's checkpoint and copies of its peers' from the artifacts.
+    Without ``transfer.source``, the similarity sub-run reads
+    ``similarity.trace``, else the artifacts' trace when there is one.
     """
 
     out = _prepare_out(out)
@@ -424,7 +426,7 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     selected_distance = None
     if source_id is None:
         sim_cfg = cfg
-        if _trace_file(artifacts).exists():
+        if cfg.similarity.trace is None and _trace_file(artifacts).exists():
             sim_cfg = replace(cfg, similarity=replace(
                 cfg.similarity, trace=str(_trace_file(artifacts))))
         distances, source_id = run_similarity(sim_cfg, seed, out / "similarity")

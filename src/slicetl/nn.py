@@ -34,8 +34,8 @@ class Mlp:
     """Fully connected net: ReLU hidden layers, an identity or softmax head.
 
     ``sizes`` are the widths of the input and of each layer's output. The
-    constructor copies ``flat`` (zeros when None), a vector in the layout
-    it fixes: per layer (weight start, bias start, end, weight shape) in
+    constructor allocates ``flat``, a zero vector in the layout it fixes:
+    per layer (weight start, bias start, end, weight shape) in
     ``layout``, ``n_layers``, and the views of ``flat`` as ``weights``,
     ``biases`` and ``(weight, bias)`` pairs of the ReLU layers (``hidden``)
     and of the output layer (``output``). Update ``flat`` in place.
@@ -43,8 +43,7 @@ class Mlp:
     differentiated network (a target network, a greedy peer) holds none.
     """
 
-    def __init__(self, sizes: Sequence[int], head: str = "identity",
-                 flat: np.ndarray | None = None) -> None:
+    def __init__(self, sizes: Sequence[int], head: str = "identity") -> None:
         if head not in HEADS:
             raise DomainError(f"unknown head {head!r}")
         spans = []
@@ -56,7 +55,7 @@ class Mlp:
         self.head = head
         self.sizes = tuple(sizes)
         self.layout = tuple(spans)
-        self.flat = np.zeros(start) if flat is None else np.array(flat, dtype=np.float64)
+        self.flat = np.zeros(start)
         pairs = self.views(self.flat)
         self.weights = [w for w, _ in pairs]
         self.biases = [b for _, b in pairs]
@@ -81,7 +80,9 @@ class Mlp:
                 for w0, b0, end, shape in self.layout]
 
     def copy(self) -> "Mlp":
-        return Mlp(self.sizes, self.head, self.flat)
+        twin = Mlp(self.sizes, self.head)
+        twin.flat[...] = self.flat
+        return twin
 
     def workspace(self) -> np.ndarray:
         """``grads``, allocated (zeroed) with its views ``grad_views`` on the

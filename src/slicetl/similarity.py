@@ -54,8 +54,6 @@ class VaeModel:
 
     encoder: nn.Mlp  # input D -> ... -> 2L (mu | log variance)
     decoder: nn.Mlp  # L -> ... -> D
-    kl_weight: float
-    latent_dim: int
     feature_mean: np.ndarray
     feature_std: np.ndarray
     loss_history: list[float] = field(default_factory=list)
@@ -63,6 +61,10 @@ class VaeModel:
     @property
     def input_dim(self) -> int:
         return self.encoder.in_dim
+
+    @property
+    def latent_dim(self) -> int:
+        return self.encoder.out_dim // 2
 
 
 def collect_default_samples(
@@ -180,7 +182,7 @@ def vae_train(
             nn.adam_step(enc_adam, encoder, lr)
         history.append(epoch_loss / m)
 
-    return VaeModel(encoder, decoder, kl_weight, latent_dim, mean, std, history)
+    return VaeModel(encoder, decoder, mean, std, history)
 
 
 def encode(model: VaeModel, x: np.ndarray) -> LatentStats:

@@ -9,13 +9,14 @@ session-scoped ``pipeline`` fixture.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
 
 from slicetl import harness, nn
 from slicetl import similarity as simm
-from slicetl.agent import Td3Agent, Td3Config, train_step
+from slicetl.agent import Td3Agent, Td3Config, load_agent, save_agent, train_step
 from slicetl.env import (
     baseline_shares,
     check_shares,
@@ -23,6 +24,7 @@ from slicetl.env import (
     slice_rewards,
 )
 from slicetl.harness import rollout
+from slicetl.scenario import EvaluateParams
 from slicetl.transfer import fine_tune, integrated_transfer
 from tests.test_nn import finite_difference_check
 
@@ -298,3 +300,51 @@ def test_criterion_11_determinism_and_persistence(tiny_cfg, tmp_path):
         resaved = tmp_path / f"resaved_{cid}.npz"
         harness.save_agent(harness.load_agent(path), resaved)
         assert resaved.read_bytes() == path.read_bytes()
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.int64)
+
+
+def test_shipped_checkpoints_load_bit_for_bit(pipeline, tmp_path):
+    """At the shipped budget, whose Adam moments hold subnormal entries,
+    each train checkpoint loads into an agent equal to the trained one bit
+    for bit, and re-saving it reproduces the file's bytes."""
+
+    for cid, trained in pipeline["train"].agents.items():
+        path = pipeline["root"] / "train" / "checkpoints" / f"cell_{cid}.npz"
+        loaded = load_agent(path)
+        for name, net in trained.networks().items():
+            assert np.array_equal(_bits(loaded.networks()[name].flat), _bits(net.flat))
+        for name, adam in trained.adams().items():
+            twin = loaded.adams()[name]
+            assert twin.t == adam.t
+            assert np.array_equal(_bits(twin.m), _bits(adam.m))
+            assert np.array_equal(_bits(twin.v), _bits(adam.v))
+        assert (loaded.step_count, loaded.frozen_actor_layers) == (
+            trained.step_count, trained.frozen_actor_layers)
+        resaved = tmp_path / f"cell_{cid}.npz"
+        save_agent(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_shipped_transfer_output_evaluates_to_its_evaluation(pipeline, tmp_path):
+    """Evaluating the shipped transfer's checkpoints at its evaluation seed
+    repeats its evaluation slots, its CDFs and its mean satisfaction byte
+    for byte."""
+
+    cfg, tl_out = pipeline["cfg"], pipeline["root"] / "transfer"
+    harness.run_evaluate(dataclasses.replace(cfg, evaluate=EvaluateParams(str(tl_out))),
+                         seed=2, out=tmp_path)
+    sc = cfg.scenario
+    rows = cfg.phases.evaluation * sc.n_cells * sc.n_slices
+    assert rows == 3000
+    evaluated = (tmp_path / "metrics.csv").read_bytes().splitlines(keepends=True)
+    transferred = (tl_out / "metrics.csv").read_bytes().splitlines(keepends=True)
+    assert evaluated[1:] == transferred[-rows:]
+    for name in ("cdf_throughput.csv", "cdf_delay.csv"):
+        assert (tmp_path / name).read_bytes() == (tl_out / name).read_bytes()
+    meta_eval, meta_tl = (json.loads((out / "run_meta.json").read_text())
+                          for out in (tmp_path, tl_out))
+    assert meta_eval["eval_seed"] == meta_tl["eval_seed"] == 2
+    assert meta_eval["mean_satisfaction"] == meta_tl["mean_satisfaction"]

@@ -720,6 +720,23 @@ def test_run_transfer_ranks_sources_for_the_transfer_target(tmp_path, tiny_cfg,
         assert {int(r["target"]) for r in csv.DictReader(fh)} == {1}
 
 
+def test_run_transfer_reads_a_configured_trace(tmp_path, tiny_cfg, tiny_artifacts):
+    """A configured ``similarity.trace`` wins over the artifacts' trace."""
+
+    other = tmp_path / "other"
+    other.mkdir()
+    harness.default_action_trace(tiny_cfg.scenario, tiny_cfg.similarity.steps, 7, other)
+    trace = str(other / "default_trace.npz")
+    cfg = dataclasses.replace(
+        tiny_cfg,
+        similarity=dataclasses.replace(tiny_cfg.similarity, trace=trace),
+        transfer=dataclasses.replace(tiny_cfg.transfer, artifacts=str(tiny_artifacts)),
+    )
+    harness.run_transfer(cfg, seed=0, out=tmp_path / "out")
+    meta = json.loads((tmp_path / "out" / "similarity" / "run_meta.json").read_text())
+    assert meta["config"]["similarity"]["trace"] == trace
+
+
 def _copy_artifacts(tiny_artifacts, tmp_path):
     artifacts = tmp_path / "artifacts"
     shutil.copytree(tiny_artifacts, artifacts)
@@ -1170,6 +1187,7 @@ MALFORMED_MEMBERS = {
     "short-actor": ("checkpoint", lambda m: m.update(actor=m["actor"][1:])),
     "2-d-q1": ("checkpoint", lambda m: m.update(q1=m["q1"][:, None])),
     "text-m": ("checkpoint", lambda m: m.update({"q2.m": m["q2.m"].astype(str)})),
+    "short-v": ("checkpoint", lambda m: m.update({"q1.v": m["q1.v"][:-1]})),
     "2-d-trace-rewards": ("trace", lambda m: m.update(rewards=m["rewards"][:, None])),
     "short-trace-states": ("trace", lambda m: m.update(states=m["states"][:-1])),
     "narrow-trace-actions": ("trace", lambda m: m.update(actions=m["actions"][:, :1])),

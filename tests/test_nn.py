@@ -412,14 +412,6 @@ def test_weights_are_views_of_the_flat_vector():
                    for w, b in net.views(vec))
 
 
-def test_mlp_constructor_copies_its_arrays():
-    flat = np.ones(9)
-    net = nn.Mlp((2, 3), "identity", flat)
-    assert np.array_equal(net.flat, flat)
-    net.weights[0] += 1.0
-    assert np.all(flat == 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints: the flat vectors through save_agent/load_agent
 # ---------------------------------------------------------------------------
