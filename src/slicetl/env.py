@@ -329,17 +329,20 @@ METRICS = ("throughput", "delay", "load", "ues")
 @dataclass(frozen=True, eq=False)
 class NetworkState:
     """All per-cell per-slice metrics at one time step, as (K, N) arrays in
-    scenario order, the traffic of the next step, already drawn, and the RNG
-    state after that draw."""
+    scenario order, and the traffic already drawn: the block of
+    ``TRAFFIC_BLOCK`` slots that holds step + 1, which consecutive states
+    share, and the RNG state after that block's draw. The traffic arrays
+    are read-only, so no caller can change what another state holds."""
 
     step: int
     throughput: np.ndarray  # Mbit/s per user
     delay: np.ndarray  # ms
     load: np.ndarray  # in [0, 1]
     ues: np.ndarray  # user counts, whole floats
-    next_ues: np.ndarray  # user counts at step + 1
-    next_demands: np.ndarray  # Mbit/s at step + 1
-    rng_state: dict
+    next_ues: np.ndarray  # user counts at step + 1, a row of ``traffic``
+    next_demands: np.ndarray  # Mbit/s at step + 1, a row of ``traffic``
+    traffic: np.ndarray  # (TRAFFIC_BLOCK, 2, K, N) UE counts and demands per slot
+    rng_state: dict  # after the draw of ``traffic``
 
     def total_loads(self) -> np.ndarray:
         """Per-cell sum of the slice loads, added left to right."""
@@ -354,7 +357,7 @@ class NetworkState:
             return NotImplemented
         return (self.step == other.step and self.rng_state == other.rng_state
                 and all(np.array_equal(getattr(self, f), getattr(other, f))
-                        for f in (*METRICS, "next_ues", "next_demands")))
+                        for f in (*METRICS, "next_ues", "next_demands", "traffic")))
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +368,24 @@ class NetworkState:
 
 
 def mask_values(
-    t: int, masks: MaskArrays, rng: np.random.Generator | None
+    t: int | np.ndarray, masks: MaskArrays, rng: np.random.Generator | None
 ) -> np.ndarray:
-    """Sinusoidal traffic scalers in [0, 1] at step t, plus Gaussian noise on
-    the noisy entries (one draw each, row-major) when ``rng`` is given."""
+    """Sinusoidal traffic scalers in [0, 1] at step t (K, N), or at each of
+    a vector of steps (T, K, N), plus Gaussian noise on the noisy entries
+    when ``rng`` is given: one draw each, step by step and row-major."""
 
-    if t < 0:
+    t = np.asarray(t)
+    if np.minimum.reduce(t, axis=None) < 0:
         raise DomainError(f"time step must be >= 0, got {t}")
-    arg = (TWO_PI * t) / masks.period + masks.phase
+    arg = (TWO_PI * t[..., None, None]) / masks.period + masks.phase
     sin = np.fromiter(map(math.sin, arg.ravel().tolist()), np.float64, arg.size)
     value = masks.offset + masks.amplitude * sin.reshape(arg.shape)
     if rng is not None and masks.noise_std.size:
-        noise = masks.noise_std * rng.standard_normal(masks.noise_std.size)
+        noise = masks.noise_std * rng.standard_normal((*t.shape, masks.noise_std.size))
         if noise.size == value.size:  # every entry noisy: no mask to write through
             value += noise.reshape(value.shape)
         else:
-            value[masks.noisy] += noise
+            value[..., masks.noisy] += noise
     return np.minimum(1.0, np.maximum(0.0, value))
 
 
@@ -468,20 +473,26 @@ def baseline_shares(demands: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+TRAFFIC_BLOCK = 64  # slots of traffic drawn at a time
+
 # The one generator ``step`` draws from: repositioned from the state's RNG
-# state at every step, which costs a fraction of building a PCG64, and read
-# back before the step returns, so no draw depends on an earlier step's
-# use. Its seed is never used. Two threads must not step at once.
+# state at each block boundary, which costs a fraction of building a PCG64,
+# and read back before the step returns, so no draw depends on an earlier
+# step's use. Its seed is never used. Two threads must not step at once.
 _SCRATCH = np.random.Generator(np.random.PCG64(0))
 
 
-def _traffic(
-    arrays: ScenarioArrays, t: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """UE counts and demands (K, N) at step t; draws the mask noise."""
+def _traffic_block(
+    arrays: ScenarioArrays, start: int, rng: np.random.Generator
+) -> np.ndarray:
+    """UE counts and demands of the ``TRAFFIC_BLOCK`` slots from ``start``,
+    (TRAFFIC_BLOCK, 2, K, N) and read-only; draws their mask noise."""
 
-    counts = np.rint(arrays.max_ues * mask_values(t, arrays.masks, rng))
-    return counts, counts * arrays.ue_rates
+    masks = mask_values(np.arange(start, start + TRAFFIC_BLOCK), arrays.masks, rng)
+    counts = np.rint(arrays.max_ues * masks)
+    block = np.stack((counts, counts * arrays.ue_rates), axis=1)
+    block.flags.writeable = False
+    return block
 
 
 def _metrics(
@@ -500,15 +511,16 @@ def _metrics(
 
 def init_network(scenario: ScenarioConfig, seed: int) -> NetworkState:
     """Initial state at t=0 under the default equal partition, no interference
-    history; draws the traffic of t=0, then that of t=1."""
+    history; draws the traffic block of slots 0 to ``TRAFFIC_BLOCK - 1``,
+    which holds t=0 and t=1."""
 
     arrays = scenario.arrays
     rng = np.random.default_rng(seed)
-    ues, demands = _traffic(arrays, 0, rng)
+    traffic = _traffic_block(arrays, 0, rng)
+    ues, demands = traffic[0]
     k, n = demands.shape
     metrics = _metrics(arrays, np.full((k, n), 1.0 / n), np.zeros(k), demands, ues)
-    return NetworkState(0, *metrics, ues, *_traffic(arrays, 1, rng),
-                        rng.bit_generator.state)
+    return NetworkState(0, *metrics, ues, *traffic[1], traffic, rng.bit_generator.state)
 
 
 def peek_demands(state: NetworkState) -> np.ndarray:
@@ -525,8 +537,9 @@ def step(
     (K, N); returns (new state, per-cell rewards).
 
     The slot's traffic is the one ``state`` holds; interference is computed
-    from the previous step's neighbor total loads. The new state draws the
-    traffic of the step after it.
+    from the previous step's neighbor total loads. The new state reads the
+    traffic of the step after it from the state's block; only when that
+    step starts a block does it draw the next ``TRAFFIC_BLOCK`` slots.
     """
 
     arrays = scenario.arrays
@@ -534,8 +547,12 @@ def step(
     tp, delay, load = _metrics(arrays, shares, state.total_loads(),
                                state.next_demands, state.next_ues)
     rewards = slice_rewards(tp, delay, arrays.throughput_target, arrays.delay_target)
-    bits = _SCRATCH.bit_generator
-    bits.state = state.rng_state
-    ues, demands = _traffic(arrays, state.step + 2, _SCRATCH)
-    return NetworkState(state.step + 1, tp, delay, load, state.next_ues, ues, demands,
-                        bits.state), rewards
+    after = state.step + 2
+    traffic, rng_state = state.traffic, state.rng_state
+    if after % TRAFFIC_BLOCK == 0:
+        bits = _SCRATCH.bit_generator
+        bits.state = rng_state
+        traffic = _traffic_block(arrays, after, _SCRATCH)
+        rng_state = bits.state
+    return NetworkState(state.step + 1, tp, delay, load, state.next_ues,
+                        *traffic[after % TRAFFIC_BLOCK], traffic, rng_state), rewards

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, env as envm, similarity as simm
 from .agent import Td3Agent, load_agent, save_agent, select_action
 from .codec import atomic_open, copy_file, read_npz, to_plain, write_npz
-from .csvio import write_csv
+from .csvio import column_text, write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
 from .errors import ConfigurationError, DependencyError, EmptySetError
 from .runner import Act, RunLog, agents_act, learn, record_step, run_slots
@@ -70,8 +70,18 @@ def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, levels
 
 
-def write_cdf_csv(path, values: np.ndarray, column: str) -> None:
-    write_csv(path, (column, "cdf"), [empirical_cdf(values)])
+def write_cdf_csvs(samples: dict[Path, tuple[str, np.ndarray]]) -> None:
+    """For each ``path: (column, values)``, a csv of the sorted sample values
+    under ``column`` and their empirical ``cdf`` levels. All samples have
+    one size, so the levels are formatted once; a sample of another size
+    raises ``ValueError`` and leaves its file unwritten."""
+
+    levels_text = None
+    for path, (column, values) in samples.items():
+        values, levels = empirical_cdf(values)
+        if levels_text is None:
+            levels_text = column_text(levels)
+        write_csv(path, (column, "cdf"), [(values, levels_text)])
 
 
 def write_run_meta(out: Path, cfg: ExperimentConfig, seed: int, **extra) -> None:
@@ -210,8 +220,8 @@ def _evaluate_and_write(
     write_metrics_csv(out / "metrics.csv",
                       [evaluation] if learning is None else [learning, evaluation])
     max_delay = evaluation.delay.max(axis=-1)
-    write_cdf_csv(out / "cdf_throughput.csv", evaluation.rewards, "satisfaction")
-    write_cdf_csv(out / "cdf_delay.csv", max_delay, "max_delay_ms")
+    write_cdf_csvs({out / "cdf_throughput.csv": ("satisfaction", evaluation.rewards),
+                    out / "cdf_delay.csv": ("max_delay_ms", max_delay)})
     write_run_meta(out, cfg, seed, **meta, eval_seed=eval_seed,
                    mean_satisfaction=float(evaluation.rewards.mean()),
                    mean_max_delay=float(max_delay.mean()))

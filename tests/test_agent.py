@@ -98,7 +98,7 @@ def _snapshot(throughput, load, ues) -> env.NetworkState:
     zeros = np.zeros_like(load)
     ues = np.array(ues, dtype=np.float64)
     return env.NetworkState(0, np.array(throughput, dtype=np.float64), zeros, load,
-                            ues, ues, zeros, {})
+                            ues, ues, zeros, np.stack((ues, zeros))[None], {})
 
 
 def test_neighbor_features_are_mean_loads():

@@ -72,9 +72,25 @@ def test_traffic_mask_noise_is_seed_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("noisy", [lambda i, n: (i + n) % 2 == 0, lambda i, n: True],
+                         ids=["some-noisy", "all-noisy"])
+def test_traffic_mask_of_steps_stacks_one_step_calls(noisy):
+    """A vector of steps gives the one-step results in turn, noise drawn
+    step by step and row-major, and leaves the generator where they do."""
+
+    masks = _graph_scenario(3, [(0, 1)], noisy).arrays.masks
+    steps, one = np.random.default_rng(8), np.random.default_rng(8)
+    got = env.mask_values(np.arange(5, 12), masks, steps)
+    want = np.stack([env.mask_values(t, masks, one) for t in range(5, 12)])
+    assert _same_bits(got, want)
+    assert steps.bit_generator.state == one.bit_generator.state
+
+
 def test_traffic_mask_rejects_negative_time():
     with pytest.raises(DomainError):
         _mask(-1, TrafficMaskParams())
+    with pytest.raises(DomainError):
+        env.mask_values(np.array([3, -1]), MaskArrays.of([[TrafficMaskParams()]]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +340,50 @@ def test_peek_demands_matches_realized_ue_counts():
 
 def test_state_holds_the_next_slots_traffic(monkeypatch):
     """Each state carries the traffic of the step after it: a peek reads it
-    without drawing, and the step uses it and draws only the slot after."""
+    without drawing, a step inside a traffic block draws nothing, and the
+    step whose next slot starts a block draws that one block."""
 
     scenario = smoke_scenario()
     actions = _rows(*[equal_partition(scenario.n_slices)] * scenario.n_cells)
     state = env.init_network(scenario, seed=11)
     draws = []
     mask_values = env.mask_values
-    monkeypatch.setattr(env, "mask_values",
-                        lambda *args: draws.append(args[0]) or mask_values(*args))
+    monkeypatch.setattr(env, "mask_values", lambda *args: draws.append(
+        np.asarray(args[0]).tolist()) or mask_values(*args))
     peeked = env.peek_demands(state)
     assert draws == []
     assert np.array_equal(peeked, state.next_ues * scenario.arrays.ue_rates)
     peeked[...] = 0.0  # the caller's own copy: the step does not see this
     stepped, _ = env.step(state, actions, scenario)
-    assert draws == [2]
+    assert draws == []
     assert np.array_equal(stepped.ues, state.next_ues)
     assert np.array_equal(stepped.ues * scenario.arrays.ue_rates, state.next_demands)
     assert stepped == env.step(env.init_network(scenario, seed=11), actions, scenario)[0]
+    block = env.TRAFFIC_BLOCK
+    assert draws == [list(range(block))]  # the fresh network's block 0
+    draws.clear()
+    while stepped.step < block - 2:
+        stepped, _ = env.step(stepped, actions, scenario)
+    assert draws == [] and stepped.traffic is state.traffic
+    boundary, _ = env.step(stepped, actions, scenario)
+    assert draws == [list(range(block, 2 * block))]
+    assert boundary.step == block - 1 and boundary.traffic is not state.traffic
+    assert np.array_equal(boundary.ues, stepped.next_ues)
+
+
+def test_traffic_is_read_only():
+    """States share their traffic block, so no caller may write into it;
+    a peek is the caller's own copy."""
+
+    scenario = smoke_scenario()
+    state = env.init_network(scenario, seed=2)
+    state, _ = env.step(state, env.baseline_shares(env.peek_demands(state)), scenario)
+    for name in ("ues", "next_ues", "next_demands", "traffic"):
+        with pytest.raises(ValueError):
+            getattr(state, name)[0, 0] = 1.0
+    peeked = env.peek_demands(state)
+    peeked[0, 0] = -1.0
+    assert env.peek_demands(state)[0, 0] != -1.0
 
 
 def test_interference_couples_through_previous_load():
@@ -450,13 +492,16 @@ def _check_state(state, metrics):
 
 def _check_next_traffic(scenario, state, t, rng):
     """``state`` holds the reference traffic of step t, drawn from ``rng``
-    (not advanced), and the generator state after that draw."""
+    (not advanced), and the generator state after the draw of the traffic
+    block that holds step t."""
 
     after = copy.deepcopy(rng)
     ues, demands = (np.stack(column) for column in
                     zip(*_ref_traffic(scenario, t, after)))
     assert _same_bits(state.next_ues, ues)
     assert _same_bits(state.next_demands, demands)
+    for later in range(t + 1, (t // env.TRAFFIC_BLOCK + 1) * env.TRAFFIC_BLOCK):
+        _ref_traffic(scenario, later, after)
     assert state.rng_state == after.bit_generator.state
 
 
@@ -587,18 +632,19 @@ MIXED_DEGREE = _graph_scenario(6, [(0, 1), (1, 2), (1, 3), (3, 4)],
     # every mask is noisy.
     (_graph_scenario(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], lambda i, n: True),
      True),
-    # Four groups scattered into place.
+    # Four groups scattered into place; noisy and quiet masks.
     (MIXED_DEGREE, False),
 ], ids=["lone-cell", "ring", "mixed-degree"])
 def test_array_slot_path_matches_reference_on_fixed_graphs(scenario, one_group):
-    """Both neighbour paths, the single group and the scatter, on every run;
-    the first slot starves one slice that has demand."""
+    """Both neighbour paths, the single group and the scatter, on every run,
+    past two traffic-block boundaries; the first slot starves one slice
+    that has demand."""
 
     assert (len(scenario.arrays.neighbor_groups) == 1) == one_group
     k, n = scenario.n_cells, scenario.n_slices
     rng = np.random.default_rng(3)
     share_rows = []
-    for t in range(6):
+    for t in range(2 * env.TRAFFIC_BLOCK + 3):
         weights = rng.uniform(0.0, 1.0, (k, n))
         weights[:, 2] = np.maximum(weights[:, 2], 0.1)  # rows never all zero
         if t == 0:
@@ -609,8 +655,8 @@ def test_array_slot_path_matches_reference_on_fixed_graphs(scenario, one_group):
 
 def test_interleaved_networks_step_as_if_alone():
     """``step`` draws from one scratch generator: two networks stepped in
-    turn each see the states (RNG state included), rewards and next-slot
-    traffic they see when stepped alone."""
+    turn, past a traffic-block boundary, each see the states (RNG state
+    included), rewards and next-slot traffic they see when stepped alone."""
 
     runs = ((smoke_scenario(), 5), (full_scenario(), 6))
 
@@ -620,12 +666,12 @@ def test_interleaved_networks_step_as_if_alone():
     alone = []
     for scenario, seed in runs:
         state, slots = env.init_network(scenario, seed), []
-        for _ in range(20):
+        for _ in range(70):
             state, rewards = step_baseline(state, scenario)
             slots.append((state, rewards))
         alone.append(slots)
     states = [env.init_network(scenario, seed) for scenario, seed in runs]
-    for t in range(20):
+    for t in range(70):
         for i, (scenario, _) in enumerate(runs):
             states[i], rewards = step_baseline(states[i], scenario)
             want, want_rewards = alone[i][t]

@@ -48,7 +48,7 @@ from slicetl.harness import (
     run_baseline,
     run_evaluate,
     save_trace,
-    write_cdf_csv,
+    write_cdf_csvs,
     write_metrics_csv,
 )
 from slicetl.runner import RunLog, agents_act, record_step, run_slots
@@ -264,12 +264,26 @@ def test_empirical_cdf_oracle():
 
 def test_cdf_csv_round_trip(tmp_path):
     values = np.array([0.5, 0.25, 0.75])
-    path = tmp_path / "cdf.csv"
-    write_cdf_csv(path, values, "satisfaction")
+    path, delays = tmp_path / "cdf.csv", tmp_path / "delay.csv"
+    write_cdf_csvs({path: ("satisfaction", values),
+                    delays: ("max_delay_ms", np.array([[4.0], [2.0], [9.0]]))})
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["satisfaction"]) for r in rows] == [0.25, 0.5, 0.75]
     assert [float(r["cdf"]) for r in rows] == [1 / 3, 2 / 3, 1.0]
+    with open(delays) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["max_delay_ms"]) for r in rows] == [2.0, 4.0, 9.0]
+    assert [float(r["cdf"]) for r in rows] == [1 / 3, 2 / 3, 1.0]
+
+
+def test_cdf_csvs_of_unequal_sizes_are_refused(tmp_path):
+    """The levels are formatted once, for one sample size."""
+
+    with pytest.raises(ValueError):
+        write_cdf_csvs({tmp_path / "a.csv": ("satisfaction", np.ones(3)),
+                        tmp_path / "b.csv": ("max_delay_ms", np.ones(4))})
+    assert not (tmp_path / "b.csv").exists()
 
 
 def _equal_split(scenario):
@@ -425,8 +439,10 @@ def test_rollout_is_deterministic():
 
 
 def test_record_step_copies_the_slot():
-    """The log holds copies: overwriting every yielded slot's arrays after
-    ``record_step`` leaves the log as it was."""
+    """The log holds copies: overwriting every writable array of each
+    yielded slot after ``record_step`` leaves the log as it was. The UE
+    counts are rows of the read-only traffic block, so no caller can
+    overwrite them."""
 
     scenario = smoke_scenario()
     expected = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
@@ -435,8 +451,10 @@ def test_record_step_copies_the_slot():
         record_step(log, slot)
         slots.append(slot)
     for slot in slots:
+        assert not slot.net_state.ues.flags.writeable
         for array in (slot.states, slot.actions, slot.rewards, slot.next_states,
-                      *(getattr(slot.net_state, name) for name in METRICS)):
+                      *(getattr(slot.net_state, name) for name in METRICS
+                        if name != "ues")):
             array[...] = -1
     for name in ("t", "states", "actions", "rewards", *METRICS):
         assert np.array_equal(getattr(log, name), getattr(expected, name)), name
