@@ -114,7 +114,8 @@ def vae_train(
     if not len(x):
         raise EmptySetError("no samples to train the VAE on")
     mean, std = _standardize_stats(x)
-    xs = (x - mean) / std
+    xs = x - mean
+    xs /= std
     d = xs.shape[1]
 
     rng = np.random.default_rng(seed)
@@ -250,7 +251,19 @@ def kl_mean_simplified(
 
 def kl_distance(source: LatentStats, target: LatentStats) -> float:
     """Mean pairwise KL(source sample || target sample) over two posterior
-    sets (n, L), in closed form."""
+    sets (n, L), in closed form.
+
+    With vp, vq the variances, the (Ns, Nt) pair block is
+    0.5 * (((log_term - L) + quad) + trace), where
+    log_term = sum(log vq) - sum(log vp), quad = (A - B) + C with
+    A = mu_s^2 @ (1/vq)^T, B = (2 mu_s) @ (mu_t/vq)^T, C = sum(mu_t^2/vq),
+    and trace = vp @ (1/vq)^T. Memory: at most two (Ns, Nt) float64
+    blocks are live. Each product is written into one of them and the
+    rest is summed in place in that grouping, so the result has the bits
+    of the one-expression form. No ufunc broadcasts a vector over a block,
+    since numpy buffers such an operand (64 KiB each): C is copied into
+    the free block and log_term is written row by row.
+    """
 
     mu_s, sig_s, mu_t, sig_t = source.mu, source.sigma, target.mu, target.sigma
     if mu_s.ndim != 2 or mu_t.ndim != 2:
@@ -261,22 +274,24 @@ def kl_distance(source: LatentStats, target: LatentStats) -> float:
         raise DimensionError("latent dimensions differ between sets")
     if np.any(sig_t <= 0):
         raise SingularityError("a target sample has a zero-variance dimension")
-    vp = sig_s**2  # (Ns, L)
-    vq = sig_t**2  # (Nt, L)
-    with np.errstate(divide="ignore"):
-        log_vp = np.log(vp)
-        log_vq = np.log(vq)
     l = mu_s.shape[1]
-    log_term = log_vq.sum(axis=1)[None, :] - log_vp.sum(axis=1)[:, None]
-    inv_vq = 1.0 / vq
-    quad = (
-        (mu_s**2 @ inv_vq.T)
-        - 2.0 * mu_s @ (mu_t * inv_vq).T
-        + np.sum(mu_t**2 * inv_vq, axis=1)[None, :]
-    )
-    trace = vp @ inv_vq.T
-    kl = 0.5 * (log_term - l + quad + trace)
-    return float(np.mean(kl))
+    inv_vq = 1.0 / sig_t**2  # (Nt, L)
+    quad = mu_s**2 @ inv_vq.T  # A
+    block = np.matmul(2.0 * mu_s, (mu_t * inv_vq).T, out=np.empty_like(quad))  # B
+    quad -= block
+    block[...] = np.sum(mu_t**2 * inv_vq, axis=1)  # C, one row per source sample
+    quad += block
+    with np.errstate(divide="ignore"):
+        log_vq_sum = np.log(sig_t**2).sum(axis=1)
+        log_vp_sum = np.log(sig_s**2).sum(axis=1)
+    for row, log_vp_i in zip(block, log_vp_sum):
+        np.subtract(log_vq_sum, log_vp_i, out=row)  # log_term
+    block -= l
+    block += quad
+    np.matmul(sig_s**2, inv_vq.T, out=quad)  # trace
+    block += quad
+    block *= 0.5
+    return float(np.mean(block))
 
 
 @dataclass
@@ -289,6 +304,8 @@ class DistanceMatrix:
 
     def __post_init__(self) -> None:
         for i, d in self.entries.items():
+            if not math.isfinite(d):
+                raise NumericError(f"distance for source {i} is not finite: {d}")
             if d < 0:
                 raise DomainError(f"negative distance for source {i}")
 
@@ -338,16 +355,16 @@ def write_distances_csv(path, distances: DistanceMatrix) -> None:
 
 def write_latents_csv(path, latents: dict[int, LatentStats]) -> None:
     """One row per sample, agent by agent in the dict's order: the agent id,
-    then the sample's posterior mu and sigma."""
+    then the sample's posterior mu and sigma. Each agent's set is one block
+    of ``write_csv``, so only one set's text is held at a time."""
 
     if not latents:
         raise EmptySetError("no latents to write")
-    sets = list(latents.values())
-    mu = np.concatenate([s.mu for s in sets])
-    sigma = np.concatenate([s.sigma for s in sets])
-    l = mu.shape[1]
+    l = next(iter(latents.values())).mu.shape[1]
+    if any(s.mu.shape[1] != l for s in latents.values()):
+        raise DimensionError("latent dimensions differ between sets")
     write_csv(
         path,
         ["agent", *(f"mu_{j}" for j in range(l)), *(f"sigma_{j}" for j in range(l))],
-        [(np.repeat(list(latents), [len(s.mu) for s in sets]), *mu.T, *sigma.T)],
+        ((np.full(len(s.mu), agent), *s.mu.T, *s.sigma.T) for agent, s in latents.items()),
     )

@@ -1,6 +1,9 @@
 """Similarity tests: Gaussian KL truths, VAE training, distance matrices."""
 
 import csv
+import io
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from slicetl.errors import (
     DimensionError,
     DomainError,
     EmptySetError,
+    NumericError,
     SingularityError,
 )
 from slicetl.similarity import (
@@ -26,6 +30,7 @@ from slicetl.similarity import (
     select_source,
     vae_train,
     write_distances_csv,
+    write_latents_csv,
 )
 
 
@@ -119,6 +124,62 @@ def test_exact_distance_matches_pairwise_brute_force():
     brute = np.mean([[kl_gaussian(p, q) for q in tgt] for p in src])
     assert kl_distance(_set(src), _set(tgt)) == \
         pytest.approx(float(brute), rel=1e-10)
+
+
+def _kl_distance_reference(source, target):
+    """The distance as one expression over whole (Ns, Nt) temporaries."""
+
+    mu_s, sig_s, mu_t, sig_t = source.mu, source.sigma, target.mu, target.sigma
+    vp = sig_s**2
+    vq = sig_t**2
+    with np.errstate(divide="ignore"):
+        log_vp = np.log(vp)
+        log_vq = np.log(vq)
+    l = mu_s.shape[1]
+    log_term = log_vq.sum(axis=1)[None, :] - log_vp.sum(axis=1)[:, None]
+    inv_vq = 1.0 / vq
+    quad = (
+        (mu_s**2 @ inv_vq.T)
+        - 2.0 * mu_s @ (mu_t * inv_vq).T
+        + np.sum(mu_t**2 * inv_vq, axis=1)[None, :]
+    )
+    trace = vp @ inv_vq.T
+    kl = 0.5 * (log_term - l + quad + trace)
+    return float(np.mean(kl))
+
+
+def _random_set(rng, n, l=4):
+    return LatentStats(rng.standard_normal((n, l)), rng.uniform(0.05, 3.0, (n, l)))
+
+
+@pytest.mark.parametrize("ns, nt", [(1, 1), (7, 5), (5, 7), (300, 250)])
+def test_distance_equals_one_expression_reference(ns, nt):
+    """The in-place distance has the bits of the one-expression form."""
+
+    rng = np.random.default_rng(ns * 1000 + nt)
+    for _ in range(5):
+        source, target = _random_set(rng, ns), _random_set(rng, nt)
+        assert kl_distance(source, target) == _kl_distance_reference(source, target)
+
+
+def _traced_peak(call):
+    """Peak traced bytes of a second call; the first pays numpy's lazy
+    set-up."""
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distance_holds_at_most_two_pair_blocks():
+    rng = np.random.default_rng(13)
+    source, target = _random_set(rng, 600), _random_set(rng, 500)
+    peak = _traced_peak(lambda: kl_distance(source, target))
+    assert peak <= 2 * 600 * 500 * 8 + 64 * 1024
 
 
 def test_distance_rejects_empty_sets():
@@ -266,6 +327,22 @@ def test_distance_matrix_rejects_a_missing_agent(target, candidates):
         compute_distance_matrix(latents, target=target, candidates=candidates)
 
 
+@pytest.mark.parametrize("candidates", [[1, 2], [2, 1]], ids=["first", "last"])
+@pytest.mark.parametrize("field, value", [("mu", np.nan), ("sigma", np.inf)])
+def test_distance_matrix_rejects_a_non_finite_distance(candidates, field, value):
+    """A NaN distance is refused whatever the candidates' order; ordering it
+    against the finite one would pick the source by that order."""
+
+    rng = np.random.default_rng(11)
+    latents = {i: _cluster_latents(rng, np.zeros(2)) for i in (1, 2, 3)}
+    getattr(latents[2], field)[4, 1] = value
+    with np.errstate(invalid="ignore"):  # inf - inf in the sigma case
+        assert math.isnan(kl_distance(latents[2], latents[3]))
+        with pytest.raises(NumericError, match="source 2 is not finite") as err:
+            compute_distance_matrix(latents, target=3, candidates=candidates)
+    assert err.value.exit_code == 6
+
+
 def test_select_source_tie_breaks_to_lowest_id():
     dm = DistanceMatrix(target=9, entries={5: 1.0, 2: 1.0, 7: 3.0},
                         counts={9: 60, 5: 60, 2: 60, 7: 60})
@@ -286,3 +363,42 @@ def test_distances_csv_round_trip(tmp_path):
         assert distance.hex() == entries[int(row["source"])].hex()
     assert rows[0]["source"] == "1" and rows[0]["target"] == "3"
     assert rows[1]["n_source"] == "55"
+
+
+def _latent_sets(rng, sizes):
+    return {agent: _random_set(rng, n, l=3) for agent, n in sizes.items()}
+
+
+def test_latents_csv_matches_csv_writer(tmp_path):
+    """Sets of unequal sizes, one a single row, in the dict's (unsorted)
+    order: the file is csv.writer's, floats by repr."""
+
+    rng = np.random.default_rng(14)
+    latents = _latent_sets(rng, {4: 5, 2: 1, 7: 3})
+    latents[7].mu[0, 0] = -0.0
+    path = tmp_path / "latents.csv"
+    write_latents_csv(path, latents)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["agent", "mu_0", "mu_1", "mu_2", "sigma_0", "sigma_1", "sigma_2"])
+    for agent, s in latents.items():
+        writer.writerows([agent, *map(repr, mu), *map(repr, sigma)]
+                         for mu, sigma in zip(s.mu.tolist(), s.sigma.tolist()))
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_latents_csv_rejects_sets_of_other_latent_widths(tmp_path):
+    rng = np.random.default_rng(15)
+    latents = {1: _random_set(rng, 3, l=3), 2: _random_set(rng, 3, l=2)}
+    with pytest.raises(DimensionError):
+        write_latents_csv(tmp_path / "latents.csv", latents)
+    assert not (tmp_path / "latents.csv").exists()
+
+
+def test_latents_csv_is_written_one_set_at_a_time(tmp_path):
+    """Twelve sets of 300 rows: only one set's text is held at a time."""
+
+    rng = np.random.default_rng(16)
+    latents = _latent_sets(rng, dict.fromkeys(range(1, 13), 300))
+    peak = _traced_peak(lambda: write_latents_csv(tmp_path / "latents.csv", latents))
+    assert peak < 1_000_000
