@@ -386,7 +386,9 @@ def mask_values(
             value += noise.reshape(value.shape)
         else:
             value[..., masks.noisy] += noise
-    return np.minimum(1.0, np.maximum(0.0, value))
+    # + 0.0 makes a -0.0 that np.maximum may keep +0.0, as max(0.0, value)
+    # gives; every other value is unchanged.
+    return np.minimum(1.0, np.maximum(0.0, value)) + 0.0
 
 
 def interference(gains: np.ndarray, neighbor_loads: np.ndarray) -> np.ndarray:

@@ -337,12 +337,17 @@ def run_similarity(
     columns = [scenario.cell_ids.index(i) for i in agents]
     samples = [simm.collect_default_samples(states[:, k], actions[:, k], rewards[:, k],
                                             equal) for k in columns]
+    del states, actions, rewards  # the samples are all the run reads of the trace
     _require_samples({i: len(x) for i, x in zip(agents, samples)}, sim.min_samples)
+    # One pooled matrix; each agent's samples are a view of its rows.
+    pooled = np.concatenate(samples)
+    samples = np.split(pooled, np.cumsum([len(x) for x in samples[:-1]]))
     model = simm.vae_train(
-        np.concatenate(samples), kl_weight=sim.kl_weight, epochs=sim.epochs,
+        pooled, kl_weight=sim.kl_weight, epochs=sim.epochs,
         seed=seed, latent_dim=sim.latent_dim, batch_size=sim.batch_size, lr=sim.lr,
     )
     latents = {i: simm.encode_samples(model, x) for i, x in zip(agents, samples)}
+    del pooled, samples  # the distances read only the latents
     distances = simm.compute_distance_matrix(latents, target, candidates)
     source = simm.select_source(distances)
     simm.write_distances_csv(out / "distances.csv", distances)
@@ -420,6 +425,12 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     gets the target's checkpoint and copies of its peers' from the artifacts.
     Without ``transfer.source``, the similarity sub-run reads
     ``similarity.trace``, else the artifacts' trace when there is one.
+
+    The run drops each agent once it is done with it. The target's loaded
+    agent goes right after loading: only its peers act. The scratch learner
+    goes once its fine-tune has recorded its reward curve and ``diverged``,
+    before ``gain.csv`` is written. ``RunResult.agents`` holds the peers and
+    the transferred learner, in the scenario's cell order.
     """
 
     out = _prepare_out(out)
@@ -430,7 +441,8 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
         )
     artifacts = Path(cfg.transfer.artifacts)
     target_id = cfg.similarity_target
-    pretrained = load_pretrained(artifacts, scenario, seed)
+    peers = load_pretrained(artifacts, scenario, seed)
+    del peers[target_id]
 
     source_id = cfg.transfer.source
     selected_distance = None
@@ -449,11 +461,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
             f"transitions, but its buffer {source_buffer} does not exist")
 
     steps = cfg.phases.tl_training
-    peers = {i: a for i, a in pretrained.items() if i != target_id}
-
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
-    apply_transfer(pretrained[source_id], tl_agent, cfg.transfer, seed)
+    apply_transfer(peers[source_id], tl_agent, cfg.transfer, seed)
     learning = RunLog(scenario, steps)
     tl_trace = fine_tune(tl_agent, scenario, peers, steps, seed, learning)
 
@@ -462,6 +472,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     scratch_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                              _agent_seed(seed + 1, target_id))
     scratch_trace = fine_tune(scratch_agent, scenario, peers, steps, seed)
+    diverged = {run: a.diverged for run, a in (("tl", tl_agent), ("scratch", scratch_agent))
+                if a.diverged is not None}
+    del scratch_agent
 
     write_csv(out / "gain.csv", ("t", "reward_tl", "reward_scratch", "gain"),
               [(np.arange(1, tl_trace.size + 1), tl_trace, scratch_trace,
@@ -472,13 +485,11 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     for cid in peers:
         copy_file(_checkpoint_file(artifacts, cid), _checkpoint_file(out, cid))
 
-    agents = {**pretrained, target_id: tl_agent}
+    agents = {cid: tl_agent if cid == target_id else peers[cid]
+              for cid in scenario.cell_ids}
     evaluation = _evaluate_and_write(
         cfg, seed, out, agents_act(scenario, agents), seed + 1, learning,
-        method="tl", source=source_id, target=target_id,
-        diverged={run: a.diverged for run, a in (("tl", tl_agent),
-                                                 ("scratch", scratch_agent))
-                  if a.diverged is not None},
+        method="tl", source=source_id, target=target_id, diverged=diverged,
         selected_distance=selected_distance,
     )
     return RunResult(evaluation, learning, agents, source_id, tl_trace, scratch_trace)

@@ -10,15 +10,17 @@ w0, b0, w1, b1, ... Its gradients (``grads``, the workspace that
 (``AdamState.m`` and ``v``) are vectors in the same layout. Per-layer arrays
 exist only as views of such a vector, cut by ``Mlp.views``; ``weights[i]``
 and ``biases[i]`` are the views of ``flat``. So an Adam step or a Polyak
-average is a few vector operations instead of a loop over layers. Every
-update is elementwise and keeps the per-layer order of operations, so the
-flat layout computes the same bits as per-layer arrays.
+average is a few vector operations instead of a loop over layers. An Adam
+state holds only its moments and step count; ``adam_step``'s temporaries
+live for one call. Every update is elementwise and keeps the per-layer
+order of operations, so the flat layout computes the same bits as
+per-layer arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,18 +236,13 @@ class AdamState:
     """Bias-corrected Adam accumulators of one network.
 
     The moments ``m`` and ``v`` are vectors in the layout of the network's
-    ``flat``, and ``t`` counts the steps taken; ``scratch`` holds two more
-    such vectors that ``adam_step`` writes its temporaries into. Every
-    state uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    ``flat``, and ``t`` counts the steps taken. Every state uses
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def for_params(cls, params: Mlp) -> "AdamState":
@@ -276,7 +273,7 @@ def adam_step(
 
     The update is ``m = m*b1 + (1-b1)*g``, ``v = v*b2 + ((1-b2)*g)*g`` and
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, evaluated in that order with
-    the temporaries in ``adam.scratch``.
+    two temporaries that live for this call only.
     """
 
     g = params.grads
@@ -296,7 +293,10 @@ def adam_step(
     c2 = 1.0 - b2**adam.t
     start = params.layer_offset(frozen_layers)
     m, v, g, p = adam.m[start:], adam.v[start:], g[start:], params.flat[start:]
-    s1, s2 = adam.scratch[0, start:], adam.scratch[1, start:]
+    # Rows taken by index: unpacking the block raises and catches an
+    # IndexError per call, which costs about a microsecond.
+    s = np.empty((2, p.size))
+    s1, s2 = s[0], s[1]
     np.multiply(g, 1.0 - b1, out=s1)
     m *= b1
     m += s1

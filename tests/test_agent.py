@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 from collections import Counter
 from typing import NamedTuple
 
@@ -24,7 +25,7 @@ from slicetl.agent import (
 )
 from slicetl.errors import DependencyError, DimensionError, DomainError, EmptySetError
 from slicetl.runner import assemble_all_states
-from slicetl.scenario import smoke_scenario
+from slicetl.scenario import load_config, smoke_scenario
 
 
 class Row(NamedTuple):
@@ -490,6 +491,25 @@ def test_critic_learns_two_state_chain_values():
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+
+def test_agent_holds_only_its_vectors():
+    """A smoke3 agent allocates its six parameter vectors, the gradient
+    workspaces and Adam moments m and v of its three trained networks, and
+    a little object overhead: Adam's temporaries live for one call."""
+
+    cfg = load_config("smoke3")
+    n = cfg.scenario.n_slices
+    Td3Agent(1, n, cfg.td3, seed=0)  # the first build pays numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        agent = Td3Agent(1, n, cfg.td3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trained = sum(net.flat.nbytes for net in (agent.actor, agent.q1, agent.q2))
+    # 2 parameter copies + 1 gradient workspace + 2 moments, per trained network.
+    assert peak <= 5 * trained + 32 * 1024
 
 
 def test_agent_save_load_round_trip(tmp_path):

@@ -595,6 +595,24 @@ def test_array_slot_path_matches_per_cell_reference(scenario, seed, data):
                      data.draw(st.lists(_shares(k, n), min_size=1, max_size=4)))
 
 
+def test_a_mask_at_negative_zero_gives_unsigned_zero_traffic():
+    """A mask whose value is -0.0 clamps to +0.0, as the reference's
+    ``max(0.0, value)`` does: no UE count, demand or metric carries the sign
+    bit, so ``metrics.csv`` never writes ``-0.0``."""
+
+    scenario = env.ScenarioConfig(cells=(env.CellConfig(
+        cell_id=1, bandwidth=1.0, requirements=(env.SliceRequirement(1.0, 1.0),),
+        max_ues_per_slice=1, base_snr_db=0.0, ue_rates=(0.0,),
+        masks=(env.TrafficMaskParams(period=1, amplitude=0.0, offset=-0.0),)),))
+    state = env.init_network(scenario, 0)
+    for name in ("next_ues", "next_demands"):
+        assert not np.signbit(getattr(state, name)).any(), name
+    state, _ = env.step(state, np.ones((1, 1)), scenario)
+    for name in ("throughput", "ues", "next_ues", "next_demands"):
+        assert not np.signbit(getattr(state, name)).any(), name
+    _check_slot_path(scenario, 0, [np.ones((1, 1))])
+
+
 def _graph_scenario(k, edges, noisy):
     """K cells of three slices on an undirected graph; each cell lists its
     neighbours in descending order, and ``noisy(i, n)`` says which masks

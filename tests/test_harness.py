@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import re
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -847,6 +849,46 @@ def test_run_transfer_explores_only_the_learner(tmp_path, tiny_cfg, tiny_artifac
         assert untouched == (cid != tiny_cfg.similarity_target)
 
 
+def test_run_transfer_releases_the_agents_it_is_done_with(tmp_path, tiny_cfg,
+                                                        tiny_artifacts, monkeypatch):
+    """By the evaluation, the target's loaded agent and the finished scratch
+    learner are gone; the evaluated agents are the peers and the transferred
+    learner, in the scenario's cell order."""
+
+    target = tiny_cfg.similarity_target
+    loaded, built, checked = {}, [], []
+
+    def keep_loaded(*args, **kwargs):
+        agent = load_agent(*args, **kwargs)
+        loaded[agent.cell_id] = weakref.ref(agent)
+        return agent
+
+    def keep_built(*args, **kwargs):
+        agent = Td3Agent(*args, **kwargs)
+        built.append(weakref.ref(agent))
+        return agent
+
+    evaluate_and_write = harness._evaluate_and_write
+
+    def evaluate_after_release(*args, **kwargs):
+        gc.collect()
+        assert loaded[target]() is None, "the target's loaded agent is alive"
+        assert built[1]() is None, "the scratch learner is alive"
+        checked.append(True)
+        return evaluate_and_write(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_agent", keep_loaded)
+    monkeypatch.setattr(harness, "Td3Agent", keep_built)
+    monkeypatch.setattr(harness, "_evaluate_and_write", evaluate_after_release)
+    result = harness.run_transfer(_transfer_cfg(tiny_cfg, tiny_artifacts), seed=0,
+                                  out=tmp_path)
+    assert checked and len(built) == 2
+    assert list(result.agents) == list(tiny_cfg.scenario.cell_ids)
+    assert result.agents[target] is built[0]()
+    assert all(result.agents[cid] is loaded[cid]()
+               for cid in tiny_cfg.scenario.cell_ids if cid != target)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_run_transfer_without_the_source_buffer(tmp_path, tiny_cfg, tiny_artifacts,
                                                 monkeypatch, strategy):
@@ -901,6 +943,30 @@ def test_run_similarity_selects_a_source(tmp_path, tiny_cfg):
         rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(v))
                         for r in rows for k, v in r.items() if k != "agent")
+
+
+def test_run_similarity_encodes_views_of_the_pooled_samples(tmp_path, tiny_cfg,
+                                                           monkeypatch):
+    """The VAE trains on one pooled sample matrix, and each agent's samples
+    handed to encode_samples are a view of its rows, not a copy."""
+
+    pooled, encoded = [], []
+    vae_train, encode_samples = harness.simm.vae_train, harness.simm.encode_samples
+
+    def keep_pooled(x, **kwargs):
+        pooled.append(x)
+        return vae_train(x, **kwargs)
+
+    def keep_encoded(model, x):
+        encoded.append(x)
+        return encode_samples(model, x)
+
+    monkeypatch.setattr(harness.simm, "vae_train", keep_pooled)
+    monkeypatch.setattr(harness.simm, "encode_samples", keep_encoded)
+    harness.run_similarity(tiny_cfg, seed=0, out=tmp_path / "sim")
+    assert len(pooled) == 1 and len(encoded) == 3
+    assert all(np.shares_memory(x, pooled[0]) for x in encoded)
+    assert np.array_equal(np.concatenate(encoded), pooled[0])
 
 
 def test_run_similarity_checks_sample_counts_before_training(tmp_path, tiny_cfg,
