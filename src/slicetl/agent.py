@@ -286,7 +286,6 @@ class Td3Agent:
             evict_threshold=config.batch_size,
         )
         self.step_count = 0
-        self.train_calls = 0
         self.frozen_actor_layers = 0
         self.diverged: str | None = None  # the error that stopped its training
 
@@ -331,8 +330,10 @@ def soft_update(target: nn.Mlp, online: nn.Mlp, tau: float) -> nn.Mlp:
 def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | None]:
     """One TD3 update from a batch; returns (q1 loss, q2 loss, actor loss).
 
-    The actor (and the target nets) update only every ``policy_delay``-th
-    call; on other calls the third element is None.
+    The actor (and the target nets) update only on every ``policy_delay``-th
+    completed update, counted by the critic's Adam step count
+    ``q1_adam.t``, which a checkpoint keeps; on other calls the third
+    element is None.
     """
 
     s, _, r, s2, sa = batch
@@ -368,9 +369,8 @@ def train_step(agent: Td3Agent, batch: Batch) -> tuple[float, float, float | Non
     nn.adam_step(agent.q1_adam, agent.q1, cfg.critic_lr)
     nn.adam_step(agent.q2_adam, agent.q2, cfg.critic_lr)
 
-    agent.train_calls += 1
     actor_loss = None
-    if agent.train_calls % cfg.policy_delay == 0:
+    if agent.q1_adam.t % cfg.policy_delay == 0:
         pi, actor_cache = nn.mlp_forward(agent.actor, s)
         q, q_cache = nn.mlp_forward(agent.q1, np.concatenate([s, pi], axis=1))
         actor_loss = -(float(np.add.reduce(q, axis=None)) / b)

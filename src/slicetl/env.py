@@ -261,7 +261,9 @@ class ScenarioArrays:
             bandwidth=array([[c.bandwidth] for c in cells]),
             snr_linear=array([c.snr_linear for c in cells]),
             max_ues=array([[c.max_ues_per_slice] for c in cells]),
-            ue_rates=array([c.ue_rates for c in cells]),
+            # + 0.0 turns a -0.0 rate, which the >= 0 check lets through,
+            # into +0.0, so no demand or metric carries its sign.
+            ue_rates=array([c.ue_rates for c in cells]) + 0.0,
             masks=MaskArrays.of([c.masks for c in cells]),
             throughput_target=array(
                 [[r.throughput_target for r in c.requirements] for c in cells]),

@@ -20,7 +20,12 @@ from .agent import Td3Agent, load_agent, save_agent, select_action
 from .codec import atomic_open, copy_file, read_npz, to_plain, write_npz
 from .csvio import column_text, write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
-from .errors import ConfigurationError, DependencyError, EmptySetError
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    DependencyError,
+    EmptySetError,
+)
 from .runner import Act, RunLog, agents_act, learn, record_step, run_slots
 from .scenario import ExperimentConfig
 from .transfer import INSTANCE_STRATEGIES, apply_transfer, fine_tune
@@ -57,8 +62,12 @@ def _metrics_blocks(logs: Sequence[RunLog]) -> Iterator[tuple]:
 
 def write_metrics_csv(path, logs: Sequence[RunLog]) -> None:
     """One row per (step, cell, slice) of each run log in turn; floats in
-    their shortest round-trip ``repr``."""
+    their shortest round-trip ``repr``. A trace log holds no metric columns
+    and raises ``ContractViolationError``."""
 
+    if any(log.throughput is None for log in logs):
+        raise ContractViolationError("metrics.csv is written from metrics logs; "
+                                     "a trace log holds no metric columns")
     write_csv(path, METRICS_HEADER, _metrics_blocks(logs))
 
 
@@ -97,10 +106,14 @@ def write_run_meta(out: Path, cfg: ExperimentConfig, seed: int, **extra) -> None
 
 
 def save_trace(path, log: RunLog) -> None:
-    """Write ``log``'s states, actions and rewards as a trace file: flat
-    columns ``t``, ``cell``, ``states``, ``actions`` and ``rewards`` with one
-    row per (slot, cell), slot-major."""
+    """Write the trace log ``log``'s states, actions and rewards as a trace
+    file: flat columns ``t``, ``cell``, ``states``, ``actions`` and
+    ``rewards`` with one row per (slot, cell), slot-major. A log without
+    states raises ``ContractViolationError``."""
 
+    if log.states is None:
+        raise ContractViolationError("a trace file is written from a trace log; "
+                                     "this log holds no states")
     slots, k, n = log.actions.shape
     write_npz(path, TRACE_VERSION, {
         "t": np.repeat(log.t, k), "cell": np.tile(log.cells, slots),
@@ -157,10 +170,13 @@ def baseline_act(t: int, net_state: NetworkState, states: np.ndarray) -> np.ndar
     return envm.baseline_shares(envm.peek_demands(net_state))
 
 
-def rollout(scenario: ScenarioConfig, act: Act, steps: int, seed: int) -> RunLog:
-    """Run fixed policies for ``steps`` slots and log every cell's metrics."""
+def rollout(
+    scenario: ScenarioConfig, act: Act, steps: int, seed: int, *, trace: bool = False
+) -> RunLog:
+    """Run fixed policies for ``steps`` slots and log every slot: every
+    cell's metrics, or with ``trace`` the states a trace file holds."""
 
-    log = RunLog(scenario, steps)
+    log = RunLog(scenario, steps, trace=trace)
     for slot in run_slots(scenario, seed, steps, act):
         record_step(log, slot)
     return log
@@ -170,12 +186,13 @@ def default_action_trace(
     scenario: ScenarioConfig, steps: int, seed: int, out: Path
 ) -> RunLog:
     """Rollout in which every cell holds the equal split, so that the
-    similarity pipeline has comparable samples from all agents; its log is
-    saved as ``out``'s trace file."""
+    similarity pipeline has comparable samples from all agents. Its trace
+    log (states, actions, rewards; no metrics) is saved as ``out``'s trace
+    file and returned; this is the one producer of ``default_trace.npz``."""
 
     n = scenario.n_slices
     equal = np.full((scenario.n_cells, n), 1.0 / n)
-    log = rollout(scenario, lambda t, net_state, states: equal, steps, seed)
+    log = rollout(scenario, lambda t, net_state, states: equal, steps, seed, trace=True)
     save_trace(_trace_file(out), log)
     return log
 
@@ -331,7 +348,7 @@ def run_similarity(
         _require_samples({i: sim.steps for i in agents}, sim.min_samples)
         log = default_action_trace(scenario, sim.steps, seed, out)
         states, actions, rewards = log.states, log.actions, log.rewards
-        del log  # its metric columns are not needed while the VAE trains
+        del log  # the next del then frees its columns
 
     equal = equal_partition(scenario.n_slices)
     columns = [scenario.cell_ids.index(i) for i in agents]

@@ -4,7 +4,8 @@ the learners' store-and-train step.
 A run (rollout, MADRL training, fine-tuning) is a for-loop over the slots
 that ``run_slots`` yields under one ``act`` hook. Everything per slot is an
 array over the K cells in scenario order: states (K, 4N), shares (K, N),
-rewards (K,). A ``RunLog`` holds the logged slots as (T, K, ...) columns.
+rewards (K,). A ``RunLog`` holds the logged slots as (T, K, ...) columns:
+the states for a trace file, the network's metrics for ``metrics.csv``.
 """
 
 from __future__ import annotations
@@ -37,19 +38,33 @@ Act = Callable[[int, NetworkState, np.ndarray], np.ndarray]
 class RunLog:
     """The logged slots of one run as preallocated (T, K, ...) columns over
     the cells in scenario order; ``record_step`` copies slot t into row
-    t - 1."""
+    t - 1.
 
-    def __init__(self, scenario: ScenarioConfig, slots: int) -> None:
+    A log holds only the columns of the file it is written to. Every log
+    holds ``t``, ``actions`` and ``rewards``. A trace log, built with
+    ``trace`` set, adds the ``states`` the cells acted on, the rest of a
+    trace file; any other log adds the four metric columns of
+    ``metrics.csv`` instead. The columns a log does not hold are None.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, slots: int, *, trace: bool = False) -> None:
         k, n = scenario.n_cells, scenario.n_slices
         self.cells = scenario.arrays.cell_ids  # (K,) int64
         self.t = np.zeros(slots, dtype=np.int64)
-        self.states = np.zeros((slots, k, 4 * n))  # the states the cells acted on
         self.actions = np.zeros((slots, k, n))
         self.rewards = np.zeros((slots, k))
-        self.throughput = np.zeros((slots, k, n))  # Mbit/s per user
-        self.delay = np.zeros((slots, k, n))  # ms
-        self.load = np.zeros((slots, k, n))
-        self.ues = np.zeros((slots, k, n), dtype=np.int64)  # ints in metrics.csv
+        self.states: np.ndarray | None = None  # the states the cells acted on
+        self.throughput: np.ndarray | None = None  # Mbit/s per user
+        self.delay: np.ndarray | None = None  # ms
+        self.load: np.ndarray | None = None
+        self.ues: np.ndarray | None = None  # ints in metrics.csv
+        if trace:
+            self.states = np.zeros((slots, k, 4 * n))
+        else:
+            self.throughput = np.zeros((slots, k, n))
+            self.delay = np.zeros((slots, k, n))
+            self.load = np.zeros((slots, k, n))
+            self.ues = np.zeros((slots, k, n), dtype=np.int64)
 
 
 def assemble_all_states(scenario: ScenarioConfig, net_state: NetworkState) -> np.ndarray:
@@ -109,13 +124,18 @@ def agents_act(
 
 
 def record_step(log: RunLog, slot: Slot) -> None:
-    """Copy ``slot`` into row ``slot.t - 1`` of ``log``."""
+    """Copy ``slot`` into row ``slot.t - 1`` of ``log``: its time, actions
+    and rewards, then the states of a trace log or the network's metrics of
+    any other."""
 
-    row, net = slot.t - 1, slot.net_state
+    row = slot.t - 1
     log.t[row] = slot.t
-    log.states[row] = slot.states
     log.actions[row] = slot.actions
     log.rewards[row] = slot.rewards
+    if log.states is not None:
+        log.states[row] = slot.states
+        return
+    net = slot.net_state
     log.throughput[row] = net.throughput
     log.delay[row] = net.delay
     log.load[row] = net.load

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 ACTION_MATCH_TOL = 1e-9
+KL_ROW_BLOCK = 64  # source rows of the KL pair block built at a time
 
 
 @dataclass(frozen=True)
@@ -257,12 +258,14 @@ def kl_distance(source: LatentStats, target: LatentStats) -> float:
     0.5 * (((log_term - L) + quad) + trace), where
     log_term = sum(log vq) - sum(log vp), quad = (A - B) + C with
     A = mu_s^2 @ (1/vq)^T, B = (2 mu_s) @ (mu_t/vq)^T, C = sum(mu_t^2/vq),
-    and trace = vp @ (1/vq)^T. Memory: at most two (Ns, Nt) float64
-    blocks are live. Each product is written into one of them and the
-    rest is summed in place in that grouping, so the result has the bits
-    of the one-expression form. No ufunc broadcasts a vector over a block,
-    since numpy buffers such an operand (64 KiB each): C is copied into
-    the free block and log_term is written row by row.
+    and trace = vp @ (1/vq)^T. Memory: the one (Ns, Nt) float64 output
+    block and one (``KL_ROW_BLOCK``, Nt) temporary. The block is built
+    ``KL_ROW_BLOCK`` source rows at a time: each product is written into
+    those rows of the output or into the temporary, and the rest is summed
+    in place in that grouping and operand order, so the result has the
+    bits of the one-expression form. No ufunc broadcasts a vector over a block, since
+    numpy buffers such an operand (64 KiB each): C is copied into the
+    temporary and log_term is written row by row.
     """
 
     mu_s, sig_s, mu_t, sig_t = source.mu, source.sigma, target.mu, target.sigma
@@ -276,22 +279,30 @@ def kl_distance(source: LatentStats, target: LatentStats) -> float:
         raise SingularityError("a target sample has a zero-variance dimension")
     l = mu_s.shape[1]
     inv_vq = 1.0 / sig_t**2  # (Nt, L)
-    quad = mu_s**2 @ inv_vq.T  # A
-    block = np.matmul(2.0 * mu_s, (mu_t * inv_vq).T, out=np.empty_like(quad))  # B
-    quad -= block
-    block[...] = np.sum(mu_t**2 * inv_vq, axis=1)  # C, one row per source sample
-    quad += block
+    scaled_mu_t = (mu_t * inv_vq).T
+    c = np.sum(mu_t**2 * inv_vq, axis=1)
     with np.errstate(divide="ignore"):
         log_vq_sum = np.log(sig_t**2).sum(axis=1)
         log_vp_sum = np.log(sig_s**2).sum(axis=1)
-    for row, log_vp_i in zip(block, log_vp_sum):
-        np.subtract(log_vq_sum, log_vp_i, out=row)  # log_term
-    block -= l
-    block += quad
-    np.matmul(sig_s**2, inv_vq.T, out=quad)  # trace
-    block += quad
-    block *= 0.5
-    return float(np.mean(block))
+    kl = np.empty((len(mu_s), len(mu_t)))
+    work = np.empty((min(KL_ROW_BLOCK, len(mu_s)), len(mu_t)))
+    for start in range(0, len(mu_s), KL_ROW_BLOCK):
+        rows = slice(start, start + KL_ROW_BLOCK)
+        out = kl[rows]
+        tmp = work[:len(out)]
+        np.matmul(mu_s[rows]**2, inv_vq.T, out=out)  # A
+        np.matmul(2.0 * mu_s[rows], scaled_mu_t, out=tmp)  # B
+        out -= tmp
+        tmp[...] = c  # C, one row per source sample
+        out += tmp
+        for row, log_vp_i in zip(tmp, log_vp_sum[rows]):
+            np.subtract(log_vq_sum, log_vp_i, out=row)  # log_term
+        tmp -= l
+        tmp += out
+        np.matmul(sig_s[rows]**2, inv_vq.T, out=out)  # trace
+        tmp += out
+        np.multiply(tmp, 0.5, out=out)
+    return float(np.mean(kl))
 
 
 @dataclass

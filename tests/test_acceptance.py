@@ -166,7 +166,8 @@ def test_criterion_06_similarity_clustering_twelve_cells(full_cfg):
     equal = np.tile(a_prime, (sc.n_cells, 1))
     sim = full_cfg.similarity
     for seed in (0, 1, 2):
-        log = rollout(sc, lambda t, net_state, states: equal, sim.steps, seed)
+        log = rollout(sc, lambda t, net_state, states: equal, sim.steps, seed,
+                      trace=True)
         samples = {
             c.cell_id: simm.collect_default_samples(
                 log.states[:, k], log.actions[:, k], log.rewards[:, k], a_prime)
@@ -202,7 +203,8 @@ def test_criterion_07_clone_source_selection(smoke_cfg):
     a_prime = equal_partition(sc.n_slices)
     equal = np.tile(a_prime, (sc.n_cells, 1))
     for seed in (0, 1, 2):
-        log = rollout(sc, lambda t, net_state, states: equal, sim.steps, seed)
+        log = rollout(sc, lambda t, net_state, states: equal, sim.steps, seed,
+                      trace=True)
         samples = {
             c.cell_id: simm.collect_default_samples(
                 log.states[:, k], log.actions[:, k], log.rewards[:, k], a_prime)

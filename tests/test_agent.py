@@ -535,6 +535,22 @@ def test_agent_save_load_round_trip(tmp_path):
     )
 
 
+def test_a_loaded_agent_keeps_its_policy_delay_phase(tmp_path):
+    """After 3 updates at policy delay 2, the next update moves the actor;
+    a checkpoint of the agent carries that phase in its Adam step counts,
+    so the loaded agent's next update moves its actor too."""
+
+    rng = np.random.default_rng(12)
+    agent = Td3Agent(7, 2, Td3Config(policy_delay=2), seed=7)
+    batch = _batch([_transition(rng) for _ in range(8)])
+    for _ in range(3):
+        train_step(agent, batch)
+    save_agent(agent, tmp_path / "agent.npz")
+    loaded = load_agent(tmp_path / "agent.npz", seed=7)
+    assert train_step(agent, batch)[2] is not None
+    assert train_step(loaded, batch)[2] is not None
+
+
 def test_load_agent_fills_a_fresh_agent(tmp_path):
     """The explore stream and the buffer seed are those of a fresh agent
     with the same seed; the vectors are the checkpoint's."""

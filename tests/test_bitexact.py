@@ -36,7 +36,7 @@ def _twin(agent):
     rng = np.random.default_rng()
     rng.bit_generator.state = agent.explore_rng.bit_generator.state
     twin = SimpleNamespace(
-        config=agent.config, explore_rng=rng, train_calls=agent.train_calls,
+        config=agent.config, explore_rng=rng, train_calls=agent.q1_adam.t,
         frozen_actor_layers=agent.frozen_actor_layers,
         buffer=ref.ReplayBuffer(agent.buffer.capacity, agent.buffer.seed,
                                 agent.buffer.owner, agent.buffer.evict_threshold),
@@ -74,7 +74,7 @@ def _assert_same(agent, twin):
         assert got.t == want.t
         assert got.m.tobytes() == want.m.tobytes(), name
         assert got.v.tobytes() == want.v.tobytes(), name
-    assert agent.train_calls == twin.train_calls
+    assert agent.q1_adam.t == twin.train_calls  # the policy-delay phase
     assert agent.explore_rng.bit_generator.state == twin.explore_rng.bit_generator.state
     _assert_same_buffers(agent.buffer, twin.buffer)
 

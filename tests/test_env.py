@@ -20,6 +20,7 @@ from slicetl.env import (
     equal_partition,
 )
 from slicetl.errors import ActionError, ConfigurationError, DomainError
+from slicetl.harness import rollout, write_metrics_csv
 from slicetl.scenario import full_scenario, smoke_scenario
 
 
@@ -611,6 +612,26 @@ def test_a_mask_at_negative_zero_gives_unsigned_zero_traffic():
     for name in ("throughput", "ues", "next_ues", "next_demands"):
         assert not np.signbit(getattr(state, name)).any(), name
     _check_slot_path(scenario, 0, [np.ones((1, 1))])
+
+
+def test_a_negative_zero_ue_rate_gives_unsigned_zero_demands(tmp_path):
+    """A UE rate of -0.0 passes the >= 0 check and is stored as +0.0: no
+    demand, metric or reward carries the sign bit, so ``metrics.csv`` never
+    writes ``-0.0``."""
+
+    scenario = env.ScenarioConfig(cells=(env.CellConfig(
+        cell_id=1, bandwidth=1.0, requirements=(env.SliceRequirement(1.0, 1.0),),
+        max_ues_per_slice=2, base_snr_db=0.0, ue_rates=(-0.0,),
+        masks=(env.TrafficMaskParams(period=1, amplitude=0.0, offset=0.5),)),))
+    state = env.init_network(scenario, 0)
+    assert not np.signbit(state.next_demands).any()
+    state, rewards = env.step(state, np.ones((1, 1)), scenario)
+    for name in ("throughput", "load", "next_demands"):
+        assert not np.signbit(getattr(state, name)).any(), name
+    assert not np.signbit(rewards).any()
+    log = rollout(scenario, lambda t, net_state, states: np.ones((1, 1)), 3, 0)
+    write_metrics_csv(tmp_path / "metrics.csv", [log])
+    assert "-0.0" not in (tmp_path / "metrics.csv").read_text()
 
 
 def _graph_scenario(k, edges, noisy):

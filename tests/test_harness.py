@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from slicetl.csvio import write_csv
 from slicetl.env import METRICS, equal_partition
 from slicetl.errors import (
     ConfigurationError,
+    ContractViolationError,
     DependencyError,
     DimensionError,
     EmptySetError,
@@ -404,7 +406,7 @@ def test_trace_round_trip(tmp_path):
     back as the log's (T, K, ...) columns."""
 
     scenario = smoke_scenario()
-    log = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
+    log = rollout(scenario, _equal_split(scenario), steps=4, seed=1, trace=True)
     path = tmp_path / "trace.npz"
     save_trace(path, log)
     k = scenario.n_cells
@@ -420,6 +422,23 @@ def test_trace_round_trip(tmp_path):
         assert np.array_equal(column, getattr(log, name)), name
 
 
+def test_a_log_is_written_only_to_the_file_of_its_kind(tmp_path):
+    """A metrics log holds no states, so it makes no trace file; a trace
+    log holds no metric columns, so it makes no ``metrics.csv``. Neither
+    file is left behind."""
+
+    scenario = smoke_scenario()
+    metrics = rollout(scenario, _equal_split(scenario), steps=2, seed=0)
+    trace = rollout(scenario, _equal_split(scenario), steps=2, seed=0, trace=True)
+    assert metrics.states is None
+    assert all(getattr(trace, name) is None for name in METRICS)
+    with pytest.raises(ContractViolationError):
+        save_trace(tmp_path / "trace.npz", metrics)
+    with pytest.raises(ContractViolationError):
+        write_metrics_csv(tmp_path / "metrics.csv", [metrics, trace])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_trace_missing_file(tmp_path):
     with pytest.raises(DependencyError):
         load_trace(tmp_path / "nope.npz", smoke_scenario())
@@ -433,33 +452,85 @@ def test_load_trace_missing_file(tmp_path):
 def test_rollout_is_deterministic():
     scenario = smoke_scenario()
     act = _equal_split(scenario)
-    a = rollout(scenario, act, steps=10, seed=5)
-    b = rollout(scenario, act, steps=10, seed=5)
+    a = rollout(scenario, act, steps=10, seed=5, trace=True)
+    b = rollout(scenario, act, steps=10, seed=5, trace=True)
     assert np.array_equal(a.rewards, b.rewards) and np.array_equal(a.states, b.states)
-    c = rollout(scenario, act, steps=10, seed=6)
+    c = rollout(scenario, act, steps=10, seed=6, trace=True)
     assert not np.array_equal(a.rewards, c.rewards)
 
 
 def test_record_step_copies_the_slot():
-    """The log holds copies: overwriting every writable array of each
-    yielded slot after ``record_step`` leaves the log as it was. The UE
-    counts are rows of the read-only traffic block, so no caller can
-    overwrite them."""
+    """Each kind of log holds copies of its columns: overwriting every
+    writable array of each yielded slot after ``record_step`` leaves the
+    log as it was. The UE counts are rows of the read-only traffic block,
+    so no caller can overwrite them."""
 
     scenario = smoke_scenario()
-    expected = rollout(scenario, _equal_split(scenario), steps=4, seed=1)
-    log, slots = RunLog(scenario, 4), []
-    for slot in run_slots(scenario, 1, 4, _equal_split(scenario)):
-        record_step(log, slot)
-        slots.append(slot)
-    for slot in slots:
-        assert not slot.net_state.ues.flags.writeable
-        for array in (slot.states, slot.actions, slot.rewards, slot.next_states,
-                      *(getattr(slot.net_state, name) for name in METRICS
-                        if name != "ues")):
-            array[...] = -1
-    for name in ("t", "states", "actions", "rewards", *METRICS):
-        assert np.array_equal(getattr(log, name), getattr(expected, name)), name
+    for trace, columns in ((False, METRICS), (True, ("states",))):
+        expected = rollout(scenario, _equal_split(scenario), steps=4, seed=1, trace=trace)
+        log, slots = RunLog(scenario, 4, trace=trace), []
+        for slot in run_slots(scenario, 1, 4, _equal_split(scenario)):
+            record_step(log, slot)
+            slots.append(slot)
+        for slot in slots:
+            assert not slot.net_state.ues.flags.writeable
+            for array in (slot.states, slot.actions, slot.rewards, slot.next_states,
+                          *(getattr(slot.net_state, name) for name in METRICS
+                            if name != "ues")):
+                array[...] = -1
+        for name in ("t", "actions", "rewards", *columns):
+            assert np.array_equal(getattr(log, name), getattr(expected, name)), name
+
+
+def _traced_peak(call):
+    """Peak traced bytes of a second call, and its result; the first pays
+    numpy's lazy set-up."""
+
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _column_bytes(scenario, slots: int, widths) -> int:
+    """Bytes of the time, action and reward columns every log holds, plus
+    one (slots, K, width) float64 column per entry of ``widths``."""
+
+    k, n = scenario.n_cells, scenario.n_slices
+    return 8 * slots * (1 + k * n + k + sum(k * w for w in widths))
+
+
+def test_an_evaluation_rollout_allocates_no_states(full_cfg):
+    """A 300-slot full12 evaluation holds time, actions, rewards and the
+    four metric columns; its peak stays below what a states column more
+    would take."""
+
+    scenario = full_cfg.scenario
+    n = scenario.n_slices
+    peak, log = _traced_peak(
+        lambda: evaluate_policies(scenario, _equal_split(scenario), steps=300, seed=0))
+    assert peak < _column_bytes(scenario, 300, [n] * len(METRICS) + [4 * n])
+    assert log.states is None
+
+
+def test_a_default_action_trace_allocates_no_metric_columns(tmp_path, full_cfg,
+                                                            monkeypatch):
+    """The 300-slot full12 default-action rollout holds time, states,
+    actions and rewards; its peak, before the file is written, stays below
+    what the four metric columns more would take."""
+
+    scenario = full_cfg.scenario
+    n = scenario.n_slices
+    saved = []
+    monkeypatch.setattr(harness, "save_trace", lambda path, log: saved.append(log))
+    peak, log = _traced_peak(
+        lambda: harness.default_action_trace(scenario, 300, 0, tmp_path))
+    assert peak < _column_bytes(scenario, 300, [4 * n] + [n] * len(METRICS))
+    assert saved[-1] is log
+    assert all(getattr(log, name) is None for name in METRICS)
 
 
 def test_evaluate_policies_summary_shapes():
@@ -702,11 +773,11 @@ def test_run_madrl_stops_only_the_diverging_agent(tmp_path, tiny_cfg, monkeypatc
     assert meta["diverged"] == {"2": "non-finite critic loss; step aborted"}
     agents = result.agents
     assert agents[2].diverged == "non-finite critic loss; step aborted"
-    assert (calls[2], agents[2].train_calls) == (3, 2)
+    assert (calls[2], agents[2].q1_adam.t) == (3, 2)
     assert agents[1].diverged is None and agents[3].diverged is None
     # Every training slot after the first batch fills runs one update.
     trained = tiny_cfg.phases.training * tiny_cfg.td3.updates_per_step
-    assert calls[1] == calls[3] == agents[1].train_calls == agents[3].train_calls
+    assert calls[1] == calls[3] == agents[1].q1_adam.t == agents[3].q1_adam.t
     assert calls[1] == trained
 
 
@@ -1011,8 +1082,8 @@ def test_cli_similarity_without_default_steps_of_an_agent_exit_code(
     scenario = tiny_cfg.scenario
     shares = np.tile(equal_partition(scenario.n_slices), (scenario.n_cells, 1))
     shares[0] = [0.7, 0.1, 0.1, 0.1]
-    harness.save_trace(tmp_path / "trace.npz",
-                       rollout(scenario, lambda t, net_state, states: shares, 60, 0))
+    harness.save_trace(tmp_path / "trace.npz", rollout(
+        scenario, lambda t, net_state, states: shares, 60, 0, trace=True))
     cfg = dataclasses.replace(tiny_cfg, similarity=dataclasses.replace(
         tiny_cfg.similarity, trace=str(tmp_path / "trace.npz"), min_samples=1))
 
@@ -1170,7 +1241,7 @@ def test_cli_transfer_without_artifacts_exit_code(tmp_path, tiny_cfg, capsys):
 # cannot do without, and the version it reads.
 NPZ_READERS = {
     "trace": (lambda path: save_trace(path, rollout(
-        smoke_scenario(), _equal_split(smoke_scenario()), steps=2, seed=0)),
+        smoke_scenario(), _equal_split(smoke_scenario()), steps=2, seed=0, trace=True)),
         lambda path: load_trace(path, smoke_scenario()), "states", TRACE_VERSION),
     "checkpoint": (lambda path: save_agent(Td3Agent(1, 2, Td3Config(), seed=0), path),
                    load_agent, "actor", CHECKPOINT_VERSION),

@@ -152,9 +152,13 @@ def _random_set(rng, n, l=4):
     return LatentStats(rng.standard_normal((n, l)), rng.uniform(0.05, 3.0, (n, l)))
 
 
-@pytest.mark.parametrize("ns, nt", [(1, 1), (7, 5), (5, 7), (300, 250)])
+@pytest.mark.parametrize("ns, nt", [
+    (1, 1), (7, 5), (5, 7), (300, 250),
+    # Source counts around the row block, one-row tails included.
+    *((ns, nt) for ns in (1, 63, 64, 65, 129, 301) for nt in (2, 64))])
 def test_distance_equals_one_expression_reference(ns, nt):
-    """The in-place distance has the bits of the one-expression form."""
+    """The distance built row block by row block has the bits of the
+    one-expression form."""
 
     rng = np.random.default_rng(ns * 1000 + nt)
     for _ in range(5):
@@ -175,11 +179,12 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_distance_holds_at_most_two_pair_blocks():
+def test_distance_holds_one_pair_block_and_one_row_block():
     rng = np.random.default_rng(13)
     source, target = _random_set(rng, 600), _random_set(rng, 500)
     peak = _traced_peak(lambda: kl_distance(source, target))
-    assert peak <= 2 * 600 * 500 * 8 + 64 * 1024
+    # The (600, 500) output block and one (64, 500) row block.
+    assert peak <= (600 + 64) * 500 * 8 + 64 * 1024
 
 
 def test_distance_rejects_empty_sets():
