@@ -3,7 +3,8 @@
 Each agent owns six networks (actor, twin critics, and their targets).
 Actions live on the probability simplex; exploration and target-policy
 smoothing both perturb pre-softmax logits so every emitted action stays
-simplex-valid by construction.
+simplex-valid by construction. A cell that only acts is held as its
+``Policy``, the actor and exploration stream that ``select_action`` reads.
 """
 
 from __future__ import annotations
@@ -230,6 +231,10 @@ class Td3Config:
         for name in ("batch_size", "policy_delay", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.batch_size > self.buffer_capacity:
+            raise ConfigurationError(
+                f"batch_size ({self.batch_size}) exceeds buffer_capacity "
+                f"({self.buffer_capacity}): no full batch could ever be sampled")
         if self.updates_per_step < 0:
             raise ConfigurationError("updates_per_step must be >= 0")
         if not 0.0 <= self.tau <= 1.0:
@@ -249,6 +254,15 @@ class Td3Config:
             if any(size < 1 for size in getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} sizes must be >= 1, got {list(getattr(self, name))}")
+
+
+class Policy(NamedTuple):
+    """What ``select_action`` reads of an agent. A cell that only acts (a
+    greedy peer, an evaluated agent) is held as its policy, without the
+    critics, targets, Adam moments and replay buffer of a learner."""
+
+    actor: nn.Mlp
+    explore_rng: np.random.Generator
 
 
 NETWORKS = ("actor", "q1", "q2", "target_actor", "target_q1", "target_q2")
@@ -292,16 +306,22 @@ class Td3Agent:
     def networks(self) -> dict[str, nn.Mlp]:
         return {name: getattr(self, name) for name in NETWORKS}
 
+    def policy(self) -> Policy:
+        """All that acting reads of the agent: a copy of its actor, which
+        holds no gradient workspace, and its own exploration stream."""
+
+        return Policy(self.actor.copy(), self.explore_rng)
+
     def adams(self) -> dict[str, nn.AdamState]:
         return {name: getattr(self, f"{name}_adam") for name in OPTIMIZED}
 
 
 def select_action(
-    agent: Td3Agent, state: np.ndarray, noise_scale: float | None = None
+    agent: Td3Agent | Policy, state: np.ndarray, noise_scale: float | None = None
 ) -> np.ndarray:
-    """The actor's share row for one state: greedy when ``noise_scale`` is
-    None, else with logit-space Gaussian noise of that std from the agent's
-    exploration stream."""
+    """The actor's share row for one state of an agent or a ``Policy``:
+    greedy when ``noise_scale`` is None, else with logit-space Gaussian
+    noise of that std from its exploration stream."""
 
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (agent.actor.in_dim,):

@@ -3,7 +3,9 @@
 Each run writes into its own output directory: ``metrics.csv`` (one row per
 step/cell/slice), evaluation CDFs, checkpoints/buffers where applicable,
 and ``run_meta.json`` echoing the configuration and recording provenance
-such as the selected transfer source.
+such as the selected transfer source. Pretrained agents are loaded one at a
+time (``load_checkpoints``, ``load_pretrained``), and a run keeps of each
+only what its role reads: a cell that only acts is held as its ``Policy``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import __version__, env as envm, similarity as simm
-from .agent import Td3Agent, load_agent, save_agent, select_action
+from .agent import Policy, Td3Agent, load_agent, save_agent, select_action
 from .codec import atomic_open, copy_file, read_npz, to_plain, write_npz
 from .csvio import column_text, write_csv
 from .env import NetworkState, ScenarioConfig, equal_partition
@@ -217,7 +219,8 @@ class RunResult:
 
     evaluation: RunLog  # the evaluation's slots; they end ``metrics.csv``
     learning: RunLog | None = None  # the learning slots before them, if any
-    agents: dict[int, Td3Agent] = field(default_factory=dict)  # the evaluated learners
+    # The evaluated agents: learners, or the policies of those that only act.
+    agents: dict[int, Td3Agent | Policy] = field(default_factory=dict)
     source: int | None = None  # a transfer run's source cell
     tl_trace: np.ndarray | None = None  # the target's reward per fine-tuning slot
     scratch_trace: np.ndarray | None = None  # the same for the scratch learner
@@ -377,17 +380,18 @@ def run_similarity(
 
 def load_checkpoints(
     artifacts: str | Path, scenario: ScenarioConfig, seed: int
-) -> dict[int, Td3Agent]:
-    """Checkpointed agents of the scenario's cells, with the random streams
+) -> Iterator[tuple[int, Td3Agent]]:
+    """``(cell_id, agent)`` of each checkpointed agent of the scenario's
+    cells, loaded one at a time in scenario order, with the random streams
     of ``make_agents``: each agent draws as a fresh agent seeded with
-    ``_agent_seed(seed, cell_id)``, and its buffer is empty.
+    ``_agent_seed(seed, cell_id)``, and its buffer is empty. The generator
+    holds no agent while it loads the next; a caller keeps what it needs.
 
     A missing checkpoint, one of another cell than its file names, or of
     another slice count than the scenario's, raises ``DependencyError``
-    naming the file.
+    naming the file when iteration reaches it.
     """
 
-    agents = {}
     for cid in scenario.cell_ids:
         ckpt = _checkpoint_file(artifacts, cid)
         agent = load_agent(ckpt, _agent_seed(seed, cid))
@@ -396,28 +400,29 @@ def load_checkpoints(
         if agent.n_slices != scenario.n_slices:
             raise DependencyError(f"{ckpt} holds an agent of {agent.n_slices} "
                                   f"slices, the scenario has {scenario.n_slices}")
-        agents[cid] = agent
-    return agents
+        yield cid, agent
+        del agent  # else this frame keeps it alive while the next one loads
 
 
 def load_pretrained(
     artifacts: str | Path, scenario: ScenarioConfig, seed: int
-) -> dict[int, Td3Agent]:
+) -> Iterator[tuple[int, Td3Agent]]:
     """``load_checkpoints`` with each agent's buffer file loaded into the
-    agent's own fresh buffer, which samples like a fresh agent's.
+    agent's own fresh buffer, which samples like a fresh agent's; one agent
+    at a time, in scenario order.
 
     A cell without a buffer file keeps an empty buffer. A buffer file that
-    the buffer's ``load`` rejects raises its error: ``DimensionError`` for
-    rows not as wide as the agent's, ``DependencyError`` naming the file for
-    one owned by another cell.
+    the buffer's ``load`` rejects raises its error when iteration reaches
+    it: ``DimensionError`` for rows not as wide as the agent's,
+    ``DependencyError`` naming the file for one owned by another cell.
     """
 
-    agents = load_checkpoints(artifacts, scenario, seed)
-    for cid, agent in agents.items():
+    for cid, agent in load_checkpoints(artifacts, scenario, seed):
         buf = _buffer_file(artifacts, cid)
         if buf.exists():
             agent.buffer.load(buf)
-    return agents
+        yield cid, agent
+        del agent  # else this frame keeps it alive while the next one loads
 
 
 def _checkpoint_file(run_dir: str | Path, cell_id: int) -> Path:
@@ -436,18 +441,20 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     """``transfer.strategy`` to the target cell plus a paired-seed scratch run.
 
     Emits the per-step TL gain curve (TL reward minus scratch reward under
-    identical environment seeds) and the post-fine-tuning evaluation. An
-    ``instance`` or ``integrated`` transfer whose source has no buffer file
-    raises ``DependencyError`` before any transfer runs. ``checkpoints/``
-    gets the target's checkpoint and copies of its peers' from the artifacts.
-    Without ``transfer.source``, the similarity sub-run reads
-    ``similarity.trace``, else the artifacts' trace when there is one.
+    identical environment seeds) and the post-fine-tuning evaluation. A
+    missing checkpoint of any cell raises ``DependencyError`` first, before
+    the similarity sub-run; an ``instance`` or ``integrated`` transfer whose
+    source has no buffer file raises it next, before any agent loads.
+    ``checkpoints/`` gets the target's checkpoint and copies of its peers'
+    from the artifacts. Without ``transfer.source``, the similarity sub-run
+    reads ``similarity.trace``, else the artifacts' trace when there is one.
 
-    The run drops each agent once it is done with it. The target's loaded
-    agent goes right after loading: only its peers act. The scratch learner
+    Each pretrained agent is held only in its role, as it loads: the
+    target's is dropped, the source's stays whole until the transfer has
+    read it, and every peer is kept as its ``Policy``. The scratch learner
     goes once its fine-tune has recorded its reward curve and ``diverged``,
-    before ``gain.csv`` is written. ``RunResult.agents`` holds the peers and
-    the transferred learner, in the scenario's cell order.
+    before ``gain.csv`` is written. ``RunResult.agents`` holds the peers'
+    policies and the transferred learner, in the scenario's cell order.
     """
 
     out = _prepare_out(out)
@@ -458,8 +465,9 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
         )
     artifacts = Path(cfg.transfer.artifacts)
     target_id = cfg.similarity_target
-    peers = load_pretrained(artifacts, scenario, seed)
-    del peers[target_id]
+    for ckpt in (_checkpoint_file(artifacts, cid) for cid in scenario.cell_ids):
+        if not ckpt.exists():
+            raise DependencyError(f"missing {ckpt}")
 
     source_id = cfg.transfer.source
     selected_distance = None
@@ -480,7 +488,15 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
     steps = cfg.phases.tl_training
     tl_agent = Td3Agent(target_id, scenario.n_slices, cfg.td3,
                         _agent_seed(seed, target_id))
-    apply_transfer(peers[source_id], tl_agent, cfg.transfer, seed)
+    peers = {}
+    for cid, agent in load_pretrained(artifacts, scenario, seed):
+        if cid == source_id:
+            apply_transfer(agent, tl_agent, cfg.transfer, seed)
+        # The target's loaded agent is dropped unread: it is loaded only
+        # because the benchmark pins one checkpoint and buffer load per cell.
+        if cid != target_id:
+            peers[cid] = agent.policy()
+        del agent  # before the next one loads
     learning = RunLog(scenario, steps)
     tl_trace = fine_tune(tl_agent, scenario, peers, steps, seed, learning)
 
@@ -513,14 +529,18 @@ def run_transfer(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult
 
 
 def run_evaluate(cfg: ExperimentConfig, seed: int, out: str | Path) -> RunResult:
-    """Frozen-policy evaluation of the agents in ``evaluate.checkpoints``;
-    it reads their checkpoints only, not their buffers."""
+    """Frozen-policy evaluation of the agents in ``evaluate.checkpoints``,
+    each held as its ``Policy``; it reads their checkpoints only, not their
+    buffers."""
 
     if cfg.evaluate.checkpoints is None:
         raise DependencyError("evaluate requires 'evaluate.checkpoints' pointing "
                               "at a train or transfer run")
     out = _prepare_out(out)
-    agents = load_checkpoints(cfg.evaluate.checkpoints, cfg.scenario, seed)
+    agents = {}
+    for cid, agent in load_checkpoints(cfg.evaluate.checkpoints, cfg.scenario, seed):
+        agents[cid] = agent.policy()
+        del agent  # before the next one loads
     evaluation = _evaluate_and_write(cfg, seed, out, agents_act(cfg.scenario, agents),
                                      seed, method="evaluate")
     return RunResult(evaluation, agents=agents)

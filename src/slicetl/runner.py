@@ -2,10 +2,12 @@
 the learners' store-and-train step.
 
 A run (rollout, MADRL training, fine-tuning) is a for-loop over the slots
-that ``run_slots`` yields under one ``act`` hook. Everything per slot is an
-array over the K cells in scenario order: states (K, 4N), shares (K, N),
-rewards (K,). A ``RunLog`` holds the logged slots as (T, K, ...) columns:
-the states for a trace file, the network's metrics for ``metrics.csv``.
+that ``run_slots`` yields under one ``act`` hook; ``agents_act`` builds
+the hook of agent-driven runs from learners and the ``Policy`` of cells
+that only act. Everything per slot is an array over the K cells in
+scenario order: states (K, 4N), shares (K, N), rewards (K,). A
+``RunLog`` holds the logged slots as (T, K, ...) columns: the states for a
+trace file, the network's metrics for ``metrics.csv``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import env as envm
-from .agent import Td3Agent, select_action, train_step
+from .agent import Policy, Td3Agent, select_action, train_step
 from .env import NetworkState, ScenarioConfig
 from .errors import ConfigurationError, SliceTlError
 
@@ -106,11 +108,11 @@ def run_slots(
 
 def agents_act(
     scenario: ScenarioConfig,
-    agents: dict[int, Td3Agent],
+    agents: dict[int, Td3Agent | Policy],
     noise: dict[int, float] | None = None,
 ) -> Act:
-    """Act hook in which every cell's agent picks its shares from its own
-    state row, with the logit-noise std ``noise`` holds for its cell, else
+    """Act hook in which every cell's agent or ``Policy`` picks its shares
+    from its own state row, with the logit-noise std ``noise`` holds for its cell, else
     greedily. ``agents`` must hold exactly the scenario's cells
     (``ConfigurationError``)."""
 

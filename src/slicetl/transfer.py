@@ -3,7 +3,8 @@
 Implements model transfer (exact parameter copy), feature transfer
 (copy + freeze of the lower actor layers), instance transfer (replay
 buffer merge), the integrated model+instance method, and exploration-free
-fine-tuning of a transferred agent inside the live multi-cell environment.
+fine-tuning of a transferred agent inside the live multi-cell environment,
+among greedy peers held as agents or as their ``Policy``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import env as envm
-from .agent import ReplayBuffer, Td3Agent
+from .agent import Policy, ReplayBuffer, Td3Agent
 from .errors import DomainError, IncompatibleArchitectureError
 from .runner import RunLog, agents_act, learn, record_step, run_slots
 
@@ -122,7 +123,7 @@ def apply_transfer(
 def fine_tune(
     target: Td3Agent,
     scenario: envm.ScenarioConfig,
-    peers: dict[int, Td3Agent],
+    peers: dict[int, Td3Agent | Policy],
     steps: int,
     seed: int,
     log: RunLog | None = None,
@@ -130,10 +131,10 @@ def fine_tune(
     """Train the target agent in place in the live network without an
     exploration phase.
 
-    The peers act greedily in the other cells. Returns the target's reward
-    in each slot; ``log``, if given, records every slot of all cells. If the
-    target's training diverges, it stops training and records the error in
-    ``target.diverged``.
+    The peers, agents or their ``Policy``, act greedily in the other cells.
+    Returns the target's reward in each slot; ``log``, if given, records
+    every slot of all cells. If the target's training diverges, it stops
+    training and records the error in ``target.diverged``.
     """
 
     idx = scenario.cell_ids.index(target.cell_id)

@@ -224,7 +224,7 @@ def _tl_and_scratch_traces(pipeline, source_id, seed, steps=200):
     cfg = pipeline["cfg"]
     sc = cfg.scenario
     target_id = 3
-    pretrained = harness.load_pretrained(pipeline["root"] / "train", sc, seed)
+    pretrained = dict(harness.load_pretrained(pipeline["root"] / "train", sc, seed))
     peers = {i: a for i, a in pretrained.items() if i != target_id}
     tl = Td3Agent(target_id, sc.n_slices, cfg.td3,
                   harness._agent_seed(seed, target_id))

@@ -24,6 +24,7 @@ from slicetl import harness, runner
 from slicetl.agent import (
     BUFFER_VERSION,
     CHECKPOINT_VERSION,
+    Policy,
     ReplayBuffer,
     Td3Agent,
     Td3Config,
@@ -181,6 +182,9 @@ def test_config_rejects_missing_scenario():
     (("td3", "batch_size"), 0, "td3: batch_size"),
     (("td3", "policy_delay"), 0, "td3: policy_delay"),
     (("td3", "buffer_capacity"), 0, "td3: buffer_capacity"),
+    # A batch larger than the buffer could never be sampled: nothing trains.
+    (("td3",), {"batch_size": 16, "buffer_capacity": 8, "updates_per_step": 1},
+     r"td3: batch_size \(16\) exceeds buffer_capacity \(8\)"),
     (("td3", "updates_per_step"), -1, "td3: updates_per_step"),
     (("td3", "tau"), 2.0, "td3: tau"),
     (("td3", "tau"), -0.5, "td3: tau"),
@@ -212,8 +216,8 @@ def test_config_rejects_missing_scenario():
         "scenario-seed", "top-level-seed", "yaml-exponent", "float-for-int",
         "bool-for-int", "int-for-list", "short-tuple", "str-for-int",
         "evaluation-slots", "batch-size",
-        "policy-delay", "buffer-capacity", "updates-per-step", "tau-high",
-        "tau-low", "gamma-one", "gamma-negative", "actor-lr", "critic-lr",
+        "policy-delay", "buffer-capacity", "batch-over-capacity", "updates-per-step",
+        "tau-high", "tau-low", "gamma-one", "gamma-negative", "actor-lr", "critic-lr",
         "target-noise", "noise-clip", "explore-noise", "explore-noise-final",
         "actor-hidden", "critic-hidden", "similarity-steps", "epochs",
         "similarity-batch-size", "latent-dim", "min-samples", "similarity-lr",
@@ -783,7 +787,7 @@ def test_run_madrl_stops_only_the_diverging_agent(tmp_path, tiny_cfg, monkeypatc
 
 def test_loaded_agents_draw_their_own_streams(tiny_cfg, tiny_artifacts):
     ids = tiny_cfg.scenario.cell_ids
-    agents = harness.load_pretrained(tiny_artifacts, tiny_cfg.scenario, seed=7)
+    agents = dict(harness.load_pretrained(tiny_artifacts, tiny_cfg.scenario, seed=7))
     draws = {}
     for cid, agent in agents.items():
         fresh = Td3Agent(cid, tiny_cfg.scenario.n_slices, tiny_cfg.td3,
@@ -848,7 +852,7 @@ def test_load_pretrained_rejects_a_buffer_of_other_widths(tmp_path, tiny_cfg,
     path = artifacts / "buffers" / "cell_1.npz"
     other.export(path)
     with pytest.raises(DimensionError, match=re.escape(str(path))):
-        harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0)
+        dict(harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0))
     with pytest.raises(DimensionError, match=re.escape(str(path))):
         harness.run_transfer(_transfer_cfg(tiny_cfg, artifacts), seed=0,
                              out=tmp_path / "tl")
@@ -870,7 +874,7 @@ def test_load_pretrained_rejects_mislabelled_artifacts(tmp_path, tiny_cfg,
     else:
         shutil.copyfile(artifacts / folder / "cell_1.npz", path)
     with pytest.raises(DependencyError, match=re.escape(str(path))):
-        harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0)
+        dict(harness.load_pretrained(artifacts, tiny_cfg.scenario, seed=0))
     if kind == "buffer":
         cfg_path = tmp_path / "tl.yaml"
         save_config(_transfer_cfg(tiny_cfg, artifacts), cfg_path)
@@ -885,10 +889,11 @@ def test_load_pretrained_rejects_mislabelled_artifacts(tmp_path, tiny_cfg,
 def test_evaluate_reads_only_checkpoints(tmp_path, tiny_cfg, tiny_artifacts,
                                          monkeypatch):
     """A frozen evaluation needs the actors only: with no buffer loadable it
-    writes the metrics of the agents loaded with their buffers."""
+    writes the metrics of the agents loaded with their buffers, and holds
+    each as its policy."""
 
     scenario = tiny_cfg.scenario
-    agents = harness.load_pretrained(tiny_artifacts, scenario, seed=4)
+    agents = dict(harness.load_pretrained(tiny_artifacts, scenario, seed=4))
     evaluation = evaluate_policies(scenario, agents_act(scenario, agents),
                                    tiny_cfg.phases.evaluation, seed=4)
     write_metrics_csv(tmp_path / "expected.csv", [evaluation])
@@ -902,7 +907,7 @@ def test_evaluate_reads_only_checkpoints(tmp_path, tiny_cfg, tiny_artifacts,
         out=tmp_path / "eval")
     assert ((tmp_path / "eval" / "metrics.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
-    assert all(len(agent.buffer) == 0 for agent in result.agents.values())
+    assert all(type(agent) is Policy for agent in result.agents.values())
 
 
 def test_run_transfer_explores_only_the_learner(tmp_path, tiny_cfg, tiny_artifacts):
@@ -920,18 +925,26 @@ def test_run_transfer_explores_only_the_learner(tmp_path, tiny_cfg, tiny_artifac
         assert untouched == (cid != tiny_cfg.similarity_target)
 
 
-def test_run_transfer_releases_the_agents_it_is_done_with(tmp_path, tiny_cfg,
-                                                        tiny_artifacts, monkeypatch):
-    """By the evaluation, the target's loaded agent and the finished scratch
-    learner are gone; the evaluated agents are the peers and the transferred
-    learner, in the scenario's cell order."""
+def test_run_transfer_holds_each_pretrained_agent_only_in_its_role(
+        tmp_path, tiny_cfg, tiny_artifacts, monkeypatch):
+    """The loads hand over one agent at a time: while an agent loads, no
+    agent loaded before it is alive. By the first fine-tune no loaded agent
+    is alive; by the evaluation the scratch learner is gone too. Each peer
+    is a ``Policy`` with its loaded actor's weights; the transferred learner
+    is the agent the run built."""
 
     target = tiny_cfg.similarity_target
-    loaded, built, checked = {}, [], []
+    loaded, weights, built, alive_at_load, checked = [], {}, [], [], []
+
+    def alive(refs):
+        gc.collect()
+        return [ref for ref in refs if ref() is not None]
 
     def keep_loaded(*args, **kwargs):
+        alive_at_load.append(len(alive(loaded)))
         agent = load_agent(*args, **kwargs)
-        loaded[agent.cell_id] = weakref.ref(agent)
+        loaded.append(weakref.ref(agent))
+        weights[agent.cell_id] = agent.actor.flat.copy()
         return agent
 
     def keep_built(*args, **kwargs):
@@ -939,25 +952,68 @@ def test_run_transfer_releases_the_agents_it_is_done_with(tmp_path, tiny_cfg,
         built.append(weakref.ref(agent))
         return agent
 
-    evaluate_and_write = harness._evaluate_and_write
+    fine_tune, evaluate_and_write = harness.fine_tune, harness._evaluate_and_write
+
+    def fine_tune_after_release(*args, **kwargs):
+        if not checked:
+            assert not alive(loaded), "a loaded agent is alive at the fine-tune"
+            checked.append("fine_tune")
+        return fine_tune(*args, **kwargs)
 
     def evaluate_after_release(*args, **kwargs):
-        gc.collect()
-        assert loaded[target]() is None, "the target's loaded agent is alive"
-        assert built[1]() is None, "the scratch learner is alive"
-        checked.append(True)
+        assert not alive(built[1:]), "the scratch learner is alive"
+        checked.append("evaluation")
         return evaluate_and_write(*args, **kwargs)
 
     monkeypatch.setattr(harness, "load_agent", keep_loaded)
     monkeypatch.setattr(harness, "Td3Agent", keep_built)
+    monkeypatch.setattr(harness, "fine_tune", fine_tune_after_release)
     monkeypatch.setattr(harness, "_evaluate_and_write", evaluate_after_release)
     result = harness.run_transfer(_transfer_cfg(tiny_cfg, tiny_artifacts), seed=0,
                                   out=tmp_path)
-    assert checked and len(built) == 2
+    assert checked == ["fine_tune", "evaluation"] and len(built) == 2
+    assert alive_at_load == [0] * len(tiny_cfg.scenario.cell_ids)
     assert list(result.agents) == list(tiny_cfg.scenario.cell_ids)
     assert result.agents[target] is built[0]()
-    assert all(result.agents[cid] is loaded[cid]()
-               for cid in tiny_cfg.scenario.cell_ids if cid != target)
+    for cid in tiny_cfg.scenario.cell_ids:
+        if cid != target:
+            assert type(result.agents[cid]) is Policy
+            assert np.array_equal(result.agents[cid].actor.flat, weights[cid])
+
+
+def test_run_transfer_holds_a_few_buffers_at_a_time(tmp_path, full_cfg):
+    """On full12 artifacts whose twelve buffers each hold 2 000 transitions
+    (filled with ``add``, untrained), a transfer's tracemalloc peak stays
+    below seven buffers' worth: the source's, the learner's, the one being
+    loaded and their copies in flight, never the peers' twelve."""
+
+    scenario, rows = full_cfg.scenario, 2000
+    n = scenario.n_slices
+    artifacts = tmp_path / "artifacts"
+    (artifacts / "checkpoints").mkdir(parents=True)
+    (artifacts / "buffers").mkdir()
+    rng = np.random.default_rng(0)
+    for cid in scenario.cell_ids:
+        agent = Td3Agent(cid, n, full_cfg.td3, cid)
+        for row in zip(rng.random((rows, 4 * n)), rng.dirichlet(np.ones(n), rows),
+                       rng.random(rows), rng.random((rows, 4 * n))):
+            agent.buffer.add(*row, cid)
+        save_agent(agent, harness._checkpoint_file(artifacts, cid))
+        agent.buffer.export(harness._buffer_file(artifacts, cid))
+    cfg = dataclasses.replace(
+        full_cfg, phases=dataclasses.replace(full_cfg.phases, tl_training=3, evaluation=2),
+        transfer=dataclasses.replace(full_cfg.transfer, source=11,
+                                     artifacts=str(artifacts)))
+    # A buffer's block and origins, grown from 64 rows by doubling to hold
+    # ``rows``: 2 048 rows of 2 states, an action, a reward and an origin.
+    buffer_bytes = 2048 * (2 * 4 * n + n + 2) * 8
+    tracemalloc.start()
+    try:
+        harness.run_transfer(cfg, seed=1, out=tmp_path / "tl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * buffer_bytes
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -978,18 +1034,56 @@ def test_run_transfer_without_the_source_buffer(tmp_path, tiny_cfg, tiny_artifac
         with pytest.raises(DependencyError, match=re.escape(str(path))):
             harness.run_transfer(cfg, seed=0, out=tmp_path / "tl")
     else:
-        result = harness.run_transfer(cfg, seed=0, out=tmp_path / "tl")
-        assert len(result.agents[1].buffer) == 0
+        apply_transfer, sources = harness.apply_transfer, []
+
+        def record_source(source, *args):
+            sources.append((source.cell_id, len(source.buffer)))
+            return apply_transfer(source, *args)
+
+        monkeypatch.setattr(harness, "apply_transfer", record_source)
+        harness.run_transfer(cfg, seed=0, out=tmp_path / "tl")
+        assert sources == [(1, 0)]
+
+
+@pytest.mark.parametrize("missing", [1, 2, 3])
+def test_run_transfer_checks_every_checkpoint_before_similarity(
+        tmp_path, tiny_cfg, tiny_artifacts, monkeypatch, missing):
+    """Without ``transfer.source``, a missing checkpoint of any cell fails
+    naming the file before the similarity sub-run or its rollout runs."""
+
+    artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
+    path = artifacts / "checkpoints" / f"cell_{missing}.npz"
+    path.unlink()
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("similarity ran")
+
+    for name in ("run_similarity", "default_action_trace", "rollout"):
+        monkeypatch.setattr(harness, name, must_not_run)
+    cfg = dataclasses.replace(tiny_cfg, transfer=dataclasses.replace(
+        tiny_cfg.transfer, artifacts=str(artifacts)))
+    with pytest.raises(DependencyError, match=re.escape(str(path))):
+        harness.run_transfer(cfg, seed=0, out=tmp_path / "tl")
+    assert not (tmp_path / "tl" / "similarity").exists()
 
 
 def test_peers_without_buffers_still_transfer_and_evaluate(tmp_path, tiny_cfg,
-                                                           tiny_artifacts):
+                                                           tiny_artifacts, monkeypatch):
     artifacts = _copy_artifacts(tiny_artifacts, tmp_path)
     (artifacts / "buffers" / "cell_2.npz").unlink()
+    load_pretrained, stored = harness.load_pretrained, {}
+
+    def record_buffers(*args):
+        for cid, agent in load_pretrained(*args):
+            stored[cid] = len(agent.buffer)
+            yield cid, agent
+
+    monkeypatch.setattr(harness, "load_pretrained", record_buffers)
     result = harness.run_transfer(_transfer_cfg(tiny_cfg, artifacts), seed=0,
                                   out=tmp_path / "tl")
     assert result.agents[3].buffer.origin_counts().get(1, 0) > 0
-    assert len(result.agents[2].buffer) == 0
+    assert stored[2] == 0 and stored[1] > 0
+    assert type(result.agents[2]) is Policy
     shutil.rmtree(artifacts / "buffers")
     result = run_evaluate(dataclasses.replace(
         tiny_cfg, evaluate=EvaluateParams(str(artifacts))), seed=0,
